@@ -46,31 +46,33 @@ let time_median ?(repeat = 3) f =
   | [] -> 0.0
   | ts -> List.nth ts (List.length ts / 2)
 
-(* Repeat [f], feeding each pass's wall time into a bucketed histogram.
-   Returns [f]'s first result, the exact median (kept as the wall_ms
-   figure so every existing comparison — including the regression
-   guard's prepared-vs-cold check — stays on the same estimator), and
-   the histogram's (p50, p95, p99) — [None] when there is only one
-   sample: a single pass has no tail, and duplicating its time into
-   p95/p99 would hand the regression gate a percentile that was never
-   measured. *)
+(* Nearest-rank order statistic of an ascending sample: the smallest
+   sample with at least a fraction [p] of the samples at or below it.
+   (The epsilon keeps 0.95 *. 20. from rounding up a rank.) *)
+let nearest_rank sorted p =
+  let n = Array.length sorted in
+  let rank = int_of_float (ceil ((p *. float_of_int n) -. 1e-9)) in
+  sorted.(max 0 (min (n - 1) (rank - 1)))
+
+(* Repeat [f], keeping each pass's wall time.  Returns [f]'s first
+   result, the median (the wall_ms figure every comparison — including
+   the regression guard's prepared-vs-cold check — is made on), and the
+   nearest-rank (p50, p95, p99) of the raw pass times — [None] when
+   there is only one sample: a single pass has no tail, and duplicating
+   its time into p95/p99 would hand the regression gate a percentile
+   that was never measured. *)
 let time_percentiles ?(repeat = 3) f =
-  let h = Obs.Histogram.create () in
   let r0, ms0 = time f in
   let times = ms0 :: List.init (repeat - 1) (fun _ -> snd (time f)) in
-  List.iter (Obs.Histogram.observe h) times;
-  let median =
-    match List.sort compare times with
-    | [] -> 0.0
-    | ts -> List.nth ts (List.length ts / 2)
-  in
+  let sorted = Array.of_list (List.sort compare times) in
+  let median = sorted.(Array.length sorted / 2) in
   let percentiles =
-    if List.length times < 2 then None
+    if Array.length sorted < 2 then None
     else
       Some
-        ( Obs.Histogram.quantile h 0.5,
-          Obs.Histogram.quantile h 0.95,
-          Obs.Histogram.quantile h 0.99 )
+        ( nearest_rank sorted 0.5,
+          nearest_rank sorted 0.95,
+          nearest_rank sorted 0.99 )
   in
   (r0, median, percentiles)
 
@@ -662,52 +664,6 @@ let bench_cnf () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* B-JOIN: the combination phase's join operation, three ways (the
-   paper's references [6,9]): hash vs sort-merge vs nested loop on
-   reference-relation-shaped inputs. *)
-
-let bench_joins () =
-  section "B-JOIN" "join algorithms for the combination phase";
-  Fmt.pr "%-8s | %10s %10s %12s@." "rows" "hash(ms)" "merge(ms)" "nested(ms)";
-  let schema_l =
-    Schema.make
-      [ Schema.attr "a" Vtype.int_full; Schema.attr "x" Vtype.int_full ]
-      ~key:[]
-  in
-  let schema_r =
-    Schema.make
-      [ Schema.attr "b" Vtype.int_full; Schema.attr "y" Vtype.int_full ]
-      ~key:[]
-  in
-  List.iter
-    (fun n ->
-      let rng = Workload.Prng.create (n + 17) in
-      let mk schema =
-        let rel = Relation.create schema in
-        for i = 1 to n do
-          Relation.insert rel
-            (Tuple.of_list
-               [ Value.int (Workload.Prng.in_range rng 1 (n / 4)); Value.int i ])
-        done;
-        rel
-      in
-      let a = mk schema_l and b = mk schema_r in
-      let t name f = (name, time_median ~repeat:1 f) in
-      let results =
-        [
-          t "hash" (fun () -> Algebra.equi_join ~on:[ ("a", "b") ] a b);
-          t "merge" (fun () -> Algebra.merge_join ~on:[ ("a", "b") ] a b);
-          t "nested" (fun () ->
-              Algebra.nested_loop_join ~on:[ ("a", "b") ] a b);
-        ]
-      in
-      Fmt.pr "%-8d | %10.2f %10.2f %12.2f@." n
-        (List.assoc "hash" results)
-        (List.assoc "merge" results)
-        (List.assoc "nested" results))
-    [ 200; 800; 2000 ]
-
-(* ------------------------------------------------------------------ *)
 (* B-PAR: partitioned parallel execution across the domain pool, on the
    two largest B-ORDER scenarios.  jobs=1 is the untouched serial
    engine; higher settings fan the collection builds and the partition
@@ -882,57 +838,6 @@ let bench_prepared () =
       case "heavy shipments($q)" s Strategy.s1234 db param_shipments_query
         (Some (fun i -> [ ("minqty", Value.int (100 + (i * 17 mod 800))) ])))
     (scales [ 1 ])
-
-(* ------------------------------------------------------------------ *)
-(* B-VEC: the vectorized combination engine against the scalar
-   per-tuple emit, on the two largest B-ORDER scenarios.  Same plans,
-   same collection structures, tuple-for-tuple identical results (the
-   QCheck differential in the test suite proves it) — the gap is pure
-   kernel execution: column encode once per query, selection vectors,
-   integer-keyed join tables.  Median of 5, with the histogram
-   percentiles of the pass latencies. *)
-
-let bench_vec () =
-  section "B-VEC" "vectorized batch kernels vs scalar streaming emit";
-  let batched = Exec_opts.default_batch_size in
-  Fmt.pr "(batched arm uses batch_size %d)@." batched;
-  Fmt.pr "%-14s %-6s %-12s | %10s %10s %10s %10s@." "query" "scale" "engine"
-    "wall_ms" "p50" "p95" "p99";
-  let case qname scale strategy db q =
-    List.iter
-      (fun (ename, batch_size) ->
-        let report, ms, percentiles =
-          time_percentiles ~repeat:5 (fun () ->
-              exec_q_report
-                ~opts:(Exec_opts.make ~strategy ~batch_size ())
-                db q)
-        in
-        let p50, p95, p99 =
-          match percentiles with Some p -> p | None -> (ms, ms, ms)
-        in
-        record ~experiment:"B-VEC" ~query:qname ~strategy:ename ~scale
-          ~wall_ms:ms ~scans:report.Exec_result.scans
-          ~probes:report.Exec_result.probes
-          ~max_ntuple:report.Exec_result.max_ntuple ?percentiles
-          ~extra:[ ("batch_size", Obs.Json.Int batch_size) ]
-          ();
-        Fmt.pr "%-14s %-6d %-12s | %10.2f %10.2f %10.2f %10.2f@." qname scale
-          ename ms p50 p95 p99)
-      [ ("scalar", 1); ("batched", batched) ]
-  in
-  List.iter
-    (fun s ->
-      let db = Workload.University.generate (uni_params s) in
-      case "running" s Strategy.s12 db (Workload.Queries.running_query db))
-    (scales [ 2 ]);
-  List.iter
-    (fun s ->
-      let db =
-        Workload.Suppliers.generate (Workload.Suppliers.scaled ~seed:(7 + s) s)
-      in
-      case "no red part" s Strategy.s123 db
-        (Workload.Suppliers.ships_no_red_part db))
-    (scales [ 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* B-INDEX: persistent secondary indexes as collection access paths.
@@ -1127,8 +1032,6 @@ let experiments =
     ("B-PAGE", bench_page_io);
     ("B-IDX", bench_permanent_indexes);
     ("B-CNF", bench_cnf);
-    ("B-JOIN", bench_joins);
-    ("B-VEC", bench_vec);
     ("B-INDEX", bench_index);
     ("B-MICRO", bench_bechamel);
     (* The two multi-domain experiments run last: the serial experiments

@@ -315,8 +315,8 @@ let batch_size_arg =
     & opt (some int) None
     & info [ "batch-size" ] ~docv:"N"
         ~doc:
-          "Row window of the vectorized stream kernels.  $(b,1) forces \
-           the scalar per-tuple engine; the default comes from \
+          "Row window of the vectorized stream kernels; every size \
+           computes the same answer.  The default comes from \
            PASCALR_BATCH_SIZE or 2048.")
 
 let param_arg =
@@ -996,6 +996,34 @@ let serve_request db session prepared line =
     in
     attempt 0
 
+(* The class and message of a request that failed without taking the
+   connection down: every substrate error, the language front end's
+   errors, and argument errors. *)
+let request_error = function
+  | Pascalr_lang.Parser.Parse_error (msg, _) -> Some ("parse", msg)
+  | Pascalr_lang.Lexer.Lex_error (msg, _) -> Some ("lex", msg)
+  | Pascalr_lang.Elaborate.Elab_error msg -> Some ("elaborate", msg)
+  | Pascalr_lang.Interp.Runtime_error msg -> Some ("runtime", msg)
+  | Failure msg -> Some ("failure", msg)
+  | Invalid_argument msg -> Some ("invalid argument", msg)
+  | Errors.Type_error msg -> Some ("type", msg)
+  | Errors.Schema_error msg -> Some ("schema", msg)
+  | Errors.Duplicate_key msg -> Some ("duplicate key", msg)
+  | Errors.Unknown_relation msg -> Some ("unknown relation", msg)
+  | Errors.Unknown_attribute msg -> Some ("unknown attribute", msg)
+  | Errors.Dangling_reference msg -> Some ("dangling reference", msg)
+  | Errors.Io_error msg -> Some ("io", msg)
+  | Errors.Corruption msg -> Some ("corruption", msg)
+  | Errors.Frozen msg -> Some ("frozen", msg)
+  | Errors.Txn_conflict msg -> Some ("conflict", msg)
+  | _ -> None
+
+(* One line per failed request, newlines folded, so an error message
+   can never be read as a result row. *)
+let error_line cls msg =
+  "error: " ^ cls ^ ": "
+  ^ String.map (function '\n' | '\r' -> ' ' | c -> c) msg
+
 let handle_conn db fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -1015,18 +1043,12 @@ let handle_conn db fd =
       if line = "quit" then ()
       else begin
         if line <> "" then begin
-          (try respond (serve_request db session prepared line) with
-          | Pascalr_lang.Parser.Parse_error (msg, _) ->
-            respond ("error: parse: " ^ msg)
-          | Pascalr_lang.Lexer.Lex_error (msg, _) ->
-            respond ("error: lex: " ^ msg)
-          | Pascalr_lang.Elaborate.Elab_error msg
-          | Pascalr_lang.Interp.Runtime_error msg
-          | Failure msg ->
-            respond ("error: " ^ msg)
-          | Errors.Txn_conflict msg -> respond ("error: conflict: " ^ msg)
-          | Errors.Unknown_relation r ->
-            respond ("error: unknown relation " ^ r))
+          match serve_request db session prepared line with
+          | text -> respond text
+          | exception e -> (
+            match request_error e with
+            | Some (cls, msg) -> respond (error_line cls msg)
+            | None -> raise e)
         end;
         loop ()
       end

@@ -39,7 +39,7 @@ let () =
   (* The paper's Section 5 point: semi-joins extend to ALL.  Show the
      direct antijoin reduction agreeing with the query. *)
   let suppliers = Database.find_relation db "suppliers" in
-  let red_shippers =
+  let red_shipments =
     let shipments = Database.find_relation db "shipments" in
     let parts = Database.find_relation db "parts" in
     let red_parts =
@@ -50,12 +50,9 @@ let () =
             (Workload.Suppliers.red db))
         parts
     in
-    let red_shipments =
-      Algebra.semijoin ~on:[ ("hpnr", "pnr") ] shipments red_parts
-    in
-    Algebra.semijoin ~on:[ ("snr", "hsnr") ] suppliers red_shipments
+    Algebra.semijoin ~on:[ ("hpnr", "pnr") ] shipments red_parts
   in
-  let no_red = Algebra.diff suppliers red_shippers in
+  let no_red = Algebra.antijoin ~on:[ ("snr", "hsnr") ] suppliers red_shipments in
   let by_query =
     Naive_eval.run db (Workload.Suppliers.ships_no_red_part db)
   in

@@ -213,7 +213,7 @@ let combination_json () =
       ("materialized", tally "algebra.materialized." materialized_ops);
       (* Vectorized-kernel traffic: rows entering / surviving the
          batched chains, and the wall time spent inside the kernel
-         loops.  All zero when batch_size = 1 (scalar execution). *)
+         loops — at every batch_size, 1 included. *)
       ( "batch",
         Obj
           [
@@ -226,20 +226,17 @@ let combination_json () =
     ]
 
 (* Multicore activity: the parallelism budget the analysis ran under and
-   what the domain pool actually did with it.  Operator calls that ran
-   partitioned tally under both algebra.par.* and algebra.materialized.*,
-   so the serial count per operator is (materialized - par); under
-   jobs = 1 every par counter is 0 and "serial" equals the materialized
-   tally. *)
-let par_ops = [ "select"; "project"; "join"; "join_build"; "product"; "stream" ]
+   what the domain pool actually did with it.  A stream materialization
+   that fanned its windows out tallies under both algebra.par.stream and
+   algebra.materialized.stream, so the serial count is (materialized -
+   par); under jobs = 1 the par counter is 0. *)
+let par_ops = [ "stream" ]
 
 let parallel_json a =
   let open Obs.Json in
   let c = Obs.Metrics.counter_value in
   let seq_of op =
-    match op with
-    | "join_build" -> 0 (* build side of a par join; no serial analogue *)
-    | _ -> max 0 (c ("algebra.materialized." ^ op) - c ("algebra.par." ^ op))
+    max 0 (c ("algebra.materialized." ^ op) - c ("algebra.par." ^ op))
   in
   Obj
     [
@@ -282,9 +279,11 @@ let plan_cache_json a =
    {!Exec_result.t}: rows, phase split, plan-cache outcome, txn/WAL
    activity) and the WAL/txn fault counters.  5: exec.access_paths
    (per collection structure: probe/range/scan) and exec.join_algos
-   (per streaming join step: nlj/hash/batched-nlj) of the adaptive
-   access-path and join-algorithm selection. *)
-let schema_version = 5
+   (per streaming join step) of the physical-choice reporting.  6:
+   parallel.operators reports only "stream", the one operator that
+   fans out, and exec.join_algos names only "hash", the one join
+   algorithm. *)
+let schema_version = 6
 
 (* The last execution's unified result, as the executor reported it:
    the phase split from the execution clock, the plan-cache outcome of

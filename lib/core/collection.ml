@@ -45,8 +45,7 @@ type t = {
       (* parallelism budget from Exec_opts; None = the untouched serial
          engine.  Carried here so the combination phase (which receives
          the collection) inherits the same budget. *)
-  batch_size : int;
-      (* window size of the vectorized stream kernels; 1 = scalar *)
+  batch_size : int;  (* row window of the vectorized stream kernels *)
   batch_pool : Batch.pool;
       (* one interning pool per query: every stream chain of the
          combination phase shares it, so a base single list padded into
@@ -76,7 +75,7 @@ let var_schemas db (plan : Plan.t) =
     (fun acc e -> bind acc (e.Normalize.v, e.Normalize.range))
     acc plan.Plan.prefix
 
-let create ?par ?(batch_size = 1) ?(use_index = true) db strategy plan =
+let create ?par ?(batch_size = 2048) ?(use_index = true) db strategy plan =
   {
     db;
     strategy;
@@ -605,32 +604,23 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
           | None -> invalid_arg "Collection: derived value list not built")
         probe_derived
     in
-    (* Vectorized collection: when the combination phase will consume
-       this structure columnarly (batch_size > 1) and the build is
-       serial (the per-query interning pool is not domain-safe), intern
-       each index entry's references ONCE up front and accumulate the
-       inserted rows' integer cells alongside the build.  The columnar
-       divide then reuses these columns ({!Batch.register_unordered})
-       instead of re-interning the whole structure — for a large
-       indirect join that re-encode is its single biggest cost. *)
-    let vec =
-      if t.batch_size > 1 && t.par = None then
-        let pool = t.batch_pool in
-        let entry_ids =
-          Array.of_list
-            (List.rev
-               (Index.fold_entries
-                  (fun acc _ refs ->
-                    Array.of_list
-                      (List.map
-                         (fun r -> Batch.intern pool (Value.VRef r))
-                         refs)
-                    :: acc)
-                  [] idx))
-        in
-        Some (pool, entry_ids, Batch.acc_create [| Batch.K_obj; Batch.K_obj |])
-      else None
-    in
+    (* Vectorized collection: the combination phase may consume this
+       structure columnarly, so the build records the rows it inserts
+       and registers a deferred encode of them
+       ({!Batch.register_unordered}).  A columnar divide over the
+       structure then forces it instead of re-interning the whole
+       structure — for a large indirect join that re-encode is its
+       single biggest cost — and a structure no divide reads never pays
+       for interning at all.  Each matched index entry's references are
+       interned once, however many probes match it.  The encode is
+       forced on the caller: [per_tuple] may run on a pool worker, and
+       the per-query interning pool is not domain-safe. *)
+    let pool = t.batch_pool in
+    (* Per qualifying probe tuple, newest first: its reference and the
+       index side of each row it inserted — (entry ordinal, position in
+       the entry), or the value of an [Eq] bucket match. *)
+    let inserted = ref [] in
+    let entries = Hashtbl.create 16 in
     let per_tuple tuple =
       if
         restriction_holds t range schema tuple
@@ -645,40 +635,61 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
            unchecked fast path applies — this is the hottest insert site
            of the collection phase (one insert per qualifying index
            match). *)
-        match vec with
-        | None ->
-          Index.fold_matching idx shape.ps_probe_op probe_value
-            (fun () r ->
-              Relation.insert_unchecked out
-                (Tuple.of_list [ probe_ref; Value.VRef r ]))
-            ()
-        | Some (pool, entry_ids, acc) ->
-          let probe_id = Batch.intern pool probe_ref in
+        let cells =
           Index.fold_matching_entries idx shape.ps_probe_op probe_value
-            (fun () ord refs ->
-              List.iteri
-                (fun i r ->
+            (fun cells ord refs ->
+              List.fold_left
+                (fun (cells, i) r ->
                   let rv = Value.VRef r in
                   let before = Relation.cardinality out in
-                  Relation.insert_unchecked out
-                    (Tuple.of_list [ probe_ref; rv ]);
-                  if Relation.cardinality out <> before then begin
-                    Batch.acc_push_cell acc 0 probe_id;
-                    Batch.acc_push_cell acc 1
-                      (match ord with
-                      | Some o -> entry_ids.(o).(i)
-                      | None -> Batch.intern pool rv)
-                  end)
-                refs)
-            ()
+                  Relation.insert_unchecked out (Tuple.of_list [ probe_ref; rv ]);
+                  ( (if Relation.cardinality out = before then cells
+                     else
+                       match ord with
+                       | Some o ->
+                         if not (Hashtbl.mem entries o) then
+                           Hashtbl.replace entries o refs;
+                         Either.Left (o, i) :: cells
+                       | None -> Either.Right rv :: cells),
+                    i + 1 ))
+                (cells, 0) refs
+              |> fst)
+            []
+        in
+        if cells <> [] then inserted := (probe_ref, cells) :: !inserted
       end
+    in
+    let encode () =
+      let entry_ids = Hashtbl.create (Hashtbl.length entries) in
+      let entry_id (o, i) =
+        match Hashtbl.find_opt entry_ids o with
+        | Some ids -> ids.(i)
+        | None ->
+          let ids =
+            Array.of_list
+              (List.map
+                 (fun r -> Batch.intern pool (Value.VRef r))
+                 (Hashtbl.find entries o))
+          in
+          Hashtbl.replace entry_ids o ids;
+          ids.(i)
+      in
+      let acc = Batch.acc_create [| Batch.K_obj; Batch.K_obj |] in
+      List.iter
+        (fun (probe_ref, cells) ->
+          let probe_id = Batch.intern pool probe_ref in
+          List.iter
+            (fun cell ->
+              Batch.acc_push_cell acc 0 probe_id;
+              Batch.acc_push_cell acc 1
+                (Either.fold ~left:entry_id ~right:(Batch.intern pool) cell))
+            (List.rev cells))
+        (List.rev !inserted);
+      Batch.acc_finish acc
     in
     ( per_tuple,
       fun () ->
-        (match vec with
-        | Some (pool, _, acc) ->
-          Batch.register_unordered pool out (Batch.acc_finish acc)
-        | None -> ());
+        Batch.register_unordered pool out (lazy (encode ()));
         E_rel out )
   in
   vspecs @ idx_specs

@@ -30,9 +30,9 @@ val create :
   t
 (** [?par] is the parallelism budget from [Exec_opts.par]: omitted (or
     [jobs = 1] upstream) keeps every phase on the untouched serial
-    path.  [?batch_size] (clamped to at least 1; default 1) is the
-    window size of the combination phase's vectorized stream kernels —
-    [1] keeps the scalar per-tuple emit.  [?use_index] (default true)
+    path.  [?batch_size] (clamped to at least 1; default 2048) is the
+    row window of the combination phase's vectorized stream kernels.
+    [?use_index] (default true)
     lets structure builds be driven by declared secondary indexes:
     an equality restriction becomes an index probe, an order
     restriction a sorted range scan while its exact matching fraction

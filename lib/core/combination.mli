@@ -19,42 +19,23 @@ type join_order =
           full variable order, union, then eliminate right to left over
           the padded n-tuple relation. *)
 
-val evaluate :
-  ?join_order:join_order ->
-  ?force_join:Cost.join_algo ->
-  Collection.t ->
-  Plan.t ->
-  Relation.t
+val evaluate : ?join_order:join_order -> Collection.t -> Plan.t -> Relation.t
 (** Returns the reference relation over the free variables, in
     declaration order.  Precondition: every prefix range is non-empty
     (established by {!Standard_form.adapt_query}). *)
 
-val evaluate_with_stats :
-  ?join_order:join_order ->
-  ?force_join:Cost.join_algo ->
-  Collection.t ->
-  Plan.t ->
-  Relation.t * int
-(** Also returns the cardinality of the largest n-tuple relation built —
-    the combinatorial-growth metric. *)
-
 type outcome = {
   o_result : Relation.t;
   o_max_ntuple : int;
+      (** cardinality of the largest n-tuple relation built — the
+          combinatorial-growth metric *)
   o_join_algos : (string * string) list;
-      (** per streaming join step, ["conj<i>.j<n>:<build relation>"] ->
-          ["nlj"] | ["hash"] | ["batched-nlj"]; empty under
-          {!Declaration} *)
+      (** per streaming join step that shares a variable with the
+          accumulated result, ["conj<i>.j<n>:<build relation>"] ->
+          ["hash"], the algorithm that ran; empty under {!Declaration} *)
 }
 
 val evaluate_outcome :
-  ?join_order:join_order ->
-  ?force_join:Cost.join_algo ->
-  Collection.t ->
-  Plan.t ->
-  outcome
-(** The full result: {!evaluate_with_stats} plus the join algorithm the
-    cost model ({!Cost.choose_join_algo} over the build side's true
-    cardinality and join-key distinct count) picked per streaming join
-    step.  [?force_join] overrides the choice everywhere — the
-    differential oracle's forced nested-loop leg. *)
+  ?join_order:join_order -> Collection.t -> Plan.t -> outcome
+(** The full result: {!evaluate} plus max_ntuple and the join algorithm
+    run per streaming join step. *)

@@ -118,50 +118,16 @@ let pp ppf e =
     (Fmt.list ~sep:Fmt.comma (fun ppf f -> Fmt.pf ppf "%.0f" f))
     e.e_conj_sizes
 
-(* --- Access-path and join-algorithm policy -------------------------
+(* --- Access-path policy ---------------------------------------------
 
-   Thresholds of the adaptive physical choices.  Access paths: an
-   equality restriction always prefers a secondary-index probe (exact
-   bucket, no scan); an order restriction uses a sorted index's range
-   scan only while the exact matching fraction stays at or below
+   An equality restriction always prefers a secondary-index probe
+   (exact bucket, no scan); an order restriction uses a sorted index's
+   range scan only while the exact matching fraction stays at or below
    [range_scan_max_fraction] — past that, walking the sorted view plus
    re-checking residual predicates loses to the single heap scan the
-   grouped collection round performs anyway.
+   grouped collection round performs anyway. *)
 
-   Join algorithms (per combination-phase step, over TRUE build-side
-   statistics — the inputs are materialized): a build side of at most
-   [nlj_max_build] rows is joined by plain nested loops, because
-   walking a handful of tuples per probe beats paying the hash-table
-   construction; a build side whose join-key distinct fraction reaches
-   [hash_min_distinct_fraction] builds a hash table (near-unique keys
-   mean small buckets and one probe per row); anything else — large and
-   duplicate-heavy — runs batched nested loops, memoizing the inner
-   walk per distinct probe key so duplicate probes share one pass. *)
-
-let nlj_max_build = 64
-let hash_min_distinct_fraction = 0.5
 let range_scan_max_fraction = 0.5
-
-type join_algo = J_nlj | J_hash | J_batched_nlj
-
-let join_algo_to_string = function
-  | J_nlj -> "nlj"
-  | J_hash -> "hash"
-  | J_batched_nlj -> "batched-nlj"
-
-let join_algo_of_string = function
-  | "nlj" -> Some J_nlj
-  | "hash" -> Some J_hash
-  | "batched-nlj" -> Some J_batched_nlj
-  | _ -> None
-
-let choose_join_algo ~build_card ~build_distinct =
-  if build_card <= nlj_max_build then J_nlj
-  else if
-    float_of_int build_distinct
-    >= hash_min_distinct_fraction *. float_of_int build_card
-  then J_hash
-  else J_batched_nlj
 
 (* --- Join ordering over materialized inputs ------------------------
 

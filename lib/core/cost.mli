@@ -17,32 +17,12 @@ val conj_cardinality : Stats.t -> Plan.t -> Plan.conj -> float
 val estimate : Stats.t -> Plan.t -> estimate
 val pp : estimate Fmt.t
 
-(** {2 Access-path and join-algorithm policy} *)
-
-val nlj_max_build : int
-(** Build-side cardinality at or below which a combination-phase join
-    runs plain nested loops instead of building a hash table. *)
-
-val hash_min_distinct_fraction : float
-(** Minimum join-key distinct fraction of the build side for a hash
-    join; below it the build is duplicate-heavy and batched nested
-    loops (shared probes per distinct key) win. *)
+(** {2 Access-path policy} *)
 
 val range_scan_max_fraction : float
 (** Maximum exact matching fraction at which a sorted secondary index
     serves an order restriction as a range scan; above it the heap scan
     is preferred. *)
-
-type join_algo = J_nlj | J_hash | J_batched_nlj
-
-val join_algo_to_string : join_algo -> string
-val join_algo_of_string : string -> join_algo option
-
-val choose_join_algo : build_card:int -> build_distinct:int -> join_algo
-(** The 3-tier choice over the build side's true cardinality and
-    join-key distinct count: nested loops at or below {!nlj_max_build},
-    hash at or above {!hash_min_distinct_fraction}, batched nested
-    loops otherwise. *)
 
 (** {2 Join ordering over materialized inputs} *)
 

@@ -9,7 +9,6 @@ type t = {
   par_threshold : int;
   batch_size : int;
   use_index : bool;
-  force_join : Cost.join_algo option;
 }
 
 let default_par_threshold = 4096
@@ -24,8 +23,9 @@ let default_use_index =
 
 (* Default window size of the vectorized stream kernels.  Big enough to
    amortize the per-batch dispatch, small enough that the gather buffers
-   of a join stay cache-resident.  [1] disables batching: the scalar
-   emit is the differential oracle the batched path is tested against. *)
+   of a join stay cache-resident.  Every size from [1] up computes the
+   same relations; the CI leg under PASCALR_BATCH_SIZE=1 runs the whole
+   suite through single-row windows to cover the window boundaries. *)
 let default_batch_size =
   match Sys.getenv_opt "PASCALR_BATCH_SIZE" with
   | Some s -> (
@@ -53,14 +53,12 @@ let default =
     par_threshold = default_par_threshold;
     batch_size = default_batch_size;
     use_index = default_use_index;
-    force_join = None;
   }
 
 let make ?(strategy = Strategy.full)
     ?(join_order = Combination.Cost_ordered) ?(jobs = default_jobs)
     ?(par_threshold = default_par_threshold)
-    ?(batch_size = default_batch_size) ?(use_index = default_use_index)
-    ?force_join () =
+    ?(batch_size = default_batch_size) ?(use_index = default_use_index) () =
   {
     strategy;
     join_order;
@@ -68,7 +66,6 @@ let make ?(strategy = Strategy.full)
     par_threshold = max 0 par_threshold;
     batch_size = max 1 batch_size;
     use_index;
-    force_join;
   }
 
 let par t =
@@ -89,18 +86,15 @@ let join_order_of_string = function
    parallelism and batching knobs.  jobs, par_threshold and batch_size
    are part of the fingerprint — and hence of every plan-cache key — so
    plans prepared under different execution settings never collide in
-   the cache.  The physical-choice overrides append tokens only when
-   set off their defaults (no index / forced join algorithm), keeping
-   default fingerprints stable across versions while still separating
-   overridden plans in the cache. *)
+   the cache.  The access-path override appends a token only when set
+   off its default (no index), keeping default fingerprints stable
+   across versions while still separating overridden plans in the
+   cache. *)
 let fingerprint t =
-  Fmt.str "%s/%s/j%d/t%d/b%d%s%s"
+  Fmt.str "%s/%s/j%d/t%d/b%d%s"
     (Strategy.to_string t.strategy)
     (join_order_to_string t.join_order)
     t.jobs t.par_threshold t.batch_size
     (if t.use_index then "" else "/ix0")
-    (match t.force_join with
-    | None -> ""
-    | Some a -> "/fj:" ^ Cost.join_algo_to_string a)
 
 let pp ppf t = Fmt.string ppf (fingerprint t)

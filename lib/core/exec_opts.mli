@@ -12,16 +12,12 @@ type t = {
       (** input cardinality below which partitioned operators stay
           serial — chunking tiny inputs costs more than it saves *)
   batch_size : int;
-      (** window size of the vectorized stream kernels; [1] runs the
-          scalar per-tuple emit (the differential oracle) *)
+      (** row window of the vectorized stream kernels; every size from
+          [1] up computes the same relations *)
   use_index : bool;
       (** let the collection phase serve restrictions from declared
           secondary indexes; [false] forces heap scans everywhere (the
           differential oracle and the [PASCALR_NO_INDEX] CI leg) *)
-  force_join : Cost.join_algo option;
-      (** override the adaptive per-step join-algorithm choice of the
-          combination phase; [None] (the default) lets the cost model
-          decide per {!Cost.choose_join_algo} *)
 }
 
 val default : t
@@ -30,7 +26,7 @@ val default : t
     integer, else [Domain.recommended_domain_count ()]; [par_threshold]
     4096; [batch_size] from [PASCALR_BATCH_SIZE] if set to a positive
     integer, else 2048; [use_index] true unless [PASCALR_NO_INDEX] is
-    set truthy; [force_join] [None]. *)
+    set truthy. *)
 
 val default_jobs : int
 (** The resolved [jobs] default described under {!default}. *)
@@ -48,16 +44,16 @@ val make :
   ?par_threshold:int ->
   ?batch_size:int ->
   ?use_index:bool ->
-  ?force_join:Cost.join_algo ->
   unit ->
   t
 (** [jobs] and [batch_size] are clamped to at least 1, [par_threshold]
     to at least 0. *)
 
 val par : t -> Relalg.Domain_pool.par option
-(** The parallelism budget the engine threads to {!Relalg.Algebra} and
-    the collection phase — [None] when [jobs = 1], which is what makes
-    the serial path bypass the pool entirely. *)
+(** The parallelism budget the engine threads to the stream kernels'
+    window fan-out ({!Relalg.Algebra.Stream.materialize}) and the
+    collection phase — [None] when [jobs = 1], which is what makes the
+    serial path bypass the pool entirely. *)
 
 val join_order_to_string : Combination.join_order -> string
 val join_order_of_string : string -> Combination.join_order option

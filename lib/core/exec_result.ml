@@ -46,7 +46,7 @@ type t = {
   access_paths : (string * string) list;
       (* collection structure key -> "probe" | "range" | "scan" *)
   join_algos : (string * string) list;
-      (* streaming join step -> "nlj" | "hash" | "batched-nlj" *)
+      (* keyed streaming join step -> "hash", the algorithm that ran *)
   collection_ms : float;
   combination_ms : float;
   construction_ms : float;

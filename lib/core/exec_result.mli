@@ -38,8 +38,9 @@ type t = {
           (secondary-index equality), ["range"] (sorted-index range
           scan) or ["scan"] (heap scan) *)
   join_algos : (string * string) list;
-      (** join algorithm per streaming combination step: ["nlj"],
-          ["hash"] or ["batched-nlj"] *)
+      (** join algorithm run per streaming combination step that
+          shares a variable with the accumulated result — always
+          ["hash"] *)
   collection_ms : float;
   combination_ms : float;
   construction_ms : float;

@@ -169,7 +169,7 @@ let exec_in ?name ~params (clock : Observe.clock) db t =
     clock.time Observe.Combination (fun () ->
         Obs.Trace.with_span "combination" (fun () ->
             Combination.evaluate ~join_order:t.p_opts.Exec_opts.join_order
-              ?force_join:t.p_opts.Exec_opts.force_join coll plan))
+              coll plan))
   in
   clock.time Observe.Construction (fun () ->
       Obs.Trace.with_span "construction" (fun () ->
@@ -202,8 +202,7 @@ let exec_report_in ?name ~params ~since (clock : Observe.clock) db t =
     clock.time Observe.Combination (fun () ->
         Obs.Trace.with_span "combination" (fun () ->
             Combination.evaluate_outcome
-              ~join_order:t.p_opts.Exec_opts.join_order
-              ?force_join:t.p_opts.Exec_opts.force_join coll plan))
+              ~join_order:t.p_opts.Exec_opts.join_order coll plan))
   in
   let refs = outcome.Combination.o_result in
   let result =

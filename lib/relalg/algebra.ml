@@ -2,10 +2,10 @@
 
    The combination phase of the paper's evaluator (Section 3.3) is
    expressed in these operators: join and Cartesian product combine the
-   reference relations of each conjunction, union evaluates the full
-   disjunctive form, projection eliminates existential quantifiers and
-   division universal ones (Codd's relational completeness repertoire,
-   the paper's reference [5]). *)
+   reference relations of each conjunction ({!Stream}), union evaluates
+   the full disjunctive form, projection eliminates existential
+   quantifiers and division universal ones (Codd's relational
+   completeness repertoire, the paper's reference [5]). *)
 
 let fresh_name base = base
 
@@ -14,254 +14,31 @@ let fresh_name base = base
    the operators it avoided materializing under [algebra.fused.*]. *)
 let tally op = Obs.Metrics.incr ("algebra.materialized." ^ op)
 
-(* Partitioned operators report under [algebra.par.*]; an operator call
-   that stayed serial (no [par], [jobs=1], or input under the
-   threshold) only shows in the [algebra.materialized.*] tally, so
-   par/seq counts are recoverable as (par) vs (materialized - par). *)
-let tally_par op = Obs.Metrics.incr ("algebra.par." ^ op)
-
-(* The partitioned-evaluation skeleton shared by the classic operators:
-   snapshot the input once (a counted scan, the same read the serial
-   operator performs), let each worker compute a private result list
-   for one contiguous chunk, then replay the per-chunk results on the
-   caller in chunk order.  The caller-side replay reproduces the serial
-   operator's exact insertion sequence, so the output relation — its
-   contents, its iteration order, and any key-violation error — is
-   identical for every [jobs] value. *)
-let par_chunks p rel per_tuple =
-  let src = Relation.to_array rel in
-  Domain_pool.parallel_chunks ~jobs:p.Domain_pool.jobs src (fun _ chunk ->
-      let buf = ref [] in
-      Array.iter (fun t -> per_tuple (fun x -> buf := x :: !buf) t) chunk;
-      List.rev !buf)
-
-let select ?par ?(name = fresh_name "select") pred rel =
+let select ?(name = fresh_name "select") pred rel =
   tally "select";
   let out = Relation.create ~name (Relation.schema rel) in
-  (match Domain_pool.active par (Relation.cardinality rel) with
-  | Some p ->
-    tally_par "select";
-    par_chunks p rel (fun emit t -> if pred t then emit t)
-    |> List.iter (List.iter (Relation.insert out))
-  | None -> Relation.scan (fun t -> if pred t then Relation.insert out t) rel);
+  Relation.scan (fun t -> if pred t then Relation.insert out t) rel;
   out
 
-let project ?par ?(name = fresh_name "project") rel names =
+let positions_of schema names =
+  Array.of_list (List.map (Schema.index_of schema) names)
+
+let project ?(name = fresh_name "project") rel names =
   tally "project";
   let schema = Relation.schema rel in
-  let out_schema = Schema.project schema names in
-  let positions =
-    Array.of_list (List.map (Schema.index_of schema) names)
-  in
-  let out = Relation.create ~name out_schema in
-  (match Domain_pool.active par (Relation.cardinality rel) with
-  | Some p ->
-    tally_par "project";
-    par_chunks p rel (fun emit t -> emit (Tuple.project positions t))
-    |> List.iter (List.iter (Relation.insert out))
-  | None ->
-    Relation.scan (fun t -> Relation.insert out (Tuple.project positions t)) rel);
-  out
-
-let rename ?(name = fresh_name "rename") rel mapping =
-  let out = Relation.create ~name (Schema.rename (Relation.schema rel) mapping) in
-  Relation.iter (Relation.insert out) rel;
-  out
-
-let product ?par ?(name = fresh_name "product") a b =
-  tally "product";
-  let out_schema = Schema.concat (Relation.schema a) (Relation.schema b) in
-  let out = Relation.create ~name out_schema in
-  (* Materialize the inner side once; scanning it per outer element would
-     distort the scan counters the experiments report. *)
-  let inner = Relation.scan_fold (fun acc t -> t :: acc) [] b in
-  (match Domain_pool.active par (Relation.cardinality a) with
-  | Some p ->
-    tally_par "product";
-    par_chunks p a (fun emit ta ->
-        List.iter (fun tb -> emit (Tuple.concat ta tb)) inner)
-    |> List.iter (List.iter (Relation.insert out))
-  | None ->
-    Relation.scan
-      (fun ta ->
-        List.iter (fun tb -> Relation.insert out (Tuple.concat ta tb)) inner)
-      a);
-  out
-
-(* θ-join: product restricted by an arbitrary predicate over the paired
-   tuples.  Nested loops; used for the non-equality join terms. *)
-let theta_join ?(name = fresh_name "theta_join") pred a b =
-  tally "join";
-  let out_schema = Schema.concat (Relation.schema a) (Relation.schema b) in
-  let out = Relation.create ~name out_schema in
-  let inner = Relation.scan_fold (fun acc t -> t :: acc) [] b in
-  Relation.scan
-    (fun ta ->
-      List.iter
-        (fun tb -> if pred ta tb then Relation.insert out (Tuple.concat ta tb))
-        inner)
-    a;
+  let positions = positions_of schema names in
+  let out = Relation.create ~name (Schema.project schema names) in
+  Relation.scan (fun t -> Relation.insert out (Tuple.project positions t)) rel;
   out
 
 (* Join keys are value arrays (the projected tuple itself), looked up in
    array-keyed {!Value_key} tables — no per-probe list allocation. *)
 let join_key positions t = Tuple.project positions t
 
-let positions_of schema names =
-  Array.of_list (List.map (Schema.index_of schema) names)
-
-(* Hash equi-join on pairs of equated attributes; output is the
-   concatenation of both sides (names must stay distinct). *)
-let equi_join ?(name = fresh_name "join") ~on a b =
-  tally "join";
-  let sa = Relation.schema a and sb = Relation.schema b in
-  let pa = positions_of sa (List.map fst on) in
-  let pb = positions_of sb (List.map snd on) in
-  let out = Relation.create ~name (Schema.concat sa sb) in
-  let table = Value_key.acreate (max 16 (Relation.cardinality b)) in
-  Relation.scan (fun tb -> Value_key.add_multi_a table (join_key pb tb) tb) b;
-  Relation.scan
-    (fun ta ->
-      List.iter
-        (fun tb -> Relation.insert out (Tuple.concat ta tb))
-        (Value_key.find_multi_a table (join_key pa ta)))
-    a;
-  out
-
-(* Sort-merge equi-join — the classical alternative to the hash join for
-   "computing joins of relations" (the paper's references [6,9] at the
-   point where the combination phase performs join and product).  Same
-   contract as {!equi_join}. *)
-let merge_join ?(name = fresh_name "merge_join") ~on a b =
-  tally "join";
-  let sa = Relation.schema a and sb = Relation.schema b in
-  let pa = positions_of sa (List.map fst on) in
-  let pb = positions_of sb (List.map snd on) in
-  let out = Relation.create ~name (Schema.concat sa sb) in
-  let key_cmp k1 k2 = Tuple.compare k1 k2 in
-  let sorted rel positions =
-    let items =
-      Relation.scan_fold
-        (fun acc t -> (join_key positions t, t) :: acc)
-        [] rel
-    in
-    Array.of_list
-      (List.sort (fun (k1, t1) (k2, t2) ->
-           let c = key_cmp k1 k2 in
-           if c <> 0 then c else Tuple.compare t1 t2)
-         items)
-  in
-  let xs = sorted a pa and ys = sorted b pb in
-  let nx = Array.length xs and ny = Array.length ys in
-  let i = ref 0 and j = ref 0 in
-  while !i < nx && !j < ny do
-    let ka, _ = xs.(!i) and kb, _ = ys.(!j) in
-    let c = key_cmp ka kb in
-    if c < 0 then incr i
-    else if c > 0 then incr j
-    else begin
-      (* emit the cross product of the two equal-key runs *)
-      let i_end = ref !i in
-      while !i_end < nx && key_cmp (fst xs.(!i_end)) ka = 0 do
-        incr i_end
-      done;
-      let j_end = ref !j in
-      while !j_end < ny && key_cmp (fst ys.(!j_end)) kb = 0 do
-        incr j_end
-      done;
-      for x = !i to !i_end - 1 do
-        for y = !j to !j_end - 1 do
-          Relation.insert out (Tuple.concat (snd xs.(x)) (snd ys.(y)))
-        done
-      done;
-      i := !i_end;
-      j := !j_end
-    end
-  done;
-  out
-
-(* Nested-loop equi-join, for completeness of the operator suite (and as
-   the reference implementation in the join-equivalence properties). *)
-let nested_loop_join ?(name = fresh_name "nl_join") ~on a b =
-  let sa = Relation.schema a and sb = Relation.schema b in
-  let pa = positions_of sa (List.map fst on) in
-  let pb = positions_of sb (List.map snd on) in
-  theta_join ~name
-    (fun ta tb -> Tuple.equal (join_key pa ta) (join_key pb tb))
-    a b
-
-(* Natural join: equi-join on the shared attribute names, with the
-   duplicated columns of the right side projected away. *)
-let natural_join ?par ?(name = fresh_name "natural_join") a b =
-  let sa = Relation.schema a and sb = Relation.schema b in
-  let shared = List.filter (fun n -> Schema.mem sa n) (Schema.names sb) in
-  match shared with
-  | [] -> product ?par ~name a b
-  | _ ->
-    tally "join";
-    let pa = positions_of sa shared and pb = positions_of sb shared in
-    let keep_b =
-      List.filter (fun n -> not (Schema.mem sa n)) (Schema.names sb)
-    in
-    let keep_positions = positions_of sb keep_b in
-    let out_schema =
-      if keep_b = [] then Relation.schema a
-      else
-        Schema.concat sa (Schema.project sb keep_b)
-    in
-    let out = Relation.create ~name out_schema in
-    let table = Value_key.acreate (max 16 (Relation.cardinality b)) in
-    (* Build side: workers compute the join keys for their chunk; the
-       caller replays the (key, tuple) pairs in chunk order, giving
-       every hash bucket the same contents in the same order as the
-       serial single-scan build. *)
-    (match Domain_pool.active par (Relation.cardinality b) with
-    | Some p ->
-      tally_par "join_build";
-      par_chunks p b (fun emit tb -> emit (join_key pb tb, tb))
-      |> List.iter
-           (List.iter (fun (key, tb) -> Value_key.add_multi_a table key tb))
-    | None ->
-      Relation.scan (fun tb -> Value_key.add_multi_a table (join_key pb tb) tb) b);
-    (* Probe side: the table is read-only from here on, so workers probe
-       it concurrently and buffer their chunk's output tuples. *)
-    (match Domain_pool.active par (Relation.cardinality a) with
-    | Some p ->
-      tally_par "join";
-      par_chunks p a (fun emit ta ->
-          List.iter
-            (fun tb ->
-              emit
-                (if keep_b = [] then ta
-                 else Tuple.concat_project ta keep_positions tb))
-            (Value_key.find_multi_a table (join_key pa ta)))
-      |> List.iter (List.iter (Relation.insert out))
-    | None ->
-      Relation.scan
-        (fun ta ->
-          List.iter
-            (fun tb ->
-              let combined =
-                if keep_b = [] then ta
-                else Tuple.concat_project ta keep_positions tb
-              in
-              Relation.insert out combined)
-            (Value_key.find_multi_a table (join_key pa ta)))
-        a);
-    out
-
 let require_same_shape op a b =
   if not (Schema.same_shape (Relation.schema a) (Relation.schema b)) then
     Errors.schema_error "%s: incompatible schemas %a vs %a" op Schema.pp
       (Relation.schema a) Schema.pp (Relation.schema b)
-
-let union ?(name = fresh_name "union") a b =
-  tally "union";
-  require_same_shape "union" a b;
-  let out = Relation.create ~name (Relation.schema a) in
-  Relation.scan (Relation.insert out) a;
-  Relation.scan (Relation.insert out) b;
-  out
 
 let union_all ?(name = fresh_name "union") schema rels =
   tally "union";
@@ -272,14 +49,6 @@ let union_all ?(name = fresh_name "union") schema rels =
       Relation.scan (Relation.insert out) r)
     rels;
   out
-
-let inter ?(name = fresh_name "inter") a b =
-  require_same_shape "inter" a b;
-  select ~name (fun t -> Relation.mem_tuple b t) a
-
-let diff ?(name = fresh_name "diff") a b =
-  require_same_shape "diff" a b;
-  select ~name (fun t -> not (Relation.mem_tuple b t)) a
 
 (* Semijoin a ⋉ b on equated attributes: elements of a that join with at
    least one element of b (Bernstein/Chiu, the paper's reference [2]). *)
@@ -365,410 +134,159 @@ let divide ?(name = fresh_name "divide") ~on r s =
     out
   end
 
-(* Fused streaming form of the operators above (combination-phase hot
-   path).  A stream is a push producer: [emit k] drives every tuple of
-   the (virtual) result through the consumer [k].  Chaining streams
-   composes the per-tuple callbacks directly, so an operator chain
-   allocates exactly one output relation — at the final {!Stream.
-   materialize} — instead of one hashtable-backed relation per operator.
-   Joins hash the materialized build side once (lazily, inside the
-   single [emit] run) and probe it with the streamed tuples. *)
+(* Fused streaming operators: the combination phase's join, product and
+   projection chains, run as vectorized batch kernels.  A stream is
+   rooted at one source relation.  Materializing it encodes the source
+   into column arrays ({!Batch}) and drives [batch_size]-row windows
+   through the chain's kernels, so an operator chain allocates exactly
+   one output relation instead of one per operator.
+
+   Each operator contributes three closures: [force] encodes its build
+   side (before any counter moves), [prime] bumps the per-run tallies,
+   and [stage] manufactures a fresh kernel instance — one per run, or
+   one per chunk of windows under a parallel fan-out.  Kernels work on
+   selection vectors, shared column arrays and integer-keyed hash
+   tables; only the materialization decodes rows back into tuples. *)
 module Stream = struct
-  (* Alongside the serial [emit], a stream carries an optional
-     *partitionable* description of itself: the source relation it
-     pulls from, a caller-side [pc_prime] that performs the shared
-     one-time work (forcing join build tables, bumping the per-run
-     fused tallies and build-side row counters), and [pc_stage], which
-     manufactures a fresh per-worker instance of the whole consumer
-     chain.  {!materialize} uses it to run the chain over per-domain
-     chunks of the source: each instance is private to its chunk, the
-     shared tables it reads were forced before the fork, and the
-     chunk results concatenate in order — reproducing the serial
-     emission sequence exactly.  Combinators that cannot be expressed
-     this way (opaque sources) drop the description and the chain
-     falls back to the serial [emit]. *)
   type stage = {
-    feed : (Tuple.t -> unit) -> Tuple.t -> unit;
+    feed : (Batch.t -> unit) -> Batch.t -> unit;
     flush : unit -> unit;
         (* report this instance's row counters to (this domain's)
-           metrics registry — called once, after its chunk is fed *)
-  }
-
-  type par_chain = {
-    pc_src : Relation.t;
-    pc_prime : unit -> unit;
-    pc_stage : unit -> stage;
-  }
-
-  (* The batched (columnar) description of the same chain.  The source
-     relation is encoded once into column arrays and driven through the
-     chain in windows of [batch_size] rows; each operator is a kernel
-     over batches (selection vectors, column shares, integer-keyed hash
-     tables) instead of a per-tuple callback.  [bt_force] performs the
-     encodes of every build side (it may raise {!Batch.Unbatchable}, in
-     which case {!materialize} falls back to the scalar emit before any
-     counter has moved); [bt_prime] bumps the per-run tallies exactly as
-     the scalar emit would; [bt_stage] manufactures a fresh per-worker
-     kernel instance, mirroring [pc_stage].  Kernels reproduce the
-     scalar emission order exactly — see each operator's comment. *)
-  type bstage = {
-    bfeed : (Batch.t -> unit) -> Batch.t -> unit;
-    bflush : unit -> unit;
-  }
-
-  type bat_chain = {
-    bt_src : Relation.t;
-    bt_pool : Batch.pool;
-    bt_force : unit -> unit;
-    bt_prime : unit -> unit;
-    bt_stage : unit -> bstage;
+           metrics registry — called once, after its windows are fed *)
   }
 
   type t = {
     schema : Schema.t;
-    emit : (Tuple.t -> unit) -> unit;
-    par : par_chain option;
-    bat : bat_chain option;
+    src : Relation.t;
+    pool : Batch.pool;
+    force : unit -> unit;
+    prime : unit -> unit;
+    stage : unit -> stage;
   }
 
   let schema s = s.schema
   let fused op = Obs.Metrics.incr ("algebra.fused." ^ op)
 
   let of_relation ?pool rel =
-    let bt_pool =
-      match pool with Some p -> p | None -> Batch.create_pool ()
-    in
     {
       schema = Relation.schema rel;
-      emit = (fun k -> Relation.iter k rel);
-      par =
-        Some
-          {
-            pc_src = rel;
-            pc_prime = (fun () -> ());
-            pc_stage = (fun () -> { feed = (fun k -> k); flush = (fun () -> ()) });
-          };
-      bat =
-        Some
-          {
-            bt_src = rel;
-            bt_pool;
-            bt_force = (fun () -> ());
-            bt_prime = (fun () -> ());
-            bt_stage =
-              (fun () -> { bfeed = (fun k -> k); bflush = (fun () -> ()) });
-          };
+      src = rel;
+      pool = (match pool with Some p -> p | None -> Batch.create_pool ());
+      force = ignore;
+      prime = ignore;
+      stage = (fun () -> { feed = (fun k -> k); flush = ignore });
     }
 
-  let extend_par pc ~prime ~stage =
+  (* Append one operator to the chain: its build work, its tallies and
+     its kernel, composed after the upstream ones. *)
+  let extend s ~schema ?(force = ignore) ~prime stage =
     {
-      pc_src = pc.pc_src;
-      pc_prime =
+      s with
+      schema;
+      force =
         (fun () ->
-          pc.pc_prime ();
-          prime ());
-      pc_stage =
-        (fun () ->
-          let up = pc.pc_stage () in
-          stage up);
-    }
-
-  let extend_bat bc ~force ~prime ~stage =
-    {
-      bc with
-      bt_force =
-        (fun () ->
-          bc.bt_force ();
+          s.force ();
           force ());
-      bt_prime =
+      prime =
         (fun () ->
-          bc.bt_prime ();
+          s.prime ();
           prime ());
-      bt_stage =
+      stage = (fun () -> stage (s.stage ()));
+    }
+
+  (* Probe rows in and rows out of one join/product instance, reported
+     when the instance flushes.  The build side's cardinality counts
+     towards [join_rows_in] once per run, in [prime]. *)
+  let counted_stage up feed =
+    let n_in = ref 0 and n_out = ref 0 in
+    {
+      feed = (fun k -> up.feed (feed n_in n_out k));
+      flush =
         (fun () ->
-          let up = bc.bt_stage () in
-          stage up);
-    }
-
-  let no_force () = ()
-
-  let select pred s =
-    {
-      s with
-      emit =
-        (fun k ->
-          fused "select";
-          s.emit (fun t -> if pred t then k t));
-      par =
-        Option.map
-          (extend_par
-             ~prime:(fun () -> fused "select")
-             ~stage:(fun up ->
-               {
-                 feed = (fun k -> up.feed (fun t -> if pred t then k t));
-                 flush = up.flush;
-               }))
-          s.par;
-      (* Opaque predicates take boxed tuples, so the kernel decodes each
-         live row once and refines the selection vector — downstream
-         kernels never look at the dropped rows again. *)
-      bat =
-        Option.map
-          (extend_bat ~force:no_force
-             ~prime:(fun () -> fused "select")
-             ~stage:(fun up ->
-               {
-                 bfeed =
-                   (fun k ->
-                     up.bfeed (fun b ->
-                         k (Batch.filter b (fun i -> pred (Batch.tuple b i)))));
-                 bflush = up.bflush;
-               }))
-          s.bat;
-    }
-
-  let project s names =
-    let positions = positions_of s.schema names in
-    {
-      schema = Schema.project s.schema names;
-      emit =
-        (fun k ->
-          fused "project";
-          s.emit (fun t -> k (Tuple.project positions t)));
-      par =
-        Option.map
-          (extend_par
-             ~prime:(fun () -> fused "project")
-             ~stage:(fun up ->
-               {
-                 feed = (fun k -> up.feed (fun t -> k (Tuple.project positions t)));
-                 flush = up.flush;
-               }))
-          s.par;
-      (* Columnar projection shares the retained column arrays — no
-         per-row work at all. *)
-      bat =
-        Option.map
-          (extend_bat ~force:no_force
-             ~prime:(fun () -> fused "project")
-             ~stage:(fun up ->
-               {
-                 bfeed = (fun k -> up.bfeed (fun b -> k (Batch.project b positions)));
-                 bflush = up.bflush;
-               }))
-          s.bat;
-    }
-
-  (* Streaming duplicate elimination: a projection can multiply the rows
-     every downstream operator touches, so collapse duplicates as they
-     pass rather than waiting for the materialization's key table.
-
-     In a partitioned run the [seen] table cannot be shared, so each
-     chunk instance deduplicates locally; duplicates whose occurrences
-     straddle chunks survive to the downstream operators and are folded
-     by the materialization's whole-tuple key table.  The output
-     relation is identical (first occurrences arrive in the same order)
-     — only the join row *counters* downstream of a dedup can read
-     higher than the serial run's, by the number of straddling
-     duplicates.  DESIGN.md documents the caveat. *)
-  let dedup s =
-    {
-      s with
-      emit =
-        (fun k ->
-          fused "dedup";
-          let seen = Value_key.acreate 64 in
-          s.emit (fun t ->
-              if not (Value_key.Atable.mem seen t) then begin
-                Value_key.Atable.replace seen t ();
-                k t
-              end));
-      par =
-        Option.map
-          (extend_par
-             ~prime:(fun () -> fused "dedup")
-             ~stage:(fun up ->
-               let seen = Value_key.acreate 64 in
-               {
-                 feed =
-                   (fun k ->
-                     up.feed (fun t ->
-                         if not (Value_key.Atable.mem seen t) then begin
-                           Value_key.Atable.replace seen t ();
-                           k t
-                         end));
-                 flush = up.flush;
-               }))
-          s.par;
-      (* Batched dedup keeps a seen-set of integer rows: hashing machine
-         ints instead of re-walking nested reference keys per tuple.
-         First occurrences pass in arrival order, so the output matches
-         the scalar path; the per-chunk-instance caveat under [par] is
-         the same as the scalar one above. *)
-      bat =
-        (let arity = Schema.arity s.schema in
-         let positions = Array.init arity Fun.id in
-         Option.map
-           (extend_bat ~force:no_force
-              ~prime:(fun () -> fused "dedup")
-              ~stage:(fun up ->
-                let seen = Batch.Ikey.create 64 in
-                {
-                  bfeed =
-                    (fun k ->
-                      up.bfeed (fun b ->
-                          k
-                            (Batch.filter b (fun i ->
-                                 let key = Batch.key_of_row b.Batch.cols positions i in
-                                 if Batch.Ikey.mem seen key then false
-                                 else begin
-                                   Batch.Ikey.replace seen key ();
-                                   true
-                                 end))));
-                  bflush = up.bflush;
-                }))
-           s.bat);
-    }
-
-  let product s rel =
-    let out_schema = Schema.concat s.schema (Relation.schema rel) in
-    (* Shared by the chunk instances; forced by [pc_prime] before the
-       fork, read-only afterwards. *)
-    let inner_shared = lazy (Relation.fold (fun acc t -> t :: acc) [] rel) in
-    let bat =
-      match s.bat with
-      | None -> None
-      | Some bc ->
-        (* The scalar path folds the inner relation into a cons list —
-           i.e. *reversed* iteration order — so the kernel walks the
-           iteration-order encode backwards to emit identical rows. *)
-        let enc = lazy (Batch.encode_relation bc.bt_pool rel) in
-        Some
-          (extend_bat bc
-             ~force:(fun () -> ignore (Lazy.force enc : Batch.encoded))
-             ~prime:(fun () ->
-               fused "product";
-               Obs.Metrics.incr
-                 ~by:(Relation.cardinality rel)
-                 "combination.join_rows_in")
-             ~stage:(fun up ->
-               let e = Lazy.force enc in
-               let ni = Batch.encoded_rows e in
-               let ib = Batch.of_encoded bc.bt_pool e ~off:0 ~len:ni in
-               let n_in = ref 0 and n_out = ref 0 in
-               {
-                 bfeed =
-                   (fun k ->
-                     up.bfeed (fun b ->
-                         let lc = Batch.live_count b in
-                         n_in := !n_in + lc;
-                         let m = lc * ni in
-                         if m > 0 then begin
-                           n_out := !n_out + m;
-                           let pidx = Array.make m 0 and iidx = Array.make m 0 in
-                           let j = ref 0 in
-                           Batch.live_iter
-                             (fun i ->
-                               for r = ni - 1 downto 0 do
-                                 pidx.(!j) <- i;
-                                 iidx.(!j) <- r;
-                                 incr j
-                               done)
-                             b;
-                           let cols =
-                             Array.append
-                               (Batch.gather_cols b.Batch.cols pidx)
-                               (Batch.gather_cols ib.Batch.cols iidx)
-                           in
-                           k (Batch.of_cols bc.bt_pool cols m)
-                         end));
-                 bflush =
-                   (fun () ->
-                     up.bflush ();
-                     Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-                     Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
-               }))
-    in
-    {
-      schema = out_schema;
-      emit =
-        (fun k ->
-          fused "product";
-          let inner = Relation.fold (fun acc t -> t :: acc) [] rel in
-          let n_in = ref (Relation.cardinality rel) and n_out = ref 0 in
-          s.emit (fun ta ->
-              incr n_in;
-              List.iter
-                (fun tb ->
-                  incr n_out;
-                  k (Tuple.concat ta tb))
-                inner);
+          up.flush ();
           Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
           Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
-      par =
-        Option.map
-          (extend_par
-             ~prime:(fun () ->
-               fused "product";
-               ignore (Lazy.force inner_shared : Tuple.t list);
-               (* the serial counter starts from the inner cardinality;
-                  instances then count only their own probe rows *)
-               Obs.Metrics.incr
-                 ~by:(Relation.cardinality rel)
-                 "combination.join_rows_in")
-             ~stage:(fun up ->
-               let inner = Lazy.force inner_shared in
-               let n_in = ref 0 and n_out = ref 0 in
-               {
-                 feed =
-                   (fun k ->
-                     up.feed (fun ta ->
-                         incr n_in;
-                         List.iter
-                           (fun tb ->
-                             incr n_out;
-                             k (Tuple.concat ta tb))
-                           inner));
-                 flush =
-                   (fun () ->
-                     up.flush ();
-                     Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-                     Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
-               }))
-          s.par;
-      bat;
     }
 
-  (* Which physical algorithm the scalar arm of {!natural_join} runs.
-     The choice is the caller's (the combination phase's cost model);
-     the operator guarantees identical output for all three. *)
-  type join_impl = Jhash | Jnlj | Jshared_nlj
+  let count_build op rel () =
+    fused op;
+    Obs.Metrics.incr ~by:(Relation.cardinality rel) "combination.join_rows_in"
 
-  (* Natural join with the stream as probe side and a materialized
-     relation as build side.  When the build side contributes no new
-     columns this degenerates to a semijoin: one emission per matching
-     probe tuple, regardless of the bucket/match-list size.
+  (* Columnar projection shares the retained column arrays — no per-row
+     work at all.  Duplicates pass through; the materialization's
+     whole-tuple key folds them. *)
+  let project s names =
+    let positions = positions_of s.schema names in
+    extend s
+      ~schema:(Schema.project s.schema names)
+      ~prime:(fun () -> fused "project")
+      (fun up ->
+        {
+          up with
+          feed = (fun k -> up.feed (fun b -> k (Batch.project b positions)));
+        })
 
-     Three scalar implementations share the operator: the hash join
-     (build a key table, probe per tuple), plain nested loops (walk the
-     build side per probe — no build cost, wins on tiny builds), and
-     shared nested loops (memoize the inner walk per distinct probe
-     key, so duplicate-heavy probe streams pay one walk per key).  All
-     three emit the SAME sequence: the hash table's buckets are
-     cons-built in iteration order and walked front-first — reverse
-     iteration order — and the nested-loop inner list is built by a
-     consing fold over the same iteration, so per-probe matches surface
-     in the identical order whichever algorithm runs.  The partitioned
-     and batched arms therefore always run the hash machinery: output
-     is byte-identical, and those arms are only active at cardinalities
-     where hashing wins anyway. *)
-  let natural_join ?(impl = Jhash) s rel =
+  (* Each probe row pairs with every inner row, inner rows taken in
+     reverse iteration order. *)
+  let product s rel =
+    let enc = lazy (Batch.encode_relation s.pool rel) in
+    extend s
+      ~schema:(Schema.concat s.schema (Relation.schema rel))
+      ~force:(fun () -> ignore (Lazy.force enc : Batch.encoded))
+      ~prime:(count_build "product" rel)
+      (fun up ->
+        let e = Lazy.force enc in
+        let ni = Batch.encoded_rows e in
+        let ib = Batch.of_encoded s.pool e ~off:0 ~len:ni in
+        counted_stage up (fun n_in n_out k b ->
+            let lc = Batch.live_count b in
+            n_in := !n_in + lc;
+            let m = lc * ni in
+            if m > 0 then begin
+              n_out := !n_out + m;
+              let pidx = Array.make m 0 and iidx = Array.make m 0 in
+              let j = ref 0 in
+              Batch.live_iter
+                (fun i ->
+                  for r = ni - 1 downto 0 do
+                    pidx.(!j) <- i;
+                    iidx.(!j) <- r;
+                    incr j
+                  done)
+                b;
+              let cols =
+                Array.append
+                  (Batch.gather_cols b.Batch.cols pidx)
+                  (Batch.gather_cols ib.Batch.cols iidx)
+              in
+              k (Batch.of_cols s.pool cols m)
+            end))
+
+  (* Hash join with the stream as probe side and a relation as build
+     side, both over interned integer keys.  The build table is filled
+     once per run; its buckets cons row indices in iteration order and
+     are walked front-first, so per-probe matches surface in reverse
+     iteration order.  When the build side contributes no new columns
+     the join degenerates to a semijoin filter — one emission per
+     matching probe row — and with no shared attribute to a product. *)
+  let natural_join s rel =
     let sa = s.schema and sb = Relation.schema rel in
     let shared = List.filter (fun n -> Schema.mem sa n) (Schema.names sb) in
     match shared with
     | [] -> product s rel
     | _ ->
       let pa = positions_of sa shared and pb = positions_of sb shared in
+      (* Integer keys are only comparable when the paired columns encode
+         into the same class: a raw int on one side and a pool id on the
+         other would collide meaninglessly.  Such a pairing is a type
+         error, exactly as comparing the two values would be. *)
+      List.iteri
+        (fun idx n ->
+          let ta = Schema.type_at sa pa.(idx) and tb = Schema.type_at sb pb.(idx) in
+          if Batch.cls_of_type ta <> Batch.cls_of_type tb then
+            Errors.type_error "natural join on %s: cannot compare %a with %a" n
+              Vtype.pp ta Vtype.pp tb)
+        shared;
       let keep_b =
         List.filter (fun n -> not (Schema.mem sa n)) (Schema.names sb)
       in
@@ -776,399 +294,140 @@ module Stream = struct
       let out_schema =
         if keep_b = [] then sa else Schema.concat sa (Schema.project sb keep_b)
       in
-      let table =
+      let built =
         lazy
-          (let tbl = Value_key.acreate (max 16 (Relation.cardinality rel)) in
-           Relation.iter
-             (fun tb -> Value_key.add_multi_a tbl (join_key pb tb) tb)
-             rel;
-           tbl)
+          (let e = Batch.encode_relation s.pool rel in
+           let nb = Batch.encoded_rows e in
+           let eb = Batch.of_encoded s.pool e ~off:0 ~len:nb in
+           let tbl = Batch.Ikey.create (max 16 nb) in
+           for r = 0 to nb - 1 do
+             let key = Batch.key_of_row eb.Batch.cols pb r in
+             match Batch.Ikey.find_opt tbl key with
+             | Some rows -> Batch.Ikey.replace tbl key (r :: rows)
+             | None -> Batch.Ikey.replace tbl key [ r ]
+           done;
+           (Array.map (fun c -> eb.Batch.cols.(c)) keep_positions, tbl))
       in
-      let probe tbl ta per_match =
-        match Value_key.Atable.find_opt tbl (join_key pa ta) with
-        | None -> ()
-        | Some tbs ->
-          if keep_b = [] then per_match ta
-          else
-            List.iter
-              (fun tb -> per_match (Tuple.concat_project ta keep_positions tb))
-              tbs
-      in
-      (* Integer keys are only comparable when the paired columns encode
-         into the same class (a raw int on one side and a pool id on the
-         other would collide meaninglessly), so the batched form exists
-         only when every shared attribute's classes agree.  Build
-         buckets cons row indices in iteration order and are walked
-         front-first — exactly the scalar table's LIFO bucket order. *)
-      let classes_ok =
-        let ok = ref true in
-        Array.iteri
-          (fun idx ca ->
-            if
-              Batch.cls_of_type (Schema.type_at sa ca)
-              <> Batch.cls_of_type (Schema.type_at sb pb.(idx))
-            then ok := false)
-          pa;
-        !ok
-      in
-      let bat =
-        match s.bat with
-        | Some bc when classes_ok ->
-          let built =
-            lazy
-              (let e = Batch.encode_relation bc.bt_pool rel in
-               let nb = Batch.encoded_rows e in
-               let eb = Batch.of_encoded bc.bt_pool e ~off:0 ~len:nb in
-               let tbl = Batch.Ikey.create (max 16 nb) in
-               for r = 0 to nb - 1 do
-                 let key = Batch.key_of_row eb.Batch.cols pb r in
-                 match Batch.Ikey.find_opt tbl key with
-                 | Some rows -> Batch.Ikey.replace tbl key (r :: rows)
-                 | None -> Batch.Ikey.replace tbl key [ r ]
-               done;
-               eb, tbl)
-          in
-          Some
-            (extend_bat bc
-               ~force:(fun () ->
-                 ignore (Lazy.force built : Batch.t * int list Batch.Ikey.t))
-               ~prime:(fun () ->
-                 fused "join";
-                 Obs.Metrics.incr
-                   ~by:(Relation.cardinality rel)
-                   "combination.join_rows_in")
-               ~stage:(fun up ->
-                 let eb, tbl = Lazy.force built in
-                 let n_in = ref 0 and n_out = ref 0 in
-                 {
-                   bfeed =
-                     (fun k ->
-                       up.bfeed (fun b ->
-                           n_in := !n_in + Batch.live_count b;
-                           if keep_b = [] then begin
-                             (* Semijoin degeneration: keep the probe
-                                rows whose key has a bucket. *)
-                             let out =
-                               Batch.filter b (fun i ->
-                                   Batch.Ikey.mem tbl
-                                     (Batch.key_of_row b.Batch.cols pa i))
-                             in
-                             let lc = Batch.live_count out in
-                             if lc > 0 then begin
-                               n_out := !n_out + lc;
-                               k out
-                             end
-                           end
-                           else begin
-                             let pidx = Batch.Ivec.create ()
-                             and bidx = Batch.Ivec.create () in
-                             Batch.live_iter
-                               (fun i ->
-                                 match
-                                   Batch.Ikey.find_opt tbl
-                                     (Batch.key_of_row b.Batch.cols pa i)
-                                 with
-                                 | None -> ()
-                                 | Some rows ->
-                                   List.iter
-                                     (fun r ->
-                                       Batch.Ivec.push pidx i;
-                                       Batch.Ivec.push bidx r)
-                                     rows)
-                               b;
-                             let m = Batch.Ivec.length pidx in
-                             if m > 0 then begin
-                               n_out := !n_out + m;
-                               let pidx = Batch.Ivec.to_array pidx
-                               and bidx = Batch.Ivec.to_array bidx in
-                               let keep_src =
-                                 Array.map
-                                   (fun c -> eb.Batch.cols.(c))
-                                   keep_positions
-                               in
-                               let cols =
-                                 Array.append
-                                   (Batch.gather_cols b.Batch.cols pidx)
-                                   (Batch.gather_cols keep_src bidx)
-                               in
-                               k (Batch.of_cols bc.bt_pool cols m)
-                             end
-                           end));
-                   bflush =
-                     (fun () ->
-                       up.bflush ();
-                       Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-                       Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
-                 }))
-        | _ -> None
-      in
-      (* The nested-loop arms' inner list: (key, tuple) pairs consed in
-         iteration order, so its head is the LAST iterated tuple — the
-         exact order the hash table's buckets are walked in. *)
-      let keyed_inner =
-        lazy (Relation.fold (fun acc tb -> (join_key pb tb, tb) :: acc) [] rel)
-      in
-      let keys_equal ka kb =
-        let n = Array.length ka in
-        Array.length kb = n
-        &&
-        let rec go i = i >= n || (Value.equal ka.(i) kb.(i) && go (i + 1)) in
-        go 0
-      in
-      let emit_matches ta matches n_out k =
-        if keep_b = [] then begin
-          if matches <> [] then begin
-            incr n_out;
-            k ta
-          end
-        end
-        else
-          List.iter
-            (fun tb ->
-              incr n_out;
-              k (Tuple.concat_project ta keep_positions tb))
-            matches
-      in
-      let scalar_emit =
-        match impl with
-        | Jhash ->
-          fun k ->
-            fused "join";
-            let tbl = Lazy.force table in
-            let n_in = ref (Relation.cardinality rel) and n_out = ref 0 in
-            s.emit (fun ta ->
-                incr n_in;
-                probe tbl ta (fun t ->
-                    incr n_out;
-                    k t));
-            Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-            Obs.Metrics.incr ~by:!n_out "combination.join_rows_out"
-        | Jnlj ->
-          fun k ->
-            fused "join";
-            let inner = Lazy.force keyed_inner in
-            let n_in = ref (Relation.cardinality rel) and n_out = ref 0 in
-            s.emit (fun ta ->
-                incr n_in;
-                let ka = join_key pa ta in
-                if keep_b = [] then begin
-                  if List.exists (fun (kb, _) -> keys_equal ka kb) inner
-                  then begin
-                    incr n_out;
-                    k ta
-                  end
-                end
-                else
-                  List.iter
-                    (fun (kb, tb) ->
-                      if keys_equal ka kb then begin
-                        incr n_out;
-                        k (Tuple.concat_project ta keep_positions tb)
-                      end)
-                    inner);
-            Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-            Obs.Metrics.incr ~by:!n_out "combination.join_rows_out"
-        | Jshared_nlj ->
-          fun k ->
-            fused "join";
-            let inner = Lazy.force keyed_inner in
-            let memo : Tuple.t list Value_key.atable =
-              Value_key.acreate 64
-            in
-            let n_in = ref (Relation.cardinality rel) and n_out = ref 0 in
-            s.emit (fun ta ->
-                incr n_in;
-                let ka = join_key pa ta in
-                let matches =
-                  match Value_key.Atable.find_opt memo ka with
-                  | Some ms -> ms
-                  | None ->
-                    let ms =
-                      List.filter_map
-                        (fun (kb, tb) ->
-                          if keys_equal ka kb then Some tb else None)
-                        inner
-                    in
-                    Value_key.Atable.replace memo ka ms;
-                    ms
+      extend s ~schema:out_schema
+        ~force:(fun () ->
+          ignore (Lazy.force built : Batch.col array * int list Batch.Ikey.t))
+        ~prime:(count_build "join" rel)
+        (fun up ->
+          let keep_src, tbl = Lazy.force built in
+          counted_stage up (fun n_in n_out k b ->
+              n_in := !n_in + Batch.live_count b;
+              if keep_b = [] then begin
+                let out =
+                  Batch.filter b (fun i ->
+                      Batch.Ikey.mem tbl (Batch.key_of_row b.Batch.cols pa i))
                 in
-                emit_matches ta matches n_out k);
-            Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-            Obs.Metrics.incr ~by:!n_out "combination.join_rows_out"
-      in
-      {
-        schema = out_schema;
-        emit = scalar_emit;
-        par =
-          Option.map
-            (extend_par
-               ~prime:(fun () ->
-                 fused "join";
-                 ignore (Lazy.force table : Tuple.t list Value_key.atable);
-                 Obs.Metrics.incr
-                   ~by:(Relation.cardinality rel)
-                   "combination.join_rows_in")
-               ~stage:(fun up ->
-                 let tbl = Lazy.force table in
-                 let n_in = ref 0 and n_out = ref 0 in
-                 {
-                   feed =
-                     (fun k ->
-                       up.feed (fun ta ->
-                           incr n_in;
-                           probe tbl ta (fun t ->
-                               incr n_out;
-                               k t)));
-                   flush =
-                     (fun () ->
-                       up.flush ();
-                       Obs.Metrics.incr ~by:!n_in "combination.join_rows_in";
-                       Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
-                 }))
-            s.par;
-        bat;
-      }
+                let lc = Batch.live_count out in
+                if lc > 0 then begin
+                  n_out := !n_out + lc;
+                  k out
+                end
+              end
+              else begin
+                let pidx = Batch.Ivec.create () and bidx = Batch.Ivec.create () in
+                Batch.live_iter
+                  (fun i ->
+                    match
+                      Batch.Ikey.find_opt tbl (Batch.key_of_row b.Batch.cols pa i)
+                    with
+                    | None -> ()
+                    | Some rows ->
+                      List.iter
+                        (fun r ->
+                          Batch.Ivec.push pidx i;
+                          Batch.Ivec.push bidx r)
+                        rows)
+                  b;
+                let m = Batch.Ivec.length pidx in
+                if m > 0 then begin
+                  n_out := !n_out + m;
+                  let cols =
+                    Array.append
+                      (Batch.gather_cols b.Batch.cols (Batch.Ivec.to_array pidx))
+                      (Batch.gather_cols keep_src (Batch.Ivec.to_array bidx))
+                  in
+                  k (Batch.of_cols s.pool cols m)
+                end
+              end))
 
-  (* The chain's one output relation.  The schema is re-keyed on the
-     whole tuple (set semantics, like every intermediate reference
-     relation), and the insertions skip the per-value domain check:
-     every emitted tuple is a projection/concatenation of tuples from
-     already-checked relations.
+  (* The chain's one output relation, re-keyed on the whole tuple (set
+     semantics, like every intermediate reference relation).  Insertions
+     skip the per-value domain check: every emitted tuple is a
+     projection/concatenation of tuples from already-checked relations.
+     The output key table is preallocated from the source cardinality,
+     the output bound of a project/join chain over it.
 
-     With [?par] active and a partitionable chain whose source clears
-     the threshold, the chain runs once per chunk of the source on the
-     pool: shared state is primed before the fork, each chunk instance
-     buffers its emissions privately, and the buffers are replayed here
-     in chunk order — the same insertion sequence as the serial emit,
-     for every [jobs]. *)
-  let materialize ?par ?(batch_size = 1) ?name s =
-    (* Every arm preallocates the output key table from the source
-       cardinality (the output bound of a select/project/dedup/join
-       chain over it) and replays the same insertion sequence, so the
-       resulting relation iterates identically whichever arm ran. *)
-    let size_hint =
-      match s.par, s.bat with
-      | Some pc, _ -> Relation.cardinality pc.pc_src
-      | None, Some bc -> Relation.cardinality bc.bt_src
-      | None, None -> 0
-    in
-    let out_relation () =
-      Relation.create ?name ~size_hint
+     Serially, the source's windows run through one kernel instance.
+     Under [par] the windows are the fan-out unit: each domain gets
+     whole windows and a private kernel instance over the read-only
+     shared build tables, and its output batches replay here in chunk
+     order — the serial insertion sequence, for every [jobs].  Either
+     way the inserted rows' integer cells are registered as the
+     output's insertion-order encode, so a later set-semantics pass (the
+     columnar divide) reuses these columns instead of re-interning the
+     whole intermediate. *)
+  let materialize ?par ?(batch_size = 2048) ?name s =
+    let batch_size = max 1 batch_size in
+    let enc = Batch.encode_relation s.pool s.src in
+    s.force ();
+    Obs.Metrics.incr "algebra.materialized.stream";
+    s.prime ();
+    let n = Batch.encoded_rows enc in
+    let out =
+      Relation.create ?name ~size_hint:n
         (Schema.make (Schema.attrs s.schema) ~key:[])
     in
-    let serial () =
-      Obs.Metrics.incr "algebra.materialized.stream";
-      let out = out_relation () in
-      s.emit (Relation.insert_unchecked out);
-      out
+    let window off =
+      Batch.of_encoded s.pool enc ~off ~len:(min batch_size (n - off))
     in
-    let scalar () =
-      match s.par with
-      | None -> serial ()
-      | Some pc -> (
-        match Domain_pool.active par (Relation.cardinality pc.pc_src) with
-        | None -> serial ()
-        | Some p ->
-          Obs.Metrics.incr "algebra.materialized.stream";
-          tally_par "stream";
-          pc.pc_prime ();
-          let src = Relation.to_array_uncounted pc.pc_src in
-          let out = out_relation () in
-          Domain_pool.parallel_chunks ~jobs:p.Domain_pool.jobs src
-            (fun _ chunk ->
-              let inst = pc.pc_stage () in
-              let buf = ref [] in
-              let consume = inst.feed (fun t -> buf := t :: !buf) in
-              Array.iter consume chunk;
-              inst.flush ();
-              List.rev !buf)
-          |> List.iter (List.iter (Relation.insert_unchecked out));
-          out)
+    let rows_out = ref 0 in
+    let acc =
+      Batch.acc_create
+        (Array.init (Schema.arity s.schema) (fun c ->
+             Batch.cls_of_type (Schema.type_at s.schema c)))
     in
-    (* Batched execution: encode the source once, drive [batch_size]-row
-       windows through the kernel chain, decode the surviving rows into
-       the output.  [bt_force] runs before any counter moves, so an
-       {!Batch.Unbatchable} encode falls back to the scalar arms with
-       identical observable behaviour.  Under [par] the windows become
-       the fan-out unit — the pool hands each domain whole batches, the
-       kernels run per-chunk instances over read-only shared state, and
-       the decoded buffers replay in chunk order, reproducing the serial
-       sequence exactly (same caveat for dedup counters as the scalar
-       par path). *)
-    let batched bc =
-      let enc = Batch.encode_relation bc.bt_pool bc.bt_src in
-      bc.bt_force ();
-      Obs.Metrics.incr "algebra.materialized.stream";
-      bc.bt_prime ();
-      let n = Batch.encoded_rows enc in
-      let out = out_relation () in
-      let rows_out = ref 0 in
-      let t0 = Unix.gettimeofday () in
-      (match Domain_pool.active par n with
-      | Some p ->
-        tally_par "stream";
-        let nb = (n + batch_size - 1) / batch_size in
-        let batches =
-          Array.init nb (fun i ->
-              let off = i * batch_size in
-              Batch.of_encoded bc.bt_pool enc ~off
-                ~len:(min batch_size (n - off)))
-        in
-        Domain_pool.parallel_chunks ~jobs:p.Domain_pool.jobs batches
-          (fun _ chunk ->
-            let inst = bc.bt_stage () in
-            let buf = ref [] in
-            let consume =
-              inst.bfeed (fun ob ->
-                  Batch.live_iter (fun i -> buf := Batch.tuple ob i :: !buf) ob)
-            in
-            Array.iter consume chunk;
-            inst.bflush ();
-            List.rev !buf)
-        |> List.iter
-             (List.iter (fun t ->
-                  incr rows_out;
-                  Relation.insert_unchecked out t))
-      | None ->
-        let inst = bc.bt_stage () in
-        (* Accumulate the inserted rows' integer cells alongside the
-           decode, and register them as the output's insertion-order
-           encode — a later set-semantics pass (the columnar divide)
-           then reuses these columns instead of re-interning the whole
-           intermediate.  The par arm skips this (its chunks decode in
-           the workers), costing only a re-encode on fallback. *)
-        let acc =
-          Batch.acc_create
-            (Array.init (Schema.arity s.schema) (fun c ->
-                 Batch.cls_of_type (Schema.type_at s.schema c)))
-        in
-        let sink ob =
-          Batch.live_iter
-            (fun i ->
-              incr rows_out;
-              let before = Relation.cardinality out in
-              Relation.insert_unchecked out (Batch.tuple ob i);
-              if Relation.cardinality out <> before then Batch.acc_push acc ob i)
-            ob
-        in
-        let off = ref 0 in
-        while !off < n do
-          let len = min batch_size (n - !off) in
-          inst.bfeed sink (Batch.of_encoded bc.bt_pool enc ~off:!off ~len);
-          off := !off + len
-        done;
-        inst.bflush ();
-        Batch.register_unordered bc.bt_pool out (Batch.acc_finish acc));
-      let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-      Obs.Metrics.incr ~by:n "algebra.batch.rows_in";
-      Obs.Metrics.incr ~by:!rows_out "algebra.batch.rows_out";
-      Obs.Metrics.incr ~by:ns "algebra.batch.kernel_ns";
-      out
+    let sink ob =
+      Batch.live_iter
+        (fun i ->
+          incr rows_out;
+          let before = Relation.cardinality out in
+          Relation.insert_unchecked out (Batch.tuple ob i);
+          if Relation.cardinality out <> before then Batch.acc_push acc ob i)
+        ob
     in
-    match s.bat with
-    | Some bc when batch_size > 1 -> (
-      try batched bc with Batch.Unbatchable -> scalar ())
-    | _ -> scalar ()
+    let t0 = Unix.gettimeofday () in
+    (match Domain_pool.active par n with
+    | Some p ->
+      Obs.Metrics.incr "algebra.par.stream";
+      let windows =
+        Array.init ((n + batch_size - 1) / batch_size) (fun i ->
+            window (i * batch_size))
+      in
+      Domain_pool.parallel_chunks ~jobs:p.Domain_pool.jobs windows
+        (fun _ chunk ->
+          let inst = s.stage () in
+          let buf = ref [] in
+          Array.iter (inst.feed (fun ob -> buf := ob :: !buf)) chunk;
+          inst.flush ();
+          List.rev !buf)
+      |> List.iter (List.iter sink)
+    | None ->
+      let inst = s.stage () in
+      let feed = inst.feed sink in
+      let off = ref 0 in
+      while !off < n do
+        feed (window !off);
+        off := !off + batch_size
+      done;
+      inst.flush ());
+    Batch.register_unordered s.pool out (lazy (Batch.acc_finish acc));
+    let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+    Obs.Metrics.incr ~by:n "algebra.batch.rows_in";
+    Obs.Metrics.incr ~by:!rows_out "algebra.batch.rows_out";
+    Obs.Metrics.incr ~by:ns "algebra.batch.kernel_ns";
+    out
 end
-
-let cardinality = Relation.cardinality

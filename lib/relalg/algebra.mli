@@ -1,78 +1,17 @@
 (** Relational algebra over keyed relations — the operator repertoire of
     the paper's combination phase: join / Cartesian product to combine
-    conjunctions, union for the disjunctive form, projection for SOME and
-    division for ALL, plus the semijoin/antijoin pair of Section 4.4.
+    conjunctions ({!Stream}), union for the disjunctive form, projection
+    for SOME and division for ALL, plus the semijoin/antijoin pair of
+    Section 4.4. *)
 
-    Operators taking [?par] have a partitioned parallel form: when the
-    input cardinality clears [par.threshold] and [par.jobs > 1], the
-    input is snapshotted once ({!Relation.to_array}, the same counted
-    read the serial scan performs), split into contiguous per-domain
-    chunks, evaluated chunk-wise on the {!Domain_pool}, and the chunk
-    results replayed on the caller in chunk order — so the output
-    relation (contents *and* iteration order) is identical for every
-    [jobs] value.  Without [?par] (or below the threshold) the code
-    path is the untouched serial one. *)
+val select : ?name:string -> (Tuple.t -> bool) -> Relation.t -> Relation.t
 
-val select :
-  ?par:Domain_pool.par ->
-  ?name:string ->
-  (Tuple.t -> bool) ->
-  Relation.t ->
-  Relation.t
-
-val project :
-  ?par:Domain_pool.par -> ?name:string -> Relation.t -> string list -> Relation.t
+val project : ?name:string -> Relation.t -> string list -> Relation.t
 (** Duplicate-eliminating projection onto the named attributes. *)
 
-val rename : ?name:string -> Relation.t -> (string * string) list -> Relation.t
-
-val product :
-  ?par:Domain_pool.par -> ?name:string -> Relation.t -> Relation.t -> Relation.t
-(** Cartesian product; attribute names must stay distinct. *)
-
-val theta_join :
-  ?name:string ->
-  (Tuple.t -> Tuple.t -> bool) ->
-  Relation.t ->
-  Relation.t ->
-  Relation.t
-
-val equi_join :
-  ?name:string ->
-  on:(string * string) list ->
-  Relation.t ->
-  Relation.t ->
-  Relation.t
-(** Hash join on equated attribute pairs (left name, right name). *)
-
-val merge_join :
-  ?name:string ->
-  on:(string * string) list ->
-  Relation.t ->
-  Relation.t ->
-  Relation.t
-(** Sort-merge join; same contract as {!equi_join} (the paper's [6,9]
-    operations for the combination phase). *)
-
-val nested_loop_join :
-  ?name:string ->
-  on:(string * string) list ->
-  Relation.t ->
-  Relation.t ->
-  Relation.t
-(** Reference nested-loop implementation of the same contract. *)
-
-val natural_join :
-  ?par:Domain_pool.par -> ?name:string -> Relation.t -> Relation.t -> Relation.t
-(** Equi-join on shared names with duplicated columns merged.  The
-    partitioned form chunks both the build side (workers compute join
-    keys, the caller fills the hash table in chunk order) and the probe
-    side (workers probe the then read-only table). *)
-
-val union : ?name:string -> Relation.t -> Relation.t -> Relation.t
 val union_all : ?name:string -> Schema.t -> Relation.t list -> Relation.t
-val inter : ?name:string -> Relation.t -> Relation.t -> Relation.t
-val diff : ?name:string -> Relation.t -> Relation.t -> Relation.t
+(** Set union of relations of the given shape.
+    @raise Errors.Schema_error on a relation of another shape. *)
 
 val semijoin :
   ?name:string ->
@@ -102,15 +41,12 @@ val divide :
     divisor yields all quotient projections.
     @raise Errors.Schema_error if no quotient attributes remain. *)
 
-val cardinality : Relation.t -> int
-
-(** Fused streaming operators: push producers whose per-tuple callbacks
-    compose directly, so a whole operator chain allocates one output
-    relation (at {!Stream.materialize}) instead of one per operator.
-    Joins build their hash table on the materialized side once and probe
-    it with the streamed tuples; counters
-    [combination.join_rows_in]/[combination.join_rows_out] and the
-    [algebra.fused.*] tallies record the traffic. *)
+(** Fused streaming operators, run as vectorized batch kernels: a chain
+    rooted at one source relation allocates one output relation (at
+    {!Stream.materialize}) instead of one per operator.  Joins build
+    their hash table on the relation side once and probe it with the
+    streamed rows; counters [combination.join_rows_in]/[_out],
+    [algebra.fused.*] and [algebra.batch.*] record the traffic. *)
 module Stream : sig
   type t
 
@@ -122,50 +58,32 @@ module Stream : sig
       into several disjuncts is encoded once.  Defaults to a fresh
       pool per chain. *)
 
-  val select : (Tuple.t -> bool) -> t -> t
-
   val project : t -> string list -> t
-  (** Streaming projection; duplicates pass through — follow with
-      {!dedup} when fan-out matters. *)
+  (** Streaming projection; duplicates pass through to the
+      materialization's whole-tuple key. *)
 
-  val dedup : t -> t
-  (** Streaming duplicate elimination (hash set over whole tuples). *)
-
-  type join_impl =
-    | Jhash  (** build a key table, probe per stream tuple *)
-    | Jnlj  (** walk the build side per probe — no build cost *)
-    | Jshared_nlj
-        (** memoize the inner walk per distinct probe key: duplicate
-            probes share one pass *)
-
-  val natural_join : ?impl:join_impl -> t -> Relation.t -> t
-  (** Natural join: the stream probes, the relation is the build side.
-      [?impl] (default {!Jhash}) selects the scalar algorithm; all
-      three emit the identical tuple sequence, so the partitioned and
-      batched arms always run the hash machinery.  Degenerates to a
-      semijoin when the build side adds no columns, and to {!product}
-      when no attribute names are shared. *)
+  val natural_join : t -> Relation.t -> t
+  (** Hash join on the shared attribute names: the stream probes, the
+      relation is the build side.  Degenerates to a semijoin when the
+      build side adds no columns, and to {!product} when no attribute
+      names are shared.
+      @raise Errors.Type_error if a shared attribute's two domains
+      encode into different column classes (an integer against a
+      string, say) — values that {!Value.compare} refuses to compare. *)
 
   val product : t -> Relation.t -> t
 
   val materialize :
     ?par:Domain_pool.par -> ?batch_size:int -> ?name:string -> t -> Relation.t
   (** Run the chain once, collecting into a whole-tuple-keyed relation.
+      The source is encoded into column arrays and driven through the
+      kernels in windows of [batch_size] rows (default 2048; any size
+      from 1 up gives the same relation, iteration order included).
 
-      With [batch_size > 1] and a source-rooted chain, the source is
-      encoded into column arrays and driven through vectorized kernels
-      in [batch_size]-row windows; the output is tuple-for-tuple
-      identical to the scalar emit (which remains the [batch_size = 1]
-      differential oracle).  A chain that cannot encode (exotic values,
-      mismatched join column classes) silently runs the scalar path.
-
-      With [?par] active and a source clearing the threshold, the chain
-      runs chunk-wise on the {!Domain_pool} — over tuple chunks in
-      scalar mode, over whole batches in batched mode: shared join
-      tables and encodes are built before the fork, each chunk gets a
-      private instance of the consumer chain, and chunk outputs are
-      replayed in order — the output relation is identical to the
-      serial run's for every [jobs].  (Only caveat: a {!dedup} mid-chain
-      deduplicates per chunk, so join row counters downstream of it can
-      read higher than serial; the materialized set is unchanged.) *)
+      With [?par] active and a source clearing the threshold, the
+      windows are the fan-out unit: shared build tables and encodes are
+      built before the fork, each chunk of windows gets a private
+      kernel instance, and chunk outputs are replayed in order — the
+      output relation is identical to the serial run's for every
+      [jobs]. *)
 end

@@ -43,9 +43,10 @@ type pool = {
   ids : int Vtbl.t;              (* value -> id *)
   mutable cache : (Relation.t * int * encoded) list;
       (* per-relation encodes, keyed by physical identity + version *)
-  mutable ucache : (Relation.t * int * encoded) list;
-      (* encodes registered by the batched materializer in INSERTION
-         order — the same row set as [cache] would hold but not
+  mutable ucache : (Relation.t * int * encoded Lazy.t) list;
+      (* encodes registered by the relation's builder (the stream
+         materializer, the collection phase's pair builder), forced on
+         first use — the same row set as [cache] would hold but not
          necessarily the relation's iteration order; only
          order-insensitive consumers may look here *)
 }
@@ -56,13 +57,6 @@ type t = {
   sel : int array option;     (* ascending live row indices; None = all *)
   pool : pool;
 }
-
-(* Raised when a value does not fit its column's declared class (a
-   non-integer in a TInt column, say).  Tuples written through the
-   checked insertion path can never trigger it; the stream kernels treat
-   it as "this chain is not batchable" and fall back to the scalar
-   emit. *)
-exception Unbatchable
 
 let create_pool () =
   {
@@ -104,6 +98,13 @@ let cls_of_type = function
 
 (* --- Encoding ------------------------------------------------------- *)
 
+(* A value that does not fit its column's declared class (a non-integer
+   in a TInt column, say).  Tuples written through the checked insertion
+   path can never trigger it. *)
+let misfit schema c v =
+  Errors.type_error "%a does not fit column %s : %a" Value.pp v
+    (Schema.name_at schema c) Vtype.pp (Schema.type_at schema c)
+
 let encode_rows pool schema rows nrows =
   let arity = Schema.arity schema in
   let cols =
@@ -115,7 +116,7 @@ let encode_rows pool schema rows nrows =
             (fun r (t : Tuple.t) ->
               match t.(c) with
               | Value.VInt n -> a.(r) <- n
-              | _ -> raise Unbatchable)
+              | v -> misfit schema c v)
             rows;
           C_int a
         | K_bool ->
@@ -124,7 +125,7 @@ let encode_rows pool schema rows nrows =
             (fun r (t : Tuple.t) ->
               match t.(c) with
               | Value.VBool x -> if x then Bytes.set b r '\001'
-              | _ -> raise Unbatchable)
+              | v -> misfit schema c v)
             rows;
           C_bool b
         | K_obj ->
@@ -156,10 +157,11 @@ let encode_relation pool rel =
 
 let encoded_rows enc = enc.e_rows
 
-(* The batched materializer hands over the columns it just decoded and
-   inserted, so a later (order-insensitive) pass over the same relation
-   skips the re-encode — for a large intermediate that is the single
-   biggest cost of the columnar divide. *)
+(* A relation's builder hands over the columns of the rows it inserted
+   (deferred: nothing is built unless a consumer asks), so a later
+   order-insensitive pass over the same relation skips the re-encode —
+   for a large intermediate that is the single biggest cost of the
+   columnar divide. *)
 let register_unordered pool rel enc =
   pool.ucache <-
     (rel, Relation.version rel, enc)
@@ -178,7 +180,7 @@ let encode_relation_unordered pool rel =
       if r == rel then if v = version then Some enc else None else find rest
   in
   match find pool.ucache with
-  | Some enc -> enc
+  | Some enc -> Lazy.force enc
   | None -> encode_relation pool rel
 
 (* A zero-copy window onto an encoded relation: columns are shared, the

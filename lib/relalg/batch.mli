@@ -27,10 +27,6 @@ type t = {
   pool : pool;
 }
 
-exception Unbatchable
-(** A value did not fit its column's declared class.  Unreachable for
-    well-typed tuples; callers treat it as "fall back to scalar". *)
-
 val create_pool : unit -> pool
 val intern : pool -> Value.t -> int
 val value : pool -> int -> Value.t
@@ -43,12 +39,16 @@ val cls_of_type : Vtype.t -> cls
 
 val encode_relation : pool -> Relation.t -> encoded
 (** Encode a relation's contents (uninstrumented iteration order),
-    memoized in the pool by physical identity and content version. *)
+    memoized in the pool by physical identity and content version.
+    @raise Errors.Type_error on a value that does not fit its column's
+    declared class — unreachable for tuples written through the
+    checked insertion path. *)
 
-val register_unordered : pool -> Relation.t -> encoded -> unit
+val register_unordered : pool -> Relation.t -> encoded Lazy.t -> unit
 (** Hand the pool an encode of the relation's contents in INSERTION
-    order — the batched materializer calls this with the columns it
-    just decoded, so a later set-semantics pass skips the re-encode. *)
+    order, forced on first use — the stream materializer and the
+    collection phase's pair builder register the rows they inserted, so
+    a later set-semantics pass skips the re-encode. *)
 
 val encode_relation_unordered : pool -> Relation.t -> encoded
 (** Like {!encode_relation} but may return a {!register_unordered}

@@ -31,17 +31,6 @@ let project positions (t : t) : t =
 let project_names schema names (t : t) : t =
   of_list (List.map (fun n -> get_by_name schema t n) names)
 
-let concat (a : t) (b : t) : t = Array.append a b
-
-(* [concat a] followed by [project] of b's columns, in one allocation:
-   the result is a's components then b.(positions.(i)) — the shape a
-   hash join emits when it keeps only some right-hand columns. *)
-let concat_project (a : t) positions (b : t) : t =
-  let na = Array.length a in
-  Array.init
-    (na + Array.length positions)
-    (fun i -> if i < na then a.(i) else b.(positions.(i - na)))
-
 (* Key values of a tuple under a schema, as a list (the form stored in
    references and used for key lookup). *)
 let key_of schema (t : t) =

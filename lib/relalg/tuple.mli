@@ -18,12 +18,6 @@ val hash : t -> int
 
 val project : int array -> t -> t
 val project_names : Schema.t -> string list -> t -> t
-val concat : t -> t -> t
-
-val concat_project : t -> int array -> t -> t
-(** [concat_project a positions b] is
-    [concat a (project positions b)] in a single allocation. *)
-
 val key_of : Schema.t -> t -> Value.t list
 (** The tuple's key values under the schema's declared key. *)
 

@@ -1,5 +1,5 @@
-(* Hash tables keyed by value lists — shared by relations, indexes and
-   the hash-join implementation. *)
+(* Hash tables keyed by value lists (relations, indexes) and by value
+   arrays (the classic operators' key sets). *)
 
 module Table = Hashtbl.Make (struct
   type t = Value.t list
@@ -21,9 +21,9 @@ let add_multi (tbl : 'a list table) k v =
 let find_multi (tbl : 'a list table) k =
   Option.value (Table.find_opt tbl k) ~default:[]
 
-(* Tables keyed by value ARRAYS — the join hot path.  A projected tuple
-   already is a [Value.t array], so keying on the array directly avoids
-   the per-probe [Array.to_list] allocation of the list-keyed table. *)
+(* Tables keyed by value ARRAYS.  A projected tuple already is a
+   [Value.t array], so keying on the array directly avoids the
+   per-probe [Array.to_list] allocation of the list-keyed table. *)
 module Atable = Hashtbl.Make (struct
   type t = Value.t array
 
@@ -40,10 +40,3 @@ type 'a atable = 'a Atable.t
 
 let acreate n : 'a atable = Atable.create n
 
-let add_multi_a (tbl : 'a list atable) k v =
-  match Atable.find_opt tbl k with
-  | None -> Atable.replace tbl k [ v ]
-  | Some vs -> Atable.replace tbl k (v :: vs)
-
-let find_multi_a (tbl : 'a list atable) k =
-  Option.value (Atable.find_opt tbl k) ~default:[]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Guard against combination-engine performance regressions.
 
-Two checks:
+Five checks:
 
 1. Compares a freshly measured benchmark run against the committed
    BENCH_results.json and fails if any fully-optimised (s1+s2+s3+s4)
@@ -9,8 +9,8 @@ Two checks:
    3x slower.  The generous factor absorbs CI machine noise; the point
    is to catch the combination phase falling back to quadratic padding,
    which shows up as a 100x+ cliff, not a 2x wobble.  When both the
-   baseline row and the new row carry a wall_ms_p95 column (bucketed
-   latency histograms in the bench harness), the p95 is held to the
+   baseline row and the new row carry a wall_ms_p95 column (nearest-rank
+   order statistics of the raw pass times), the p95 is held to the
    same 3x / absolute-bound rules — a tail-latency cliff fails the
    gate even if the median survived.
 
@@ -28,13 +28,7 @@ Two checks:
    never be catastrophically slower than the serial engine it wraps.
    Rows whose serial median is under 5 ms are skipped as timer noise.
 
-4. The B-VEC experiment of the NEW run alone: for every (query, scale)
-   pair, the batched (vectorized kernels) row must not be slower than
-   the scalar row.  Both arms are medians measured back to back in one
-   process, so machine speed cancels out; rows whose scalar median is
-   under 5 ms are skipped as timer noise.
-
-5. The B-INDEX experiment of the NEW run alone: for every (query,
+4. The B-INDEX experiment of the NEW run alone: for every (query,
    scale) pair, the indexed leg (secondary-index probes) must not be
    slower than the scan leg (heap scans, use_index=false); rows whose
    scan median is under 5 ms are held only to an absolute 5 ms bound
@@ -45,7 +39,7 @@ Two checks:
    cell was measured with a single pass, and every p95 guard here
    compares only when both sides carry the column.
 
-6. B-TRAFFIC, baseline vs new, only when BOTH runs carry rows (older
+5. B-TRAFFIC, baseline vs new, only when BOTH runs carry rows (older
    baselines predate the traffic experiment).  Rows are keyed by
    (strategy, pass) — the A-B-A-B interleave records two closed-loop
    and two open-loop passes.  Each new row's achieved throughput must
@@ -177,58 +171,6 @@ def check_parallel(path):
             )
             if not ok:
                 failed.append((query, scale, jobs))
-    return failed
-
-
-VEC_NOISE_FLOOR_MS = 5.0
-
-
-def vec_rows(path):
-    """B-VEC rows of one run: {(query, scale): {engine: wall_ms}}.
-
-    The engine label rides the strategy column ("scalar" vs "batched");
-    both arms run the same strategy preset within a row pair."""
-    with open(path) as f:
-        doc = json.load(f)
-    rows = {}
-    for r in doc.get("results", doc if isinstance(doc, list) else []):
-        if r.get("experiment") == "B-VEC":
-            rows.setdefault((r.get("query", ""), r.get("scale", 0)), {})[
-                r.get("strategy")
-            ] = r["wall_ms"]
-    return rows
-
-
-def check_vectorized(path):
-    """Batched execution must not lose to the scalar engine, within the
-    new run.  Both arms are medians measured back to back in one
-    process, so machine speed cancels out; rows whose scalar median is
-    under the noise floor are skipped as timer noise."""
-    rows = vec_rows(path)
-    if not rows:
-        print("B-VEC: no rows in the new run, skipping the vectorized check")
-        return []
-    failed = []
-    for (query, scale), cells in sorted(rows.items()):
-        if "scalar" not in cells or "batched" not in cells:
-            failed.append((query, scale))
-            print(f"B-VEC    {query:22s} scale={scale}  missing scalar/batched row")
-            continue
-        scalar, batched = cells["scalar"], cells["batched"]
-        if scalar < VEC_NOISE_FLOOR_MS:
-            print(
-                f"B-VEC    {query:22s} scale={scale}  "
-                f"scalar={scalar:9.2f}ms  below noise floor, skipped"
-            )
-            continue
-        ok = batched <= scalar
-        print(
-            f"B-VEC    {query:22s} scale={scale}  "
-            f"scalar={scalar:9.2f}ms  batched={batched:9.2f}ms  "
-            f"({scalar / batched:4.2f}x)  {'ok' if ok else 'SLOWER THAN SCALAR'}"
-        )
-        if not ok:
-            failed.append((query, scale))
     return failed
 
 
@@ -393,7 +335,6 @@ def main():
         print("B-SCALE/B-DIV: no rows in the new run, skipping the baseline comparison")
     prep_failed = check_prepared(sys.argv[2])
     par_failed = check_parallel(sys.argv[2])
-    vec_failed = check_vectorized(sys.argv[2])
     index_failed = check_index(sys.argv[2])
     traffic_failed = check_traffic(sys.argv[1], sys.argv[2])
     if failed:
@@ -407,11 +348,6 @@ def main():
         sys.exit(
             f"{len(par_failed)} B-PAR rows where jobs>1 was more than "
             f"{PAR_FACTOR}x slower than the serial engine"
-        )
-    if vec_failed:
-        sys.exit(
-            f"{len(vec_failed)} B-VEC rows where batched execution "
-            "was slower than the scalar engine"
         )
     if index_failed:
         sys.exit(

@@ -10,10 +10,13 @@ let pair a b = Tuple.of_list [ Value.int a; Value.int b ]
 let rel name rows =
   Relation.of_list ~name sched (List.map (fun (a, b) -> pair a b) rows)
 
-let unary name xs =
+let unary ?(attr = "x") name xs =
   Relation.of_list ~name
-    (Schema.make [ Schema.attr "x" Vtype.int_full ] ~key:[])
+    (Schema.make [ Schema.attr attr Vtype.int_full ] ~key:[])
     (List.map (fun a -> Tuple.of_list [ Value.int a ]) xs)
+
+let product a b =
+  Algebra.Stream.(materialize (product (of_relation a) b))
 
 let test_select_project () =
   let r = rel "r" [ (1, 10); (2, 20); (3, 30) ] in
@@ -29,39 +32,31 @@ let test_project_dedup () =
 
 let test_product () =
   let a = unary "a" [ 1; 2 ] in
-  let b = Algebra.rename (unary "b" [ 10; 20; 30 ]) [ ("x", "z") ] in
-  let p = Algebra.product a b in
+  let b = unary ~attr:"z" "b" [ 10; 20; 30 ] in
+  let p = product a b in
   Alcotest.(check int) "2x3" 6 (Relation.cardinality p)
 
+(* The equi-join of the combination phase is the natural join on the
+   shared attribute name. *)
 let test_equi_join () =
   let a = rel "a" [ (1, 100); (2, 200); (3, 300) ] in
   let b =
     Relation.of_list ~name:"b"
       (Schema.make
-         [ Schema.attr "k" Vtype.int_full; Schema.attr "v" Vtype.int_full ]
+         [ Schema.attr "x" Vtype.int_full; Schema.attr "v" Vtype.int_full ]
          ~key:[])
       [ pair 1 7; pair 3 8; pair 3 9; pair 4 10 ]
   in
-  let j = Algebra.equi_join ~on:[ ("x", "k") ] a b in
+  let j = Algebra.Stream.(materialize (natural_join (of_relation a) b)) in
   Alcotest.(check int) "matches" 3 (Relation.cardinality j)
-
-let test_theta_join () =
-  let a = unary "a" [ 1; 5 ] in
-  let b = Algebra.rename (unary "b" [ 3; 4; 6 ]) [ ("x", "z") ] in
-  let j =
-    Algebra.theta_join
-      (fun ta tb -> Value.compare (Tuple.get ta 0) (Tuple.get tb 0) < 0)
-      a b
-  in
-  (* 1 < 3,4,6; 5 < 6 *)
-  Alcotest.(check int) "inequality join" 4 (Relation.cardinality j)
 
 let test_set_operations () =
   let a = unary "a" [ 1; 2; 3 ] in
   let b = unary "b" [ 2; 3; 4 ] in
-  Alcotest.(check (list int)) "union" [ 1; 2; 3; 4 ] (Helpers.ints (Algebra.union a b));
-  Alcotest.(check (list int)) "inter" [ 2; 3 ] (Helpers.ints (Algebra.inter a b));
-  Alcotest.(check (list int)) "diff" [ 1 ] (Helpers.ints (Algebra.diff a b))
+  Alcotest.(check (list int)) "union" [ 1; 2; 3; 4 ]
+    (Helpers.ints (Algebra.union_all (Relation.schema a) [ a; b ]));
+  Alcotest.(check (list int)) "union of nothing" []
+    (Helpers.ints (Algebra.union_all (Relation.schema a) []))
 
 let test_semijoin_antijoin () =
   let a = rel "a" [ (1, 10); (2, 20); (3, 30) ] in
@@ -76,13 +71,13 @@ let test_semijoin_antijoin () =
 let test_division () =
   (* r: student x course; divisor: required courses. *)
   let r = rel "enrolled" [ (1, 101); (1, 102); (2, 101); (3, 101); (3, 102) ] in
-  let required = Algebra.rename (unary "required" [ 101; 102 ]) [ ("x", "c") ] in
+  let required = unary ~attr:"c" "required" [ 101; 102 ] in
   let q = Algebra.divide ~on:[ ("y", "c") ] r required in
   Alcotest.(check (list int)) "students covering all" [ 1; 3 ] (Helpers.ints q)
 
 let test_division_empty_divisor () =
   let r = rel "enrolled" [ (1, 101); (2, 102) ] in
-  let empty = Algebra.rename (unary "required" []) [ ("x", "c") ] in
+  let empty = unary ~attr:"c" "required" [] in
   let q = Algebra.divide ~on:[ ("y", "c") ] r empty in
   Alcotest.(check (list int)) "all quotients" [ 1; 2 ] (Helpers.ints q)
 
@@ -94,15 +89,15 @@ let test_division_identity_property =
     (fun (xs, ys) ->
       let xs = List.sort_uniq compare xs and ys = List.sort_uniq compare ys in
       let a = unary "a" xs in
-      let b = Algebra.rename (unary "b" ys) [ ("x", "z") ] in
-      let prod = Algebra.product a b in
+      let b = unary ~attr:"z" "b" ys in
+      let prod = product a b in
       let q = Algebra.divide ~on:[ ("z", "z") ] prod b in
       Relation.equal_set q a)
 
 let test_union_shape_mismatch () =
   let a = unary "a" [ 1 ] in
   let b = rel "b" [ (1, 2) ] in
-  match Algebra.union a b with
+  match Algebra.union_all (Relation.schema a) [ a; b ] with
   | _ -> Alcotest.fail "expected Schema_error"
   | exception Errors.Schema_error _ -> ()
 
@@ -114,7 +109,6 @@ let suite =
         Alcotest.test_case "projection deduplicates" `Quick test_project_dedup;
         Alcotest.test_case "product" `Quick test_product;
         Alcotest.test_case "equi join" `Quick test_equi_join;
-        Alcotest.test_case "theta join" `Quick test_theta_join;
         Alcotest.test_case "set operations" `Quick test_set_operations;
         Alcotest.test_case "semijoin / antijoin" `Quick test_semijoin_antijoin;
         Alcotest.test_case "division" `Quick test_division;

@@ -1,11 +1,13 @@
-(* The vectorized batch execution layer: window-boundary edge cases on
-   the stream kernels (empty source, all-false selection, batch larger
-   than the input, windows that don't divide the cardinality), and the
-   QCheck differential pinning the batch-independence contract — the
-   batched engine must produce the scalar engine's result set for every
-   batch size, strategy preset and jobs count, with identical iteration
-   order whenever the query involves no universal quantification (the
-   columnar divide is documented to reorder only the quotient). *)
+(* The vectorized batch execution layer — the one engine behind
+   {!Algebra.Stream}: window-boundary edge cases on the stream kernels
+   (empty source, no surviving rows, window larger than the input,
+   windows that don't divide the cardinality), the join's column-class
+   check, and the QCheck differential pinning the engine against the
+   naive evaluator — identical result sets for every window size,
+   strategy preset and jobs count, and identical iteration order across
+   window sizes and jobs whenever the query involves no universal
+   quantification (the columnar divide is documented to reorder only
+   the quotient). *)
 
 open Relalg
 open Pascalr
@@ -29,29 +31,24 @@ let pair_rel name cols rows =
     (Schema.make (List.map (fun c -> Schema.attr c Vtype.int_full) cols) ~key:[])
     (List.map (fun (a, b) -> Tuple.of_list [ Value.int a; Value.int b ]) rows)
 
-(* One representative chain exercising every kernel: filter, project
-   with duplicates, dedup, and a hash join against a build relation. *)
+(* One representative chain: a hash join against a build relation
+   (duplicate keys on both sides) and a projection that folds
+   duplicates at the materialization. *)
 let chain build src =
-  let s = Stream.of_relation src in
-  let s =
-    Stream.select (fun t -> Value.compare (Tuple.get t 1) (Value.int 3) >= 0) s
-  in
-  let s = Stream.project s [ "x" ] in
-  let s = Stream.dedup s in
-  Stream.natural_join s build
+  Stream.project (Stream.natural_join (Stream.of_relation src) build) [ "x"; "z" ]
 
 (* --------------------------------------------------------------- *)
-(* Window-boundary units: each scalar materialize (the oracle) against
-   a sweep of batch sizes, including sizes that don't divide the
-   input, exceed it, or meet an empty stream. *)
+(* Window-boundary units: single-row windows (the reference) against a
+   sweep of window sizes, including sizes that don't divide the input,
+   exceed it, or meet an empty stream. *)
 
 let batch_sweep label src mk =
-  let scalar = Stream.materialize ~batch_size:1 (mk src) in
+  let reference = Stream.materialize ~batch_size:1 (mk src) in
   List.iter
     (fun bs ->
       let batched = Stream.materialize ~batch_size:bs (mk src) in
       check_same_relation (Printf.sprintf "%s (batch_size %d)" label bs)
-        scalar batched)
+        reference batched)
     [ 2; 3; 7; 64; 100_000 ]
 
 let test_boundaries () =
@@ -60,8 +57,8 @@ let test_boundaries () =
   in
   let mk src = chain build src in
   batch_sweep "empty source" (pair_rel "e" [ "x"; "y" ] []) mk;
-  batch_sweep "all rows filtered out"
-    (pair_rel "f" [ "x"; "y" ] (List.init 10 (fun i -> (i, -1))))
+  batch_sweep "no row joins"
+    (pair_rel "f" [ "x"; "y" ] (List.init 10 (fun i -> (100 + i, -1))))
     mk;
   batch_sweep "batch larger than input"
     (pair_rel "g" [ "x"; "y" ] (List.init 4 (fun i -> (i, i + 3))))
@@ -69,6 +66,26 @@ let test_boundaries () =
   batch_sweep "non-multiple cardinality"
     (pair_rel "h" [ "x"; "y" ] (List.init 10 (fun i -> (i mod 6, i))))
     mk
+
+(* Paired join columns of different encodings (an integer against a
+   string) cannot meet in an integer key table: the join refuses them
+   with the error comparing the two values raises. *)
+let test_join_class_mismatch () =
+  let ints = pair_rel "i" [ "x"; "y" ] [ (1, 2) ] in
+  let strs =
+    Relation.of_list ~name:"s"
+      (Schema.make [ Schema.attr "x" Vtype.string_any ] ~key:[])
+      [ Tuple.of_list [ Value.str "1" ] ]
+  in
+  let raises_type_error label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Type_error" label
+    | exception Errors.Type_error _ -> ()
+  in
+  raises_type_error "Value.compare" (fun () ->
+      Value.compare (Value.int 1) (Value.str "1"));
+  raises_type_error "natural_join" (fun () ->
+      Stream.materialize (Stream.natural_join (Stream.of_relation ints) strs))
 
 let test_product_and_semijoin_windows () =
   let src = pair_rel "s" [ "x"; "y" ] (List.init 10 (fun i -> (i mod 4, i))) in
@@ -82,14 +99,12 @@ let test_product_and_semijoin_windows () =
       Stream.natural_join (Stream.of_relation s) semi)
 
 (* --------------------------------------------------------------- *)
-(* Whole-pipeline batch-independence: the differential of the issue.
-   The scalar engine (batch_size = 1) is the oracle; the batched
-   engine must agree for small windows (many boundaries), the default
-   window, and under a jobs=4 fan-out — across every strategy preset.
-   Result sets must match always; iteration order must also match
-   unless the query can involve universal quantification (negation
-   included: adaptation rewrites NOT-EXISTS into ALL), where the
-   columnar divide reorders only the quotient relation. *)
+(* Whole-pipeline differential.  The naive evaluator is the oracle for
+   the result set at every window size and jobs count, across every
+   strategy preset.  Iteration order must also match serial single-row
+   windows unless the query can involve universal quantification
+   (negation included: adaptation rewrites NOT-EXISTS into ALL), where
+   the columnar divide reorders only the quotient relation. *)
 
 let rec order_exact_formula = function
   | Calculus.F_true | Calculus.F_false | Calculus.F_atom _ -> true
@@ -106,6 +121,7 @@ let batch_independent_on seed =
   match Wellformed.check_query db q with
   | Error _ -> true (* generator contract tested elsewhere *)
   | Ok () ->
+    let naive = Naive_eval.run db q in
     List.for_all
       (fun (sname, strategy) ->
         let run ~jobs ~batch_size =
@@ -118,10 +134,7 @@ let batch_independent_on seed =
         List.for_all
           (fun (jobs, batch_size) ->
             let r = run ~jobs ~batch_size in
-            let sets_equal =
-              List.equal Tuple.equal (Relation.to_list reference)
-                (Relation.to_list r)
-            in
+            let sets_equal = Relation.equal_set naive r in
             let order_ok =
               (not (order_exact q))
               || List.equal Tuple.equal (seq_of reference) (seq_of r)
@@ -129,19 +142,21 @@ let batch_independent_on seed =
             (sets_equal && order_ok)
             ||
             QCheck.Test.fail_reportf
-              "batch_size=%d jobs=%d diverges from scalar under %s, seed %d \
-               (%s):@.%a@.scalar %a@.got %a"
+              "batch_size=%d jobs=%d under %s, seed %d: %s@.%a@.naive %a@.\
+               window-1 serial %a@.got %a"
               batch_size jobs sname seed
-              (if sets_equal then "iteration order" else "result set")
-              Calculus.pp_query q Relation.pp reference Relation.pp r)
-          [ (1, 3); (1, 2048); (4, 4) ])
+              (if sets_equal then "iteration order differs from window-1 serial"
+               else "result set differs from naive")
+              Calculus.pp_query q Relation.pp naive Relation.pp reference
+              Relation.pp r)
+          [ (1, 1); (1, 7); (1, 2048); (4, 1); (4, 7); (4, 2048) ])
       Strategy.all_presets
 
 let test_batch_differential =
   QCheck.Test.make
     ~name:
-      "random queries: batched engine matches scalar result set (and order \
-       without ALL)"
+      "random queries: batched engine matches naive result set (and \
+       window-1 order without ALL)"
     ~count:60
     QCheck.(make Gen.(int_range 0 100_000))
     batch_independent_on
@@ -160,9 +175,10 @@ let test_batch_counters_move () =
          db q);
     Obs.Metrics.counter_value "algebra.batch.rows_in" - before
   in
-  Alcotest.(check int) "scalar execution feeds no batch kernels" 0 (run 1);
-  Alcotest.(check bool) "batched execution counts kernel input rows" true
-    (run 256 > 0)
+  let single = run 1 in
+  Alcotest.(check bool) "single-row windows feed the kernels" true (single > 0);
+  Alcotest.(check int) "kernel input rows do not depend on the window"
+    single (run 256)
 
 let test_fingerprint_distinguishes_batch_size () =
   let fp batch_size =
@@ -179,8 +195,10 @@ let suite =
           test_boundaries;
         Alcotest.test_case "product/semijoin degenerate chains" `Quick
           test_product_and_semijoin_windows;
-        Alcotest.test_case "batch counters move only when batched" `Quick
+        Alcotest.test_case "batch counters move at any window size" `Quick
           test_batch_counters_move;
+        Alcotest.test_case "join refuses mismatched column classes" `Quick
+          test_join_class_mismatch;
         Alcotest.test_case "fingerprint separates batch sizes" `Quick
           test_fingerprint_distinguishes_batch_size;
         QCheck_alcotest.to_alcotest test_batch_differential;

@@ -77,8 +77,8 @@ let test_suppliers_division_queries () =
   let some_red = Naive_eval.run db (Workload.Suppliers.london_ships_some_red db) in
   let no_red = Naive_eval.run db (Workload.Suppliers.ships_no_red_part db) in
   (* A supplier cannot both ship some red part and no red part. *)
-  let inter = Algebra.inter some_red no_red in
-  Alcotest.(check int) "disjoint" 0 (Relation.cardinality inter)
+  Alcotest.(check bool) "disjoint" false
+    (Relation.exists (Relation.mem_tuple some_red) no_red)
 
 let test_free_variable_product () =
   let db = Fixtures.make () in

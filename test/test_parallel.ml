@@ -1,8 +1,9 @@
 (* The multicore execution layer: domain-pool mechanics (reuse, jobs=1
-   bypass, exception propagation), partitioned-operator determinism at
-   the parallelism threshold, and a QCheck differential pinning the
-   jobs-independence contract — identical result tuples in identical
-   iteration order for jobs 1, 2 and 4 across every strategy preset. *)
+   bypass, exception propagation), determinism of the stream kernels'
+   window fan-out at the parallelism threshold, and a QCheck
+   differential pinning the jobs-independence contract — identical
+   result tuples in identical iteration order for jobs 1, 2 and 4
+   across every strategy preset. *)
 
 open Relalg
 open Pascalr
@@ -136,24 +137,39 @@ let pair_rel name cols rows =
     (List.map (fun (a, b) -> Tuple.of_list [ Value.int a; Value.int b ]) rows)
 
 let par = { Domain_pool.jobs = 4; threshold = 8 }
-let even t = Value.compare (Tuple.get t 0) (Value.int 0) >= 0
+
+let even_value t =
+  match Tuple.get t 0 with Value.VInt x -> x mod 2 = 0 | _ -> false
+
+module Stream = Algebra.Stream
 
 let test_select_threshold_gating () =
-  (* Cardinalities straddling the threshold: below it the par operator
-     call must stay on the serial path (no algebra.par tally), at and
-     above it the partitioned path runs — and both produce the serial
-     relation exactly. *)
+  (* A selection as a stream: the semijoin filter keeping the even
+     values.  Source cardinalities straddle the threshold: below it the
+     materialization must stay on the serial path (no algebra.par
+     tally), at and above it the windows fan out — and both produce the
+     serial relation exactly.  Single-row windows give every domain
+     some windows even on the small sources. *)
+  let evens = unary "evens" (List.init 505 (fun i -> 2 * i)) in
   List.iter
     (fun n ->
       let r = unary "r" (List.init n (fun i -> (i * 7) mod 1009)) in
-      let serial = Algebra.select even r in
-      let before = Obs.Metrics.counter_value "algebra.par.select" in
-      let parallel = Algebra.select ~par even r in
-      let fired = Obs.Metrics.counter_value "algebra.par.select" - before in
+      let select ?par () =
+        Stream.materialize ?par ~batch_size:1
+          (Stream.natural_join (Stream.of_relation r) evens)
+      in
+      let serial = select () in
+      let before = Obs.Metrics.counter_value "algebra.par.stream" in
+      let parallel = select ~par () in
+      let fired = Obs.Metrics.counter_value "algebra.par.stream" - before in
       Alcotest.(check int)
         (Printf.sprintf "n=%d: partitioned iff n >= threshold" n)
         (if n >= par.Domain_pool.threshold then 1 else 0)
         fired;
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d: keeps exactly the even values" n)
+        (Relation.cardinality (Algebra.select even_value r))
+        (Relation.cardinality serial);
       check_same_relation (Printf.sprintf "select n=%d" n) serial parallel)
     [ 0; 7; 8; 9; 200 ]
 
@@ -164,19 +180,24 @@ let test_join_and_product_deterministic () =
   let b =
     pair_rel "b" [ "x"; "z" ] (List.init 45 (fun i -> (i mod 13, i * 2)))
   in
-  let par = { Domain_pool.jobs = 4; threshold = 1 } in
-  check_same_relation "natural join"
-    (Algebra.natural_join a b)
-    (Algebra.natural_join ~par a b);
   let c =
     pair_rel "c" [ "u"; "v" ] (List.init 20 (fun i -> (i, i + 100)))
   in
-  check_same_relation "product"
-    (Algebra.product a c)
-    (Algebra.product ~par a c);
-  check_same_relation "project"
-    (Algebra.project a [ "x" ])
-    (Algebra.project ~par a [ "x" ])
+  let par = { Domain_pool.jobs = 4; threshold = 1 } in
+  List.iter
+    (fun (label, mk) ->
+      List.iter
+        (fun batch_size ->
+          check_same_relation
+            (Printf.sprintf "%s (batch_size %d)" label batch_size)
+            (Stream.materialize ~batch_size (mk ()))
+            (Stream.materialize ~par ~batch_size (mk ())))
+        [ 1; 7; 2048 ])
+    [
+      ("natural join", fun () -> Stream.natural_join (Stream.of_relation a) b);
+      ("product", fun () -> Stream.product (Stream.of_relation a) c);
+      ("project", fun () -> Stream.project (Stream.of_relation a) [ "x" ]);
+    ]
 
 (* --------------------------------------------------------------- *)
 (* Whole-pipeline jobs-independence: the differential of the issue.

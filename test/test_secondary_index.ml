@@ -292,36 +292,20 @@ let test_join_algo_pins () =
   let db = Workload.Random_query.tiny_db 3 in
   let join_query = Workload.Queries.running_query db in
   let opts = Exec_opts.make ~strategy:Strategy.s12 () in
+  let before = Obs.Metrics.counter_value "combination.join.hash" in
   let r = report ~opts db join_query in
   Alcotest.(check bool) "streaming joins were recorded" true
     (r.Exec_result.join_algos <> []);
   List.iter
     (fun (step, algo) ->
-      Alcotest.(check bool)
-        (Fmt.str "step %s reports a known algorithm" step)
-        true
-        (List.mem algo [ "nlj"; "hash"; "batched-nlj" ]))
+      Alcotest.(check string) (Fmt.str "step %s ran the hash join" step) "hash"
+        algo)
     r.Exec_result.join_algos;
-  (* Forcing pins every step to the forced algorithm, and the answer
-     does not move. *)
-  List.iter
-    (fun forced_algo ->
-      let algo = Cost.join_algo_to_string forced_algo in
-      let forced =
-        report
-          ~opts:
-            (Exec_opts.make ~strategy:Strategy.s12 ~force_join:forced_algo ())
-          db join_query
-      in
-      List.iter
-        (fun (step, got) ->
-          Alcotest.(check string) (Fmt.str "forced %s at %s" algo step) algo got)
-        forced.Exec_result.join_algos;
-      Alcotest.(check bool)
-        (Fmt.str "forced %s returns the same tuples" algo)
-        true
-        (Relation.equal_set r.Exec_result.result forced.Exec_result.result))
-    [ Cost.J_nlj; Cost.J_hash; Cost.J_batched_nlj ]
+  Alcotest.(check int) "one hash-join tally per recorded step"
+    (List.length r.Exec_result.join_algos)
+    (Obs.Metrics.counter_value "combination.join.hash" - before);
+  Alcotest.(check bool) "the answer is the naive evaluator's" true
+    (Relation.equal_set (Naive_eval.run db join_query) r.Exec_result.result)
 
 let test_analyze_json_reports_paths () =
   let db = mk_db () in
@@ -347,7 +331,7 @@ let test_analyze_json_reports_paths () =
     (contains "\"join_algos\"")
 
 (* ---------------------------------------------------------------- *)
-(* QCheck differential: adaptive index plans = forced heap-scan NLJ *)
+(* QCheck differential: adaptive index plans = forced heap scan *)
 
 (* Sorted single-component indexes on every attribute of the Figure-1
    schema: sorted serves both the equality probes and the range scans,
@@ -369,12 +353,10 @@ let indexed_plans_agree_on seed =
   let db = Workload.Random_query.tiny_db ((seed * 2654435761) + 9) in
   index_everything db;
   let q = Workload.Random_query.generate db (seed + 23) in
-  (* The oracle: heap scans only, every join a nested loop. *)
+  (* The oracle: heap scans only. *)
   let expected =
     exec_q
-      ~opts:
-        (Exec_opts.make ~strategy:Strategy.s1234 ~use_index:false
-           ~force_join:Cost.J_nlj ())
+      ~opts:(Exec_opts.make ~strategy:Strategy.s1234 ~use_index:false ())
       db q
   in
   List.for_all
@@ -393,7 +375,7 @@ let indexed_plans_agree_on seed =
               Relation.equal_set expected actual
               ||
               QCheck.Test.fail_reportf
-                "indexed %s (jobs=%d batch=%d) differs from heap-scan NLJ \
+                "indexed %s (jobs=%d batch=%d) differs from heap-scan \
                  oracle on seed %d:@.%a@.expected %a@.got %a"
                 sname jobs batch_size seed Calculus.pp_query q Relation.pp
                 expected Relation.pp actual)
@@ -403,7 +385,7 @@ let indexed_plans_agree_on seed =
 
 let test_indexed_differential =
   QCheck.Test.make
-    ~name:"indexed adaptive plans = heap-scan NLJ oracle (presets x jobs x batch)"
+    ~name:"indexed adaptive plans = heap-scan oracle (presets x jobs x batch)"
     ~count:30
     QCheck.(make Gen.(int_range 0 100_000))
     indexed_plans_agree_on
@@ -465,8 +447,8 @@ let suite =
           test_access_path_pins;
         Alcotest.test_case "access path pins: range and fallback" `Quick
           test_range_path_pin;
-        Alcotest.test_case "join algorithm pins and force_join" `Quick
-          test_join_algo_pins;
+        Alcotest.test_case "join algorithm pins: every keyed step hashes"
+          `Quick test_join_algo_pins;
         Alcotest.test_case "analyze json carries paths and algorithms" `Quick
           test_analyze_json_reports_paths;
         QCheck_alcotest.to_alcotest test_indexed_differential;
