@@ -29,9 +29,18 @@
 open Relalg
 open Calculus
 
+(* The index side of an indirect join: the per-query {!Index} this
+   phase builds, or a declared secondary index standing in for it
+   (paper Section 3.2: "The first step can be omitted, if permanent
+   indexes exist") — its buckets hold tuples, which the range relation
+   turns into references. *)
+type probe_index =
+  | Built of Index.t
+  | Declared of Secondary_index.t * Relation.t
+
 type entry =
   | E_rel of Relation.t
-  | E_index of Index.t
+  | E_index of probe_index
   | E_vlist of Value_list.t * bool  (* value list, monadics-hold-for-all flag *)
 
 type t = {
@@ -40,7 +49,7 @@ type t = {
   plan : Plan.t;
   schemas : Schema.t Var_map.t;
   cache : (string, entry) Hashtbl.t;
-  mutable perm_installed : bool;
+  mutable stand_ins_installed : bool;
   par : Domain_pool.par option;
       (* parallelism budget from Exec_opts; None = the untouched serial
          engine.  Carried here so the combination phase (which receives
@@ -82,7 +91,7 @@ let create ?par ?(batch_size = 2048) ?(use_index = true) db strategy plan =
     plan;
     schemas = var_schemas db plan;
     cache = Hashtbl.create 64;
-    perm_installed = false;
+    stand_ins_installed = false;
     par;
     batch_size = max 1 batch_size;
     batch_pool = Batch.create_pool ();
@@ -425,29 +434,6 @@ let index_key v attr atoms derived =
   Fmt.str "index:%s.%s:%s:[%s]" v attr (Plan.atoms_id atoms)
     (String.concat ";" (List.map Plan.derived_id derived))
 
-(* Seed the cache with the database's permanent indexes (paper Section
-   3.2: "The first step can be omitted, if permanent indexes exist").
-   A permanent index stands in only for an unfiltered index over an
-   unrestricted range. *)
-let install_permanent_indexes t =
-  if not t.perm_installed then begin
-    t.perm_installed <- true;
-    List.iter
-      (fun v ->
-        match Plan.range_of t.plan v with
-        | Some r when r.restriction = None ->
-          List.iter
-            (fun (rel, attr) ->
-              if String.equal rel r.range_rel then
-                match Database.permanent_index t.db rel ~on:attr with
-                | Some idx ->
-                  Hashtbl.replace t.cache (index_key v attr [] []) (E_index idx)
-                | None -> ())
-            (Database.permanent_index_list t.db)
-        | Some _ | None -> ())
-      (Plan.variable_order t.plan)
-  end
-
 let index_spec t v attr atoms derived : spec list =
   let range = range_of_exn t v in
   let rel = Database.find_relation t.db range.range_rel in
@@ -473,7 +459,7 @@ let index_spec t v attr atoms derived : spec list =
         && List.for_all (fun pred -> pred tuple) dpreds
       then Index.add idx rel tuple
     in
-    (per_tuple, fun () -> E_index idx)
+    (per_tuple, fun () -> E_index (Built idx))
   in
   vspecs
   @ [
@@ -536,6 +522,20 @@ let pair_shape t (a : atom) =
       }
   | _ -> invalid_arg "Collection.pair_shape: not a dyadic join term"
 
+(* Probing either kind of index side. *)
+let fold_index_entries idx op probe f init =
+  match idx with
+  | Built i -> Index.fold_matching_entries i op probe f init
+  | Declared (i, rel) ->
+    Secondary_index.fold_matching_entries i op probe
+      (fun acc ord tuples -> f acc ord (List.map (Reference.of_tuple rel) tuples))
+      init
+
+let index_exists idx op probe =
+  match idx with
+  | Built i -> Index.exists_matching i op probe
+  | Declared (i, _) -> Secondary_index.exists_matching i op probe
+
 let pair_key shape probe_atoms probe_derived index_atoms index_derived mutual =
   Fmt.str "pair:%s:probe[%s|%s]:index[%s|%s]:mutual[%s]"
     (Plan.atom_id shape.ps_atom)
@@ -584,7 +584,7 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
           match find_index t m_key with
           | Some mi ->
             fun tuple ->
-              Index.exists_matching mi m.ps_probe_op
+              index_exists mi m.ps_probe_op
                 (Tuple.get_by_name schema tuple m.ps_probe_attr)
           | None -> invalid_arg "Collection: mutual index not built")
         mutual_with_keys
@@ -636,7 +636,7 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
            of the collection phase (one insert per qualifying index
            match). *)
         let cells =
-          Index.fold_matching_entries idx shape.ps_probe_op probe_value
+          fold_index_entries idx shape.ps_probe_op probe_value
             (fun cells ord refs ->
               List.fold_left
                 (fun (cells, i) r ->
@@ -1006,6 +1006,36 @@ let execute_grouped t specs =
     end
   done
 
+(* Seed the cache with declared indexes standing in for per-query ones
+   (Section 3.2's permanent indexes).  A declared single-component index
+   on the indexed side of a join term stands in only for an unfiltered
+   index over an unrestricted range, and only when indexes are in use.
+   [t.db] is the transaction view, so the stand-in is the index state
+   pinned with the relation — or the private copy its writes maintain. *)
+let install_stand_ins t =
+  if t.use_index && not t.stand_ins_installed then begin
+    t.stand_ins_installed <- true;
+    List.iter
+      (fun (conj : Plan.conj) ->
+        List.iter
+          (fun a ->
+            let shape = pair_shape t a in
+            let range = range_of_exn t shape.ps_index in
+            if range.restriction = None then
+              match
+                Database.secondary_on t.db range.range_rel shape.ps_index_attr
+              with
+              | idx :: _ ->
+                Hashtbl.replace t.cache
+                  (index_key shape.ps_index shape.ps_index_attr [] [])
+                  (E_index
+                     (Declared
+                        (idx, Database.find_relation t.db range.range_rel)))
+              | [] -> ())
+          (List.filter is_dyadic conj.Plan.atoms))
+      t.plan.Plan.conjs
+  end
+
 let specs_table specs =
   let tbl = Hashtbl.create 64 in
   List.iter (fun sp -> if not (Hashtbl.mem tbl sp.sp_key) then Hashtbl.add tbl sp.sp_key sp) specs;
@@ -1015,11 +1045,11 @@ let specs_table specs =
    up front in grouped scans; otherwise structures are built lazily, one
    scan each, as the combination phase requests them. *)
 let run t =
-  install_permanent_indexes t;
+  install_stand_ins t;
   if t.strategy.Strategy.parallel_scan then execute_grouped t (all_specs t)
 
 let ensure t sp =
-  install_permanent_indexes t;
+  install_stand_ins t;
   if not (Hashtbl.mem t.cache sp.sp_key) then begin
     let tbl = specs_table (all_specs t) in
     execute_lazy t tbl sp
@@ -1056,7 +1086,8 @@ let intermediate_sizes t =
       let size =
         match entry with
         | E_rel r -> Relation.cardinality r
-        | E_index i -> Index.entry_count i
+        | E_index (Built i) -> Index.entry_count i
+        | E_index (Declared (i, _)) -> Secondary_index.entry_count i
         | E_vlist (vl, _) -> Value_list.stored_size vl
       in
       (key, size) :: acc)

@@ -38,7 +38,11 @@ val create :
     restriction a sorted range scan while its exact matching fraction
     stays at or below [Cost.range_scan_max_fraction]; every predicate
     is still re-checked per enumerated tuple, so indexed and scanned
-    builds produce the same structures. *)
+    builds produce the same structures.  It also lets a declared
+    single-component index stand in for the unfiltered per-query index
+    over an unrestricted range that an indirect join probes — the
+    paper's permanent index (Section 3.2), whose index-building scan
+    is then omitted.  With [false] no declared index is ever read. *)
 
 val par : t -> Domain_pool.par option
 (** The budget given to {!create} — the combination phase inherits it

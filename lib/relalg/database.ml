@@ -5,7 +5,7 @@
    this file).  Every database carries one; it costs a mutex and two
    small tables and stays inert until transactions are used. *)
 type mvcc = {
-  mu : Mutex.t;  (* guards rels/perm_indexes installs, pins, and this record *)
+  mu : Mutex.t;  (* guards rels/sec_indexes installs, pins, and this record *)
   cond : Condition.t;
   mutable commit_seq : int;  (* global commit counter *)
   mutable next_txn : int;
@@ -41,14 +41,12 @@ let fresh_mvcc () =
 type t = {
   rels : (string, Relation.t) Hashtbl.t;
   enums : (string, Value.enum_info) Hashtbl.t;
-  perm_indexes : (string * string, Index.t) Hashtbl.t;
-      (* permanent indexes, keyed by (relation, component) — paper
-         Section 3.2: "The first step can be omitted, if permanent
-         indexes exist", maintained as in Example 3.1 *)
   sec_indexes : (string, Secondary_index.t list) Hashtbl.t;
-      (* secondary indexes per relation name: persistent access paths,
-         maintained incrementally through Relation observers and copied
-         on first write by MVCC transactions *)
+      (* secondary indexes per relation name: persistent access paths
+         and the paper's permanent indexes (Section 3.2: "The first step
+         can be omitted, if permanent indexes exist"), maintained
+         incrementally through Relation observers and copied on first
+         write by MVCC transactions *)
   mutable catalog_version : int;
       (* bumped when the set of catalogued relations changes, so the
          stats epoch moves even before the new relation is populated *)
@@ -59,7 +57,6 @@ let create () =
   {
     rels = Hashtbl.create 16;
     enums = Hashtbl.create 16;
-    perm_indexes = Hashtbl.create 8;
     sec_indexes = Hashtbl.create 8;
     catalog_version = 0;
     mvcc = fresh_mvcc ();
@@ -126,27 +123,6 @@ let enums db =
   Hashtbl.fold (fun _ info acc -> info :: acc) db.enums []
   |> List.sort (fun a b ->
          String.compare a.Value.enum_name b.Value.enum_name)
-
-(* Permanent indexes (Example 3.1's enrindex).  Registration builds the
-   index with one counted scan; after updates to the base relation the
-   index must be refreshed, as the paper's example maintains its index
-   by hand alongside each insertion. *)
-let register_index db rel_name ~on =
-  let rel = find_relation db rel_name in
-  let idx = Index.build rel ~on:[ on ] in
-  Hashtbl.replace db.perm_indexes (rel_name, on) idx;
-  idx
-
-let permanent_index db rel_name ~on =
-  Hashtbl.find_opt db.perm_indexes (rel_name, on)
-
-let refresh_indexes db =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) db.perm_indexes [] in
-  List.iter (fun (rel, on) -> ignore (register_index db rel ~on)) keys
-
-let permanent_index_list db =
-  List.sort compare
-    (Hashtbl.fold (fun (r, a) _ acc -> (r, a) :: acc) db.perm_indexes [])
 
 (* --- Secondary indexes (persistent access paths) -------------------- *)
 
@@ -216,7 +192,7 @@ let attach_storage db ~pool_pages =
   pool
 
 (* One call resets *all* measurement state — relation scan/probe
-   counters, permanent-index probe counters, and the stats of every
+   counters, secondary-index probe counters, and the stats of every
    attached buffer pool — so benchmark iterations and [analyze] runs
    never leak counts into each other.  Pools may be shared between
    relations; resetting a shared pool more than once is harmless. *)
@@ -228,7 +204,6 @@ let reset_counters db =
       | Some pool -> Buffer_pool.reset_stats pool
       | None -> ())
     db.rels;
-  Hashtbl.iter (fun _ idx -> Index.reset_counters idx) db.perm_indexes;
   Hashtbl.iter
     (fun _ idxs -> List.iter Secondary_index.reset_counters idxs)
     db.sec_indexes
@@ -283,13 +258,12 @@ let pp ppf db =
 
    A database is saved as one self-contained binary file:
 
-     magic "PASCALRDB2"
+     magic "PASCALRDB3"
      u16 #enums;      each: name, u16 #labels, labels
      u16 #relations;  each (sorted by name): name, schema (u16 arity;
                       each attribute: name, domain; u16 #key, key
                       names), i64 cardinality, tuples (u16 length +
                       schema-directed record, in Tuple.compare order)
-     u16 #permanent indexes; each: relation name, component name
      u16 #secondary indexes; each (sorted by (relation, components,
                       kind)): relation name, kind tag 'H'|'S', u16
                       #components, components, i64 #tuples, the index
@@ -310,7 +284,7 @@ let pp ppf db =
    the injected [db.save.crash]) at any point leaves the previous
    committed snapshot untouched. *)
 
-let snapshot_magic = "PASCALRDB2"
+let snapshot_magic = "PASCALRDB3"
 
 let put_vtype buf (ty : Vtype.t) =
   match ty with
@@ -383,13 +357,6 @@ let snapshot_bytes db =
           Buffer.add_bytes buf record)
         (Relation.to_list r))
     rels;
-  let indexes = permanent_index_list db in
-  Codec.put_u16 buf (List.length indexes);
-  List.iter
-    (fun (rel, on) ->
-      Codec.put_string buf rel;
-      Codec.put_string buf on)
-    indexes;
   let secondaries =
     List.concat_map
       (fun r ->
@@ -543,12 +510,6 @@ let load ~path =
       Relation.insert rel (Codec.decode_tuple schema record)
     done
   done;
-  let n_indexes = Codec.get_u16 c in
-  for _ = 1 to n_indexes do
-    let rel = Codec.get_string c in
-    let on = Codec.get_string c in
-    ignore (register_index db rel ~on)
-  done;
   let n_sec = Codec.get_u16 c in
   for _ = 1 to n_sec do
     let start = c.Codec.pos in
@@ -664,7 +625,6 @@ module Txn = struct
       {
         rels = Hashtbl.copy store.rels;
         enums = Hashtbl.copy store.enums;
-        perm_indexes = Hashtbl.copy store.perm_indexes;
         sec_indexes = Hashtbl.copy store.sec_indexes;
         catalog_version = store.catalog_version;
         mvcc = fresh_mvcc ();
@@ -839,20 +799,6 @@ module Txn = struct
           | None -> ());
           Hashtbl.replace m.last_commit name m.commit_seq)
         txn.touched;
-      (* Refresh permanent indexes over the installed states; pinned
-         readers keep the index values they snapshotted, consistent
-         with their old relation handles. *)
-      let stale =
-        Hashtbl.fold
-          (fun (rn, on) _ acc ->
-            if Hashtbl.mem txn.touched rn then (rn, on) :: acc else acc)
-          txn.store.perm_indexes []
-      in
-      List.iter
-        (fun (rn, on) ->
-          Hashtbl.replace txn.store.perm_indexes (rn, on)
-            (Index.build (Hashtbl.find txn.touched rn) ~on:[ on ]))
-        stale;
       unreserve m txn;
       Mutex.unlock m.mu;
       txn.state <- Committed;
@@ -923,7 +869,6 @@ let open_durable ~path =
     Wal.replay (wal_path path) ~apply:(fun ops -> List.iter (apply_op db) ops)
   in
   if replayed > 0 then begin
-    refresh_indexes db;
     (* Replay mutations already maintained the secondary indexes
        through the observers [load] attached; verify and rebuild any
        index the replay nevertheless left inconsistent. *)

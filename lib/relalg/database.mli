@@ -23,15 +23,6 @@ val find_enum : t -> string -> Value.enum_info
 val find_enum_opt : t -> string -> Value.enum_info option
 val enums : t -> Value.enum_info list
 
-val register_index : t -> string -> on:string -> Index.t
-(** Build and register a permanent index on one component (Example 3.1's
-    [enrindex]); costs one counted scan.  Must be {!refresh_indexes}'d
-    after updates to the base relation. *)
-
-val permanent_index : t -> string -> on:string -> Index.t option
-val refresh_indexes : t -> unit
-val permanent_index_list : t -> (string * string) list
-
 val declare_index :
   ?kind:Secondary_index.kind -> t -> string -> on:string list -> Secondary_index.t
 (** Declare a persistent secondary index (default [Hash]) on the named
@@ -39,7 +30,10 @@ val declare_index :
     on maintained incrementally through every mutation — direct handle
     writes, transaction copies (which clone the index on first write
     and install the clone at commit), and WAL replay.  Persisted by
-    {!save} as checksummed pages.
+    {!save} as checksummed pages.  A single-component index is also
+    the paper's permanent index (Section 3.2, Example 3.1's
+    [enrindex]): the collection phase probes it in place of building
+    an unfiltered per-query index over an unrestricted range.
     @raise Errors.Schema_error on a duplicate component list.
     @raise Errors.Unknown_relation *)
 
@@ -73,7 +67,7 @@ val stats_epoch : t -> int
 
 val reset_counters : t -> unit
 (** Reset {e all} measurement state in one call: every relation's
-    scan/probe counters, every permanent index's probe counter, and the
+    scan/probe counters, every secondary index's probe counter, and the
     stats of every attached buffer pool. *)
 
 val total_scans : t -> int
@@ -89,8 +83,8 @@ val pp : t Fmt.t
 
 val snapshot_bytes : t -> Bytes.t
 (** The deterministic single-file snapshot encoding (magic, enums,
-    relations with schemas and tuples in sorted order, permanent index
-    registrations, trailing Adler-32).  Saving the same logical database
+    relations with schemas and tuples in sorted order, secondary-index
+    pages, trailing Adler-32).  Saving the same logical database
     twice yields byte-identical output. *)
 
 val save : t -> path:string -> unit
@@ -101,9 +95,9 @@ val save : t -> path:string -> unit
     @raise Errors.Io_error on an injected crash. *)
 
 val load : path:string -> t
-(** Rebuild a database from a snapshot, re-registering permanent
-    indexes.  @raise Errors.Corruption on bad magic, checksum mismatch
-    or truncated content. *)
+(** Rebuild a database from a snapshot, secondary indexes included.
+    @raise Errors.Corruption on bad magic (any format but the current
+    one), checksum mismatch or truncated content. *)
 
 (** {2 Snapshot-isolated transactions}
 

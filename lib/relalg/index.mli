@@ -1,49 +1,17 @@
 (** Indexes associating component values with references (paper Section
-    3.2, Figure 2).  Built by a counted scan; optionally partial. *)
+    3.2, Figure 2): the collection phase's per-query structure, filled
+    by the scan that builds it, optionally partial. *)
 
 type t
 
 val create : Relation.t -> on:string list -> t
-(** An empty index on the given components (for incremental builds while
-    another computation scans the relation — strategy 1). *)
+(** An empty index on the given components, filled by {!add} while a
+    scan passes over the relation (strategy 1 shares that scan). *)
 
 val add : t -> Relation.t -> Tuple.t -> unit
 (** Index one element (the element must belong to the relation). *)
 
-val build : ?filter:(Tuple.t -> bool) -> Relation.t -> on:string list -> t
-(** Build by scanning; [filter] makes the index partial. *)
-
-val source : t -> string
-val on : t -> string list
 val entry_count : t -> int
-val distinct_keys : t -> int
-
-val probe_count : t -> int
-(** Lookups and comparison walks served by this index. *)
-
-val reset_counters : t -> unit
-
-val lookup : t -> Value.t list -> Value.reference list
-val lookup1 : t -> Value.t -> Value.reference list
-val mem : t -> Value.t list -> bool
-
-val fold_entries :
-  ('a -> Value.t list -> Value.reference list -> 'a) -> 'a -> t -> 'a
-
-val iter_entries : (Value.t list -> Value.reference list -> unit) -> t -> unit
-
-val fold_matching :
-  t ->
-  Value.comparison ->
-  Value.t ->
-  ('a -> Value.reference -> 'a) ->
-  'a ->
-  'a
-(** [fold_matching t op probe f init] folds over references whose indexed
-    value [v] satisfies [v op probe].  Constant-time for [Eq], a walk of
-    the distinct values otherwise.
-    @raise Errors.Type_error for comparison probes on multi-component
-    indexes. *)
 
 val fold_matching_entries :
   t ->
@@ -52,14 +20,16 @@ val fold_matching_entries :
   ('a -> int option -> Value.reference list -> 'a) ->
   'a ->
   'a
-(** As {!fold_matching}, but folding whole matching entries tagged with
-    a stable entry ordinal — the entry's position in {!fold_entries}
-    enumeration order over the unmodified index.  [Eq] probes find
-    their bucket by lookup rather than a walk and report [None].
-    Probe counting is identical to {!fold_matching}. *)
+(** [fold_matching_entries t op probe f init] folds over the entries
+    whose indexed value [v] satisfies [v op probe], each tagged with a
+    stable entry ordinal (its position in the index's enumeration order
+    while unmodified).  [Eq] probes find their bucket by lookup rather
+    than a walk and report [None].  Read-only; counted once per call.
+    @raise Errors.Type_error for comparison probes on multi-component
+    indexes. *)
 
 val exists_matching : t -> Value.comparison -> Value.t -> bool
-(** Existence version of {!fold_matching}, with early exit. *)
+(** Existence version of {!fold_matching_entries}, with early exit. *)
 
 val to_relation : ?name:string -> t -> Schema.t -> Relation.t
 (** Materialize as the Figure-2 style relation [<components..., ref>];

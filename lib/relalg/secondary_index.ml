@@ -6,7 +6,8 @@
    incrementally through every relation mutation (via {!Relation}
    observers), copied on first write by MVCC transactions alongside the
    relation copy, and persisted inside database snapshots as
-   checksummed pages.
+   checksummed pages.  A single-component one is also the paper's
+   permanent index (Section 3.2), standing in for a per-query build.
 
    Two physical kinds:
    - [Hash]: component values -> tuple buckets; O(1) equality probes.
@@ -214,14 +215,23 @@ let iter_matching t op v f =
     done
   | Value.Ne ->
     count_probe t;
-    Value_key.Table.iter
-      (fun key bucket ->
-        match key with
-        | [ k ] -> if not (Value.equal k v) then List.iter f bucket
-        | _ ->
-          Errors.type_error "Ne probe on a multi-component index over %s"
-            t.source)
-      t.tbl
+    Value_key.fold_matching_entries ~source:t.source t.tbl op v
+      (fun () _ bucket -> List.iter f bucket)
+      ()
+
+(* The probes of a declared index standing in for the collection
+   phase's per-query {!Index} (paper Section 3.2's permanent index):
+   entries tagged with the same stable ordinals {!Index} reports, and
+   order comparisons walk the bucket table rather than the sorted view.
+   Neither writes the index beyond its atomic probe counter — pair
+   builds on pool workers and concurrent snapshot readers share it. *)
+let fold_matching_entries t op v f init =
+  count_probe t;
+  Value_key.fold_matching_entries ~source:t.source t.tbl op v f init
+
+let exists_matching t op v =
+  count_probe t;
+  Value_key.exists_matching ~source:t.source t.tbl op v
 
 (* Exact fraction of the indexed tuples matching [op v] — the planner's
    selectivity figure.  O(1) for equality (bucket length), O(log n) for

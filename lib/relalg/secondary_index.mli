@@ -57,6 +57,23 @@ val iter_matching : t -> Value.comparison -> Value.t -> (Tuple.t -> unit) -> uni
     @raise Errors.Type_error on an order probe of a multi-component
     index. *)
 
+val fold_matching_entries :
+  t ->
+  Value.comparison ->
+  Value.t ->
+  ('a -> int option -> Tuple.t list -> 'a) ->
+  'a ->
+  'a
+(** {!Index.fold_matching_entries} over this index's buckets: the
+    stand-in probe of a declared index serving as the paper's permanent
+    index.  Order comparisons walk the bucket table, never the sorted
+    view, so the probe writes nothing but the atomic probe counter and
+    is safe on pool workers and under concurrent snapshot readers.
+    Counted once per call. *)
+
+val exists_matching : t -> Value.comparison -> Value.t -> bool
+(** Existence version of {!fold_matching_entries}, with early exit. *)
+
 val matching_fraction : t -> Value.comparison -> Value.t -> float
 (** Exact fraction of indexed tuples matching [op v] — O(1) for
     equality, O(log n) for order comparisons.  Uncounted (planning). *)

@@ -40,3 +40,39 @@ type 'a atable = 'a Atable.t
 
 let acreate n : 'a atable = Atable.create n
 
+
+(* The one component of an index key; [source] names the indexed
+   relation in the error. *)
+let single_key ~source = function
+  | [ v ] -> v
+  | _ ->
+    Errors.type_error "comparison probe on a multi-component index over %s"
+      source
+
+(* Comparison probes of a single-component multimap: fold the entries
+   whose key [k] satisfies [k op probe], each tagged with its ordinal in
+   [Table.fold] order — stable while the table is unmodified.  [Eq]
+   finds its bucket by lookup rather than a walk and reports no ordinal.
+   Read-only, so concurrent probes of one table are safe. *)
+let fold_matching_entries ~source (tbl : 'a list table) op probe f init =
+  match op with
+  | Value.Eq -> f init None (find_multi tbl [ probe ])
+  | Value.Ne | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
+    let ord = ref (-1) in
+    Table.fold
+      (fun key bucket acc ->
+        incr ord;
+        if Value.apply op (single_key ~source key) probe then
+          f acc (Some !ord) bucket
+        else acc)
+      tbl init
+
+(* Existence version of [fold_matching_entries], with early exit.
+   Buckets are never empty, so a matching key is a matching entry. *)
+let exists_matching ~source (tbl : 'a list table) op probe =
+  match op with
+  | Value.Eq -> find_multi tbl [ probe ] <> []
+  | Value.Ne | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
+    Seq.exists
+      (fun key -> Value.apply op (single_key ~source key) probe)
+      (Table.to_seq_keys tbl)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Guard against combination-engine performance regressions.
 
-Five checks:
+Six checks:
 
 1. Compares a freshly measured benchmark run against the committed
    BENCH_results.json and fails if any fully-optimised (s1+s2+s3+s4)
@@ -49,6 +49,13 @@ Five checks:
    CI runner exposes, so absolute throughput is machine-relative and
    only a cliff — scheduler convoy, lost concurrency, accidental
    serialization — should fail the gate.
+
+6. B-IDX, baseline vs new, only when the new run carries rows.  The
+   experiment counts relation scans of the existential and universal
+   queries without and with permanent indexes (the scans and scans_ix
+   columns).  Scan counts are deterministic, so every row must equal
+   the committed baseline's exactly, and both runs must cover the same
+   (query, strategy) cells.
 
 Usage: check_bench_regression.py BASELINE.json NEW.json
 """
@@ -298,6 +305,41 @@ def check_traffic(baseline_path, new_path):
     return failed
 
 
+def idx_rows(path):
+    """B-IDX rows of one run: {(query, strategy): (scans, scans_ix)}."""
+    with open(path) as f:
+        doc = json.load(f)
+    rows = {}
+    for r in doc.get("results", doc if isinstance(doc, list) else []):
+        if r.get("experiment") == "B-IDX":
+            rows[(r.get("query", ""), r.get("strategy", ""))] = (
+                r.get("scans"),
+                r.get("scans_ix"),
+            )
+    return rows
+
+
+def check_permanent_indexes(baseline_path, new_path):
+    """Scan counts with and without permanent indexes, baseline vs new."""
+    new = idx_rows(new_path)
+    if not new:
+        print("B-IDX: no rows in the new run, skipping the scan-count check")
+        return []
+    baseline = idx_rows(baseline_path)
+    failed = []
+    for key in sorted(set(baseline) | set(new)):
+        query, strategy = key
+        base, row = baseline.get(key), new.get(key)
+        ok = base is not None and base == row
+        print(
+            f"B-IDX    {query:12s} {strategy:8s}  "
+            f"baseline={base}  new={row}  {'ok' if ok else 'COUNTS DIFFER'}"
+        )
+        if not ok:
+            failed.append(key)
+    return failed
+
+
 def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__.strip())
@@ -337,6 +379,7 @@ def main():
     par_failed = check_parallel(sys.argv[2])
     index_failed = check_index(sys.argv[2])
     traffic_failed = check_traffic(sys.argv[1], sys.argv[2])
+    idx_failed = check_permanent_indexes(sys.argv[1], sys.argv[2])
     if failed:
         sys.exit(f"{len(failed)}/{compared} rows regressed beyond {FACTOR}x")
     if prep_failed:
@@ -358,6 +401,11 @@ def main():
         sys.exit(
             f"{len(traffic_failed)} B-TRAFFIC rows lost more than "
             f"{TRAFFIC_THROUGHPUT_FLOOR}x throughput or regressed p95"
+        )
+    if idx_failed:
+        sys.exit(
+            f"{len(idx_failed)} B-IDX rows whose scan counts differ from "
+            "the committed baseline"
         )
     if compared:
         print(f"all {compared} rows within {FACTOR}x of baseline")

@@ -247,12 +247,12 @@ let db_equal a b =
        (Database.relation_names a)
   && List.map (fun i -> i.Value.enum_name) (Database.enums a)
      = List.map (fun i -> i.Value.enum_name) (Database.enums b)
-  && Database.permanent_index_list a = Database.permanent_index_list b
+  && Database.secondary_index_list a = Database.secondary_index_list b
 
 let test_save_load_roundtrip () =
   with_failpoints (fun () ->
       let db = Workload.Random_query.tiny_db 7 in
-      ignore (Database.register_index db "papers" ~on:"penr");
+      ignore (Database.declare_index db "papers" ~on:[ "penr" ] : Secondary_index.t);
       let path = temp_snapshot () in
       Fun.protect
         ~finally:(fun () -> cleanup path)
@@ -327,7 +327,21 @@ let test_load_rejects_damage () =
           expect_corruption "truncation"
             (Bytes.sub bytes 0 (Bytes.length bytes / 2));
           (* Garbage magic. *)
-          expect_corruption "bad magic" (Bytes.of_string "NOTADATABASE")))
+          expect_corruption "bad magic" (Bytes.of_string "NOTADATABASE");
+          (* The previous format's magic — PASCALRDB2, which carried a
+             permanent-index section — over an intact checksum: only
+             the magic differs from a valid file. *)
+          Alcotest.(check string) "current magic" "PASCALRDB3"
+            (Bytes.sub_string bytes 0 10);
+          let previous = Bytes.copy bytes in
+          Bytes.blit_string "PASCALRDB2" 0 previous 0 10;
+          let n = Bytes.length previous in
+          let sum = Codec.adler32 previous ~pos:0 ~len:(n - 4) in
+          for i = 0 to 3 do
+            Bytes.set previous (n - 4 + i)
+              (Char.chr ((sum lsr (8 * i)) land 0xFF))
+          done;
+          expect_corruption "previous format" previous))
 
 (* --------------------------------------------------------------- *)
 (* The differential property: random workload x random failpoint *)

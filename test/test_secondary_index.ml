@@ -391,7 +391,9 @@ let test_indexed_differential =
     indexed_plans_agree_on
 
 (* Index maintenance differential: random insert/delete churn through
-   direct relation writes keeps every declared index consistent. *)
+   direct relation writes keeps every declared index consistent, and a
+   random query over the churned database — whose indexes may stand in
+   for the collection phase's per-query ones — still equals naive. *)
 let churn_keeps_consistent seed =
   let db = Workload.Random_query.tiny_db ((seed * 7927) + 3) in
   index_everything db;
@@ -418,6 +420,17 @@ let churn_keeps_consistent seed =
         (fun ix -> Secondary_index.consistent_with ix rel)
         (Database.secondary_indexes db (Relation.name rel)))
     rels
+  &&
+  let q = Workload.Random_query.generate db (seed + 29) in
+  let expected = Naive_eval.run db q in
+  List.for_all
+    (fun (sname, strategy) ->
+      Relation.equal_set expected
+        (exec_q ~opts:(Exec_opts.make ~strategy ~use_index:true ()) db q)
+      ||
+      QCheck.Test.fail_reportf "churned %s differs from naive on seed %d:@.%a"
+        sname seed Calculus.pp_query q)
+    Strategy.all_presets
 
 let test_churn_differential =
   QCheck.Test.make

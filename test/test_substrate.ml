@@ -124,32 +124,53 @@ let test_tuple_operations () =
 (* --------------------------------------------------------------- *)
 (* Index *)
 
+(* The collection phase's way of building an index: create it empty and
+   add each element while a scan passes over the relation. *)
+let index_of ?(keep = fun _ -> true) rel ~on =
+  let idx = Index.create rel ~on in
+  Relation.scan (fun t -> if keep t then Index.add idx rel t) rel;
+  idx
+
+let count_matching idx op v =
+  Index.fold_matching_entries idx op (Value.int v)
+    (fun acc _ refs -> acc + List.length refs)
+    0
+
 let test_index_build_and_probe () =
   let db = Fixtures.make () in
   let timetable = Database.find_relation db "timetable" in
-  let idx = Index.build timetable ~on:[ "tcnr" ] in
+  let idx = index_of timetable ~on:[ "tcnr" ] in
   Alcotest.(check int) "3 entries" 3 (Index.entry_count idx);
-  Alcotest.(check int) "2 distinct course numbers" 2 (Index.distinct_keys idx);
   Alcotest.(check int) "course 10 taught by two" 2
-    (List.length (Index.lookup1 idx (Value.int 10)));
-  Alcotest.(check int) "course 99 by none" 0
-    (List.length (Index.lookup1 idx (Value.int 99)));
-  (* General-operator probe: tcnr <= 10. *)
-  let le10 =
-    Index.fold_matching idx Value.Le (Value.int 10) (fun acc _ -> acc + 1) 0
+    (count_matching idx Value.Eq 10);
+  Alcotest.(check int) "course 99 by none" 0 (count_matching idx Value.Eq 99);
+  Alcotest.(check bool) "exists course 10" true
+    (Index.exists_matching idx Value.Eq (Value.int 10));
+  Alcotest.(check bool) "no course 99" false
+    (Index.exists_matching idx Value.Eq (Value.int 99));
+  (* General-operator probes: tcnr <= 10, tcnr > 10, tcnr <> 10. *)
+  Alcotest.(check int) "tcnr <= 10" 2 (count_matching idx Value.Le 10);
+  Alcotest.(check int) "tcnr > 10" 1 (count_matching idx Value.Gt 10);
+  Alcotest.(check int) "tcnr <> 10" 1 (count_matching idx Value.Ne 10);
+  Alcotest.(check bool) "no tcnr > 99" false
+    (Index.exists_matching idx Value.Gt (Value.int 99));
+  (* Entry ordinals: one per distinct course number, stable across
+     probes of the unmodified index. *)
+  let ordinals () =
+    Index.fold_matching_entries idx Value.Ge (Value.int 0)
+      (fun acc ord _ -> Option.get ord :: acc)
+      []
+    |> List.sort compare
   in
-  Alcotest.(check int) "tcnr <= 10" 2 le10;
-  let gt10 =
-    Index.fold_matching idx Value.Gt (Value.int 10) (fun acc _ -> acc + 1) 0
-  in
-  Alcotest.(check int) "tcnr > 10" 1 gt10
+  Alcotest.(check (list int)) "ordinals" [ 0; 1 ] (ordinals ());
+  Alcotest.(check (list int)) "ordinals stable" (ordinals ()) (ordinals ())
 
 let test_index_partial () =
   let db = Fixtures.make () in
   let papers = Database.find_relation db "papers" in
   let schema = Relation.schema papers in
   let idx =
-    Index.build papers ~on:[ "penr" ] ~filter:(fun t ->
+    index_of papers ~on:[ "penr" ] ~keep:(fun t ->
         Value.equal (Tuple.get_by_name schema t "pyear") (Value.int 1977))
   in
   Alcotest.(check int) "only 1977 papers" 2 (Index.entry_count idx)
@@ -157,7 +178,7 @@ let test_index_partial () =
 let test_index_to_relation () =
   let db = Fixtures.make () in
   let timetable = Database.find_relation db "timetable" in
-  let idx = Index.build timetable ~on:[ "tcnr" ] in
+  let idx = index_of timetable ~on:[ "tcnr" ] in
   let rel = Index.to_relation ~name:"ind_t_cnr" idx (Relation.schema timetable) in
   (* Figure 2's ind_t_cnr: RELATION <tcnr, tref>. *)
   Alcotest.(check (list string)) "schema" [ "tcnr"; "ref" ]
