@@ -680,10 +680,10 @@ let bench_cnf () =
 (* ------------------------------------------------------------------ *)
 (* B-PAR: partitioned parallel execution across the domain pool, on the
    two largest B-ORDER scenarios.  jobs=1 is the untouched serial
-   engine; higher settings fan the collection builds and the partition
+   engine; higher settings fan the stream materializations' window
    chunks across (jobs - 1) pooled helper domains plus the caller.
-   par_threshold is forced to 0 so the benchmark databases partition at
-   every operator — the speedup (or, on a single hardware core, the
+   par_threshold is forced to 0 so every materialization fans out —
+   the speedup (or, on a single hardware core, the
    overhead) of the parallel machinery itself is what is measured.
    Recorded per cell: jobs and the pool tasks the run spawned, so the
    regression guard can confirm the parallel path actually ran. *)

@@ -1016,6 +1016,8 @@ let request_error = function
   | Errors.Corruption msg -> Some ("corruption", msg)
   | Errors.Frozen msg -> Some ("frozen", msg)
   | Errors.Txn_conflict msg -> Some ("conflict", msg)
+  | Prepared.Unbound_parameter p | Prepared.Unknown_parameter p ->
+    Some ("parameter", p)
   | _ -> None
 
 (* One line per failed request, newlines folded, so an error message

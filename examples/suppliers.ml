@@ -42,17 +42,22 @@ let () =
   let red_shipments =
     let shipments = Database.find_relation db "shipments" in
     let parts = Database.find_relation db "parts" in
-    let red_parts =
-      Algebra.select
-        (fun t ->
+    let red_parts = Relation.create ~name:"red_parts" (Relation.schema parts) in
+    Relation.iter
+      (fun t ->
+        if
           Value.equal
             (Tuple.get_by_name (Relation.schema parts) t "pcolor")
-            (Workload.Suppliers.red db))
-        parts
-    in
-    Algebra.semijoin ~on:[ ("hpnr", "pnr") ] shipments red_parts
+            (Workload.Suppliers.red db)
+        then Relation.insert red_parts t)
+      parts;
+    Semijoin.some_eq_reduce ~outer_attr:"hpnr" ~inner_attr:"pnr" shipments
+      red_parts
   in
-  let no_red = Algebra.antijoin ~on:[ ("snr", "hsnr") ] suppliers red_shipments in
+  let no_red =
+    Semijoin.all_ne_reduce ~outer_attr:"snr" ~inner_attr:"hsnr" suppliers
+      red_shipments
+  in
   let by_query =
     Naive_eval.run db (Workload.Suppliers.ships_no_red_part db)
   in

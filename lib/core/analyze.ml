@@ -191,9 +191,8 @@ let faults_json () =
    pipeline plus the per-operator fused/materialized tallies.  Fixed
    key lists (absent counters read as 0) keep the report shape stable
    across queries and engines. *)
-let fused_ops = [ "select"; "project"; "join"; "product"; "dedup" ]
-let materialized_ops =
-  [ "select"; "project"; "join"; "product"; "union"; "divide"; "stream" ]
+let fused_ops = [ "project"; "join"; "product" ]
+let materialized_ops = [ "stream"; "union"; "divide" ]
 
 let combination_json () =
   let open Obs.Json in
@@ -245,7 +244,6 @@ let parallel_json a =
       ("batch_size", Int a.a_opts.Exec_opts.batch_size);
       ("tasks", Int (c "parallel.tasks"));
       ("chunks", Int (c "parallel.chunks"));
-      ("collection_builds", Int (c "parallel.collection_builds"));
       ( "operators",
         Obj
           [
@@ -282,8 +280,11 @@ let plan_cache_json a =
    (per streaming join step) of the physical-choice reporting.  6:
    parallel.operators reports only "stream", the one operator that
    fans out, and exec.join_algos names only "hash", the one join
-   algorithm. *)
-let schema_version = 6
+   algorithm.  7: combination.fused keeps project/join/product,
+   combination.materialized keeps stream/union/divide (the operators
+   that still exist), and parallel.collection_builds is gone with the
+   collection phase's fan-out. *)
+let schema_version = 7
 
 (* The last execution's unified result, as the executor reported it:
    the phase split from the execution clock, the plan-cache outcome of

@@ -52,7 +52,9 @@ val schema_version : int
     itself, the cumulative per-digest [stats] section, the
     [flight_recorder] section, and made [plan_cache.hit_rate] a number
     (0.0 instead of null on zero lookups).  4 added the [exec] section
-    (the unified {!Exec_result.t}) and the WAL/txn fault counters. *)
+    (the unified {!Exec_result.t}) and the WAL/txn fault counters.  7
+    dropped the tallies of deleted operators and
+    [parallel.collection_builds]. *)
 
 val to_json : database:string -> scale:int -> Database.t -> Calculus.query -> t -> Obs.Json.t
 (** The full analyze document: query, strategy, totals, per-phase rows,

@@ -50,10 +50,6 @@ type t = {
   schemas : Schema.t Var_map.t;
   cache : (string, entry) Hashtbl.t;
   mutable stand_ins_installed : bool;
-  par : Domain_pool.par option;
-      (* parallelism budget from Exec_opts; None = the untouched serial
-         engine.  Carried here so the combination phase (which receives
-         the collection) inherits the same budget. *)
   batch_size : int;  (* row window of the vectorized stream kernels *)
   batch_pool : Batch.pool;
       (* one interning pool per query: every stream chain of the
@@ -84,7 +80,7 @@ let var_schemas db (plan : Plan.t) =
     (fun acc e -> bind acc (e.Normalize.v, e.Normalize.range))
     acc plan.Plan.prefix
 
-let create ?par ?(batch_size = 2048) ?(use_index = true) db strategy plan =
+let create ?(batch_size = 2048) ?(use_index = true) db strategy plan =
   {
     db;
     strategy;
@@ -92,14 +88,12 @@ let create ?par ?(batch_size = 2048) ?(use_index = true) db strategy plan =
     schemas = var_schemas db plan;
     cache = Hashtbl.create 64;
     stand_ins_installed = false;
-    par;
     batch_size = max 1 batch_size;
     batch_pool = Batch.create_pool ();
     use_index;
     access = Hashtbl.create 16;
   }
 
-let par t = t.par
 let batch_size t = t.batch_size
 let batch_pool t = t.batch_pool
 
@@ -171,26 +165,6 @@ let find_vlist t key =
    start it (returning a per-tuple action and a finisher).  Both the
    lazy mode and the strategy-1 scheduler execute specs; the only
    difference is how scans are shared. *)
-
-(* A structure build may run on a pool worker iff its per-tuple action
-   touches no shared mutable state beyond the atomic index-probe
-   counters: it inserts into structures private to the spec, reads
-   already-built (and from then on read-only) indexes and value lists,
-   and the only formula it evaluates is its range restriction.  That
-   last one is the discriminator: a quantifier-free restriction is a
-   pure predicate over the scanned tuple, but a quantified one makes
-   [Naive_eval.holds] scan other relations — shared, counter-bumping,
-   not thread-safe — so those specs stay on the caller. *)
-let rec quantifier_free = function
-  | F_true | F_false | F_atom _ -> true
-  | F_not f -> quantifier_free f
-  | F_and (a, b) | F_or (a, b) -> quantifier_free a && quantifier_free b
-  | F_some _ | F_all _ -> false
-
-let range_safe (range : range) =
-  match range.restriction with
-  | None -> true
-  | Some (_, f) -> quantifier_free f
 
 (* Access paths.
 
@@ -276,7 +250,6 @@ type spec = {
   sp_key : string;
   sp_rel : string;  (* relation scanned to build this structure *)
   sp_deps : string list;
-  sp_safe : bool;  (* per-tuple action may run on a pool worker *)
   sp_drive : drive;  (* heap scan or secondary-index enumeration *)
   sp_start : t -> (Tuple.t -> unit) * (unit -> entry);
 }
@@ -347,7 +320,6 @@ let rec vlist_specs t (p : Plan.pushed) : spec list =
         sp_key = key;
         sp_rel = range.range_rel;
         sp_deps = List.map (fun n -> vlist_key n) p.Plan.p_nested;
-        sp_safe = range_safe range;
         (* Value lists must see every range element (a Q_all list's
            monadics-hold-for-all flag inspects even non-qualifying
            tuples), so they always build from the heap scan. *)
@@ -376,7 +348,6 @@ let base_spec t v : spec =
     sp_key = base_key v;
     sp_rel = range.range_rel;
     sp_deps = [];
-    sp_safe = range_safe range;
     sp_drive = choose_drive t v range [];
     sp_start = start;
   }
@@ -421,7 +392,6 @@ let single_spec t v atoms (derived : (var * Plan.pushed) list) : spec list =
         sp_key = key;
         sp_rel = range.range_rel;
         sp_deps = List.map (fun (_, p) -> vlist_key p) derived;
-        sp_safe = range_safe range;
         sp_drive = choose_drive t v range atoms;
         sp_start = start;
       };
@@ -467,7 +437,6 @@ let index_spec t v attr atoms derived : spec list =
         sp_key = key;
         sp_rel = range.range_rel;
         sp_deps = List.map (fun (_, p) -> vlist_key p) derived;
-        sp_safe = range_safe range;
         sp_drive = choose_drive t v range atoms;
         sp_start = start;
       };
@@ -612,9 +581,7 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
        structure — for a large indirect join that re-encode is its
        single biggest cost — and a structure no divide reads never pays
        for interning at all.  Each matched index entry's references are
-       interned once, however many probes match it.  The encode is
-       forced on the caller: [per_tuple] may run on a pool worker, and
-       the per-query interning pool is not domain-safe. *)
+       interned once, however many probes match it. *)
     let pool = t.batch_pool in
     (* Per qualifying probe tuple, newest first: its reference and the
        index side of each row it inserted — (entry ordinal, position in
@@ -701,7 +668,6 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
         sp_deps =
           (idx_key :: List.map (fun (_, k, _) -> k) mutual_with_keys)
           @ List.map (fun (_, p) -> vlist_key p) probe_derived;
-        sp_safe = range_safe range;
         sp_drive = choose_drive t v range probe_atoms;
         sp_start = start;
       };
@@ -967,34 +933,10 @@ let execute_grouped t specs =
       ("scan " ^ best_rel)
       (fun () ->
         let started = List.map (fun sp -> (sp, sp.sp_start t)) best in
-        let safe, unsafe = List.partition (fun (sp, _) -> sp.sp_safe) started in
-        (match Domain_pool.active t.par (Relation.cardinality rel) with
-        | Some p when List.length safe > 1 ->
-          (* Parallel round.  Snapshot the relation once — the same
-             counted scan the serial round performs — then fan the
-             worker-safe structure builds over the pool, each building
-             its private structure from the immutable snapshot.  Specs
-             whose restriction would scan other relations run on the
-             caller instead.  Round scheduling, and the sequential
-             cache installation below, are identical to the serial
-             path, which keeps strategy 1's scan accounting exact. *)
-          let tuples = Relation.to_array rel in
-          let safe_arr = Array.of_list safe in
-          Obs.Metrics.incr ~by:(Array.length safe_arr)
-            "parallel.collection_builds";
-          Domain_pool.run_tasks ~jobs:p.Domain_pool.jobs
-            (Array.length safe_arr)
-            (fun i ->
-              let _, (per_tuple, _) = safe_arr.(i) in
-              Array.iter per_tuple tuples);
-          List.iter
-            (fun (_, (per_tuple, _)) -> Array.iter per_tuple tuples)
-            unsafe
-        | Some _ | None ->
-          Relation.scan
-            (fun tuple ->
-              List.iter (fun (_, (per_tuple, _)) -> per_tuple tuple) started)
-            rel);
+        Relation.scan
+          (fun tuple ->
+            List.iter (fun (_, (per_tuple, _)) -> per_tuple tuple) started)
+          rel;
         List.iter
           (fun (sp, (_, finish)) ->
             Hashtbl.replace t.cache sp.sp_key (finish ()))

@@ -21,16 +21,13 @@ type component =
       (** indirect join: reference relation [<@v1, @v2>] *)
 
 val create :
-  ?par:Domain_pool.par ->
   ?batch_size:int ->
   ?use_index:bool ->
   Database.t ->
   Strategy.t ->
   Plan.t ->
   t
-(** [?par] is the parallelism budget from [Exec_opts.par]: omitted (or
-    [jobs = 1] upstream) keeps every phase on the untouched serial
-    path.  [?batch_size] (clamped to at least 1; default 2048) is the
+(** [?batch_size] (clamped to at least 1; default 2048) is the
     row window of the combination phase's vectorized stream kernels.
     [?use_index] (default true)
     lets structure builds be driven by declared secondary indexes:
@@ -44,10 +41,6 @@ val create :
     paper's permanent index (Section 3.2), whose index-building scan
     is then omitted.  With [false] no declared index is ever read. *)
 
-val par : t -> Domain_pool.par option
-(** The budget given to {!create} — the combination phase inherits it
-    from the collection it evaluates over. *)
-
 val batch_size : t -> int
 (** The batch size given to {!create}. *)
 
@@ -57,16 +50,8 @@ val batch_pool : t -> Relalg.Batch.pool
 
 val run : t -> unit
 (** With strategy 1, build every structure of the plan up front in
-    grouped scans; otherwise a no-op (structures build lazily).
-
-    Under a [par] budget with [jobs > 1], a grouped round over a
-    relation at least [par.threshold] rows large snapshots the relation
-    once ({!Relation.to_array} — still the round's single counted scan)
-    and fans the independent structure builds across the domain pool;
-    results install into the cache sequentially, in the same order as
-    the serial round.  Builds whose range restriction contains a
-    quantifier (and would therefore scan other relations) always run on
-    the caller. *)
+    grouped scans; otherwise a no-op (structures build lazily).  Every
+    build runs on the caller. *)
 
 val base_list : t -> var -> Relation.t
 (** The variable's (restricted) range expression as a single list —

@@ -36,7 +36,11 @@
      happens last, just before the final union, so a variable that is
      only padded and then projected away is never joined at all.
      max_ntuple is thereby bounded by the live-variable frontier
-     rather than the full prefix width. *)
+     rather than the full prefix width.
+
+   Both engines use one operator set: joins, products and projections
+   are {!Algebra.Stream} chains, a union is one materialization fed by
+   several chains, and ALL is the columnar {!divide_columns}. *)
 
 open Relalg
 open Calculus
@@ -62,278 +66,71 @@ let ntuple_schema (plan : Plan.t) order =
        order)
     ~key:[]
 
-(* ------------------------------------------------------------------ *)
-(* Declaration-order engine (the paper's baseline).                    *)
-(* ------------------------------------------------------------------ *)
-
 module Stream = Algebra.Stream
 
-(* One conjunction as a single fused chain over the query's batch pool:
-   join its components, greedily preferring components that share a
-   variable with the accumulated result so that products are only used
-   when the conjunction is genuinely disconnected; pad with the base
-   single lists of the variables it does not cover; project to
-   [order].  Only the padded n-tuple relation is materialized. *)
-let combine_conjunction coll order components =
-  let of_rel = Stream.of_relation ~pool:(Collection.batch_pool coll) in
-  let shares s comp =
-    List.exists (fun c -> Schema.mem (Stream.schema s) c) (columns (rel_of comp))
-  in
-  let rec go acc remaining =
-    match List.partition (shares acc) remaining with
-    | c :: others, rest -> go (Stream.natural_join acc (rel_of c)) (others @ rest)
-    | [], c :: rest -> go (Stream.natural_join acc (rel_of c)) rest
-    | [], [] -> acc
-  in
-  let joined =
-    match components, order with
-    | c :: rest, _ -> go (of_rel (rel_of c)) rest
-    | [], v :: _ -> of_rel (Collection.base_list coll v)
-    | [], [] -> invalid_arg "Combination.combine_conjunction: no variables"
-  in
-  let padded =
-    List.fold_left
-      (fun s v ->
-        if Schema.mem (Stream.schema s) v then s
-        else Stream.product s (Collection.base_list coll v))
-      joined order
-  in
-  Stream.materialize ?par:(Collection.par coll)
-    ~batch_size:(Collection.batch_size coll)
-    ~name:"refrel" (Stream.project padded order)
+let of_rel coll = Stream.of_relation ~pool:(Collection.batch_pool coll)
 
-(* Eliminate the quantifier prefix right to left over an n-tuple
-   relation: projection for SOME, division by the variable's base single
-   list for ALL.  Precondition (established by the adaptation pass): all
-   prefix ranges are non-empty. *)
-let eliminate_quantifiers coll (plan : Plan.t) rel =
-  List.fold_left
-    (fun acc (e : Normalize.prefix_entry) ->
-      let v = e.Normalize.v in
-      let remaining = List.filter (fun c -> not (String.equal c v)) (columns acc) in
-      Obs.Trace.with_span
-        (Fmt.str "eliminate %s %s" (Normalize.quant_to_string e.Normalize.q) v)
-        (fun () ->
-          let reduced =
-            match e.Normalize.q with
-            | Normalize.Q_some -> Algebra.project ~name:"refrel" acc remaining
-            | Normalize.Q_all ->
-              let divisor = Collection.base_list coll v in
-              Algebra.divide ~name:"refrel" ~on:[ (v, v) ] acc divisor
-          in
-          Obs.Trace.add_attr "ntuples"
-            (Obs.Json.Int (Relation.cardinality reduced));
-          reduced))
-    rel
-    (List.rev plan.Plan.prefix)
+(* Every combination-phase relation is one materialization of one or
+   more chains over the query's batch pool: several chains are unioned
+   into the one whole-tuple-keyed sink. *)
+let materialize ~par coll chains =
+  Stream.materialize ?par ~batch_size:(Collection.batch_size coll)
+    ~name:"refrel" chains
 
-let evaluate_declaration coll (plan : Plan.t) grow =
-  let order = Plan.variable_order plan in
-  let free_names = List.map fst plan.Plan.free in
-  let conj_rels =
-    List.mapi
-      (fun i conj ->
-        Obs.Trace.with_span (Fmt.str "conjunction %d" i) (fun () ->
-            let components = Collection.components coll conj in
-            let r = combine_conjunction coll order components in
-            grow (Relation.cardinality r);
-            Obs.Trace.add_attr "ntuples"
-              (Obs.Json.Int (Relation.cardinality r));
-            r))
-      plan.Plan.conjs
-  in
-  let unioned =
-    match conj_rels with
-    | [] -> Relation.create ~name:"refrel" (ntuple_schema plan order)
-    | [ r ] -> r
-    | r :: _ ->
-      Obs.Trace.with_span "union" (fun () ->
-          Algebra.union_all ~name:"refrel" (Relation.schema r) conj_rels)
-  in
-  grow (Relation.cardinality unioned);
-  let reduced = eliminate_quantifiers coll plan unioned in
-  Algebra.project ~name:"refrel" reduced free_names
+(* Projection for SOME as a one-stage chain. *)
+let project ~par coll rel names =
+  materialize ~par coll [ Stream.project (of_rel coll rel) names ]
 
 (* ------------------------------------------------------------------ *)
-(* Streaming cost-ordered engine (default).                            *)
+(* Columnar division.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Filter [order] down to [cols]: every disjunct keeps its columns in
-   the one canonical order (free variables first, then the prefix), so
-   unions of disjuncts line up without per-union reshuffling. *)
-let canonical order cols = List.filter (fun v -> List.mem v cols) order
-
-(* A disjunct that has been reduced to a constant TRUE (e.g. a
-   conjunction whose every variable was existentially projected away,
-   over a non-empty witness): represented by the first free variable's
-   base list, which the final padding extends to the full free product.
-   If that range is empty the whole query answer is empty, so the
-   representation stays faithful. *)
-let true_disjunct coll (plan : Plan.t) =
-  Collection.base_list coll (fst (List.hd plan.Plan.free))
-
-(* The conjunction's SOME variables that may be projected away inside
-   its own combine.  Walking the prefix innermost-first: a SOME
-   variable of the conjunction is eagerly projectable unless an ALL
-   variable of the SAME conjunction sits strictly inside it — the
-   division at that inner ALL step merges this disjunct into a cohort
-   whose quotient must still carry the outer variable.  ALL variables
-   the conjunction does not mention never block: that elimination step
-   passes the disjunct through untouched. *)
-let eager_vars (plan : Plan.t) cols =
-  let in_conj v = List.mem v cols in
-  let eager, _ =
-    List.fold_left
-      (fun (eager, blocked) (e : Normalize.prefix_entry) ->
-        match e.Normalize.q with
-        | Normalize.Q_all when in_conj e.Normalize.v -> (eager, true)
-        | Normalize.Q_some when in_conj e.Normalize.v && not blocked ->
-          (e.Normalize.v :: eager, blocked)
-        | _ -> (eager, blocked))
-      ([], false)
-      (List.rev plan.Plan.prefix)
-  in
-  eager
-
-(* Pad [rel] up to the canonical column set [target] with base single
-   lists, as one fused product-project-materialize chain. *)
-let pad_to coll target rel =
-  let cols = columns rel in
-  if List.equal String.equal cols target then rel
-  else begin
-    let missing = List.filter (fun c -> not (List.mem c cols)) target in
-    let s =
-      List.fold_left
-        (fun s v -> Stream.product s (Collection.base_list coll v))
-        (Stream.of_relation ~pool:(Collection.batch_pool coll) rel)
-        missing
-    in
-    Stream.materialize
-      ?par:(Collection.par coll)
-      ~batch_size:(Collection.batch_size coll)
-      ~name:"refrel" (Stream.project s target)
-  end
-
-(* Combine one conjunction's components in greedy cost order (true
-   cardinalities and distinct counts — the inputs are materialized),
-   then project the eagerly eliminable variables away in the same
-   streaming pass.  Every step sharing a variable with the accumulated
-   result is a hash join, recorded under [label] as the algorithm that
-   ran.  Returns [None] for a component-less conjunction (constant
-   TRUE). *)
-let combine_streaming ~label ~record coll (plan : Plan.t) order components =
-  match List.map rel_of components with
-  | [] -> None
-  | rels ->
-    let inputs =
-      List.map
-        (fun r ->
-          {
-            Cost.ji_card = Relation.cardinality r;
-            ji_cols = columns r;
-            ji_distinct = Stats.column_distincts r;
-          })
-        rels
-    in
-    let arr = Array.of_list rels in
-    let ordered = List.map (fun i -> arr.(i)) (Cost.greedy_join_order inputs) in
-    let first = List.hd ordered and rest = List.tl ordered in
-    let cols =
-      List.fold_left
-        (fun acc r -> acc @ List.filter (fun c -> not (List.mem c acc)) (columns r))
-        (columns first) rest
-    in
-    let eager = eager_vars plan cols in
-    let keep = List.filter (fun c -> not (List.mem c eager)) cols in
-    (* Never project down to zero columns; keep one and let the normal
-       elimination step reduce it. *)
-    let out_cols =
-      if keep = [] then [ List.hd (canonical order cols) ]
-      else canonical order keep
-    in
-    if rest = [] && List.equal String.equal (columns first) out_cols then
-      Some first (* already in shape: share the collection structure *)
-    else begin
-      let stream =
-        List.fold_left
-          (fun (step, s) r ->
-            if List.exists (fun c -> Schema.mem (Stream.schema s) c) (columns r)
-            then begin
-              Obs.Metrics.incr "combination.join.hash";
-              record (Fmt.str "%s.j%d:%s" label step (Relation.name r)) "hash"
-            end;
-            (step + 1, Stream.natural_join s r))
-          (1, Stream.of_relation ~pool:(Collection.batch_pool coll) first)
-          rest
-        |> snd
-      in
-      let stream =
-        if List.equal String.equal (Schema.names (Stream.schema stream)) out_cols
-        then stream
-        else Stream.project stream out_cols
-      in
-      Some
-        (Stream.materialize ?par:(Collection.par coll)
-           ~batch_size:(Collection.batch_size coll)
-           ~name:"refrel" stream)
-    end
-
-(* Universal elimination of one Q_all quantifier over its cohort: the
-   pad -> union -> divide pipeline executed entirely over interned
-   integer columns.  Materializing the padded cohort members and their
-   union would cost one deep structural hash per inserted reference
-   tuple, tens of thousands of inserts whose only purpose is to feed
-   the division.  Instead each cohort member is encoded once (cached in
-   the query pool), the padded rows are enumerated as integer rows with
-   an odometer over the member x base-list cross product, the division
-   groups by integer quotient keys, and only the quotient — typically a
-   few rows — is decoded back into a relation.
+(* The division kernel both engines share: the pad -> union -> divide
+   pipeline of one ALL elimination executed over interned integer
+   columns.  Each dividend member is given as its sources — the member
+   relation, then one base list per column it lacks — whose cross
+   product, read through the columns named [common], is the member's
+   padded rows.  Materializing the padded members and their union would
+   cost one deep structural hash per inserted reference tuple, tens of
+   thousands of inserts whose only purpose is to feed the division.
+   Instead each source is encoded once (cached in the query pool), the
+   padded rows are enumerated as integer rows with an odometer over the
+   sources, the division groups by integer quotient keys, and only the
+   quotient — typically a few rows — is decoded back.
 
    Set semantics: interning is injective, so integer-row equality is
    tuple equality within the pool; the union's set semantics fall out
    of the image sets (duplicate (quotient, image) pairs collapse); cover
-   checks compare the same sets of values.  Every column is a variable
-   of the n-tuple relations, i.e. a reference, so every column is an
-   interned one.  Relation scan/insert counters do not move for the
-   skipped intermediates (the batch.rows counters do instead);
-   max_ntuple grows by the distinct-row count of the virtual union,
-   exactly as if it had been materialized. *)
-let eliminate_all_batched coll (plan : Plan.t) grow ~v ~common cohort =
-  let pool = Collection.batch_pool coll in
+   checks compare the same sets of values.  Relation scan/insert
+   counters do not move for the skipped intermediates (the batch.rows
+   counters do instead).
+
+   Returns the covering quotient keys (integer rows over [common]
+   without [v], in Ikey iteration order) and the distinct-row count of
+   the virtual union.  With [v] the only column, the one quotient is the
+   empty key, present iff the union's v set covers the divisor. *)
+let divide_columns pool ~v ~common members divisor =
   let t0 = Unix.gettimeofday () in
-  (* Reference type per common column, from the first cohort member
-     carrying it. *)
-  let type_of_col c =
-    match List.find_opt (fun d -> has_col d c) cohort with
-    | Some d -> Schema.type_of (Relation.schema d) c
-    | None -> invalid_arg "Combination: cohort column without a source"
-  in
-  let ref_types = List.map type_of_col common in
   let k = List.length common in
   let vq =
     match List.find_index (String.equal v) common with
     | Some i -> i
-    | None -> invalid_arg "Combination: quantified variable not in its cohort"
+    | None -> invalid_arg "Combination: quantified variable not in its dividend"
   in
-  (* Per cohort member: sources = the member plus one base list per
-     missing column; map each common column to its source's encoded
-     column. *)
   let members =
     List.map
-      (fun d ->
-        let missing = List.filter (fun c -> not (has_col d c)) common in
-        let inputs = d :: List.map (Collection.base_list coll) missing in
+      (fun sources ->
         let views =
           List.map
             (fun r ->
               (* The whole pipeline here is order-insensitive (groups,
-                 image sets, distinct counts), so a member that was
+                 image sets, distinct counts), so a source that was
                  materialized by the stream kernels can reuse the
                  insertion-order columns it registered. *)
               let e = Batch.encode_relation_unordered pool r in
               ( Relation.schema r,
                 Batch.of_encoded pool e ~off:0 ~len:(Batch.encoded_rows e) ))
-            inputs
+            sources
         in
         let locate c =
           let rec go si = function
@@ -349,15 +146,14 @@ let eliminate_all_batched coll (plan : Plan.t) grow ~v ~common cohort =
           Array.of_list (List.map (fun (_, b) -> b.Batch.nrows) views)
         in
         (mapping, dims))
-      cohort
+      members
   in
-  let divisor_rel = Collection.base_list coll v in
   let divisor_view =
-    let e = Batch.encode_relation pool divisor_rel in
+    let e = Batch.encode_relation pool divisor in
     Batch.of_encoded pool e ~off:0 ~len:(Batch.encoded_rows e)
   in
   let divisor_col =
-    divisor_view.Batch.cols.(Schema.index_of (Relation.schema divisor_rel) v)
+    divisor_view.Batch.cols.(Schema.index_of (Relation.schema divisor) v)
   in
   let divisor_set = Hashtbl.create 64 in
   for r = 0 to divisor_view.Batch.nrows - 1 do
@@ -370,6 +166,7 @@ let eliminate_all_batched coll (plan : Plan.t) grow ~v ~common cohort =
   let groups : (int, unit) Hashtbl.t Batch.Ikey.t =
     Batch.Ikey.create 256
   in
+  if k = 1 then Batch.Ikey.replace groups [||] (Hashtbl.create 8);
   let dividend_card = ref 0 in
   let rows_in = ref 0 in
   List.iter
@@ -421,68 +218,301 @@ let eliminate_all_batched coll (plan : Plan.t) grow ~v ~common cohort =
         done
       end)
     members;
+  (* An empty divisor is covered by every group: ALL over the empty
+     range holds vacuously. *)
+  let covers images =
+    Hashtbl.length images >= needed
+    && Hashtbl.fold (fun d () acc -> acc && Hashtbl.mem images d) divisor_set true
+  in
+  let keys =
+    List.rev
+      (Batch.Ikey.fold
+         (fun q images acc -> if covers images then q :: acc else acc)
+         groups [])
+  in
+  if k > 1 then Obs.Metrics.incr "algebra.materialized.divide";
+  let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+  Obs.Metrics.incr ~by:!rows_in "algebra.batch.rows_in";
+  Obs.Metrics.incr ~by:(List.length keys) "algebra.batch.rows_out";
+  Obs.Metrics.incr ~by:ns "algebra.batch.kernel_ns";
+  (keys, !dividend_card)
+
+(* Decode quotient keys into a relation of [schema], through the
+   batch accumulator so every column class decodes as it was encoded. *)
+let decode_quotient pool schema keys =
+  let acc =
+    Batch.acc_create
+      (Array.init (Schema.arity schema) (fun c ->
+           Batch.cls_of_type (Schema.type_at schema c)))
+  in
+  List.iter (Array.iteri (Batch.acc_push_cell acc)) keys;
+  let e = Batch.acc_finish acc in
+  let b = Batch.of_encoded pool e ~off:0 ~len:(Batch.encoded_rows e) in
+  let out = Relation.create ~name:"refrel" schema in
+  Batch.live_iter (fun i -> Relation.insert out (Batch.tuple b i)) b;
+  out
+
+let divide ?(pool = Batch.create_pool ()) ~v r divisor =
+  let quotient_names =
+    List.filter (fun c -> not (String.equal c v)) (columns r)
+  in
+  if quotient_names = [] then
+    Errors.schema_error "divide: no quotient attributes remain";
+  let ty rel = Schema.type_of (Relation.schema rel) v in
+  if Batch.cls_of_type (ty r) <> Batch.cls_of_type (ty divisor) then
+    Errors.type_error "divide on %s: cannot compare %a with %a" v Vtype.pp
+      (ty r) Vtype.pp (ty divisor);
+  let keys, _ = divide_columns pool ~v ~common:(columns r) [ [ r ] ] divisor in
+  decode_quotient pool (Schema.project (Relation.schema r) quotient_names) keys
+
+(* ------------------------------------------------------------------ *)
+(* Declaration-order engine (the paper's baseline).                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One conjunction as a single fused chain over the query's batch pool:
+   join its components, greedily preferring components that share a
+   variable with the accumulated result so that products are only used
+   when the conjunction is genuinely disconnected; pad with the base
+   single lists of the variables it does not cover; project to
+   [order]. *)
+let combine_conjunction coll order components =
+  let shares s comp =
+    List.exists (fun c -> Schema.mem (Stream.schema s) c) (columns (rel_of comp))
+  in
+  let rec go acc remaining =
+    match List.partition (shares acc) remaining with
+    | c :: others, rest -> go (Stream.natural_join acc (rel_of c)) (others @ rest)
+    | [], c :: rest -> go (Stream.natural_join acc (rel_of c)) rest
+    | [], [] -> acc
+  in
+  let joined =
+    match components, order with
+    | c :: rest, _ -> go (of_rel coll (rel_of c)) rest
+    | [], v :: _ -> of_rel coll (Collection.base_list coll v)
+    | [], [] -> invalid_arg "Combination.combine_conjunction: no variables"
+  in
+  let padded =
+    List.fold_left
+      (fun s v ->
+        if Schema.mem (Stream.schema s) v then s
+        else Stream.product s (Collection.base_list coll v))
+      joined order
+  in
+  Stream.project padded order
+
+(* Eliminate the quantifier prefix right to left over an n-tuple
+   relation: projection for SOME, the columnar division by the
+   variable's base single list for ALL (a dividend of one member).
+   Precondition (established by the adaptation pass): all prefix
+   ranges are non-empty. *)
+let eliminate_quantifiers ~par coll (plan : Plan.t) rel =
+  List.fold_left
+    (fun acc (e : Normalize.prefix_entry) ->
+      let v = e.Normalize.v in
+      let remaining = List.filter (fun c -> not (String.equal c v)) (columns acc) in
+      Obs.Trace.with_span
+        (Fmt.str "eliminate %s %s" (Normalize.quant_to_string e.Normalize.q) v)
+        (fun () ->
+          let reduced =
+            match e.Normalize.q with
+            | Normalize.Q_some -> project ~par coll acc remaining
+            | Normalize.Q_all ->
+              divide ~pool:(Collection.batch_pool coll) ~v acc
+                (Collection.base_list coll v)
+          in
+          Obs.Trace.add_attr "ntuples"
+            (Obs.Json.Int (Relation.cardinality reduced));
+          reduced))
+    rel
+    (List.rev plan.Plan.prefix)
+
+(* Pad every conjunction to the full variable order and union them in
+   one materialization, then eliminate right to left. *)
+let evaluate_declaration ~par coll (plan : Plan.t) grow =
+  let order = Plan.variable_order plan in
+  let chains =
+    List.mapi
+      (fun i conj ->
+        Obs.Trace.with_span (Fmt.str "conjunction %d" i) (fun () ->
+            combine_conjunction coll order (Collection.components coll conj)))
+      plan.Plan.conjs
+  in
+  let unioned =
+    match chains with
+    | [] -> Relation.create ~name:"refrel" (ntuple_schema plan order)
+    | _ ->
+      Obs.Trace.with_span "union" (fun () ->
+          let u = materialize ~par coll chains in
+          Obs.Trace.add_attr "ntuples" (Obs.Json.Int (Relation.cardinality u));
+          u)
+  in
+  grow (Relation.cardinality unioned);
+  (* Eliminating the prefix from [order] = free @ prefix leaves exactly
+     the free variables, in declaration order. *)
+  eliminate_quantifiers ~par coll plan unioned
+
+(* ------------------------------------------------------------------ *)
+(* Streaming cost-ordered engine (default).                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Filter [order] down to [cols]: every disjunct keeps its columns in
+   the one canonical order (free variables first, then the prefix), so
+   unions of disjuncts line up without per-union reshuffling. *)
+let canonical order cols = List.filter (fun v -> List.mem v cols) order
+
+(* A disjunct that has been reduced to a constant TRUE (e.g. a
+   conjunction whose every variable was existentially projected away,
+   over a non-empty witness): represented by the first free variable's
+   base list, which the final padding extends to the full free product.
+   If that range is empty the whole query answer is empty, so the
+   representation stays faithful. *)
+let true_disjunct coll (plan : Plan.t) =
+  Collection.base_list coll (fst (List.hd plan.Plan.free))
+
+(* The conjunction's SOME variables that may be projected away inside
+   its own combine.  Walking the prefix innermost-first: a SOME
+   variable of the conjunction is eagerly projectable unless an ALL
+   variable of the SAME conjunction sits strictly inside it — the
+   division at that inner ALL step merges this disjunct into a cohort
+   whose quotient must still carry the outer variable.  ALL variables
+   the conjunction does not mention never block: that elimination step
+   passes the disjunct through untouched. *)
+let eager_vars (plan : Plan.t) cols =
+  let in_conj v = List.mem v cols in
+  let eager, _ =
+    List.fold_left
+      (fun (eager, blocked) (e : Normalize.prefix_entry) ->
+        match e.Normalize.q with
+        | Normalize.Q_all when in_conj e.Normalize.v -> (eager, true)
+        | Normalize.Q_some when in_conj e.Normalize.v && not blocked ->
+          (e.Normalize.v :: eager, blocked)
+        | _ -> (eager, blocked))
+      ([], false)
+      (List.rev plan.Plan.prefix)
+  in
+  eager
+
+(* [rel] padded up to the canonical column set [target] with base
+   single lists, as a product-project chain. *)
+let pad_chain coll target rel =
+  let cols = columns rel in
+  let s =
+    List.fold_left
+      (fun s v ->
+        if List.mem v cols then s
+        else Stream.product s (Collection.base_list coll v))
+      (of_rel coll rel) target
+  in
+  if List.equal String.equal cols target then s else Stream.project s target
+
+(* Combine one conjunction's components in greedy cost order (true
+   cardinalities and distinct counts — the inputs are materialized),
+   then project the eagerly eliminable variables away in the same
+   streaming pass.  Every step sharing a variable with the accumulated
+   result is a hash join, recorded under [label] as the algorithm that
+   ran.  Returns [None] for a component-less conjunction (constant
+   TRUE). *)
+let combine_streaming ~par ~label ~record coll (plan : Plan.t) order components =
+  match List.map rel_of components with
+  | [] -> None
+  | rels ->
+    let inputs =
+      List.map
+        (fun r ->
+          {
+            Cost.ji_card = Relation.cardinality r;
+            ji_cols = columns r;
+            ji_distinct = Stats.column_distincts r;
+          })
+        rels
+    in
+    let arr = Array.of_list rels in
+    let ordered = List.map (fun i -> arr.(i)) (Cost.greedy_join_order inputs) in
+    let first = List.hd ordered and rest = List.tl ordered in
+    let cols =
+      List.fold_left
+        (fun acc r -> acc @ List.filter (fun c -> not (List.mem c acc)) (columns r))
+        (columns first) rest
+    in
+    let eager = eager_vars plan cols in
+    let keep = List.filter (fun c -> not (List.mem c eager)) cols in
+    (* Never project down to zero columns; keep one and let the normal
+       elimination step reduce it. *)
+    let out_cols =
+      if keep = [] then [ List.hd (canonical order cols) ]
+      else canonical order keep
+    in
+    if rest = [] && List.equal String.equal (columns first) out_cols then
+      Some first (* already in shape: share the collection structure *)
+    else begin
+      let stream =
+        List.fold_left
+          (fun (step, s) r ->
+            if List.exists (fun c -> Schema.mem (Stream.schema s) c) (columns r)
+            then begin
+              Obs.Metrics.incr "combination.join.hash";
+              record (Fmt.str "%s.j%d:%s" label step (Relation.name r)) "hash"
+            end;
+            (step + 1, Stream.natural_join s r))
+          (1, of_rel coll first)
+          rest
+        |> snd
+      in
+      let stream =
+        if List.equal String.equal (Schema.names (Stream.schema stream)) out_cols
+        then stream
+        else Stream.project stream out_cols
+      in
+      Some (materialize ~par coll [ stream ])
+    end
+
+(* Universal elimination of one Q_all quantifier over its cohort (the
+   disjuncts carrying [v]): each member padded to the cohort's common
+   columns, unioned and divided by [v]'s base list — all inside the
+   columnar divide, which pads through its odometer instead of
+   materializing.  max_ntuple grows by the distinct-row count of the
+   virtual union, exactly as if it had been materialized.  With [v] the
+   only common column the quotient is a boolean: the constant TRUE
+   disjunct or nothing. *)
+let eliminate_all coll (plan : Plan.t) grow ~v ~common cohort =
+  let pool = Collection.batch_pool coll in
   (match cohort with
   | [ d ] when List.equal String.equal (columns d) common -> ()
   | _ -> Obs.Metrics.incr "algebra.materialized.union");
-  grow !dividend_card;
-  let result =
-    if k = 1 then begin
-      (* Boolean degeneration: does the cohort's v set cover the
-         whole range?  (Vacuously yes over an empty divisor.) *)
-      let images =
-        match Batch.Ikey.find_opt groups [||] with
-        | Some set -> set
-        | None -> Hashtbl.create 1
-      in
-      let covered =
-        Hashtbl.length images >= needed
-        && Hashtbl.fold
-             (fun d () acc -> acc && Hashtbl.mem images d)
-             divisor_set true
-      in
-      if covered then [ true_disjunct coll plan ] else []
-    end
-    else begin
-      Obs.Metrics.incr "algebra.materialized.divide";
-      let quotient_names = List.filter (fun c -> not (String.equal c v)) common in
-      let dividend_schema =
-        Schema.make
-          (List.map2 (fun c ty -> Schema.attr c ty) common ref_types)
-          ~key:[]
-      in
-      let out =
-        Relation.create ~name:"refrel"
-          (Schema.project dividend_schema quotient_names)
-      in
-      let decode_insert qkey =
-        Relation.insert out (Array.map (Batch.value pool) qkey)
-      in
-      Batch.Ikey.iter
-        (fun qkey images ->
-          let covers =
-            needed = 0
-            || Hashtbl.length images >= needed
-               && Hashtbl.fold
-                    (fun d () acc -> acc && Hashtbl.mem images d)
-                    divisor_set true
-          in
-          if covers then decode_insert qkey)
-        groups;
-      [ out ]
-    end
+  let members =
+    List.map
+      (fun d ->
+        d
+        :: List.filter_map
+             (fun c ->
+               if has_col d c then None else Some (Collection.base_list coll c))
+             common)
+      cohort
   in
-  let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-  Obs.Metrics.incr ~by:!rows_in "algebra.batch.rows_in";
-  Obs.Metrics.incr
-    ~by:(match result with [ r ] -> Relation.cardinality r | _ -> 0)
-    "algebra.batch.rows_out";
-  Obs.Metrics.incr ~by:ns "algebra.batch.kernel_ns";
-  result
+  let keys, card =
+    divide_columns pool ~v ~common members (Collection.base_list coll v)
+  in
+  grow card;
+  match List.filter (fun c -> not (String.equal c v)) common with
+  | [] -> if keys = [] then [] else [ true_disjunct coll plan ]
+  | quotient_names ->
+    (* Reference type per quotient column, from the first cohort member
+       carrying it. *)
+    let attr c =
+      match List.find_opt (fun d -> has_col d c) cohort with
+      | Some d -> Schema.attr c (Schema.type_of (Relation.schema d) c)
+      | None -> invalid_arg "Combination: cohort column without a source"
+    in
+    [
+      decode_quotient pool
+        (Schema.make (List.map attr quotient_names) ~key:[])
+        keys;
+    ]
 
 (* Disjunct-wise right-to-left quantifier elimination over the LIST of
    conjunction relations (heterogeneous column sets); see the header
    comment for the two distribution identities this rests on. *)
-let eliminate_streaming coll (plan : Plan.t) grow disjuncts =
+let eliminate_streaming ~par coll (plan : Plan.t) grow disjuncts =
   let order = Plan.variable_order plan in
   List.fold_left
     (fun djs (e : Normalize.prefix_entry) ->
@@ -506,7 +536,7 @@ let eliminate_streaming coll (plan : Plan.t) grow disjuncts =
                       (* ∃v over a one-column disjunct is a boolean *)
                       if Relation.is_empty d then None
                       else Some (true_disjunct coll plan)
-                    else Some (Algebra.project ~name:"refrel" d remaining))
+                    else Some (project ~par coll d remaining))
                 djs
             | Normalize.Q_all -> (
               let cohort, others = List.partition (fun d -> has_col d v) djs in
@@ -518,7 +548,7 @@ let eliminate_streaming coll (plan : Plan.t) grow disjuncts =
                     (List.sort_uniq String.compare
                        (List.concat_map columns cohort))
                 in
-                eliminate_all_batched coll plan grow ~v ~common cohort @ others)
+                eliminate_all coll plan grow ~v ~common cohort @ others)
           in
           let total =
             List.fold_left (fun n d -> n + Relation.cardinality d) 0 reduced
@@ -528,7 +558,7 @@ let eliminate_streaming coll (plan : Plan.t) grow disjuncts =
     disjuncts
     (List.rev plan.Plan.prefix)
 
-let evaluate_streaming ~record coll (plan : Plan.t) grow =
+let evaluate_streaming ~par ~record coll (plan : Plan.t) grow =
   let order = Plan.variable_order plan in
   let free_names = List.map fst plan.Plan.free in
   let disjuncts =
@@ -538,7 +568,7 @@ let evaluate_streaming ~record coll (plan : Plan.t) grow =
             let components = Collection.components coll conj in
             let r =
               match
-                combine_streaming
+                combine_streaming ~par
                   ~label:(Fmt.str "conj%d" i)
                   ~record coll plan order components
               with
@@ -551,22 +581,17 @@ let evaluate_streaming ~record coll (plan : Plan.t) grow =
             r))
       plan.Plan.conjs
   in
-  let reduced = eliminate_streaming coll plan grow disjuncts in
+  let reduced = eliminate_streaming ~par coll plan grow disjuncts in
   match reduced with
   | [] -> Relation.create ~name:"refrel" (ntuple_schema plan free_names)
   | [ d ] when List.equal String.equal (columns d) free_names -> d
   | ds ->
+    (* Free-variable padding happens here, inside the union's one
+       materialization; a lone padded disjunct is no union. *)
     Obs.Trace.with_span "union" (fun () ->
-        match List.map (pad_to coll free_names) ds with
-        | [ d ] -> d
-        | padded ->
-          let u =
-            Algebra.union_all ~name:"refrel"
-              (Relation.schema (List.hd padded))
-              padded
-          in
-          grow (Relation.cardinality u);
-          u)
+        let u = materialize ~par coll (List.map (pad_chain coll free_names) ds) in
+        if List.compare_length_with ds 1 > 0 then grow (Relation.cardinality u);
+        u)
 
 (* ------------------------------------------------------------------ *)
 
@@ -582,7 +607,7 @@ type outcome = {
   o_join_algos : (string * string) list;
 }
 
-let evaluate_outcome ?(join_order = Cost_ordered) coll (plan : Plan.t) =
+let evaluate_outcome ?par ?(join_order = Cost_ordered) coll (plan : Plan.t) =
   let max_ntuple = ref 0 in
   let grow n =
     max_ntuple := max !max_ntuple n;
@@ -592,8 +617,8 @@ let evaluate_outcome ?(join_order = Cost_ordered) coll (plan : Plan.t) =
   let record step algo = joins := (step, algo) :: !joins in
   let result =
     match join_order with
-    | Cost_ordered -> evaluate_streaming ~record coll plan grow
-    | Declaration -> evaluate_declaration coll plan grow
+    | Cost_ordered -> evaluate_streaming ~par ~record coll plan grow
+    | Declaration -> evaluate_declaration ~par coll plan grow
   in
   {
     o_result = result;
@@ -601,4 +626,5 @@ let evaluate_outcome ?(join_order = Cost_ordered) coll (plan : Plan.t) =
     o_join_algos = List.rev !joins;
   }
 
-let evaluate ?join_order coll plan = (evaluate_outcome ?join_order coll plan).o_result
+let evaluate ?par ?join_order coll plan =
+  (evaluate_outcome ?par ?join_order coll plan).o_result

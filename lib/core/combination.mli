@@ -19,9 +19,16 @@ type join_order =
           full variable order, union, then eliminate right to left over
           the padded n-tuple relation. *)
 
-val evaluate : ?join_order:join_order -> Collection.t -> Plan.t -> Relation.t
+val evaluate :
+  ?par:Domain_pool.par ->
+  ?join_order:join_order ->
+  Collection.t ->
+  Plan.t ->
+  Relation.t
 (** Returns the reference relation over the free variables, in
-    declaration order.  Precondition: every prefix range is non-empty
+    declaration order.  [?par] is the parallelism budget of the stream
+    materializations' window fan-out ([Exec_opts.par]); omitted, every
+    chain runs serially.  Precondition: every prefix range is non-empty
     (established by {!Standard_form.adapt_query}). *)
 
 type outcome = {
@@ -36,6 +43,18 @@ type outcome = {
 }
 
 val evaluate_outcome :
-  ?join_order:join_order -> Collection.t -> Plan.t -> outcome
+  ?par:Domain_pool.par -> ?join_order:join_order -> Collection.t -> Plan.t -> outcome
 (** The full result: {!evaluate} plus max_ntuple and the join algorithm
     run per streaming join step. *)
+
+val divide :
+  ?pool:Batch.pool -> v:string -> Relation.t -> Relation.t -> Relation.t
+(** [divide ~v r s]: the columnar division both engines run — the
+    tuples over [r]'s columns other than [v] whose [v]-images in [r]
+    cover every [v] value of [s].  An empty divisor yields every
+    quotient (ALL over the empty range holds vacuously).  [?pool] is
+    the interning pool the inputs' column encodes are cached in
+    (default: a fresh one).
+    @raise Errors.Schema_error if [v] is [r]'s only column.
+    @raise Errors.Type_error if the two [v] columns encode into
+    different column classes. *)

@@ -9,8 +9,9 @@ type t = {
       (** domains executing one query, caller included; [1] = the
           byte-identical serial engine, no pool, no snapshots *)
   par_threshold : int;
-      (** input cardinality below which partitioned operators stay
-          serial — chunking tiny inputs costs more than it saves *)
+      (** source cardinality below which a stream materialization keeps
+          its windows serial — chunking tiny inputs costs more than it
+          saves *)
   batch_size : int;
       (** row window of the vectorized stream kernels; every size from
           [1] up computes the same relations *)
@@ -51,8 +52,8 @@ val make :
 
 val par : t -> Relalg.Domain_pool.par option
 (** The parallelism budget the engine threads to the stream kernels'
-    window fan-out ({!Relalg.Algebra.Stream.materialize}) and the
-    collection phase — [None] when [jobs = 1], which is what makes the
+    window fan-out ({!Relalg.Algebra.Stream.materialize}), the one
+    parallel site — [None] when [jobs = 1], which is what makes the
     serial path bypass the pool entirely. *)
 
 val join_order_to_string : Combination.join_order -> string

@@ -157,9 +157,7 @@ let ground t db provided =
 let exec_in ?name ~params (clock : Observe.clock) db t =
   let plan = ground t db params in
   let coll =
-    Collection.create
-      ?par:(Exec_opts.par t.p_opts)
-      ~batch_size:t.p_opts.Exec_opts.batch_size
+    Collection.create ~batch_size:t.p_opts.Exec_opts.batch_size
       ~use_index:t.p_opts.Exec_opts.use_index db t.p_opts.Exec_opts.strategy
       plan
   in
@@ -168,8 +166,8 @@ let exec_in ?name ~params (clock : Observe.clock) db t =
   let refs =
     clock.time Observe.Combination (fun () ->
         Obs.Trace.with_span "combination" (fun () ->
-            Combination.evaluate ~join_order:t.p_opts.Exec_opts.join_order
-              coll plan))
+            Combination.evaluate ?par:(Exec_opts.par t.p_opts)
+              ~join_order:t.p_opts.Exec_opts.join_order coll plan))
   in
   clock.time Observe.Construction (fun () ->
       Obs.Trace.with_span "construction" (fun () ->
@@ -190,9 +188,7 @@ let exec_report_in ?name ~params ~since (clock : Observe.clock) db t =
   Database.reset_counters db;
   let plan = ground t db params in
   let coll =
-    Collection.create
-      ?par:(Exec_opts.par t.p_opts)
-      ~batch_size:t.p_opts.Exec_opts.batch_size
+    Collection.create ~batch_size:t.p_opts.Exec_opts.batch_size
       ~use_index:t.p_opts.Exec_opts.use_index db t.p_opts.Exec_opts.strategy
       plan
   in
@@ -201,7 +197,7 @@ let exec_report_in ?name ~params ~since (clock : Observe.clock) db t =
   let outcome =
     clock.time Observe.Combination (fun () ->
         Obs.Trace.with_span "combination" (fun () ->
-            Combination.evaluate_outcome
+            Combination.evaluate_outcome ?par:(Exec_opts.par t.p_opts)
               ~join_order:t.p_opts.Exec_opts.join_order coll plan))
   in
   let refs = outcome.Combination.o_result in

@@ -180,6 +180,27 @@ let initial_relation db (range : range) monadic v =
   Relation.scan (fun t -> if keep t then Relation.insert out t) rel;
   out
 
+(* Every reducer is one filter over a value list of the inner relation's
+   column: keep the elements x of [outer] with
+   (quant y IN inner) (x.outer_attr op y.inner_attr).  The value list is
+   built by one counted scan of [inner], the filter by one of [outer]. *)
+let filter_by ~name ~storage ~quant op ~outer_attr ~inner_attr outer inner =
+  let vl = Value_list.of_column ~storage inner inner_attr in
+  let pos = Schema.index_of (Relation.schema outer) outer_attr in
+  let out = Relation.create ~name (Relation.schema outer) in
+  Relation.scan
+    (fun t ->
+      if Value_list.quant_holds ~quant op (Tuple.get t pos) vl then
+        Relation.insert out t)
+    outer;
+  out
+
+(* Reduce [outer] to the elements x with SOME y IN inner (x.oa = y.ia):
+   the semijoin. *)
+let some_eq_reduce ?(name = "some_eq") ~outer_attr ~inner_attr outer inner =
+  filter_by ~name ~storage:Value_list.Full ~quant:Value_list.Q_some Value.Eq
+    ~outer_attr ~inner_attr outer inner
+
 let run_steps rels steps =
   List.fold_left
     (fun rels s ->
@@ -187,8 +208,8 @@ let run_steps rels steps =
       let source = List.assoc s.st_source rels in
       let ta, sa = step_on s in
       let reduced =
-        Algebra.semijoin ~name:("red_" ^ s.st_target) ~on:[ (ta, sa) ] target
-          source
+        some_eq_reduce ~name:("red_" ^ s.st_target) ~outer_attr:ta
+          ~inner_attr:sa target source
       in
       (s.st_target, reduced) :: List.remove_assoc s.st_target rels)
     rels steps
@@ -250,24 +271,15 @@ let reduce db (ranges : (var * range) list) (conj : Normalize.conjunction) =
    case of universal quantifiers").                                    *)
 
 (* Reduce [outer] to the elements x with ALL y IN inner (x.oa <> y.ia):
-   exactly the antijoin of outer with inner on equality — the universal
-   counterpart of the semijoin. *)
+   the antijoin — the universal counterpart of the semijoin. *)
 let all_ne_reduce ?(name = "all_ne") ~outer_attr ~inner_attr outer inner =
-  Algebra.antijoin ~name ~on:[ (outer_attr, inner_attr) ] outer inner
+  filter_by ~name ~storage:Value_list.Full ~quant:Value_list.Q_all Value.Ne
+    ~outer_attr ~inner_attr outer inner
 
 (* Reduce [outer] to the elements x with ALL y IN inner (x.oa = y.ia):
    non-empty only when inner has exactly one distinct [ia] value (the
    paper's at-most-one-value argument); empty inner keeps everything
    (ALL over the empty relation). *)
 let all_eq_reduce ?(name = "all_eq") ~outer_attr ~inner_attr outer inner =
-  let vl = Value_list.of_column ~storage:Value_list.At_most_one inner inner_attr in
-  Algebra.select ~name
-    (fun t ->
-      let v = Tuple.get_by_name (Relation.schema outer) t outer_attr in
-      Value_list.quant_holds ~quant:Value_list.Q_all Value.Eq v vl)
-    outer
-
-(* Reduce [outer] to the elements x with SOME y IN inner (x.oa = y.ia):
-   the plain semijoin, stated here for symmetry. *)
-let some_eq_reduce ?(name = "some_eq") ~outer_attr ~inner_attr outer inner =
-  Algebra.semijoin ~name ~on:[ (outer_attr, inner_attr) ] outer inner
+  filter_by ~name ~storage:Value_list.At_most_one ~quant:Value_list.Q_all
+    Value.Eq ~outer_attr ~inner_attr outer inner

@@ -48,7 +48,8 @@ val all_ne_reduce :
   Relation.t ->
   Relation.t
 (** [ALL y IN inner (x.outer_attr <> y.inner_attr)]: the antijoin — the
-    universal counterpart of the semijoin. *)
+    universal counterpart of the semijoin; ALL [<>] over a full
+    {!Relalg.Value_list} of [inner]'s column. *)
 
 val all_eq_reduce :
   ?name:string ->
@@ -67,7 +68,9 @@ val some_eq_reduce :
   Relation.t ->
   Relation.t ->
   Relation.t
-(** The plain semijoin, for symmetry. *)
+(** [SOME y IN inner (x.outer_attr = y.inner_attr)]: the plain
+    semijoin, SOME [=] over a full {!Relalg.Value_list} — the step
+    {!run_steps} applies. *)
 
 val pp_edge : edge Fmt.t
 val pp_graph : graph Fmt.t

@@ -2,137 +2,15 @@
 
    The combination phase of the paper's evaluator (Section 3.3) is
    expressed in these operators: join and Cartesian product combine the
-   reference relations of each conjunction ({!Stream}), union evaluates
-   the full disjunctive form, projection eliminates existential
-   quantifiers and division universal ones (Codd's relational
-   completeness repertoire, the paper's reference [5]). *)
-
-let fresh_name base = base
-
-(* Per-operator materialization tallies: each classic operator call
-   allocates one output relation; the fused {!Stream} pipeline reports
-   the operators it avoided materializing under [algebra.fused.*]. *)
-let tally op = Obs.Metrics.incr ("algebra.materialized." ^ op)
-
-let select ?(name = fresh_name "select") pred rel =
-  tally "select";
-  let out = Relation.create ~name (Relation.schema rel) in
-  Relation.scan (fun t -> if pred t then Relation.insert out t) rel;
-  out
+   reference relations of each conjunction, union evaluates the full
+   disjunctive form (one materialization fed by several chains) and
+   projection eliminates existential quantifiers (Codd's relational
+   completeness repertoire, the paper's reference [5]).  Division, the
+   universal counterpart, runs over the same column encodes in the
+   combination phase itself. *)
 
 let positions_of schema names =
   Array.of_list (List.map (Schema.index_of schema) names)
-
-let project ?(name = fresh_name "project") rel names =
-  tally "project";
-  let schema = Relation.schema rel in
-  let positions = positions_of schema names in
-  let out = Relation.create ~name (Schema.project schema names) in
-  Relation.scan (fun t -> Relation.insert out (Tuple.project positions t)) rel;
-  out
-
-(* Join keys are value arrays (the projected tuple itself), looked up in
-   array-keyed {!Value_key} tables — no per-probe list allocation. *)
-let join_key positions t = Tuple.project positions t
-
-let require_same_shape op a b =
-  if not (Schema.same_shape (Relation.schema a) (Relation.schema b)) then
-    Errors.schema_error "%s: incompatible schemas %a vs %a" op Schema.pp
-      (Relation.schema a) Schema.pp (Relation.schema b)
-
-let union_all ?(name = fresh_name "union") schema rels =
-  tally "union";
-  let out = Relation.create ~name schema in
-  List.iter
-    (fun r ->
-      require_same_shape "union" out r;
-      Relation.scan (Relation.insert out) r)
-    rels;
-  out
-
-(* Semijoin a ⋉ b on equated attributes: elements of a that join with at
-   least one element of b (Bernstein/Chiu, the paper's reference [2]). *)
-let semijoin ?(name = fresh_name "semijoin") ~on a b =
-  let pa = positions_of (Relation.schema a) (List.map fst on) in
-  let pb = positions_of (Relation.schema b) (List.map snd on) in
-  let table = Value_key.acreate (max 16 (Relation.cardinality b)) in
-  Relation.scan (fun tb -> Value_key.Atable.replace table (join_key pb tb) ()) b;
-  select ~name (fun ta -> Value_key.Atable.mem table (join_key pa ta)) a
-
-(* Antijoin a ▷ b: elements of a that join with no element of b — the
-   universal-quantifier counterpart of the semijoin (Section 5's
-   "extended to the case of universal quantifiers"). *)
-let antijoin ?(name = fresh_name "antijoin") ~on a b =
-  let pa = positions_of (Relation.schema a) (List.map fst on) in
-  let pb = positions_of (Relation.schema b) (List.map snd on) in
-  let table = Value_key.acreate (max 16 (Relation.cardinality b)) in
-  Relation.scan (fun tb -> Value_key.Atable.replace table (join_key pb tb) ()) b;
-  select ~name (fun ta -> not (Value_key.Atable.mem table (join_key pa ta))) a
-
-(* Division r ÷ s on pairs (r attribute, s attribute): quotient tuples q
-   over the remaining attributes of r such that for EVERY element of s
-   the combination (q, s-values) appears in r — the relational-algebra
-   rendering of universal quantification (paper Section 3.3, refs [5,11]).
-   Division by an empty divisor yields all quotient projections of r
-   (ALL over the empty relation holds vacuously); callers that need the
-   stricter adaptation of Lemma 1 handle emptiness beforehand. *)
-let divide ?(name = fresh_name "divide") ~on r s =
-  tally "divide";
-  let sr = Relation.schema r and ss = Relation.schema s in
-  let pr_on = positions_of sr (List.map fst on) in
-  let ps_on = positions_of ss (List.map snd on) in
-  let quotient_names =
-    List.filter
-      (fun n -> not (List.mem_assoc n on))
-      (Schema.names sr)
-  in
-  if quotient_names = [] then
-    Errors.schema_error "divide: no quotient attributes remain";
-  let pr_quot = positions_of sr quotient_names in
-  let out_schema = Schema.project sr quotient_names in
-  (* Distinct divisor images, deduplicated through a hash table rather
-     than a linear membership test over the accumulator. *)
-  let divisor_set = Value_key.acreate (max 16 (Relation.cardinality s)) in
-  Relation.scan
-    (fun t -> Value_key.Atable.replace divisor_set (join_key ps_on t) ())
-    s;
-  let divisor =
-    Value_key.Atable.fold (fun k () acc -> k :: acc) divisor_set []
-  in
-  let needed = List.length divisor in
-  let out = Relation.create ~name out_schema in
-  if needed = 0 then begin
-    Relation.scan (fun t -> Relation.insert out (Tuple.project pr_quot t)) r;
-    out
-  end
-  else begin
-    (* Group r by quotient values, collecting the set of divisor images. *)
-    let groups : unit Value_key.atable Value_key.atable =
-      Value_key.acreate 64
-    in
-    Relation.scan
-      (fun t ->
-        let q = join_key pr_quot t and d = join_key pr_on t in
-        let images =
-          match Value_key.Atable.find_opt groups q with
-          | Some set -> set
-          | None ->
-            let set = Value_key.acreate 8 in
-            Value_key.Atable.replace groups q set;
-            set
-        in
-        Value_key.Atable.replace images d ())
-      r;
-    Value_key.Atable.iter
-      (fun q images ->
-        let covers =
-          Value_key.Atable.length images >= needed
-          && List.for_all (fun d -> Value_key.Atable.mem images d) divisor
-        in
-        if covers then Relation.insert out q)
-      groups;
-    out
-  end
 
 (* Fused streaming operators: the combination phase's join, product and
    projection chains, run as vectorized batch kernels.  A stream is
@@ -354,41 +232,59 @@ module Stream = struct
                 end
               end))
 
-  (* The chain's one output relation, re-keyed on the whole tuple (set
-     semantics, like every intermediate reference relation).  Insertions
-     skip the per-value domain check: every emitted tuple is a
-     projection/concatenation of tuples from already-checked relations.
-     The output key table is preallocated from the source cardinality,
-     the output bound of a project/join chain over it.
+  (* The one output relation of one or more same-shape chains (one
+     chain: a join/product/project pipeline; several: their union, the
+     full disjunctive form), re-keyed on the whole tuple (set semantics,
+     like every intermediate reference relation).  Insertions skip the
+     per-value domain check: every emitted tuple is a projection /
+     concatenation of tuples from already-checked relations.  The output
+     key table is preallocated from the source cardinalities.
 
-     Serially, the source's windows run through one kernel instance.
-     Under [par] the windows are the fan-out unit: each domain gets
-     whole windows and a private kernel instance over the read-only
-     shared build tables, and its output batches replay here in chunk
-     order — the serial insertion sequence, for every [jobs].  Either
-     way the inserted rows' integer cells are registered as the
-     output's insertion-order encode, so a later set-semantics pass (the
-     columnar divide) reuses these columns instead of re-interning the
-     whole intermediate. *)
-  let materialize ?par ?(batch_size = 2048) ?name s =
-    let batch_size = max 1 batch_size in
-    let enc = Batch.encode_relation s.pool s.src in
-    s.force ();
-    Obs.Metrics.incr "algebra.materialized.stream";
-    s.prime ();
-    let n = Batch.encoded_rows enc in
-    let out =
-      Relation.create ?name ~size_hint:n
-        (Schema.make (Schema.attrs s.schema) ~key:[])
+     Chains run in list order into one sink.  Serially, a chain's
+     windows run through one kernel instance.  Under [par] the windows
+     of a source clearing the threshold are the fan-out unit: each
+     domain gets whole windows and a private kernel instance over the
+     read-only shared build tables, and its output batches replay here
+     in chunk order — the serial insertion sequence, for every [jobs].
+     Either way, when every chain shares one pool, the inserted rows'
+     integer cells are registered as the output's insertion-order
+     encode, so a later set-semantics pass (the columnar divide) reuses
+     these columns instead of re-interning the whole intermediate. *)
+  let materialize ?par ?(batch_size = 2048) ?name chains =
+    let first =
+      match chains with
+      | s :: _ -> s
+      | [] -> invalid_arg "Stream.materialize: no chain"
     in
-    let window off =
-      Batch.of_encoded s.pool enc ~off ~len:(min batch_size (n - off))
+    List.iter
+      (fun s ->
+        if not (Schema.same_shape first.schema s.schema) then
+          Errors.schema_error "union: incompatible schemas %a vs %a" Schema.pp
+            first.schema Schema.pp s.schema)
+      chains;
+    let batch_size = max 1 batch_size in
+    let runs =
+      List.map
+        (fun s ->
+          let enc = Batch.encode_relation s.pool s.src in
+          s.force ();
+          (s, enc))
+        chains
+    in
+    if List.compare_length_with chains 1 > 0 then
+      Obs.Metrics.incr "algebra.materialized.union";
+    let n_total =
+      List.fold_left (fun n (_, enc) -> n + Batch.encoded_rows enc) 0 runs
+    in
+    let out =
+      Relation.create ?name ~size_hint:n_total
+        (Schema.make (Schema.attrs first.schema) ~key:[])
     in
     let rows_out = ref 0 in
     let acc =
       Batch.acc_create
-        (Array.init (Schema.arity s.schema) (fun c ->
-             Batch.cls_of_type (Schema.type_at s.schema c)))
+        (Array.init (Schema.arity first.schema) (fun c ->
+             Batch.cls_of_type (Schema.type_at first.schema c)))
     in
     let sink ob =
       Batch.live_iter
@@ -400,33 +296,43 @@ module Stream = struct
         ob
     in
     let t0 = Unix.gettimeofday () in
-    (match Domain_pool.active par n with
-    | Some p ->
-      Obs.Metrics.incr "algebra.par.stream";
-      let windows =
-        Array.init ((n + batch_size - 1) / batch_size) (fun i ->
-            window (i * batch_size))
-      in
-      Domain_pool.parallel_chunks ~jobs:p.Domain_pool.jobs windows
-        (fun _ chunk ->
+    List.iter
+      (fun (s, enc) ->
+        Obs.Metrics.incr "algebra.materialized.stream";
+        s.prime ();
+        let n = Batch.encoded_rows enc in
+        let window off =
+          Batch.of_encoded s.pool enc ~off ~len:(min batch_size (n - off))
+        in
+        match Domain_pool.active par n with
+        | Some p ->
+          Obs.Metrics.incr "algebra.par.stream";
+          let windows =
+            Array.init ((n + batch_size - 1) / batch_size) (fun i ->
+                window (i * batch_size))
+          in
+          Domain_pool.parallel_chunks ~jobs:p.Domain_pool.jobs windows
+            (fun _ chunk ->
+              let inst = s.stage () in
+              let buf = ref [] in
+              Array.iter (inst.feed (fun ob -> buf := ob :: !buf)) chunk;
+              inst.flush ();
+              List.rev !buf)
+          |> List.iter (List.iter sink)
+        | None ->
           let inst = s.stage () in
-          let buf = ref [] in
-          Array.iter (inst.feed (fun ob -> buf := ob :: !buf)) chunk;
-          inst.flush ();
-          List.rev !buf)
-      |> List.iter (List.iter sink)
-    | None ->
-      let inst = s.stage () in
-      let feed = inst.feed sink in
-      let off = ref 0 in
-      while !off < n do
-        feed (window !off);
-        off := !off + batch_size
-      done;
-      inst.flush ());
-    Batch.register_unordered s.pool out (lazy (Batch.acc_finish acc));
+          let feed = inst.feed sink in
+          let off = ref 0 in
+          while !off < n do
+            feed (window !off);
+            off := !off + batch_size
+          done;
+          inst.flush ())
+      runs;
+    if List.for_all (fun s -> s.pool == first.pool) chains then
+      Batch.register_unordered first.pool out (lazy (Batch.acc_finish acc));
     let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-    Obs.Metrics.incr ~by:n "algebra.batch.rows_in";
+    Obs.Metrics.incr ~by:n_total "algebra.batch.rows_in";
     Obs.Metrics.incr ~by:!rows_out "algebra.batch.rows_out";
     Obs.Metrics.incr ~by:ns "algebra.batch.kernel_ns";
     out

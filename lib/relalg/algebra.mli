@@ -1,45 +1,9 @@
 (** Relational algebra over keyed relations — the operator repertoire of
-    the paper's combination phase: join / Cartesian product to combine
-    conjunctions ({!Stream}), union for the disjunctive form, projection
-    for SOME and division for ALL, plus the semijoin/antijoin pair of
-    Section 4.4. *)
-
-val select : ?name:string -> (Tuple.t -> bool) -> Relation.t -> Relation.t
-
-val project : ?name:string -> Relation.t -> string list -> Relation.t
-(** Duplicate-eliminating projection onto the named attributes. *)
-
-val union_all : ?name:string -> Schema.t -> Relation.t list -> Relation.t
-(** Set union of relations of the given shape.
-    @raise Errors.Schema_error on a relation of another shape. *)
-
-val semijoin :
-  ?name:string ->
-  on:(string * string) list ->
-  Relation.t ->
-  Relation.t ->
-  Relation.t
-(** [semijoin ~on a b]: elements of [a] joining at least one of [b]. *)
-
-val antijoin :
-  ?name:string ->
-  on:(string * string) list ->
-  Relation.t ->
-  Relation.t ->
-  Relation.t
-(** [antijoin ~on a b]: elements of [a] joining none of [b] — the
-    universal counterpart of the semijoin. *)
-
-val divide :
-  ?name:string ->
-  on:(string * string) list ->
-  Relation.t ->
-  Relation.t ->
-  Relation.t
-(** [divide ~on r s]: quotient tuples of [r] (over its attributes not in
-    [on]) whose group covers every distinct [on]-image of [s].  An empty
-    divisor yields all quotient projections.
-    @raise Errors.Schema_error if no quotient attributes remain. *)
+    the paper's combination phase (Section 3.3) as fused streams: join /
+    Cartesian product to combine conjunctions, projection for SOME, and
+    union for the disjunctive form ({!Stream.materialize} over several
+    chains).  Division for ALL runs over the same column encodes in
+    [Combination]. *)
 
 (** Fused streaming operators, run as vectorized batch kernels: a chain
     rooted at one source relation allocates one output relation (at
@@ -74,16 +38,20 @@ module Stream : sig
   val product : t -> Relation.t -> t
 
   val materialize :
-    ?par:Domain_pool.par -> ?batch_size:int -> ?name:string -> t -> Relation.t
-  (** Run the chain once, collecting into a whole-tuple-keyed relation.
-      The source is encoded into column arrays and driven through the
-      kernels in windows of [batch_size] rows (default 2048; any size
-      from 1 up gives the same relation, iteration order included).
+    ?par:Domain_pool.par -> ?batch_size:int -> ?name:string -> t list -> Relation.t
+  (** Run each chain once, in list order, collecting into one
+      whole-tuple-keyed relation — with several chains, their set
+      union.  Each source is encoded into column arrays and driven
+      through the kernels in windows of [batch_size] rows (default
+      2048; any size from 1 up gives the same relation, iteration order
+      included).
 
-      With [?par] active and a source clearing the threshold, the
-      windows are the fan-out unit: shared build tables and encodes are
-      built before the fork, each chunk of windows gets a private
-      kernel instance, and chunk outputs are replayed in order — the
-      output relation is identical to the serial run's for every
-      [jobs]. *)
+      With [?par] active and a source clearing the threshold, that
+      chain's windows are the fan-out unit: shared build tables and
+      encodes are built before the fork, each chunk of windows gets a
+      private kernel instance, and chunk outputs are replayed in order —
+      the output relation is identical to the serial run's for every
+      [jobs].
+      @raise Errors.Schema_error if two chains differ in shape.
+      @raise Invalid_argument on an empty list. *)
 end

@@ -1,9 +1,9 @@
 (** A small reusable pool of worker domains.
 
     The engine proper is single-threaded on the main domain; the pool
-    exists so the collection phase and the partitioned {!Algebra}
-    operators can fan independent, side-effect-free-on-shared-state
-    work out across cores.  Worker domains are spawned lazily on first
+    exists so {!Algebra.Stream.materialize}, the one parallel site, can
+    fan a chain's windows (independent, side-effect-free-on-shared-state
+    work) out across cores.  Worker domains are spawned lazily on first
     parallel call and reused across queries — spawning a domain costs
     milliseconds, far more than the work items it runs — and simply
     stay parked on the task queue for the life of the process.
@@ -27,8 +27,8 @@
 
 type par = { jobs : int; threshold : int }
 (** Parallelism budget as resolved by [Exec_opts]: worker count
-    (including the caller, which always participates) and the input
-    cardinality below which partitioned operators stay serial. *)
+    (including the caller, which always participates) and the source
+    cardinality below which a stream materialization stays serial. *)
 
 val active : par option -> int -> par option
 (** [active par n] is [Some p] when [par] allows parallel execution of

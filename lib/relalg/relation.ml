@@ -297,25 +297,6 @@ let scan_fold f init r =
     scan (fun t -> acc := f !acc t) r;
     !acc
 
-(* Counted snapshot in scan order: the accessor parallel execution uses
-   to hand worker domains an immutable view of the contents.  Costs one
-   instrumented scan — exactly what the serial engine spends to read
-   the relation once — so scan counters stay identical between jobs=1
-   and jobs>1 runs.  Workers must never touch [t] itself: the counters,
-   version and paged backing are unsynchronized. *)
-let to_array r =
-  let acc = ref [] in
-  scan (fun t -> acc := t :: !acc) r;
-  Array.of_list (List.rev !acc)
-
-(* Same snapshot through the uninstrumented [iter] — for parallelizing
-   call sites whose serial form also reads via [iter] (the stream
-   pipeline source). *)
-let to_array_uncounted r =
-  let acc = ref [] in
-  iter (fun t -> acc := t :: !acc) r;
-  Array.of_list (List.rev !acc)
-
 (* Short-circuiting quantifiers: [for_all] sits on the division and
    [equal_set] paths, so bail out on the first witness instead of
    folding the whole key table. *)

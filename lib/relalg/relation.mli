@@ -58,16 +58,6 @@ val scan_fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
 val exists : (Tuple.t -> bool) -> t -> bool
 val for_all : (Tuple.t -> bool) -> t -> bool
 
-val to_array : t -> Tuple.t array
-(** Snapshot of the contents in {!scan} order, counted as one scan —
-    the immutable view parallel execution hands to worker domains
-    ({!t} itself is not thread-safe).  Scan counters therefore match
-    the serial engine, which also reads the relation exactly once. *)
-
-val to_array_uncounted : t -> Tuple.t array
-(** {!to_array} through the uninstrumented {!iter} — for parallelizing
-    call sites whose serial form also reads via {!iter}. *)
-
 val attach_storage : t -> pool:Buffer_pool.t -> unit
 (** Attach paged storage: contents are written to a fresh heap file and
     every subsequent {!scan} decodes the pages through [pool], whose

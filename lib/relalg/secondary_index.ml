@@ -48,8 +48,9 @@ type t = {
          a key span's exact tuple count is one subtraction *)
   mutable sorted_dirty : bool;
   probes : int Atomic.t;
-      (* atomic, not plain mutable: a built index is probed read-only
-         by concurrent Domain_pool workers during parallel collection *)
+      (* atomic, not plain mutable: one committed index is probed
+         read-only by concurrent snapshot readers — server connections
+         and client domains *)
 }
 
 let source t = t.source
@@ -223,8 +224,8 @@ let iter_matching t op v f =
    phase's per-query {!Index} (paper Section 3.2's permanent index):
    entries tagged with the same stable ordinals {!Index} reports, and
    order comparisons walk the bucket table rather than the sorted view.
-   Neither writes the index beyond its atomic probe counter — pair
-   builds on pool workers and concurrent snapshot readers share it. *)
+   Neither writes the index beyond its atomic probe counter —
+   concurrent snapshot readers share it. *)
 let fold_matching_entries t op v f init =
   count_probe t;
   Value_key.fold_matching_entries ~source:t.source t.tbl op v f init

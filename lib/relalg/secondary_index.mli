@@ -68,7 +68,7 @@ val fold_matching_entries :
     stand-in probe of a declared index serving as the paper's permanent
     index.  Order comparisons walk the bucket table, never the sorted
     view, so the probe writes nothing but the atomic probe counter and
-    is safe on pool workers and under concurrent snapshot readers.
+    is safe under concurrent snapshot readers.
     Counted once per call. *)
 
 val exists_matching : t -> Value.comparison -> Value.t -> bool

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Guard against combination-engine performance regressions.
 
-Six checks:
+Seven checks:
 
 1. Compares a freshly measured benchmark run against the committed
    BENCH_results.json and fails if any fully-optimised (s1+s2+s3+s4)
@@ -56,6 +56,14 @@ Six checks:
    columns).  Scan counts are deterministic, so every row must equal
    the committed baseline's exactly, and both runs must cover the same
    (query, strategy) cells.
+
+7. B-ORDER, baseline vs new, only when the new run carries rows.  For
+   every (query, scale, engine) cell the largest n-tuple relation built
+   (max_ntuple) and the relation scans are deterministic, so both must
+   equal the committed baseline's exactly, and both runs must cover the
+   same cells up to the new run's largest scale (a --max-scale run
+   covers a prefix of the baseline's scales).  max_ntuple is the
+   union's cardinality whichever way the engine builds the union.
 
 Usage: check_bench_regression.py BASELINE.json NEW.json
 """
@@ -340,6 +348,42 @@ def check_permanent_indexes(baseline_path, new_path):
     return failed
 
 
+def order_rows(path):
+    """B-ORDER rows of one run: {(query, scale, engine): (max_ntuple, scans)}."""
+    with open(path) as f:
+        doc = json.load(f)
+    rows = {}
+    for r in doc.get("results", doc if isinstance(doc, list) else []):
+        if r.get("experiment") == "B-ORDER":
+            rows[(r.get("query", ""), r.get("scale", 0), r.get("strategy", ""))] = (
+                r.get("max_ntuple"),
+                r.get("scans"),
+            )
+    return rows
+
+
+def check_order_counts(baseline_path, new_path):
+    """B-ORDER max_ntuple and scan counts, baseline vs new."""
+    new = order_rows(new_path)
+    if not new:
+        print("B-ORDER: no rows in the new run, skipping the count check")
+        return []
+    top = max(scale for _, scale, _ in new)
+    baseline = {k: v for k, v in order_rows(baseline_path).items() if k[1] <= top}
+    failed = []
+    for key in sorted(set(baseline) | set(new)):
+        query, scale, engine = key
+        base, row = baseline.get(key), new.get(key)
+        ok = base is not None and base == row
+        print(
+            f"B-ORDER  {query:12s} scale={scale} {engine:11s}  "
+            f"baseline={base}  new={row}  {'ok' if ok else 'COUNTS DIFFER'}"
+        )
+        if not ok:
+            failed.append(key)
+    return failed
+
+
 def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__.strip())
@@ -380,6 +424,7 @@ def main():
     index_failed = check_index(sys.argv[2])
     traffic_failed = check_traffic(sys.argv[1], sys.argv[2])
     idx_failed = check_permanent_indexes(sys.argv[1], sys.argv[2])
+    order_failed = check_order_counts(sys.argv[1], sys.argv[2])
     if failed:
         sys.exit(f"{len(failed)}/{compared} rows regressed beyond {FACTOR}x")
     if prep_failed:
@@ -406,6 +451,11 @@ def main():
         sys.exit(
             f"{len(idx_failed)} B-IDX rows whose scan counts differ from "
             "the committed baseline"
+        )
+    if order_failed:
+        sys.exit(
+            f"{len(order_failed)} B-ORDER cells whose max_ntuple or scan "
+            "counts differ from the committed baseline"
         )
     if compared:
         print(f"all {compared} rows within {FACTOR}x of baseline")

@@ -18,7 +18,7 @@ let exec_q ?opts db q = Session.exec ?opts (Session.create db) q
 
 module Stream = Algebra.Stream
 
-let seq_of r = Array.to_list (Relation.to_array_uncounted r)
+let seq_of r = List.rev (Relation.fold (fun acc t -> t :: acc) [] r)
 
 let check_same_relation label a b =
   Alcotest.(check (list Helpers.tuple))
@@ -43,10 +43,10 @@ let chain build src =
    exceed it, or meet an empty stream. *)
 
 let batch_sweep label src mk =
-  let reference = Stream.materialize ~batch_size:1 (mk src) in
+  let reference = Stream.materialize ~batch_size:1 [ mk src ] in
   List.iter
     (fun bs ->
-      let batched = Stream.materialize ~batch_size:bs (mk src) in
+      let batched = Stream.materialize ~batch_size:bs [ mk src ] in
       check_same_relation (Printf.sprintf "%s (batch_size %d)" label bs)
         reference batched)
     [ 2; 3; 7; 64; 100_000 ]
@@ -85,7 +85,7 @@ let test_join_class_mismatch () =
   raises_type_error "Value.compare" (fun () ->
       Value.compare (Value.int 1) (Value.str "1"));
   raises_type_error "natural_join" (fun () ->
-      Stream.materialize (Stream.natural_join (Stream.of_relation ints) strs))
+      Stream.materialize [ Stream.natural_join (Stream.of_relation ints) strs ])
 
 let test_product_and_semijoin_windows () =
   let src = pair_rel "s" [ "x"; "y" ] (List.init 10 (fun i -> (i mod 4, i))) in

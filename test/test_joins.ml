@@ -48,7 +48,7 @@ let nested_loop a b =
   out
 
 let hash_join ~batch_size a b =
-  Algebra.Stream.(materialize ~batch_size (natural_join (of_relation a) b))
+  Algebra.Stream.(materialize ~batch_size [ natural_join (of_relation a) b ])
 
 let agree a b =
   let reference = nested_loop a b in
