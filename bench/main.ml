@@ -40,6 +40,26 @@ let time f =
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1000.0)
 
+(* Relation scans and key probes [f] performs: deltas of this domain's
+   metrics, which count every scan and probe where it happens. *)
+let counted f =
+  let c = Obs.Metrics.counter_value in
+  let scans0 = c "relation.scans" and probes0 = c "relation.probes" in
+  let r = f () in
+  (r, c "relation.scans" - scans0, c "relation.probes" - probes0)
+
+(* Per database relation, the scans [f] performs: the paper's S1
+   counts, as [relation.scans.<name>] deltas. *)
+let scans_by_relation db f =
+  let counts () =
+    List.map
+      (fun n -> (n, Obs.Metrics.counter_value ("relation.scans." ^ n)))
+      (Database.relation_names db)
+  in
+  let before = counts () in
+  ignore (f ());
+  List.map2 (fun (n, a) (_, b) -> (n, b - a)) before (counts ())
+
 let time_median ?(repeat = 3) f =
   let times = List.init repeat (fun _ -> snd (time f)) in
   match List.sort compare times with
@@ -181,13 +201,12 @@ let bench_scale () =
          is strategy wall time, not pool thrash — that is B-PAGE). *)
       let pool = Database.attach_storage db ~pool_pages:64 in
       let hit_rate () = Buffer_pool.hit_rate (Buffer_pool.stats pool) in
-      Database.reset_counters db;
       Buffer_pool.reset_stats pool;
-      let naive_ms = time_median ~repeat:1 (fun () -> Naive_eval.run db q) in
-      let naive_scans = Database.total_scans db in
+      let naive_ms, naive_scans, naive_probes =
+        counted (fun () -> time_median ~repeat:1 (fun () -> Naive_eval.run db q))
+      in
       record ~experiment:"B-SCALE" ~query:"running" ~strategy:"naive" ~scale:s
-        ~wall_ms:naive_ms ~scans:naive_scans
-        ~probes:(Database.total_probes db) ~max_ntuple:0
+        ~wall_ms:naive_ms ~scans:naive_scans ~probes:naive_probes ~max_ntuple:0
         ~pool_hit_rate:(hit_rate ()) ();
       let cell (sname, st) =
         let feasible =
@@ -196,9 +215,10 @@ let bench_scale () =
           || st.Strategy.quantifier_push
         in
         if feasible then begin
-          Buffer_pool.reset_stats pool;
+          (* Zeroed per pass, so the hit rate is the last pass's. *)
           let report, ms, percentiles =
             time_percentiles (fun () ->
+                Buffer_pool.reset_stats pool;
                 exec_q_report ~opts:(Exec_opts.make ~strategy:st ()) db q)
           in
           record ~experiment:"B-SCALE" ~query:"running" ~strategy:sname
@@ -243,10 +263,8 @@ let bench_s1 () =
   List.iter
     (fun (qname, q) ->
       let counts strategy =
-        let _ = exec_q_report ~opts:(Exec_opts.make ~strategy ()) db q in
-        List.map
-          (fun r -> (Relation.name r, Relation.scan_count r))
-          (Database.relations db)
+        scans_by_relation db (fun () ->
+            exec_q_report ~opts:(Exec_opts.make ~strategy ()) db q)
       in
       let palermo = counts Strategy.palermo in
       let s1 = counts Strategy.s1 in
@@ -440,11 +458,12 @@ let bench_division () =
       in
       List.iter
         (fun (qname, q) ->
-          Database.reset_counters db;
-          let naive_ms = time_median ~repeat:1 (fun () -> Naive_eval.run db q) in
+          let naive_ms, scans, probes =
+            counted (fun () ->
+                time_median ~repeat:1 (fun () -> Naive_eval.run db q))
+          in
           record ~experiment:"B-DIV" ~query:qname ~strategy:"naive" ~scale:s
-            ~wall_ms:naive_ms ~scans:(Database.total_scans db)
-            ~probes:(Database.total_probes db) ~max_ntuple:0 ();
+            ~wall_ms:naive_ms ~scans ~probes ~max_ntuple:0 ();
           let run sname st =
             let report, ms, percentiles =
               time_percentiles (fun () ->
@@ -491,11 +510,12 @@ let bench_order () =
     List.iter
       (fun (ename, join_order) ->
         let repeat = 3 in
-        Buffer_pool.reset_stats pool;
         let in0 = Obs.Metrics.counter_value "combination.join_rows_in" in
         let out0 = Obs.Metrics.counter_value "combination.join_rows_out" in
         let report, ms, percentiles =
           time_percentiles ~repeat (fun () ->
+              (* Zeroed per pass, so the hit rate is the last pass's. *)
+              Buffer_pool.reset_stats pool;
               exec_q_report
                 ~opts:(Exec_opts.make ~strategy ~join_order ())
                 db q)
@@ -555,12 +575,11 @@ let bench_page_io () =
     let db = Workload.University.generate (uni_params 2) in
     let q = Workload.Queries.running_query db in
     let pool = Database.attach_storage db ~pool_pages in
-    Database.reset_counters db;
-    let _, ms = time (fun () -> eval db q) in
+    Buffer_pool.reset_stats pool;
+    let (_, ms), scans, probes = counted (fun () -> time (fun () -> eval db q)) in
     let s = Buffer_pool.stats pool in
     record ~experiment:"B-PAGE" ~query:"running" ~strategy:name ~scale:2
-      ~wall_ms:ms ~scans:(Database.total_scans db)
-      ~probes:(Database.total_probes db) ~max_ntuple:0
+      ~wall_ms:ms ~scans ~probes ~max_ntuple:0
       ~pool_hit_rate:(Buffer_pool.hit_rate s)
       ~extra:
         [

@@ -560,7 +560,8 @@ let analyze_cmd =
             (Analyze.to_json ~database:kind ~scale db q a)
         else begin
           Fmt.pr "query: %a@.@." Calculus.pp_query q;
-          Fmt.pr "%s@." (Explain.explain ~strategy:st db q);
+          Fmt.pr "strategy: %a@.%s@." Strategy.pp st
+            (Explain.explain_plan report.Exec_result.plan);
           Fmt.pr "measured (wall clock, metric deltas per pipeline step):@.";
           Fmt.pr "%-16s %10s %8s %8s %12s %10s@." "step" "wall ms" "scans"
             "probes" "max-ntuple" "tuples";

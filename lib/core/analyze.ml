@@ -97,12 +97,19 @@ type t = {
    end to end. *)
 let run ?pool_pages ?(repeat = 1) ?(opts = Exec_opts.default) ?params db q =
   if repeat < 1 then invalid_arg "Analyze.run: repeat must be positive";
-  (match pool_pages with
-  | Some n when n <= 0 -> invalid_arg "Analyze.run: pool_pages must be positive"
-  | Some n -> ignore (Database.attach_storage db ~pool_pages:n)
-  | None -> ());
+  let pool =
+    match pool_pages with
+    | Some n when n <= 0 ->
+      invalid_arg "Analyze.run: pool_pages must be positive"
+    | Some n -> Some (Database.attach_storage db ~pool_pages:n)
+    | None -> None
+  in
   let session = Session.create db in
   let rec go i =
+    (* The pool's statistics belong to the simulated device, not to an
+       execution: zero them so the report's pool section describes this
+       execution alone. *)
+    Option.iter Buffer_pool.reset_stats pool;
     let outcome = Session.exec_traced ~opts ?params session q in
     if i >= repeat then outcome else go (i + 1)
   in
@@ -283,8 +290,10 @@ let plan_cache_json a =
    algorithm.  7: combination.fused keeps project/join/product,
    combination.materialized keeps stream/union/divide (the operators
    that still exist), and parallel.collection_builds is gone with the
-   collection phase's fan-out. *)
-let schema_version = 7
+   collection phase's fan-out.  8: span metrics carry the per-relation
+   relation.scans.<name> counters, "plan" renders the plan the
+   execution ran, and totals.pool describes the last execution. *)
+let schema_version = 8
 
 (* The last execution's unified result, as the executor reported it:
    the phase split from the execution clock, the plan-cache outcome of
@@ -357,6 +366,6 @@ let to_json ~database ~scale db q a =
             ("queries", Obs.Query_stats.to_json ());
           ] );
       ("flight_recorder", Obs.Flight_recorder.to_json ~n:16 ());
-      ("plan", Str (Explain.explain ~strategy:a.a_strategy db q));
+      ("plan", Str (Explain.explain_plan a.a_report.Exec_result.plan));
       ("trace", Obs.Trace.to_json a.a_root);
     ]

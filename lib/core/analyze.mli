@@ -54,14 +54,16 @@ val schema_version : int
     (0.0 instead of null on zero lookups).  4 added the [exec] section
     (the unified {!Exec_result.t}) and the WAL/txn fault counters.  7
     dropped the tallies of deleted operators and
-    [parallel.collection_builds]. *)
+    [parallel.collection_builds].  8 added the per-relation
+    [relation.scans.<name>] span counters and made [plan] the executed
+    plan. *)
 
 val to_json : database:string -> scale:int -> Database.t -> Calculus.query -> t -> Obs.Json.t
 (** The full analyze document: query, strategy, totals, per-phase rows,
     intermediates, parallel-execution activity (jobs, tasks, chunks,
     par vs seq operator tallies), fault/recovery counters, plan-cache
     activity, cumulative per-digest stats, flight-recorder contents,
-    plan and span trace. *)
+    the plan the execution ran, and the span trace. *)
 
 val faults_json : unit -> Obs.Json.t
 (** Fault-injection and recovery counters from the metrics registry,

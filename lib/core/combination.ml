@@ -607,7 +607,7 @@ type outcome = {
   o_join_algos : (string * string) list;
 }
 
-let evaluate_outcome ?par ?(join_order = Cost_ordered) coll (plan : Plan.t) =
+let evaluate ?par ?(join_order = Cost_ordered) coll (plan : Plan.t) =
   let max_ntuple = ref 0 in
   let grow n =
     max_ntuple := max !max_ntuple n;
@@ -625,6 +625,3 @@ let evaluate_outcome ?par ?(join_order = Cost_ordered) coll (plan : Plan.t) =
     o_max_ntuple = !max_ntuple;
     o_join_algos = List.rev !joins;
   }
-
-let evaluate ?par ?join_order coll plan =
-  (evaluate_outcome ?par ?join_order coll plan).o_result

@@ -19,20 +19,10 @@ type join_order =
           full variable order, union, then eliminate right to left over
           the padded n-tuple relation. *)
 
-val evaluate :
-  ?par:Domain_pool.par ->
-  ?join_order:join_order ->
-  Collection.t ->
-  Plan.t ->
-  Relation.t
-(** Returns the reference relation over the free variables, in
-    declaration order.  [?par] is the parallelism budget of the stream
-    materializations' window fan-out ([Exec_opts.par]); omitted, every
-    chain runs serially.  Precondition: every prefix range is non-empty
-    (established by {!Standard_form.adapt_query}). *)
-
 type outcome = {
   o_result : Relation.t;
+      (** the reference relation over the free variables, in
+          declaration order *)
   o_max_ntuple : int;
       (** cardinality of the largest n-tuple relation built — the
           combinatorial-growth metric *)
@@ -42,10 +32,13 @@ type outcome = {
           ["hash"], the algorithm that ran; empty under {!Declaration} *)
 }
 
-val evaluate_outcome :
+val evaluate :
   ?par:Domain_pool.par -> ?join_order:join_order -> Collection.t -> Plan.t -> outcome
-(** The full result: {!evaluate} plus max_ntuple and the join algorithm
-    run per streaming join step. *)
+(** The combination phase's one entry point.  [?par] is the parallelism
+    budget of the stream materializations' window fan-out
+    ([Exec_opts.par]); omitted, every chain runs serially.
+    Precondition: every prefix range is non-empty (established by
+    {!Standard_form.adapt_query}). *)
 
 val divide :
   ?pool:Batch.pool -> v:string -> Relation.t -> Relation.t -> Relation.t

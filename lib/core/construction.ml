@@ -22,7 +22,9 @@ let run ?name db (plan : Plan.t) refs =
   let positions =
     List.map (fun v -> Schema.index_of ref_schema v) free_names
   in
-  Relation.scan
+  (* The combination result is an intermediate, not a read of the
+     database: iterate it uncounted. *)
+  Relation.iter
     (fun t ->
       (* Regain each selected variable from its reference. *)
       let bindings =

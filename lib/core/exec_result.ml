@@ -1,12 +1,12 @@
-(* The one report shape of every instrumented execution.
+(* The one report shape of every execution.
 
-   Session.exec_report, Session.Txn.exec_report and
-   Prepared.exec_report all return this record, and `analyze --json`
+   Prepared.exec_report_with, the one execution body, builds this
+   record; Session.exec_report and Session.Txn.exec_report return it,
+   the plain exec family return its result, and `analyze --json`
    serializes it — there is a single vocabulary for "what did this
-   execution cost" instead of parallel ad-hoc tuples.  The counter
-   fields (scans, probes, max_ntuple, intermediates) keep the names of
-   the old Phased_eval report; the phase split, plan-cache outcome and
-   transaction/WAL activity are read as metric deltas over the
+   execution cost" instead of parallel ad-hoc tuples.  The phase split,
+   the scan/probe counts, the plan-cache outcome and transaction/WAL
+   activity are read as this domain's metric deltas over the
    execution's observation window. *)
 
 open Relalg
@@ -32,14 +32,15 @@ type txn_stats = {
   wal_fsyncs : int;
 }
 
-let no_txn_stats = { commits = 0; conflicts = 0; wal_appends = 0; wal_fsyncs = 0 }
-
 type t = {
   result : Relation.t;
   plan : Plan.t;
   rows : int;  (* cardinality of [result] *)
-  scans : int;  (* counted full relation scans of the database *)
-  probes : int;  (* key lookups against database relations *)
+  scans : int;
+      (* relation.scans delta over the observation window: full scans of
+         database relations (the combination result is iterated
+         uncounted) *)
+  probes : int;  (* relation.probes delta: key lookups *)
   max_ntuple : int;  (* largest combined n-tuple relation *)
   intermediates : (string * int) list;
       (* sizes of all collection-phase structures *)

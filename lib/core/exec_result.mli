@@ -1,6 +1,6 @@
-(** The one report shape of every instrumented execution:
-    {!Session.exec_report}, [Session.Txn.exec_report] and
-    {!Prepared.exec_report} all return it, and [analyze --json]
+(** The one report shape of every execution: the one execution body
+    {!Prepared.exec_report_with} builds it, {!Session.exec_report} and
+    [Session.Txn.exec_report] return it, and [analyze --json]
     serializes it. *)
 
 open Relalg
@@ -22,14 +22,19 @@ type txn_stats = {
 (** Transaction and WAL activity attributable to this execution (metric
     deltas over its observation window): zero for pure reads. *)
 
-val no_txn_stats : txn_stats
-
 type t = {
   result : Relation.t;
   plan : Plan.t;
   rows : int;  (** cardinality of [result] *)
-  scans : int;  (** counted full relation scans of the database *)
-  probes : int;  (** key lookups against database relations *)
+  scans : int;
+      (** full relation scans: the [relation.scans] delta of the
+          executing domain's metrics over the observation window (so
+          exact while other domains read the same snapshot).  The
+          combination result is iterated uncounted, so this is the
+          scans of database relations. *)
+  probes : int;
+      (** key lookups: the [relation.probes] delta over the same
+          window *)
   max_ntuple : int;  (** largest combined n-tuple relation *)
   intermediates : (string * int) list;
       (** sizes of all collection-phase structures *)

@@ -61,22 +61,27 @@ let window = counters
    its counter window: a reground implies a miss (of the substituted
    plan), an invalidation implies the subsequent miss, so precedence is
    reground > invalidated > miss > hit. *)
-let cache_outcome ~since =
-  let now = counters () in
+let cache_outcome ~since now =
   if now.w_regrounds > since.w_regrounds then Exec_result.Reground
   else if now.w_invalidations > since.w_invalidations then
     Exec_result.Invalidated
   else if now.w_misses > since.w_misses then Exec_result.Miss
   else Exec_result.Hit
 
-let txn_stats ~since =
-  let now = counters () in
+let txn_stats ~since now =
   {
     Exec_result.commits = now.w_txn_commits - since.w_txn_commits;
     conflicts = now.w_txn_conflicts - since.w_txn_conflicts;
     wal_appends = now.w_wal_appends - since.w_wal_appends;
     wal_fsyncs = now.w_wal_fsyncs - since.w_wal_fsyncs;
   }
+
+(* Relation scans and key probes between the snapshots.  The counters
+   live in this domain's own registry, so the counts are the
+   execution's alone even while other domains read the same
+   relations. *)
+let scans_probes ~since now =
+  (now.w_scans - since.w_scans, now.w_probes - since.w_probes)
 
 let run ~digest ~text ~opts ~rows_of f =
   let go () =

@@ -27,13 +27,19 @@ type window
 
 val window : unit -> window
 
-val cache_outcome : since:window -> Exec_result.cache_outcome
-(** The most specific plan-cache event since the snapshot:
+(* The attributions below compare a window's start [since] with a
+   later snapshot [now] of the same domain. *)
+
+val cache_outcome : since:window -> window -> Exec_result.cache_outcome
+(** The most specific plan-cache event between the snapshots:
     reground > invalidated > miss > hit. *)
 
-val txn_stats : since:window -> Exec_result.txn_stats
-(** Transaction commit/conflict and WAL append/fsync deltas since the
-    snapshot. *)
+val txn_stats : since:window -> window -> Exec_result.txn_stats
+(** Transaction commit/conflict and WAL append/fsync deltas. *)
+
+val scans_probes : since:window -> window -> int * int
+(** [relation.scans] and [relation.probes] deltas — exact under
+    concurrency, since every domain counts in its own registry. *)
 
 val run :
   digest:string ->

@@ -147,112 +147,67 @@ let ground t db provided =
 
 (* --- Execution ----------------------------------------------------- *)
 
-(* The [_with] variants run under a caller-supplied phase clock, so the
+(* The one execution body: ground, collect, combine, construct, and
+   report.  It runs under a caller-supplied phase clock, so the
    observation window can start before this function — Session's
    one-shot paths open it around prepare + execute, attributing a cold
-   one-shot's planning to the same record.  [?within] is the snapshot
-   to execute against (a transaction's view); without it, a read
+   one-shot's planning to the same record.  [since] is that window's
+   start: the cache outcome, txn/WAL activity and the scan/probe counts
+   are this domain's metric deltas from it, exact however many other
+   domains read the same snapshot.  [?within] is the snapshot to
+   execute against (a transaction's view); without it, a read
    transaction is pinned around the execution (autocommit). *)
-
-let exec_in ?name ~params (clock : Observe.clock) db t =
-  let plan = ground t db params in
-  let coll =
-    Collection.create ~batch_size:t.p_opts.Exec_opts.batch_size
-      ~use_index:t.p_opts.Exec_opts.use_index db t.p_opts.Exec_opts.strategy
-      plan
+let exec_report_with ?name ?(params = []) ?within ~since
+    (clock : Observe.clock) t =
+  let run db =
+    let plan = ground t db params in
+    let coll =
+      Collection.create ~batch_size:t.p_opts.Exec_opts.batch_size
+        ~use_index:t.p_opts.Exec_opts.use_index db
+        t.p_opts.Exec_opts.strategy plan
+    in
+    clock.time Observe.Collection (fun () ->
+        Obs.Trace.with_span "collection" (fun () -> Collection.run coll));
+    let outcome =
+      clock.time Observe.Combination (fun () ->
+          Obs.Trace.with_span "combination" (fun () ->
+              Combination.evaluate ?par:(Exec_opts.par t.p_opts)
+                ~join_order:t.p_opts.Exec_opts.join_order coll plan))
+    in
+    let result =
+      clock.time Observe.Construction (fun () ->
+          Obs.Trace.with_span "construction" (fun () ->
+              Construction.run ?name db plan outcome.Combination.o_result))
+    in
+    let now = Observe.window () in
+    let scans, probes = Observe.scans_probes ~since now in
+    {
+      Exec_result.result;
+      plan;
+      rows = Relation.cardinality result;
+      scans;
+      probes;
+      max_ntuple = outcome.Combination.o_max_ntuple;
+      intermediates = Collection.intermediate_sizes coll;
+      access_paths = Collection.access_paths coll;
+      join_algos = outcome.Combination.o_join_algos;
+      collection_ms = clock.elapsed Observe.Collection;
+      combination_ms = clock.elapsed Observe.Combination;
+      construction_ms = clock.elapsed Observe.Construction;
+      cache = Observe.cache_outcome ~since now;
+      txn = Observe.txn_stats ~since now;
+    }
   in
-  clock.time Observe.Collection (fun () ->
-      Obs.Trace.with_span "collection" (fun () -> Collection.run coll));
-  let refs =
-    clock.time Observe.Combination (fun () ->
-        Obs.Trace.with_span "combination" (fun () ->
-            Combination.evaluate ?par:(Exec_opts.par t.p_opts)
-              ~join_order:t.p_opts.Exec_opts.join_order coll plan))
-  in
-  clock.time Observe.Construction (fun () ->
-      Obs.Trace.with_span "construction" (fun () ->
-          Construction.run ?name db plan refs))
-
-let exec_with ?name ?(params = []) ?within clock t =
   match within with
-  | Some db -> exec_in ?name ~params clock db t
+  | Some db -> run db
   | None ->
-    Database.with_read t.p_db (fun txn ->
-        exec_in ?name ~params clock (Database.Txn.view txn) t)
-
-(* Execute with instrumentation.  Scan/probe counters of the snapshot's
-   relations are reset first, so the report reflects this execution
-   alone; [since] is the caller's observation-window start, from which
-   the cache outcome and txn/WAL activity are attributed. *)
-let exec_report_in ?name ~params ~since (clock : Observe.clock) db t =
-  Database.reset_counters db;
-  let plan = ground t db params in
-  let coll =
-    Collection.create ~batch_size:t.p_opts.Exec_opts.batch_size
-      ~use_index:t.p_opts.Exec_opts.use_index db t.p_opts.Exec_opts.strategy
-      plan
-  in
-  clock.time Observe.Collection (fun () ->
-      Obs.Trace.with_span "collection" (fun () -> Collection.run coll));
-  let outcome =
-    clock.time Observe.Combination (fun () ->
-        Obs.Trace.with_span "combination" (fun () ->
-            Combination.evaluate_outcome ?par:(Exec_opts.par t.p_opts)
-              ~join_order:t.p_opts.Exec_opts.join_order coll plan))
-  in
-  let refs = outcome.Combination.o_result in
-  let result =
-    clock.time Observe.Construction (fun () ->
-        Obs.Trace.with_span "construction" (fun () ->
-            Construction.run ?name db plan refs))
-  in
-  {
-    Exec_result.result;
-    plan;
-    rows = Relation.cardinality result;
-    scans = Database.total_scans db;
-    probes = Database.total_probes db;
-    max_ntuple = outcome.Combination.o_max_ntuple;
-    intermediates = Collection.intermediate_sizes coll;
-    access_paths = Collection.access_paths coll;
-    join_algos = outcome.Combination.o_join_algos;
-    collection_ms = clock.elapsed Observe.Collection;
-    combination_ms = clock.elapsed Observe.Combination;
-    construction_ms = clock.elapsed Observe.Construction;
-    cache = Observe.cache_outcome ~since;
-    txn = Observe.txn_stats ~since;
-  }
-
-let exec_report_with ?name ?(params = []) ?within ~since clock t =
-  match within with
-  | Some db -> exec_report_in ?name ~params ~since clock db t
-  | None ->
-    Database.with_read t.p_db (fun txn ->
-        exec_report_in ?name ~params ~since clock (Database.Txn.view txn) t)
+    Database.with_read t.p_db (fun txn -> run (Database.Txn.view txn))
 
 let exec ?name ?params ?within t =
-  Observe.run ~digest:t.p_digest ~text:t.p_text ~opts:t.p_opts
-    ~rows_of:Relation.cardinality (fun clock ->
-      exec_with ?name ?params ?within clock t)
-
-let exec_report ?name ?params t =
   let since = Observe.window () in
-  Observe.run ~digest:t.p_digest ~text:t.p_text ~opts:t.p_opts
-    ~rows_of:(fun r -> r.Exec_result.rows)
-    (fun clock -> exec_report_with ?name ?params ~since clock t)
-
-(* Execute under the span tracer.  On a cache hit the root "query" span
-   has only collection / combination / construction children — the
-   planning spans appear exactly when the cache re-plans. *)
-let exec_traced ?name ?params t =
-  (* The high-water gauge is cumulative across queries in one process;
-     zero it so this trace's combination span reports this execution's
-     maximum, not a larger one left over from an earlier run. *)
-  Obs.Metrics.set_gauge "combination.max_ntuple" 0.0;
-  Obs.Trace.collect "query"
-    ~attrs:
-      [
-        ( "strategy",
-          Obs.Json.Str (Strategy.to_string t.p_opts.Exec_opts.strategy) );
-      ]
-    (fun () -> exec_report ?name ?params t)
+  let report =
+    Observe.run ~digest:t.p_digest ~text:t.p_text ~opts:t.p_opts
+      ~rows_of:(fun r -> r.Exec_result.rows)
+      (fun clock -> exec_report_with ?name ?params ?within ~since clock t)
+  in
+  report.Exec_result.result

@@ -56,28 +56,12 @@ val exec :
   ?within:Database.t ->
   t ->
   Relation.t
-(** Autocommit: pins a read snapshot around the execution, unless
-    [?within] supplies a transaction's view to run against.
+(** The result of {!exec_report_with}, recorded under its own
+    observation window.  Autocommit: pins a read snapshot around the
+    execution, unless [?within] supplies a transaction's view to run
+    against.
     @raise Unbound_parameter if a required placeholder is missing.
     @raise Unknown_parameter on a binding the query does not use. *)
-
-val exec_report :
-  ?name:string -> ?params:(string * Relalg.Value.t) list -> t -> Exec_result.t
-(** {!exec} with instrumentation; resets the snapshot's scan/probe
-    counters first. *)
-
-val exec_with :
-  ?name:string ->
-  ?params:(string * Relalg.Value.t) list ->
-  ?within:Database.t ->
-  Observe.clock ->
-  t ->
-  Relation.t
-(** {!exec} under a caller-supplied {!Observe.clock} — no recording of
-    its own.  [?within] is the snapshot to run against (a transaction's
-    view); when absent a read transaction is pinned around the
-    execution.  {!Session}'s paths use this so the observation window
-    also covers prepare. *)
 
 val exec_report_with :
   ?name:string ->
@@ -87,16 +71,10 @@ val exec_report_with :
   Observe.clock ->
   t ->
   Exec_result.t
-(** {!exec_report}, clocked by the caller like {!exec_with}; [since] is
-    the observation-window start from which the report's cache outcome
-    and txn/WAL stats are attributed. *)
-
-val exec_traced :
-  ?name:string ->
-  ?params:(string * Relalg.Value.t) list ->
-  t ->
-  Exec_result.t * Obs.Trace.span
-(** {!exec_report} under the span tracer.  On a plan-cache hit the root
-    span has only collection / combination / construction children; the
-    planning spans reappear exactly when the stats epoch forces a
-    re-plan. *)
+(** The one execution body every query runs, under a caller-supplied
+    {!Observe.clock} and no recording of its own — {!Session}'s paths
+    use it so the observation window also covers prepare.  [?within]
+    is the snapshot to run against (a transaction's view); when absent
+    a read transaction is pinned around the execution.  [since] is the
+    observation-window start from which the report's cache outcome,
+    txn/WAL stats and scan/probe counts are attributed. *)

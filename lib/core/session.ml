@@ -155,15 +155,6 @@ module Txn = struct
      cache.  The observation window opens around prepare + execute, so
      a cold query records as a replan and a repeat as a cache hit. *)
 
-  let exec ?(opts = Exec_opts.default) ?name ?params txn query =
-    let view = database txn in
-    Observe.run ~digest:(digest query)
-      ~text:(Fmt.str "%a" Calculus.pp_query query)
-      ~opts ~rows_of:Relation.cardinality
-      (fun clock ->
-        Prepared.exec_with ?name ?params ~within:view clock
-          (prepare_lazy ~opts txn.x_session query))
-
   let exec_report ?(opts = Exec_opts.default) ?name ?params txn query =
     let view = database txn in
     let since = Observe.window () in
@@ -174,6 +165,9 @@ module Txn = struct
       (fun clock ->
         Prepared.exec_report_with ?name ?params ~within:view ~since clock
           (prepare_lazy ~opts txn.x_session query))
+
+  let exec ?opts ?name ?params txn query =
+    (exec_report ?opts ?name ?params txn query).Exec_result.result
 end
 
 let read t f =
@@ -196,13 +190,16 @@ let write t f =
    snapshot, prepare + execute through the session cache (so a repeated
    one-shot query still hits). *)
 
-let exec ?opts ?name ?params t query =
-  read t (fun txn -> Txn.exec ?opts ?name ?params txn query)
-
 let exec_report ?opts ?name ?params t query =
   read t (fun txn -> Txn.exec_report ?opts ?name ?params txn query)
 
+let exec ?opts ?name ?params t query =
+  (exec_report ?opts ?name ?params t query).Exec_result.result
+
 let exec_traced ?(opts = Exec_opts.default) ?name ?params t query =
+  (* The high-water gauge is cumulative across queries in one process;
+     zero it so this trace's combination span reports this execution's
+     maximum, not a larger one left over from an earlier run. *)
   Obs.Metrics.set_gauge "combination.max_ntuple" 0.0;
   Obs.Trace.collect "query"
     ~attrs:

@@ -3,8 +3,10 @@
 
     {!prepare} runs the planning pipeline — empty-range adaptation,
     standard form, strategies 3 and 4 — at most once per (query
-    structure, {!Exec_opts}, stats epoch); {!Prepared.exec} then runs
-    only the collection / combination / construction phases.  Cache
+    structure, {!Exec_opts}, stats epoch); every execution then runs
+    the one body {!Prepared.exec_report_with} — only the collection /
+    combination / construction phases — and the [exec] family return
+    its {!Exec_result.t} or that report's result relation.  Cache
     keys digest the alpha-canonical query, so variable spelling does
     not matter; entries are invalidated when
     {!Relalg.Database.stats_epoch} moves.
@@ -47,7 +49,7 @@ val digest : query -> string
 val prepare : ?opts:Exec_opts.t -> t -> query -> Prepared.t
 (** Plan now (through the cache), execute later — possibly many times,
     with different [$name] parameter bindings, inside or outside a
-    transaction ({!Prepared.exec_with}'s [?within]). *)
+    transaction ({!Prepared.exec}'s [?within]). *)
 
 val plan_only : ?opts:Exec_opts.t -> Database.t -> query -> Plan.t
 (** The uncached planning pipeline: adaptation + standard form +

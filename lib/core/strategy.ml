@@ -34,11 +34,6 @@ let s1234 = { s123 with quantifier_push = true }
 let s123c = { s123 with cnf_extension = true }
 let full_cnf = { s1234 with cnf_extension = true }
 
-(* Isolated strategies, for the ablation benchmarks. *)
-let s2_only = { palermo with monadic_restrict = true }
-let s3_only = { palermo with range_extension = true }
-let s4_only = { palermo with quantifier_push = true }
-
 let full = s1234
 
 let all_presets =

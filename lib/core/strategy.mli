@@ -32,9 +32,6 @@ val s123 : t
 val s1234 : t
 val s123c : t
 val full_cnf : t
-val s2_only : t
-val s3_only : t
-val s4_only : t
 
 val full : t
 (** All four strategies ([s1234]). *)

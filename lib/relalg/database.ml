@@ -96,7 +96,6 @@ let find_relation db name =
   | None -> raise (Errors.Unknown_relation name)
 
 let find_relation_opt db name = Hashtbl.find_opt db.rels name
-let mem_relation db name = Hashtbl.mem db.rels name
 
 let relation_names db =
   List.sort String.compare (Hashtbl.fold (fun n _ acc -> n :: acc) db.rels [])
@@ -191,26 +190,6 @@ let attach_storage db ~pool_pages =
   Hashtbl.iter (fun _ r -> Relation.attach_storage r ~pool) db.rels;
   pool
 
-(* One call resets *all* measurement state — relation scan/probe
-   counters, secondary-index probe counters, and the stats of every
-   attached buffer pool — so benchmark iterations and [analyze] runs
-   never leak counts into each other.  Pools may be shared between
-   relations; resetting a shared pool more than once is harmless. *)
-let reset_counters db =
-  Hashtbl.iter
-    (fun _ r ->
-      Relation.reset_counters r;
-      match Relation.buffer_pool r with
-      | Some pool -> Buffer_pool.reset_stats pool
-      | None -> ())
-    db.rels;
-  Hashtbl.iter
-    (fun _ idxs -> List.iter Secondary_index.reset_counters idxs)
-    db.sec_indexes
-
-let total_probes db =
-  Hashtbl.fold (fun _ r acc -> acc + Relation.probe_count r) db.rels 0
-
 let pool_stats db =
   (* The combined stats of the distinct pools attached to this
      database's relations (normally one shared pool). *)
@@ -244,9 +223,6 @@ let pool_stats db =
           acc.Buffer_pool.invalidations + s.Buffer_pool.invalidations)
       pools;
     Some acc
-
-let total_scans db =
-  Hashtbl.fold (fun _ r acc -> acc + Relation.scan_count r) db.rels 0
 
 let pp ppf db =
   Fmt.pf ppf "@[<v>%a@]"

@@ -14,7 +14,6 @@ val find_relation : t -> string -> Relation.t
 (** @raise Errors.Unknown_relation *)
 
 val find_relation_opt : t -> string -> Relation.t option
-val mem_relation : t -> string -> bool
 val relation_names : t -> string list
 val relations : t -> Relation.t list
 
@@ -64,14 +63,6 @@ val stats_epoch : t -> int
     deletes, clears and snapshot loads all move the epoch, invalidating
     plans whose cost ordering or empty-range adaptation assumed the old
     cardinalities.  Monotone for any fixed database. *)
-
-val reset_counters : t -> unit
-(** Reset {e all} measurement state in one call: every relation's
-    scan/probe counters, every secondary index's probe counter, and the
-    stats of every attached buffer pool. *)
-
-val total_scans : t -> int
-val total_probes : t -> int
 
 val pool_stats : t -> Buffer_pool.stats option
 (** Combined stats of the distinct buffer pools attached to this

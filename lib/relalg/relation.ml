@@ -4,9 +4,13 @@
    the declared key functionally determines the element.  Element access
    by key value is the paper's *selected variable* rel[keyval]
    (Section 3.1); [scan] is the one-element-at-a-time read of the
-   FOR EACH loops of Examples 4.2/4.3 and is instrumented with a scan
-   counter so the benchmark harness can verify strategy 1's claim that
-   "each range relation is read no more than once". *)
+   FOR EACH loops of Examples 4.2/4.3.  Scans and key probes are counted
+   in the domain-local {!Obs.Metrics} registry, never on the handle
+   (which concurrent snapshot readers share): [relation.scans] and
+   [relation.probes] in total, and [relation.scans.<name>] per named
+   relation, so the benchmark harness can verify strategy 1's claim
+   that "each range relation is read no more than once" as a counter
+   delta around one execution. *)
 
 module Key_table = Hashtbl.Make (struct
   type t = Value.t list
@@ -33,8 +37,6 @@ type t = {
   name : string;
   schema : Schema.t;
   tbl : Tuple.t Key_table.t;
-  mutable scans : int;   (* completed full scans *)
-  mutable probes : int;  (* key lookups *)
   mutable version : int;
       (* bumped on every content change (insert/delete/clear); feeds the
          database stats epoch that invalidates cached plans *)
@@ -58,8 +60,6 @@ let create ?(name = "") ?(size_hint = 0) schema =
     name;
     schema;
     tbl = Key_table.create (max 64 size_hint);
-    scans = 0;
-    probes = 0;
     version = 0;
     backing = None;
     frozen = false;
@@ -166,7 +166,6 @@ let insert_unchecked r t =
 
 let delete_key r key =
   check_unfrozen r "delete";
-  r.probes <- r.probes + 1;
   Obs.Metrics.incr "relation.probes";
   (match Key_table.find_opt r.tbl key with
   | Some victim ->
@@ -188,7 +187,6 @@ let clear r =
 
 (* Selected variable rel[keyval]. *)
 let find_key r key =
-  r.probes <- r.probes + 1;
   Obs.Metrics.incr "relation.probes";
   Key_table.find_opt r.tbl key
 
@@ -201,7 +199,6 @@ let find_key_exn r key =
          (Fmt.str "%s[%a]" r.name (Fmt.list ~sep:Fmt.comma Value.pp) key))
 
 let mem_key r key =
-  r.probes <- r.probes + 1;
   Obs.Metrics.incr "relation.probes";
   Key_table.mem r.tbl key
 
@@ -235,8 +232,6 @@ let attach_storage r ~pool =
   r.backing <- Some b;
   rebuild_backing r b
 
-let detach_storage r = r.backing <- None
-
 let buffer_pool r =
   match r.backing with Some b -> Some b.pool | None -> None
 
@@ -244,6 +239,13 @@ let backing_pages r =
   match r.backing with
   | Some b -> Some (Heap_file.page_count b.hf)
   | None -> None
+
+(* The one site that counts a scan: the total, and the paper's
+   per-relation S1 count for a named relation. *)
+let count_scan r =
+  Obs.Metrics.incr "relation.scans";
+  if not (String.equal r.name "") then
+    Obs.Metrics.incr ("relation.scans." ^ r.name)
 
 (* Instrumented full scan: the engine's one-element-at-a-time read.
    Paged relations decode their tuples from the heap file through the
@@ -257,8 +259,7 @@ let backing_pages r =
    error is allowed to surface.  With no failpoint armed the original
    zero-copy streaming path runs unchanged. *)
 let scan f r =
-  r.scans <- r.scans + 1;
-  Obs.Metrics.incr "relation.scans";
+  count_scan r;
   match r.backing with
   | None -> iter f r
   | Some b ->
@@ -289,8 +290,7 @@ let scan f r =
 let scan_fold f init r =
   match r.backing with
   | None ->
-    r.scans <- r.scans + 1;
-    Obs.Metrics.incr "relation.scans";
+    count_scan r;
     fold f init r
   | Some _ ->
     let acc = ref init in
@@ -313,13 +313,6 @@ let for_all p r =
     iter (fun t -> if not (p t) then raise Decided) r;
     true
   with Decided -> false
-
-let scan_count r = r.scans
-let probe_count r = r.probes
-
-let reset_counters r =
-  r.scans <- 0;
-  r.probes <- 0
 
 let to_list r = List.sort Tuple.compare (fold (fun acc t -> t :: acc) [] r)
 

@@ -4,7 +4,10 @@
     element.  [rel[keyval]] selected-variable access is {!find_key};
     the instrumented {!scan} models the one-element-at-a-time reads of
     the paper's FOR EACH loops and feeds the strategy-1 scan-count
-    experiments. *)
+    experiments.  Scans and probes are counted only in the domain-local
+    {!Obs.Metrics} registry — [relation.scans], [relation.probes], and
+    [relation.scans.<name>] per named relation — so a caller reads its
+    own execution's counts as deltas, exact under concurrency. *)
 
 type t
 
@@ -52,7 +55,8 @@ val iter : (Tuple.t -> unit) -> t -> unit
 val fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
 
 val scan : (Tuple.t -> unit) -> t -> unit
-(** Instrumented full scan (counts towards {!scan_count}). *)
+(** Instrumented full scan: counts [relation.scans] and, for a named
+    relation, [relation.scans.<name>]. *)
 
 val scan_fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
 val exists : (Tuple.t -> bool) -> t -> bool
@@ -64,17 +68,11 @@ val attach_storage : t -> pool:Buffer_pool.t -> unit
     miss count is the simulated disk I/O of the 1982 cost model.
     Insertions append; deletions mark the file for rebuild. *)
 
-val detach_storage : t -> unit
-
 val buffer_pool : t -> Buffer_pool.t option
 (** The pool the relation's paged storage reads through, if attached. *)
 
 val backing_pages : t -> int option
 (** Number of heap-file pages, when paged storage is attached. *)
-
-val scan_count : t -> int
-val probe_count : t -> int
-val reset_counters : t -> unit
 
 val version : t -> int
 (** Content version: bumped on every effective insertion, deletion and
@@ -91,7 +89,7 @@ val freeze : t -> unit
 (** Mark this relation state immutable: every subsequent content
     mutation raises {!Errors.Frozen}.  Applied to the committed states
     of a durable (WAL-attached) database, whose snapshot readers may be
-    iterating them concurrently; scan/probe counters still move.
+    iterating them concurrently; scans and probes are still counted.
     Irreversible; {!copy} of a frozen relation is unfrozen. *)
 
 val frozen : t -> bool

@@ -47,10 +47,6 @@ type t = {
       (* prefix.(i) = total tuples in sorted.(0..i-1); length n+1, so
          a key span's exact tuple count is one subtraction *)
   mutable sorted_dirty : bool;
-  probes : int Atomic.t;
-      (* atomic, not plain mutable: one committed index is probed
-         read-only by concurrent snapshot readers — server connections
-         and client domains *)
 }
 
 let source t = t.source
@@ -58,11 +54,11 @@ let on t = t.on
 let kind t = t.kind
 let entry_count t = t.entry_count
 let distinct_keys t = Value_key.Table.length t.tbl
-let probe_count t = Atomic.get t.probes
-let reset_counters t = Atomic.set t.probes 0
-
-let count_probe t =
-  Atomic.incr t.probes;
+(* Probes are counted in the probing domain's own metrics registry,
+   never on the index: one committed index is probed read-only by
+   concurrent snapshot readers — server connections and client
+   domains. *)
+let count_probe () =
   Obs.Metrics.incr "index.probes";
   Obs.Metrics.incr "secondary.probes"
 
@@ -80,7 +76,6 @@ let create ~kind rel ~on =
     sorted = [||];
     prefix = [||];
     sorted_dirty = true;
-    probes = Atomic.make 0;
   }
 
 let key_of t tuple = Array.to_list (Tuple.project t.positions tuple)
@@ -132,8 +127,7 @@ let of_tuples ~kind rel ~on tuples =
   t
 
 (* MVCC copy-on-write: shallow-copy the bucket table (buckets are
-   immutable lists), reset the lazy sorted view.  Probe counters start
-   fresh — the copy is a new measurable object. *)
+   immutable lists), reset the lazy sorted view. *)
 let copy t =
   {
     t with
@@ -141,13 +135,12 @@ let copy t =
     sorted = [||];
     prefix = [||];
     sorted_dirty = true;
-    probes = Atomic.make 0;
   }
 
 (* --- Probing -------------------------------------------------------- *)
 
 let probe t key =
-  count_probe t;
+  count_probe ();
   Value_key.find_multi t.tbl key
 
 let probe1 t v = probe t [ v ]
@@ -208,14 +201,14 @@ let iter_matching t op v f =
   match op with
   | Value.Eq -> List.iter f (probe t [ v ])
   | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
-    count_probe t;
+    count_probe ();
     Obs.Metrics.incr "secondary.range_scans";
     let lo, hi = span t op v in
     for i = lo to hi - 1 do
       List.iter f (snd t.sorted.(i))
     done
   | Value.Ne ->
-    count_probe t;
+    count_probe ();
     Value_key.fold_matching_entries ~source:t.source t.tbl op v
       (fun () _ bucket -> List.iter f bucket)
       ()
@@ -224,14 +217,13 @@ let iter_matching t op v f =
    phase's per-query {!Index} (paper Section 3.2's permanent index):
    entries tagged with the same stable ordinals {!Index} reports, and
    order comparisons walk the bucket table rather than the sorted view.
-   Neither writes the index beyond its atomic probe counter —
-   concurrent snapshot readers share it. *)
+   Neither writes the index — concurrent snapshot readers share it. *)
 let fold_matching_entries t op v f init =
-  count_probe t;
+  count_probe ();
   Value_key.fold_matching_entries ~source:t.source t.tbl op v f init
 
 let exists_matching t op v =
-  count_probe t;
+  count_probe ();
   Value_key.exists_matching ~source:t.source t.tbl op v
 
 (* Exact fraction of the indexed tuples matching [op v] — the planner's

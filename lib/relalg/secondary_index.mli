@@ -29,15 +29,13 @@ val of_tuples : kind:kind -> Relation.t -> on:string list -> Tuple.t list -> t
 
 val copy : t -> t
 (** MVCC copy-on-write: a private index sharing all bucket spines with
-    the original.  Probe counters start at zero. *)
+    the original. *)
 
 val source : t -> string
 val on : t -> string list
 val kind : t -> kind
 val entry_count : t -> int
 val distinct_keys : t -> int
-val probe_count : t -> int
-val reset_counters : t -> unit
 
 val on_insert : t -> Tuple.t -> unit
 (** Incremental maintenance hooks, fed by {!Relation} observers. *)

@@ -116,7 +116,6 @@ let generate params =
       incr inserted
     end
   done;
-  Database.reset_counters db;
   db
 
 let red db = Value.enum (Database.find_enum db "colortype") "red"

@@ -198,7 +198,6 @@ let generate params =
       incr inserted
     end
   done;
-  Database.reset_counters db;
   db
 
 (* The same database with one of its relations emptied — used by the

@@ -34,3 +34,16 @@ let ints rel =
   List.map
     (fun v -> match v with Value.VInt n -> n | _ -> -1)
     (column rel)
+
+(* Run [f], returning its result and the scans it performed per database
+   relation — the paper's S1 counts, as relation.scans.<name> metric
+   deltas of this domain. *)
+let scans_by_relation db f =
+  let counts () =
+    List.map
+      (fun n -> (n, Obs.Metrics.counter_value ("relation.scans." ^ n)))
+      (Database.relation_names db)
+  in
+  let before = counts () in
+  let r = f () in
+  (r, List.map2 (fun (n, a) (_, b) -> (n, b - a)) before (counts ()))

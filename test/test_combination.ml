@@ -103,10 +103,11 @@ let test_s1_scans_engine_independent () =
   let db = uni_db () in
   let q = Workload.Queries.running_query db in
   let counts join_order =
-    let _ = exec_q_report ~opts:(Exec_opts.make ~strategy:Strategy.s1 ~join_order ()) db q in
-    List.map
-      (fun r -> (Relation.name r, Relation.scan_count r))
-      (Database.relations db)
+    snd
+      (Helpers.scans_by_relation db (fun () ->
+           exec_q_report
+             ~opts:(Exec_opts.make ~strategy:Strategy.s1 ~join_order ())
+             db q))
   in
   let ordered = counts Combination.Cost_ordered in
   let decl = counts Combination.Declaration in

@@ -89,6 +89,50 @@ let test_stats_prepared () =
       e.Obs.Query_stats.qs_cache_hits);
   clean_slate ()
 
+(* The flight recorder, the query stats and the report read one
+   execution's counts from the same metrics window, so they agree on
+   every query and preset: the combination result the construction
+   phase walks is not a counted scan in either. *)
+let test_counts_agree () =
+  let uni = Workload.University.generate Workload.University.small_params in
+  let supp = mk_db () in
+  List.iter
+    (fun (qname, db, q) ->
+      List.iter
+        (fun (sname, strategy) ->
+          clean_slate ();
+          let cell = qname ^ " / " ^ sname in
+          let r =
+            Session.exec_report
+              ~opts:(Exec_opts.make ~strategy ())
+              (Session.create db) q
+          in
+          Alcotest.(check bool) (cell ^ ": scans counted") true
+            (r.Exec_result.scans > 0);
+          (match Obs.Flight_recorder.recent ~n:1 () with
+          | [ fr ] ->
+            Alcotest.(check (pair int int))
+              (cell ^ ": ring scans/probes = report")
+              (r.Exec_result.scans, r.Exec_result.probes)
+              (fr.Obs.Flight_recorder.fr_scans, fr.Obs.Flight_recorder.fr_probes)
+          | _ -> Alcotest.fail "expected one ring record");
+          match Obs.Query_stats.find (Session.digest q) with
+          | Some e ->
+            Alcotest.(check (pair int int))
+              (cell ^ ": query stats calls/rows = report")
+              (1, r.Exec_result.rows)
+              (e.Obs.Query_stats.qs_calls, e.Obs.Query_stats.qs_rows)
+          | None -> Alcotest.fail "no query-stats entry")
+        Strategy.all_presets)
+    [
+      ("running", uni, Workload.Queries.running_query uni);
+      ("example 4.7", uni, Workload.Queries.example_4_7 uni);
+      ("universal", uni, Workload.Queries.universal_query uni);
+      ("london some red", supp, Workload.Suppliers.london_ships_some_red supp);
+      ("ships all parts", supp, Workload.Suppliers.ships_all_parts supp);
+    ];
+  clean_slate ()
+
 (* ---------------------------------------------------------------- *)
 (* Ring bounds: wrap-around keeps the newest records and counts what
    fell off. *)
@@ -227,6 +271,8 @@ let suite =
           `Quick test_stats_accumulate;
         Alcotest.test_case "prepared queries record at exec time" `Quick
           test_stats_prepared;
+        Alcotest.test_case "ring, query stats and report agree on scans"
+          `Quick test_counts_agree;
         Alcotest.test_case "ring wrap keeps newest, counts dropped" `Quick
           test_ring_bounds;
         Alcotest.test_case "slow queries arm, capture once, export Chrome"

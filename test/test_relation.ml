@@ -58,15 +58,24 @@ let test_set_equality () =
 
 let test_scan_counters () =
   let r = Relation.of_list ~name:"r" schema [ t 1 "x"; t 2 "y" ] in
-  Relation.reset_counters r;
+  let c = Obs.Metrics.counter_value in
+  let scans0 = c "relation.scans" and named0 = c "relation.scans.r" in
+  let probes0 = c "relation.probes" in
   Relation.scan (fun _ -> ()) r;
   Relation.scan (fun _ -> ()) r;
   Relation.iter (fun _ -> ()) r;
-  Alcotest.(check int) "two counted scans" 2 (Relation.scan_count r);
+  Alcotest.(check int) "two counted scans" 2 (c "relation.scans" - scans0);
+  Alcotest.(check int) "both under the relation's name" 2
+    (c "relation.scans.r" - named0);
   ignore (Relation.find_key r [ Value.int 1 ]);
-  Alcotest.(check int) "one probe" 1 (Relation.probe_count r);
-  Relation.reset_counters r;
-  Alcotest.(check int) "reset" 0 (Relation.scan_count r)
+  Alcotest.(check int) "one probe" 1 (c "relation.probes" - probes0);
+  (* An anonymous relation counts in the total only. *)
+  let anon = Relation.of_list schema [ t 1 "x" ] in
+  let named = Obs.Metrics.snapshot () in
+  Relation.scan (fun _ -> ()) anon;
+  Alcotest.(check (list string)) "no per-name counter" [ "relation.scans" ]
+    (List.map fst
+       (Obs.Metrics.diff ~before:named ~after:(Obs.Metrics.snapshot ())))
 
 let test_to_list_sorted () =
   let r = Relation.of_list ~name:"r" schema [ t 3 "c"; t 1 "a"; t 2 "b" ] in

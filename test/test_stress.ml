@@ -162,6 +162,41 @@ let test_sessions_shared_database () =
       Alcotest.(check int) "flight recorder saw every execution" total
         (Obs.Flight_recorder.total_recorded ()))
 
+(* Per-execution scan and probe counts are this domain's metric deltas,
+   so two domains reading one store concurrently each report exactly the
+   serial counts — no execution's count leaks into another's report. *)
+let test_concurrent_reports_exact () =
+  let per_domain = 400 in
+  let db = Workload.Suppliers.generate (Workload.Suppliers.scaled 2) in
+  let q = Workload.Suppliers.london_ships_some_red db in
+  let opts = Exec_opts.make ~jobs:1 () in
+  let counts (r : Exec_result.t) = (r.Exec_result.scans, r.Exec_result.probes) in
+  (* A cold run also counts its planning's reads: compare warm runs,
+     each session having planned once first. *)
+  let warm_session () =
+    let session = Session.create db in
+    ignore (Session.exec_report ~opts session q : Exec_result.t);
+    session
+  in
+  let serial = counts (Session.exec_report ~opts (warm_session ()) q) in
+  Fun.protect
+    ~finally:(fun () -> Obs.Query_stats.reset ())
+    (fun () ->
+      let wrong = Atomic.make 0 and runs = Atomic.make 0 in
+      Array.init 2 (fun _ ->
+          Domain.spawn (fun () ->
+              let session = warm_session () in
+              for _ = 1 to per_domain do
+                if counts (Session.exec_report ~opts session q) <> serial then
+                  Atomic.incr wrong;
+                Atomic.incr runs
+              done))
+      |> Array.iter Domain.join;
+      Alcotest.(check bool) "serial run scans" true (fst serial > 0);
+      Alcotest.(check int) "every report ran" (2 * per_domain) (Atomic.get runs);
+      Alcotest.(check int) "reports with wrong scans/probes" 0
+        (Atomic.get wrong))
+
 let suite =
   [
     ( "obs-stress",
@@ -172,5 +207,7 @@ let suite =
           `Quick test_query_stats_exact;
         Alcotest.test_case "4 sessions, one database: answers and accounting"
           `Quick test_sessions_shared_database;
+        Alcotest.test_case "2 domains, one store: every report's counts exact"
+          `Quick test_concurrent_reports_exact;
       ] );
   ]
