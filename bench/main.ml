@@ -9,8 +9,9 @@
 
    --only LIST     run only the named experiments (comma-separated ids)
    --max-scale N   skip scale points above N in the scale-parametric
-                   experiments (B-SCALE, B-DIV, B-ORDER) — the CI
-                   regression gate runs at scale <= 2
+                   experiments (B-SCALE, B-DIV, B-ORDER; B-WRITE's
+                   scale is its relation size) — the CI regression
+                   gate runs at scale <= 2
    --out FILE      where to write the machine-readable results *)
 
 open Relalg
@@ -891,71 +892,89 @@ let bench_prepared () =
    execution — while the "scan" leg (use_index=false) walks the whole
    heap.  Same database, same plan, identical results (the QCheck
    differential in the test suite proves it); the gap is the access
-   path, and it widens linearly with the relation. *)
+   path, and it widens linearly with the relation.
 
-let selective_shipments_query =
+   Two order restrictions then run against a sorted index on hqty: a
+   selective one (~0.5% of shipments), which the collection drives as a
+   range scan of the index, and an unselective one (~80%), past
+   [Cost.range_scan_max_fraction], whose indexed leg prices the span
+   and falls back to the heap scan. *)
+
+let shipments_where cmp v =
   let open Calculus in
   {
     free = [ ("h", base "shipments") ];
     select = [ ("h", "hsnr"); ("h", "hpnr") ];
-    body = eq (attr "h" "hqty") (cint 500);
+    body = cmp (attr "h" "hqty") (cint v);
   }
 
 let bench_index () =
-  section "B-INDEX" "secondary-index probe vs heap scan (hqty = 500)";
-  Fmt.pr "(secondary hash index on shipments.hqty; median of 5 passes)@.";
-  Fmt.pr "%-6s %-10s | %-6s | %10s %8s %8s %6s | %8s@." "scale" "|ship|"
-    "leg" "wall_ms" "scans" "probes" "rows" "speedup";
+  section "B-INDEX" "secondary-index probe and range scan vs heap scan";
+  Fmt.pr
+    "(hash index on shipments.hqty for =, sorted index for < and >; median \
+     of 5 passes)@.";
+  Fmt.pr "%-6s %-10s | %-9s | %-7s | %10s %8s %8s %6s | %8s@." "scale"
+    "|ship|" "query" "leg" "wall_ms" "scans" "probes" "rows" "speedup";
   List.iter
     (fun s ->
-      let db =
-        Workload.Suppliers.generate
-          (Workload.Suppliers.scaled ~seed:(11 + s) s)
-      in
-      ignore
-        (Database.declare_index db "shipments" ~on:[ "hqty" ]
-          : Secondary_index.t);
-      let n_ship =
-        Relation.cardinality (Database.find_relation db "shipments")
-      in
-      let leg name use_index =
-        let opts = Exec_opts.make ~strategy:Strategy.s1234 ~use_index () in
-        let report = exec_q_report ~opts db selective_shipments_query in
-        let session = Session.create db in
-        let prep = Session.prepare ~opts session selective_shipments_query in
-        ignore (Prepared.exec prep : Relation.t);
-        let (), ms, percentiles =
-          time_percentiles ~repeat:5 (fun () ->
-              ignore (Prepared.exec prep : Relation.t))
+      let indexed kind =
+        let db =
+          Workload.Suppliers.generate
+            (Workload.Suppliers.scaled ~seed:(11 + s) s)
         in
-        let access =
-          match report.Exec_result.access_paths with
-          | (_, p) :: _ -> p
-          | [] -> "-"
+        ignore
+          (Database.declare_index ~kind db "shipments" ~on:[ "hqty" ]
+            : Secondary_index.t);
+        db
+      in
+      let pair db query q =
+        let n_ship =
+          Relation.cardinality (Database.find_relation db "shipments")
         in
-        record ~experiment:"B-INDEX" ~query:"hqty=500" ~strategy:name ~scale:s
-          ~wall_ms:ms ~scans:report.Exec_result.scans
-          ~probes:report.Exec_result.probes
-          ~max_ntuple:report.Exec_result.max_ntuple ?percentiles
-          ~extra:
-            [
-              ("rows", Obs.Json.Int report.Exec_result.rows);
-              ("access_path", Obs.Json.Str access);
-              ("shipments", Obs.Json.Int n_ship);
-            ]
-          ();
-        (ms, report)
+        let leg name use_index =
+          let opts = Exec_opts.make ~strategy:Strategy.s1234 ~use_index () in
+          let report = exec_q_report ~opts db q in
+          let session = Session.create db in
+          let prep = Session.prepare ~opts session q in
+          ignore (Prepared.exec prep : Relation.t);
+          let (), ms, percentiles =
+            time_percentiles ~repeat:5 (fun () ->
+                ignore (Prepared.exec prep : Relation.t))
+          in
+          let access =
+            match report.Exec_result.access_paths with
+            | (_, p) :: _ -> p
+            | [] -> "-"
+          in
+          record ~experiment:"B-INDEX" ~query ~strategy:name ~scale:s
+            ~wall_ms:ms ~scans:report.Exec_result.scans
+            ~probes:report.Exec_result.probes
+            ~max_ntuple:report.Exec_result.max_ntuple ?percentiles
+            ~extra:
+              [
+                ("rows", Obs.Json.Int report.Exec_result.rows);
+                ("access_path", Obs.Json.Str access);
+                ("shipments", Obs.Json.Int n_ship);
+              ]
+            ();
+          (ms, report)
+        in
+        let scan_ms, scan_r = leg "scan" false in
+        let indexed_ms, indexed_r = leg "indexed" true in
+        let row name ms (r : Exec_result.t) speedup =
+          Fmt.pr "%-6d %-10d | %-9s | %-7s | %10.3f %8d %8d %6d | %8s@." s
+            n_ship query name ms r.Exec_result.scans r.Exec_result.probes
+            r.Exec_result.rows speedup
+        in
+        row "scan" scan_ms scan_r "-";
+        row "indexed" indexed_ms indexed_r
+          (Fmt.str "%.1fx" (scan_ms /. Float.max indexed_ms 0.001))
       in
-      let scan_ms, scan_r = leg "scan" false in
-      let indexed_ms, indexed_r = leg "indexed" true in
-      let row name ms (r : Exec_result.t) speedup =
-        Fmt.pr "%-6d %-10d | %-6s | %10.3f %8d %8d %6d | %8s@." s n_ship name
-          ms r.Exec_result.scans r.Exec_result.probes r.Exec_result.rows
-          speedup
-      in
-      row "scan" scan_ms scan_r "-";
-      row "indexed" indexed_ms indexed_r
-        (Fmt.str "%.1fx" (scan_ms /. Float.max indexed_ms 0.001)))
+      pair (indexed Secondary_index.Hash) "hqty=500"
+        (shipments_where Calculus.eq 500);
+      let sorted = indexed Secondary_index.Sorted in
+      pair sorted "hqty<6" (shipments_where Calculus.lt 6);
+      pair sorted "hqty>200" (shipments_where Calculus.gt 200))
     (scales [ 1; 2; 64; 512 ])
 
 (* ------------------------------------------------------------------ *)
@@ -1019,6 +1038,125 @@ let bench_traffic () =
   round ~query:"university-mix-rw" ~suffix:"-rw"
     (D.mix_for ~write_pct:30 db ~kind:"university")
 
+(* ------------------------------------------------------------------ *)
+(* B-WRITE: one-row upsert commit latency against relation size.  A
+   durable (WAL-attached) store per size holds one relation of n rows
+   with a hash index on its value column; every commit is a write
+   transaction doing delete_key + insert of one existing key, which is
+   what perfbench's supp-rw upserts do.  The sizes are interleaved
+   round by round (1e2, 1e3, 1e4, 1e5, 1e2, ...) after warm-up commits,
+   so drift in the disk's fsync time lands on every size alike.  The
+   layer split is the per-commit mean of each layer: snapshot pin
+   (begin_write), the write itself, WAL append, fsync wait, install.
+   A write costs O(log n), so p50 should be flat in n; the regression
+   guard's check 8 holds the largest size to 3x the smallest. *)
+
+let write_sizes = [ 100; 1_000; 10_000; 100_000 ]
+
+let write_schema =
+  Schema.make
+    [
+      Schema.attr "k" (Vtype.TInt { lo = 0; hi = max_int });
+      Schema.attr "v" (Vtype.TInt { lo = 0; hi = max_int });
+    ]
+    ~key:[ "k" ]
+
+let hist_mean snap name =
+  match Obs.Metrics.find snap name with
+  | Some (Obs.Metrics.Histogram { count; sum; _ }) when count > 0 ->
+    sum /. float_of_int count
+  | _ -> 0.0
+
+let bench_write () =
+  section "B-WRITE" "one-row upsert commit latency vs relation size (durable)";
+  let rounds = 300 and warmup = 30 in
+  let dir = Filename.temp_dir "pascalr_bwrite" "" in
+  let stores =
+    List.map
+      (fun n ->
+        let db = Database.create () in
+        let rel = Database.declare_relation db ~name:"rows" write_schema in
+        for k = 0 to n - 1 do
+          Relation.insert rel (Tuple.of_list [ Value.int k; Value.int (k * 7) ])
+        done;
+        ignore (Database.declare_index db "rows" ~on:[ "v" ] : Secondary_index.t);
+        let path = Filename.concat dir (Fmt.str "rows%d.pascalrdb" n) in
+        Database.attach_wal db ~path;
+        (n, db, path))
+      (scales write_sizes)
+  in
+  let rng = Random.State.make [| 17 |] in
+  let upsert (n, db, _) =
+    let k = Random.State.int rng n in
+    let t0 = Unix.gettimeofday () in
+    let txn = Database.begin_write db in
+    let t1 = Unix.gettimeofday () in
+    Database.Txn.delete_key txn "rows" [ Value.int k ];
+    Database.Txn.insert txn "rows"
+      (Tuple.of_list [ Value.int k; Value.int (Random.State.int rng 1_000_000) ]);
+    let t2 = Unix.gettimeofday () in
+    Database.Txn.commit txn;
+    let t3 = Unix.gettimeofday () in
+    ((t3 -. t0) *. 1000., (t1 -. t0) *. 1000., (t2 -. t1) *. 1000.)
+  in
+  for _ = 1 to warmup do
+    List.iter (fun st -> ignore (upsert st)) stores
+  done;
+  let samples = List.map (fun _ -> ref []) stores in
+  let layers = List.map (fun _ -> ref []) stores in
+  for _ = 1 to rounds do
+    List.iter2
+      (fun st (acc, lay) ->
+        let before = Obs.Metrics.snapshot () in
+        let total, pin, write = upsert st in
+        let d = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
+        acc := total :: !acc;
+        lay :=
+          [|
+            pin;
+            write;
+            hist_mean d "wal.append_ms";
+            hist_mean d "wal.sync_wait_ms";
+            hist_mean d "txn.install_ms";
+          |]
+          :: !lay)
+      stores
+      (List.combine samples layers)
+  done;
+  Fmt.pr "(%d interleaved rounds after %d warm-up commits; WAL fsync per commit)@."
+    rounds warmup;
+  Fmt.pr "%-8s | %9s %9s %9s | %8s %8s %8s %8s %8s@." "rows" "p50(ms)"
+    "p95(ms)" "p99(ms)" "pin" "write" "append" "fsync" "install";
+  List.iter2
+    (fun (n, db, _) (acc, lay) ->
+      let median, percentiles = summarize !acc in
+      let p50, p95, p99 =
+        Option.value percentiles ~default:(median, median, median)
+      in
+      let mean i =
+        List.fold_left (fun s a -> s +. a.(i)) 0.0 !lay
+        /. float_of_int (List.length !lay)
+      in
+      let names = [| "pin_ms"; "write_ms"; "wal_append_ms"; "fsync_wait_ms"; "install_ms" |] in
+      record ~experiment:"B-WRITE" ~query:"upsert" ~strategy:"durable" ~scale:n
+        ~wall_ms:median ~scans:0 ~probes:0 ~max_ntuple:0 ?percentiles
+        ~extra:
+          (("commits", Obs.Json.Int rounds)
+          :: Array.to_list (Array.mapi (fun i nm -> (nm, Obs.Json.Float (mean i))) names))
+        ();
+      Fmt.pr "%-8d | %9.3f %9.3f %9.3f | %8.3f %8.3f %8.3f %8.3f %8.3f@." n p50
+        p95 p99 (mean 0) (mean 1) (mean 2) (mean 3) (mean 4);
+      Database.close db)
+    stores
+    (List.combine samples layers);
+  List.iter
+    (fun (_, _, path) ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; path ^ ".tmp"; path ^ ".wal"; path ^ ".wal.tmp" ])
+    stores;
+  Sys.rmdir dir
+
 let experiments =
   [
     ("B-SCALE", bench_scale);
@@ -1036,6 +1174,7 @@ let experiments =
     ("B-IDX", bench_omitted_index_scans);
     ("B-CNF", bench_cnf);
     ("B-INDEX", bench_index);
+    ("B-WRITE", bench_write);
     (* The two multi-domain experiments run last: the serial experiments
        must not share their process phase with extra domains, which tax
        every stop-the-world GC section.  B-TRAFFIC's client domains are
@@ -1061,7 +1200,8 @@ let () =
         "LIST run only the named experiments (comma-separated ids)" );
       ( "--max-scale",
         Arg.Int (fun n -> max_scale := Some n),
-        "N skip scale points above N (B-SCALE, B-DIV, B-ORDER, B-PAR)" );
+        "N skip scale points above N (B-SCALE, B-DIV, B-ORDER, B-PAR; \
+         B-WRITE's scale is its relation size)" );
       ("--out", Arg.Set_string out_path, "FILE results path");
     ]
   in

@@ -975,6 +975,14 @@ let script_cmd =
    followed by a line containing a single ".".  "quit" closes the
    connection. *)
 
+(* Conflict retries of one statement: bounded, with exponential backoff
+   and full jitter (a uniform draw below a doubling ceiling), so writers
+   that keep colliding spread out instead of retrying in lockstep. *)
+let statement_retries = 16
+
+let retry_backoff_s n =
+  Random.float (Float.min 0.05 (0.0005 *. Float.pow 2.0 (float_of_int n)))
+
 let serve_request db session prepared line =
   match Pascalr_lang.Elaborate.query_of_string db line with
   | q ->
@@ -984,7 +992,8 @@ let serve_request db session prepared line =
       ( Pascalr_lang.Parser.Parse_error _ | Pascalr_lang.Lexer.Lex_error _
       | Pascalr_lang.Elaborate.Elab_error _ ) ->
     (* Not a query: execute as a statement inside a write transaction,
-       retrying first-committer-wins conflicts a few times. *)
+       retrying first-committer-wins conflicts up to [statement_retries]
+       times; past that the conflict is the request's error line. *)
     let stmt = Pascalr_lang.Parser.stmt_of_string line in
     let rec attempt n =
       try
@@ -993,7 +1002,10 @@ let serve_request db session prepared line =
               (Pascalr_lang.Interp.txn_env ~prepared txn)
               stmt);
         "ok"
-      with Errors.Txn_conflict _ when n < 100 -> attempt (n + 1)
+      with Errors.Txn_conflict _ when n < statement_retries ->
+        Obs.Metrics.incr "txn.statement_retries";
+        Unix.sleepf (retry_backoff_s n);
+        attempt (n + 1)
     in
     attempt 0
 

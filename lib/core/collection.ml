@@ -221,21 +221,21 @@ let choose_drive t v (range : range) atoms =
       (fun (attr, op, c) ->
         List.iter
           (fun idx ->
-            let eligible =
+            let cap = Cost.range_scan_max_fraction in
+            let frac =
               match op, Secondary_index.kind idx with
-              | Value.Eq, _ -> true
+              | Value.Eq, _ ->
+                Some (Secondary_index.matching_fraction ~cap idx op c)
               | ( (Value.Lt | Value.Le | Value.Gt | Value.Ge),
                   Secondary_index.Sorted ) ->
-                Secondary_index.matching_fraction idx op c
-                <= Cost.range_scan_max_fraction
-              | _ -> false
+                let f = Secondary_index.matching_fraction ~cap idx op c in
+                if f <= cap then Some f else None
+              | _ -> None
             in
-            if eligible then begin
-              let frac = Secondary_index.matching_fraction idx op c in
-              match !best with
-              | Some (bf, _) when bf <= frac -> ()
-              | _ -> best := Some (frac, Drive_index (idx, op, c))
-            end)
+            match frac, !best with
+            | Some f, Some (bf, _) when bf <= f -> ()
+            | Some f, _ -> best := Some (f, Drive_index (idx, op, c))
+            | None, _ -> ())
           (Database.secondary_on t.db range.range_rel attr))
       (served_candidates v range atoms);
     match !best with Some (_, d) -> d | None -> Drive_scan

@@ -123,7 +123,7 @@ let pp ppf e =
    An equality restriction always prefers a secondary-index probe
    (exact bucket, no scan); an order restriction uses a sorted index's
    range scan only while the exact matching fraction stays at or below
-   [range_scan_max_fraction] — past that, walking the sorted view plus
+   [range_scan_max_fraction] — past that, walking the ordered map plus
    re-checking residual predicates loses to the single heap scan the
    grouped collection round performs anyway. *)
 

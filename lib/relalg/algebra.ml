@@ -277,8 +277,7 @@ module Stream = struct
       List.fold_left (fun n (_, enc) -> n + Batch.encoded_rows enc) 0 runs
     in
     let out =
-      Relation.create ?name ~size_hint:n_total
-        (Schema.make (Schema.attrs first.schema) ~key:[])
+      Relation.create ?name (Schema.make (Schema.attrs first.schema) ~key:[])
     in
     let rows_out = ref 0 in
     let acc =

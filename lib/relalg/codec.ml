@@ -132,9 +132,12 @@ let get_typed c ty : Value.t =
     | _ -> Errors.corruption "codec: ordinal for a non-enum attribute")
   | _ -> get_value c
 
-let encode_tuple schema (t : Tuple.t) =
+let put_tuple buf schema (t : Tuple.t) =
+  Array.iteri (fun i v -> put_typed buf (Schema.type_at schema i) v) t
+
+let encode_tuple schema t =
   let buf = Buffer.create 32 in
-  Array.iteri (fun i v -> put_typed buf (Schema.type_at schema i) v) t;
+  put_tuple buf schema t;
   Buffer.to_bytes buf
 
 let decode_tuple schema bytes : Tuple.t =

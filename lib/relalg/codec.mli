@@ -8,6 +8,9 @@
 
 val encode_tuple : Schema.t -> Tuple.t -> Bytes.t
 
+val put_tuple : Buffer.t -> Schema.t -> Tuple.t -> unit
+(** Append {!encode_tuple}'s bytes to the buffer. *)
+
 val decode_tuple : Schema.t -> Bytes.t -> Tuple.t
 (** Consults the [codec.decode.corrupt] failpoint.
     @raise Errors.Corruption on undecodable bytes. *)

@@ -17,6 +17,8 @@ type mvcc = {
          not yet installed (it is fsyncing its WAL record); a second
          writer must not pass its own check in that window *)
   mutable checkpointing : bool;
+      (* a checkpoint is draining reservations to pin its snapshot *)
+  ckpt_mu : Mutex.t;  (* checkpoints run one at a time *)
   mutable wal : Wal.t option;
   mutable snapshot_path : string option;
   mutable durable : bool;
@@ -33,6 +35,7 @@ let fresh_mvcc () =
     last_commit = Hashtbl.create 16;
     reserved = Hashtbl.create 8;
     checkpointing = false;
+    ckpt_mu = Mutex.create ();
     wal = None;
     snapshot_path = None;
     durable = false;
@@ -299,6 +302,19 @@ let get_vtype c : Vtype.t =
   | 'R' -> Vtype.TRef (Codec.get_string c)
   | tag -> Errors.corruption "snapshot: unknown domain tag %C" tag
 
+(* Length-prefixed records of [tuples], encoded through one scratch
+   buffer: a checkpoint writes every tuple, and fresh bytes per tuple
+   were most of its allocation. *)
+let put_records buf schema tuples =
+  let record = Buffer.create 64 in
+  List.iter
+    (fun t ->
+      Buffer.clear record;
+      Codec.put_tuple record schema t;
+      Codec.put_u16 buf (Buffer.length record);
+      Buffer.add_buffer buf record)
+    tuples
+
 let snapshot_bytes db =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf snapshot_magic;
@@ -326,12 +342,7 @@ let snapshot_bytes db =
       Codec.put_u16 buf (List.length key);
       List.iter (Codec.put_string buf) key;
       Codec.put_i64 buf (Relation.cardinality r);
-      List.iter
-        (fun t ->
-          let record = Codec.encode_tuple schema t in
-          Codec.put_u16 buf (Bytes.length record);
-          Buffer.add_bytes buf record)
-        (Relation.to_list r))
+      put_records buf schema (Relation.to_list r))
     rels;
   let secondaries =
     List.concat_map
@@ -365,12 +376,7 @@ let snapshot_bytes db =
       List.iter (Codec.put_string section) on;
       let tuples = Secondary_index.to_list idx in
       Codec.put_i64 section (List.length tuples);
-      List.iter
-        (fun t ->
-          let record = Codec.encode_tuple schema t in
-          Codec.put_u16 section (Bytes.length record);
-          Buffer.add_bytes section record)
-        tuples;
+      put_records section schema tuples;
       let page = Buffer.to_bytes section in
       Buffer.add_bytes buf page;
       let sum = Codec.adler32 page ~pos:0 ~len:(Bytes.length page) in
@@ -378,18 +384,21 @@ let snapshot_bytes db =
         Buffer.add_char buf (Char.chr ((sum lsr (8 * i)) land 0xFF))
       done)
     secondaries;
-  let body = Buffer.to_bytes buf in
-  let sum = Codec.adler32 body ~pos:0 ~len:(Bytes.length body) in
-  let tail = Buffer.create 4 in
+  (* Room for the checksum, filled in place once the body is copied
+     out of the buffer. *)
+  Buffer.add_string buf "\000\000\000\000";
+  let data = Buffer.to_bytes buf in
+  let n = Bytes.length data - 4 in
+  let sum = Codec.adler32 data ~pos:0 ~len:n in
   for i = 0 to 3 do
-    Buffer.add_char tail (Char.chr ((sum lsr (8 * i)) land 0xFF))
+    Bytes.set data (n + i) (Char.chr ((sum lsr (8 * i)) land 0xFF))
   done;
-  Bytes.cat body (Buffer.to_bytes tail)
+  data
 
 let write_file_fsync path data len =
   let oc = open_out_bin path in
   (try
-     output_bytes oc (Bytes.sub data 0 len);
+     output oc data 0 len;
      flush oc;
      Unix.fsync (Unix.descr_of_out_channel oc)
    with e ->
@@ -551,26 +560,48 @@ let load ~path =
    the store lock, so it sees every relation at one commit point and
    none of the installs that happen while it runs.  A write transaction
    never touches a committed state: its first write to a relation takes
-   a private [Relation.copy] (continuing the original's version lineage
-   so epochs stay monotone), and commit *installs* the copies by
-   swapping the handles in the store's catalog.
+   a private [Relation.copy], an O(1) record copy sharing the committed
+   state's persistent tuple trie (and continuing its version lineage so
+   epochs stay monotone).  A write copies only the trie nodes on its
+   key's path, so it costs O(log n) however large the relation, and
+   commit *installs* the copies by swapping the handles in the store's
+   catalog.
 
    Conflicts are first-committer-wins: commit re-checks, under the
    store lock, that every written relation still has the commit
    sequence the snapshot saw.  Because durability (the WAL fsync) runs
    outside the lock so that concurrent commits can share fsyncs, a
    passed check is protected by a *reservation* on the written
-   relations; a competing writer aborts on the reservation instead of
-   sneaking through the fsync window.
+   relations.  A competing writer that finds a reservation waits for
+   that commit's outcome instead of sneaking through the fsync window:
+   it loses once the reserving commit installs, and goes ahead if that
+   commit fails.  It does not abort early, so a retry loop cannot spin
+   through its attempts within one fsync.
 
    Durability: [attach_wal] snapshots the database with [save], opens a
    WAL beside it and freezes the committed states; from then on commit
    appends the transaction's operations to the WAL (group commit)
    before installing.  [open_durable] is crash recovery — load the
-   snapshot, replay the WAL's intact records, checkpoint.  Replay is
-   idempotent (inserts are upserts) because a crash between the
-   checkpoint's snapshot save and its WAL truncation replays a log
-   whose prefix is already in the snapshot. *)
+   snapshot, replay the WAL's intact records, checkpoint.  A checkpoint
+   holds the store lock only to pin a snapshot and the WAL position it
+   covers; it saves the pinned state and cuts the log to the records
+   appended since with no lock held, so readers and writers go on.
+   Replay is idempotent (inserts are upserts) because a crash between
+   the checkpoint's snapshot save and its WAL cut replays a log whose
+   prefix is already in the snapshot. *)
+
+(* A facade database at the store's current commit point: copies of the
+   catalog's handle tables, sharing the committed states, which are
+   never mutated in place; the facade's own mvcc state is fresh and
+   inert.  Called with the store lock held. *)
+let pin store =
+  {
+    rels = Hashtbl.copy store.rels;
+    enums = Hashtbl.copy store.enums;
+    sec_indexes = Hashtbl.copy store.sec_indexes;
+    catalog_version = store.catalog_version;
+    mvcc = fresh_mvcc ();
+  }
 
 module Txn = struct
   type kind = Read | Write
@@ -590,22 +621,12 @@ module Txn = struct
     mutable state : state;
   }
 
-  (* Pin a snapshot: copy the catalog's handle tables under the store
-     lock, so the view is one commit point even while writers install.
-     Committed Relation.t states are never mutated in place, so sharing
-     the handles is safe; the view's own mvcc state is fresh and inert. *)
+  (* Pin a snapshot under the store lock, so the view is one commit
+     point even while writers install. *)
   let begin_txn kind store =
     let m = store.mvcc in
     Mutex.lock m.mu;
-    let view_db =
-      {
-        rels = Hashtbl.copy store.rels;
-        enums = Hashtbl.copy store.enums;
-        sec_indexes = Hashtbl.copy store.sec_indexes;
-        catalog_version = store.catalog_version;
-        mvcc = fresh_mvcc ();
-      }
-    in
+    let view_db = pin store in
     let read_seqs = Hashtbl.copy m.last_commit in
     let id = m.next_txn in
     m.next_txn <- id + 1;
@@ -638,20 +659,18 @@ module Txn = struct
     | Write -> ()
     | Read -> invalid_arg ("Txn." ^ op ^ ": read-only transaction")
 
-  (* Copy-on-first-write: swap a private copy into the view so the
+  (* First write to a relation: swap a private copy into the view so the
      transaction reads its own writes through the normal executors.
-     Secondary indexes ride along — each gets a private {!
-     Secondary_index.copy} (sharing bucket spines with the committed
-     state) hooked to the relation copy, so the transaction's writes
-     maintain its own indexes incrementally while the committed ones
-     stay pinned for concurrent snapshot readers. *)
+     O(1) — the copy is a record sharing the committed state's
+     persistent trie, and so is each secondary index's
+     {!Secondary_index.copy}, hooked to the relation copy so the
+     transaction's writes maintain its own indexes while the committed
+     ones stay as pinned readers see them. *)
   let touch txn name =
     match Hashtbl.find_opt txn.touched name with
     | Some c -> c
     | None ->
-      let orig = find_relation txn.view_db name in
-      let c = Relation.copy orig in
-      Relation.set_version c (Relation.version orig);
+      let c = Relation.copy (find_relation txn.view_db name) in
       Hashtbl.replace txn.touched name c;
       Hashtbl.replace txn.view_db.rels name c;
       (match secondary_indexes txn.view_db name with
@@ -685,25 +704,26 @@ module Txn = struct
     match Hashtbl.find_opt txn.read_seqs name with Some s -> s | None -> 0
 
   (* First-committer-wins, called with the store lock held: a written
-     relation whose committed sequence moved past our snapshot — or one
-     reserved by a commit in its fsync window — loses. *)
+     relation whose committed sequence moved past our snapshot loses
+     ([`Lost]).  One reserved by a commit in its fsync window has no
+     outcome yet ([`Busy]): the caller waits for it to install (then we
+     lose) or to fail (then we may pass). *)
   let conflicting m txn =
-    Hashtbl.fold
-      (fun name _ acc ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          let committed =
-            match Hashtbl.find_opt m.last_commit name with
-            | Some s -> s
-            | None -> 0
-          in
-          if committed <> read_seq txn name then Some name
-          else (
-            match Hashtbl.find_opt m.reserved name with
-            | Some id when id <> txn.id -> Some name
-            | Some _ | None -> None))
-      txn.touched None
+    let moved name =
+      let committed =
+        Option.value (Hashtbl.find_opt m.last_commit name) ~default:0
+      in
+      committed <> read_seq txn name
+    in
+    let busy name =
+      match Hashtbl.find_opt m.reserved name with
+      | Some id -> id <> txn.id
+      | None -> false
+    in
+    let names = Hashtbl.fold (fun name _ acc -> name :: acc) txn.touched [] in
+    match List.find_opt moved names with
+    | Some name -> `Lost name
+    | None -> if List.exists busy names then `Busy else `Clear
 
   let unreserve m txn =
     Hashtbl.iter (fun name _ -> Hashtbl.remove m.reserved name) txn.touched;
@@ -726,23 +746,32 @@ module Txn = struct
     else begin
       let m = txn.store.mvcc in
       Mutex.lock m.mu;
-      while m.checkpointing do
-        Condition.wait m.cond m.mu
-      done;
-      if m.durable && m.wal = None then begin
-        Mutex.unlock m.mu;
-        abort txn;
-        Errors.io_error "Txn.commit: database is closed"
-      end;
-      (match conflicting m txn with
-      | Some name ->
-        Mutex.unlock m.mu;
-        txn.state <- Aborted;
-        Obs.Metrics.incr "txn.conflicts";
-        Obs.Metrics.incr "txn.aborts";
-        Errors.txn_conflict
-          "relation %s was committed by a concurrent transaction" name
-      | None -> ());
+      let rec await_turn () =
+        if m.checkpointing then begin
+          Condition.wait m.cond m.mu;
+          await_turn ()
+        end
+        else begin
+          if m.durable && m.wal = None then begin
+            Mutex.unlock m.mu;
+            abort txn;
+            Errors.io_error "Txn.commit: database is closed"
+          end;
+          match conflicting m txn with
+          | `Lost name ->
+            Mutex.unlock m.mu;
+            txn.state <- Aborted;
+            Obs.Metrics.incr "txn.conflicts";
+            Obs.Metrics.incr "txn.aborts";
+            Errors.txn_conflict
+              "relation %s was committed by a concurrent transaction" name
+          | `Busy ->
+            Condition.wait m.cond m.mu;
+            await_turn ()
+          | `Clear -> ()
+        end
+      in
+      await_turn ();
       Hashtbl.iter
         (fun name _ -> Hashtbl.replace m.reserved name txn.id)
         txn.touched;
@@ -761,6 +790,7 @@ module Txn = struct
           Obs.Metrics.incr "txn.aborts";
           raise e)
       | None -> ());
+      let t0 = Unix.gettimeofday () in
       Mutex.lock m.mu;
       m.commit_seq <- m.commit_seq + 1;
       Hashtbl.iter
@@ -777,6 +807,7 @@ module Txn = struct
         txn.touched;
       unreserve m txn;
       Mutex.unlock m.mu;
+      Obs.Metrics.observe "txn.install_ms" ((Unix.gettimeofday () -. t0) *. 1000.);
       txn.state <- Committed;
       Obs.Metrics.incr "txn.commits"
     end
@@ -880,44 +911,48 @@ let open_durable ~path =
   Obs.Metrics.incr "db.recoveries";
   db
 
+(* Crash point of the checkpoint: crash 1 before the snapshot save, 2
+   between the save and the WAL cut. *)
+let checkpoint_crash what =
+  if Failpoint.should_fire "wal.checkpoint.crash" then begin
+    Obs.Metrics.incr "wal.checkpoint_crashes";
+    Errors.io_error "wal.checkpoint.crash: %s" what
+  end
+
 let checkpoint db =
   let m = db.mvcc in
   match m.wal, m.snapshot_path with
   | Some w, Some path ->
-    Mutex.lock m.mu;
-    (* Block new reservations and wait out in-flight commits: a commit
-       past its conflict check but not yet installed must not fall
-       between a truncated WAL and a snapshot that missed it. *)
-    m.checkpointing <- true;
-    while Hashtbl.length m.reserved > 0 do
-      Condition.wait m.cond m.mu
-    done;
-    let finish () =
-      m.checkpointing <- false;
-      Condition.broadcast m.cond;
-      Mutex.unlock m.mu
-    in
-    (try
-       (* Crash point 1: nothing written yet — snapshot and WAL intact. *)
-       if Failpoint.should_fire "wal.checkpoint.crash" then begin
-         Obs.Metrics.incr "wal.checkpoint_crashes";
-         Errors.io_error "wal.checkpoint.crash: before snapshot %s" path
-       end;
-       save db ~path;
-       (* Crash point 2: new snapshot durable, WAL not yet truncated —
-          recovery replays a log whose effects the snapshot already
-          holds, which upsert replay absorbs. *)
-       if Failpoint.should_fire "wal.checkpoint.crash" then begin
-         Obs.Metrics.incr "wal.checkpoint_crashes";
-         Errors.io_error "wal.checkpoint.crash: before truncating %s"
-           (Wal.path w)
-       end;
-       Wal.truncate w;
-       Obs.Metrics.incr "db.checkpoints"
-     with e ->
-       finish ();
-       raise e);
-    finish ()
+    Mutex.lock m.ckpt_mu;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock m.ckpt_mu)
+      (fun () ->
+        Mutex.lock m.mu;
+        let t0 = Unix.gettimeofday () in
+        (* Block new reservations and wait out in-flight commits: a
+           commit past its conflict check but not yet installed must not
+           have its WAL record below the mark while the pinned snapshot
+           misses it. *)
+        m.checkpointing <- true;
+        while Hashtbl.length m.reserved > 0 do
+          Condition.wait m.cond m.mu
+        done;
+        let view = pin db and upto = Wal.mark w in
+        m.checkpointing <- false;
+        Condition.broadcast m.cond;
+        Mutex.unlock m.mu;
+        Obs.Metrics.observe "db.checkpoint_pin_ms"
+          ((Unix.gettimeofday () -. t0) *. 1000.);
+        (* The pinned states are frozen, so the save reads them with no
+           lock held while commits append past the mark. *)
+        checkpoint_crash ("before snapshot " ^ path);
+        save view ~path;
+        (* Crash point 2: new snapshot durable, WAL not yet cut —
+           recovery replays a log whose prefix the snapshot already
+           holds, which upsert replay absorbs. *)
+        checkpoint_crash ("before truncating " ^ Wal.path w);
+        Wal.truncate_upto w upto;
+        Obs.Metrics.incr "db.checkpoints")
   | _ -> Errors.io_error "checkpoint: no wal attached"
 
 let close db =

@@ -1,10 +1,13 @@
 (** Keyed mutable relations (the PASCAL/R [RELATION] type).
 
     Elements are tuples; the schema's key functionally determines the
-    element.  [rel[keyval]] selected-variable access is {!find_key};
-    the instrumented {!scan} models the one-element-at-a-time reads of
-    the paper's FOR EACH loops and feeds the strategy-1 scan-count
-    experiments.  Scans and probes are counted only in the domain-local
+    element.  The elements live in a persistent hash trie keyed by key
+    value, so {!copy} is O(1) and a mutation copies only the O(log n)
+    nodes on its key's path, never changing a state that a copy (a
+    pinned snapshot) still holds.  [rel[keyval]] selected-variable
+    access is {!find_key}; the instrumented {!scan} models the
+    one-element-at-a-time reads of the paper's FOR EACH loops and feeds
+    the strategy-1 scan-count experiments.  Scans and probes are counted only in the domain-local
     {!Obs.Metrics} registry — [relation.scans], [relation.probes], and
     [relation.scans.<name>] per named relation — so a caller reads its
     own execution's counts as deltas, exact under concurrency. *)
@@ -16,9 +19,7 @@ type event = Inserted of Tuple.t | Deleted of Tuple.t | Cleared
     idempotent re-insert or a miss delete fires nothing).  The database
     layer maintains secondary indexes through these. *)
 
-val create : ?name:string -> ?size_hint:int -> Schema.t -> t
-(** [size_hint] presizes the key table for operators that know their
-    output bound; capacity only, never semantics. *)
+val create : ?name:string -> Schema.t -> t
 
 val name : t -> string
 val schema : t -> Schema.t
@@ -50,7 +51,7 @@ val mem_key : t -> Value.t list -> bool
 val mem_tuple : t -> Tuple.t -> bool
 
 val iter : (Tuple.t -> unit) -> t -> unit
-(** Administrative iteration; not counted as a scan. *)
+(** Administrative iteration in hash order; not counted as a scan. *)
 
 val fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
 
@@ -79,12 +80,6 @@ val version : t -> int
     clear.  Feeds {!Database.stats_epoch}, which invalidates cached
     plans whose cardinality assumptions the change may break. *)
 
-val set_version : t -> int -> unit
-(** MVCC lineage continuation: start a write transaction's private
-    {!copy} at the version of the state it was copied from, keeping the
-    stats epoch strictly monotone across installs.  Internal to
-    {!Database}'s transaction layer. *)
-
 val freeze : t -> unit
 (** Mark this relation state immutable: every subsequent content
     mutation raises {!Errors.Frozen}.  Applied to the committed states
@@ -104,7 +99,13 @@ val to_list : t -> Tuple.t list
 (** Sorted, for deterministic output. *)
 
 val of_list : ?name:string -> Schema.t -> Tuple.t list -> t
+
 val copy : ?name:string -> t -> t
+(** O(1): the copy shares the original's persistent tuple trie, and a
+    mutation of either replaces its own trie, so neither sees the
+    other's later writes.  The copy keeps the original's {!version}
+    (a write transaction's private copy continues its lineage), is
+    unfrozen, unobserved and has no paged storage. *)
 
 val equal_set : t -> t -> bool
 (** Set equality of the element sets. *)

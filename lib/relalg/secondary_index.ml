@@ -9,20 +9,23 @@
    checksummed pages.  A single-component one is also the paper's
    permanent index (Section 3.2), standing in for a per-query build.
 
-   Two physical kinds:
-   - [Hash]: component values -> tuple buckets; O(1) equality probes.
-   - [Sorted]: the same bucket table plus a lazily (re)built sorted key
-     array with prefix counts, serving S3-style range restrictions
-     (<, <=, >, >=) by binary search and answering "what fraction of
-     the relation matches?" exactly in O(log n) — the figure the cost
-     model's access-path choice runs on.
+   The buckets live in a persistent map from component values to
+   immutable tuple lists, ordered by {!Value.compare_list} and held in
+   one mutable field.  Maintenance replaces the field, so {!copy} is an
+   O(1) record copy that gives a write transaction a private index
+   sharing every node with the committed one, and a committed index is
+   never written by anyone — concurrent snapshot readers probe it
+   freely.  Two physical kinds, one structure:
+   - [Hash]: serves equality probes (an O(log n) bucket lookup).
+   - [Sorted]: also serves S3-style range restrictions (<, <=, >, >=)
+     by walking the ordered map from the span's bound, and answers
+     "what fraction of the relation matches?" by summing the span's
+     bucket lengths, stopping once the sum passes the cost model's
+     range-scan cutoff — the figure its access-path choice runs on.
 
    Buckets store whole tuples, not references: a probe hands the
    executor ready tuples with no dereference, and a delete removes by
-   tuple equality.  Bucket lists are immutable (mutation replaces the
-   bucket), so {!copy}'s shallow table copy gives a write transaction a
-   private index in O(distinct keys) while sharing all bucket spines
-   with the committed state. *)
+   tuple equality. *)
 
 type kind = Hash | Sorted
 
@@ -33,27 +36,26 @@ let kind_of_string = function
   | "sorted" -> Sorted
   | s -> Errors.type_error "unknown index kind %S" s
 
+module Key_map = Map.Make (struct
+  type t = Value.t list
+
+  let compare = Value.compare_list
+end)
+
 type t = {
   source : string;
   on : string list;
   kind : kind;
   positions : int array;
-  tbl : Tuple.t list Value_key.table;  (* component values -> tuples *)
+  mutable tbl : Tuple.t list Key_map.t;  (* component values -> tuples *)
   mutable entry_count : int;
-  mutable sorted : (Value.t list * Tuple.t list) array;
-      (* [Sorted] only: entries in ascending key order, rebuilt lazily
-         on the first range probe after a mutation *)
-  mutable prefix : int array;
-      (* prefix.(i) = total tuples in sorted.(0..i-1); length n+1, so
-         a key span's exact tuple count is one subtraction *)
-  mutable sorted_dirty : bool;
 }
 
 let source t = t.source
 let on t = t.on
 let kind t = t.kind
 let entry_count t = t.entry_count
-let distinct_keys t = Value_key.Table.length t.tbl
+
 (* Probes are counted in the probing domain's own metrics registry,
    never on the index: one committed index is probed read-only by
    concurrent snapshot readers — server connections and client
@@ -71,45 +73,41 @@ let create ~kind rel ~on =
     on;
     kind;
     positions;
-    tbl = Value_key.create 64;
+    tbl = Key_map.empty;
     entry_count = 0;
-    sorted = [||];
-    prefix = [||];
-    sorted_dirty = true;
   }
 
 let key_of t tuple = Array.to_list (Tuple.project t.positions tuple)
+let bucket t key = Option.value (Key_map.find_opt key t.tbl) ~default:[]
 
 (* --- Incremental maintenance (fed by Relation observers) ----------- *)
 
 let on_insert t tuple =
-  Value_key.add_multi t.tbl (key_of t tuple) tuple;
+  t.tbl <-
+    Key_map.update (key_of t tuple)
+      (function None -> Some [ tuple ] | Some b -> Some (tuple :: b))
+      t.tbl;
   t.entry_count <- t.entry_count + 1;
-  t.sorted_dirty <- true;
   Obs.Metrics.incr "secondary.maintain_inserts"
 
 let on_delete t tuple =
   let key = key_of t tuple in
-  match Value_key.Table.find_opt t.tbl key with
+  match Key_map.find_opt key t.tbl with
   | None -> ()
   | Some bucket ->
     let bucket' = List.filter (fun u -> not (Tuple.equal u tuple)) bucket in
     let removed = List.length bucket - List.length bucket' in
     if removed > 0 then begin
       (match bucket' with
-      | [] -> Value_key.Table.remove t.tbl key
-      | _ -> Value_key.Table.replace t.tbl key bucket');
+      | [] -> t.tbl <- Key_map.remove key t.tbl
+      | _ -> t.tbl <- Key_map.add key bucket' t.tbl);
       t.entry_count <- t.entry_count - removed;
-      t.sorted_dirty <- true;
       Obs.Metrics.incr "secondary.maintain_deletes"
     end
 
 let on_clear t =
-  Value_key.Table.reset t.tbl;
-  t.entry_count <- 0;
-  t.sorted <- [||];
-  t.prefix <- [||];
-  t.sorted_dirty <- true
+  t.tbl <- Key_map.empty;
+  t.entry_count <- 0
 
 (* Build by one counted scan of the source — same read the paper's
    per-query index build pays, but paid once per declaration. *)
@@ -126,147 +124,143 @@ let of_tuples ~kind rel ~on tuples =
   List.iter (on_insert t) tuples;
   t
 
-(* MVCC copy-on-write: shallow-copy the bucket table (buckets are
-   immutable lists), reset the lazy sorted view. *)
-let copy t =
-  {
-    t with
-    tbl = Value_key.Table.copy t.tbl;
-    sorted = [||];
-    prefix = [||];
-    sorted_dirty = true;
-  }
+(* MVCC copy-on-write in O(1): the copy shares the map, and maintenance
+   of either side replaces only its own field. *)
+let copy t = { t with tbl = t.tbl }
 
 (* --- Probing -------------------------------------------------------- *)
 
 let probe t key =
   count_probe ();
-  Value_key.find_multi t.tbl key
+  bucket t key
 
 let probe1 t v = probe t [ v ]
 
-let ensure_sorted t =
-  if t.sorted_dirty then begin
-    let entries =
-      Value_key.Table.fold (fun k b acc -> (k, b) :: acc) t.tbl []
-    in
-    let arr = Array.of_list entries in
-    Array.sort (fun (a, _) (b, _) -> Value.compare_list a b) arr;
-    let n = Array.length arr in
-    let prefix = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      prefix.(i + 1) <- prefix.(i) + List.length (snd arr.(i))
-    done;
-    t.sorted <- arr;
-    t.prefix <- prefix;
-    t.sorted_dirty <- false;
-    Obs.Metrics.incr "secondary.sorts"
-  end
+(* The one component of an index key, for an order comparison. *)
+let single_key t = function
+  | [ k ] -> k
+  | _ ->
+    Errors.type_error "range probe on a multi-component index over %s"
+      t.source
 
-(* First sorted entry whose key compares >= [v] ([gt] false) or > [v]
-   ([gt] true); [n] when none does. *)
-let bound t ~gt v =
-  let arr = t.sorted in
-  let n = Array.length arr in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c =
-      match fst arr.(mid) with
-      | [ k ] -> Value.compare k v
-      | _ ->
-        Errors.type_error "range probe on a multi-component index over %s"
-          t.source
-    in
-    if c < 0 || (gt && c = 0) then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* The half-open sorted-entry span [lo, hi) matching [v' op v]. *)
+(* The entries whose key satisfies [key op v], in ascending key order:
+   [Gt]/[Ge] start at the span's lower bound, [Lt]/[Le] stop at its
+   upper bound. *)
 let span t op v =
-  ensure_sorted t;
-  let n = Array.length t.sorted in
   match op with
-  | Value.Lt -> (0, bound t ~gt:false v)
-  | Value.Le -> (0, bound t ~gt:true v)
-  | Value.Gt -> (bound t ~gt:true v, n)
-  | Value.Ge -> (bound t ~gt:false v, n)
+  | Value.Gt | Value.Ge ->
+    Key_map.to_seq_from [ v ] t.tbl
+    |> Seq.drop_while (fun (k, _) ->
+           not (Value.apply op (single_key t k) v))
+  | Value.Lt | Value.Le ->
+    Key_map.to_seq t.tbl
+    |> Seq.take_while (fun (k, _) -> Value.apply op (single_key t k) v)
   | Value.Eq | Value.Ne ->
     invalid_arg "Secondary_index.span: not an order comparison"
 
-(* Enumerate tuples matching [indexed-value op v].  Equality goes
-   through the bucket table on any kind; order comparisons need the
-   sorted view and count as one range probe regardless of span size. *)
+(* Enumerate tuples matching [indexed-value op v].  Equality looks up
+   its bucket on any kind; an order comparison walks its span of the
+   ordered map and counts as one range probe regardless of span size. *)
 let iter_matching t op v f =
   match op with
   | Value.Eq -> List.iter f (probe t [ v ])
   | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
     count_probe ();
     Obs.Metrics.incr "secondary.range_scans";
-    let lo, hi = span t op v in
-    for i = lo to hi - 1 do
-      List.iter f (snd t.sorted.(i))
-    done
+    Seq.iter (fun (_, b) -> List.iter f b) (span t op v)
   | Value.Ne ->
     count_probe ();
-    Value_key.fold_matching_entries ~source:t.source t.tbl op v
-      (fun () _ bucket -> List.iter f bucket)
-      ()
+    Key_map.iter
+      (fun k b -> if Value.apply Value.Ne (single_key t k) v then List.iter f b)
+      t.tbl
 
 (* The probes of a declared index standing in for the collection
-   phase's per-query {!Index} (paper Section 3.2's permanent index):
-   entries tagged with the same stable ordinals {!Index} reports, and
-   order comparisons walk the bucket table rather than the sorted view.
-   Neither writes the index — concurrent snapshot readers share it. *)
+   phase's per-query {!Index} (paper Section 3.2's permanent index).
+   Each matching entry is tagged with its ordinal in key order — its
+   identity while the index is unmodified, which a pinned index always
+   is; [Eq] finds its bucket by lookup and reports no ordinal. *)
 let fold_matching_entries t op v f init =
   count_probe ();
-  Value_key.fold_matching_entries ~source:t.source t.tbl op v f init
+  match op with
+  | Value.Eq -> f init None (bucket t [ v ])
+  | Value.Ne | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
+    let ord = ref (-1) in
+    Key_map.fold
+      (fun k b acc ->
+        incr ord;
+        if Value.apply op (single_key t k) v then f acc (Some !ord) b
+        else acc)
+      t.tbl init
 
+(* Existence version of [fold_matching_entries]: buckets are never
+   empty, so an order comparison needs only the map's extreme key. *)
 let exists_matching t op v =
   count_probe ();
-  Value_key.exists_matching ~source:t.source t.tbl op v
+  let holds = function
+    | Some (k, _) -> Value.apply op (single_key t k) v
+    | None -> false
+  in
+  match op with
+  | Value.Eq -> Key_map.mem [ v ] t.tbl
+  | Value.Lt | Value.Le -> holds (Key_map.min_binding_opt t.tbl)
+  | Value.Gt | Value.Ge -> holds (Key_map.max_binding_opt t.tbl)
+  | Value.Ne ->
+    holds (Key_map.min_binding_opt t.tbl)
+    || holds (Key_map.max_binding_opt t.tbl)
 
 (* Exact fraction of the indexed tuples matching [op v] — the planner's
-   selectivity figure.  O(1) for equality (bucket length), O(log n) for
-   order comparisons (prefix counts over the sorted view).  Uncounted:
-   this is planning, not execution. *)
-let matching_fraction t op v =
+   selectivity figure: one bucket lookup for (in)equality, the sum of
+   the span's bucket lengths for an order comparison.  The span walk
+   stops once the count passes [cap] of the entries, and then answers
+   the fraction counted so far, already above [cap].  Uncounted: this
+   is planning, not execution. *)
+let matching_fraction ~cap t op v =
   if t.entry_count = 0 then 0.0
   else
     let total = float_of_int t.entry_count in
+    let eq = float_of_int (List.length (bucket t [ v ])) /. total in
     match op with
-    | Value.Eq ->
-      float_of_int (List.length (Value_key.find_multi t.tbl [ v ])) /. total
-    | Value.Ne ->
-      1.0
-      -. float_of_int (List.length (Value_key.find_multi t.tbl [ v ]))
-         /. total
+    | Value.Eq -> eq
+    | Value.Ne -> 1.0 -. eq
     | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
-      let lo, hi = span t op v in
-      float_of_int (t.prefix.(hi) - t.prefix.(lo)) /. total
+      let limit = cap *. total in
+      let rec count n s =
+        if float_of_int n > limit then n
+        else
+          match s () with
+          | Seq.Nil -> n
+          | Seq.Cons ((_, b), rest) -> count (n + List.length b) rest
+      in
+      float_of_int (count 0 (span t op v)) /. total
 
 (* All indexed tuples, sorted — the deterministic enumeration the
    snapshot serializer writes as this index's pages. *)
 let to_list t =
-  List.sort Tuple.compare
-    (Value_key.Table.fold (fun _ b acc -> List.rev_append b acc) t.tbl [])
+  let a = Array.make t.entry_count [||] and i = ref 0 in
+  Key_map.iter
+    (fun _ b ->
+      List.iter
+        (fun tup ->
+          a.(!i) <- tup;
+          incr i)
+        b)
+    t.tbl;
+  Array.stable_sort Tuple.compare a;
+  Array.to_list a
 
 (* Full consistency check against the source relation: same
    cardinality, every tuple present in its own bucket, no strays.
    Test-suite teeth for the maintenance paths. *)
 let consistent_with t rel =
   t.entry_count = Relation.cardinality rel
-  && Value_key.Table.fold
-       (fun key bucket acc ->
-         acc
-         && List.for_all
-              (fun tup ->
-                Relation.mem_tuple rel tup
-                && List.equal Value.equal key (key_of t tup))
-              bucket)
-       t.tbl true
+  && Key_map.for_all
+       (fun key bucket ->
+         List.for_all
+           (fun tup ->
+             Relation.mem_tuple rel tup
+             && List.equal Value.equal key (key_of t tup))
+           bucket)
+       t.tbl
   && Relation.for_all
-       (fun tup ->
-         List.exists (Tuple.equal tup)
-           (Value_key.find_multi t.tbl (key_of t tup)))
+       (fun tup -> List.exists (Tuple.equal tup) (bucket t (key_of t tup)))
        rel

@@ -1,11 +1,12 @@
 (** Persistent secondary indexes: catalogued access paths, maintained
-    incrementally through relation mutations, copied on write by MVCC
-    transactions, and persisted in database snapshots as checksummed
-    pages.
+    incrementally through relation mutations, copied in O(1) by MVCC
+    transactions (the buckets live in a persistent map that maintenance
+    replaces rather than changes), and persisted in database snapshots
+    as checksummed pages.
 
     [Hash] serves equality probes; [Sorted] additionally serves range
-    restrictions by binary search over a lazily rebuilt sorted view and
-    reports exact matching fractions for the cost model. *)
+    restrictions by walking the value-ordered map from the span's bound
+    and reports exact matching fractions for the cost model. *)
 
 type kind = Hash | Sorted
 
@@ -28,14 +29,13 @@ val of_tuples : kind:kind -> Relation.t -> on:string list -> Tuple.t list -> t
 (** Rebuild from persisted snapshot pages; no relation scan. *)
 
 val copy : t -> t
-(** MVCC copy-on-write: a private index sharing all bucket spines with
-    the original. *)
+(** MVCC copy-on-write in O(1): a private index sharing the original's
+    bucket map; maintenance of either replaces only its own map. *)
 
 val source : t -> string
 val on : t -> string list
 val kind : t -> kind
 val entry_count : t -> int
-val distinct_keys : t -> int
 
 val on_insert : t -> Tuple.t -> unit
 (** Incremental maintenance hooks, fed by {!Relation} observers. *)
@@ -50,8 +50,8 @@ val probe1 : t -> Value.t -> Tuple.t list
 
 val iter_matching : t -> Value.comparison -> Value.t -> (Tuple.t -> unit) -> unit
 (** Enumerate tuples whose (single) indexed component satisfies
-    [value op v].  Equality probes the bucket table; order comparisons
-    binary-search the sorted view and count as one range probe.
+    [value op v].  Equality looks up its bucket; order comparisons walk
+    their span of the ordered map and count as one range probe.
     @raise Errors.Type_error on an order probe of a multi-component
     index. *)
 
@@ -64,17 +64,21 @@ val fold_matching_entries :
   'a
 (** {!Index.fold_matching_entries} over this index's buckets: the
     stand-in probe of a declared index serving as the paper's permanent
-    index.  Order comparisons walk the bucket table, never the sorted
-    view, so the probe writes nothing but the atomic probe counter and
-    is safe under concurrent snapshot readers.
-    Counted once per call. *)
+    index.  Entries are tagged with their ordinal in key order.  The
+    probe writes nothing to the index, so it is safe under concurrent
+    snapshot readers.  Counted once per call. *)
 
 val exists_matching : t -> Value.comparison -> Value.t -> bool
-(** Existence version of {!fold_matching_entries}, with early exit. *)
+(** Existence version of {!fold_matching_entries}: an order comparison
+    consults only the map's extreme key. *)
 
-val matching_fraction : t -> Value.comparison -> Value.t -> float
-(** Exact fraction of indexed tuples matching [op v] — O(1) for
-    equality, O(log n) for order comparisons.  Uncounted (planning). *)
+val matching_fraction :
+  cap:float -> t -> Value.comparison -> Value.t -> float
+(** Exact fraction of indexed tuples matching [op v] — one bucket
+    lookup for equality, a walk of the matching span for order
+    comparisons (no dearer than the range scan it prices).  The walk
+    stops once more than [cap] of the entries matched, answering some
+    fraction above [cap].  Uncounted (planning). *)
 
 val to_list : t -> Tuple.t list
 (** All indexed tuples, sorted: the deterministic page enumeration the

@@ -6,10 +6,14 @@
    turns that into an append: a committed transaction's logical
    operations are encoded through [Codec] into one checksummed record,
    appended and fsynced before the in-memory install.  On open, the log
-   is replayed on top of the last snapshot; a checkpoint (= snapshot
-   save) truncates it.
+   is replayed on top of the last snapshot.  A checkpoint saves a
+   snapshot pinned at a {!mark} while commits go on appending, then
+   {!truncate_upto} drops the records at or below the mark and keeps
+   the ones appended since.
 
-   Record framing (after the 11-byte file magic):
+   File header: the 11-byte magic, then the i64 base sequence — the
+   last commit a checkpoint's snapshot holds, 0 for a fresh log — so
+   the first record must carry base + 1.  Record framing:
 
      i64 payload length | payload | i64 Adler-32 of payload
 
@@ -44,7 +48,7 @@ type op =
 
 type t = {
   path : string;
-  fd : Unix.file_descr;
+  mutable fd : Unix.file_descr;
   mu : Mutex.t;
   cond : Condition.t;
   mutable appended : int;  (* commit seq of the last appended record *)
@@ -56,8 +60,8 @@ type t = {
   mutable closed : bool;
 }
 
-let magic = "PASCALRWAL1"
-let header_len = String.length magic
+let magic = "PASCALRWAL2"
+let header_len = String.length magic + 8
 
 let rec write_all fd b pos len =
   if len > 0 then begin
@@ -65,10 +69,20 @@ let rec write_all fd b pos len =
     write_all fd b (pos + n) (len - n)
   end
 
-let create path =
+(* A log file holding [tail] after the header naming [base], durable
+   before [create]/[truncate_upto] return it. *)
+let write_log path ~base tail =
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  write_all fd (Bytes.of_string magic) 0 header_len;
+  let header = Buffer.create header_len in
+  Buffer.add_string header magic;
+  Codec.put_i64 header base;
+  write_all fd (Buffer.to_bytes header) 0 header_len;
+  write_all fd tail 0 (Bytes.length tail);
   (try Unix.fsync fd with Unix.Unix_error _ -> ());
+  fd
+
+let create path =
+  let fd = write_log path ~base:0 Bytes.empty in
   {
     path;
     fd;
@@ -130,10 +144,13 @@ let check_usable t =
     Errors.io_error "wal %s: torn tail after injected crash; reopen to recover"
       t.path
 
+let ms_since t0 = (Unix.gettimeofday () -. t0) *. 1000.
+
 (* Append the record and make it durable; returns only once an fsync
    covering the record has completed.  @raise Errors.Io_error on an
    injected crash (the commit did not happen; the log is poisoned). *)
 let commit t ops =
+  let t0 = Unix.gettimeofday () in
   Mutex.lock t.mu;
   (try
      check_usable t;
@@ -157,6 +174,8 @@ let commit t ops =
      Mutex.unlock t.mu;
      raise e);
   let my = t.appended in
+  let t1 = Unix.gettimeofday () in
+  Obs.Metrics.observe "wal.append_ms" ((t1 -. t0) *. 1000.);
   (* Group fsync: either piggyback on a sync in flight or run one. *)
   let rec ensure_synced () =
     if t.synced >= my then ()
@@ -180,8 +199,7 @@ let commit t ops =
         else begin
           let t0 = Unix.gettimeofday () in
           (try Unix.fsync t.fd with Unix.Unix_error _ -> ());
-          Obs.Metrics.observe "wal.fsync_ms"
-            ((Unix.gettimeofday () -. t0) *. 1000.);
+          Obs.Metrics.observe "wal.fsync_ms" (ms_since t0);
           Obs.Metrics.incr "wal.fsyncs";
           `Ok
         end
@@ -205,6 +223,7 @@ let commit t ops =
   in
   ensure_synced ();
   Mutex.unlock t.mu;
+  Obs.Metrics.observe "wal.sync_wait_ms" (ms_since t1);
   Obs.Metrics.incr "wal.commits"
 
 let decode_ops payload =
@@ -247,11 +266,17 @@ let replay path ~apply =
       b
     in
     let len = Bytes.length data in
-    if len < header_len || Bytes.sub_string data 0 header_len <> magic then
-      Errors.corruption "wal %s: bad magic" path;
+    if
+      len < header_len
+      || Bytes.sub_string data 0 (String.length magic) <> magic
+    then Errors.corruption "wal %s: bad magic" path;
+    let expect =
+      let cur = Codec.cursor data in
+      cur.Codec.pos <- String.length magic;
+      ref (Codec.get_i64 cur + 1)
+    in
     let pos = ref header_len in
     let applied = ref 0 in
-    let expect = ref 1 in
     let intact = ref true in
     while !intact && !pos + 16 <= len do
       let cur = Codec.cursor data in
@@ -283,20 +308,47 @@ let replay path ~apply =
     !applied
   end
 
-(* Checkpoint: everything up to here is in the snapshot; start over. *)
-let truncate t =
+(* The position a checkpoint pins: the last appended record's commit
+   sequence and the file offset just past it. *)
+type mark = { seq : int; off : int }
+
+let mark t =
+  Mutex.lock t.mu;
+  let m = { seq = t.appended; off = t.off } in
+  Mutex.unlock t.mu;
+  m
+
+(* Checkpoint: the records up to [m] are in the snapshot.  The records
+   appended since are copied into a fresh log, fsynced and renamed over
+   the old one, so a crash leaves either log whole.  Appends wait on
+   the mutex for the copy — the tail is only what arrived during the
+   snapshot save — and an fsync in flight on the old file finishes
+   first, so no domain syncs a closed descriptor. *)
+let truncate_upto t m =
   Mutex.lock t.mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mu)
     (fun () ->
+      while t.syncing do
+        Condition.wait t.cond t.mu
+      done;
       check_usable t;
-      Unix.ftruncate t.fd header_len;
-      ignore (Unix.lseek t.fd header_len Unix.SEEK_SET);
-      (try Unix.fsync t.fd with Unix.Unix_error _ -> ());
-      t.off <- header_len;
-      t.synced_off <- header_len;
-      t.appended <- 0;
-      t.synced <- 0;
+      let tail = Bytes.create (t.off - m.off) in
+      let ic = open_in_bin t.path in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          seek_in ic m.off;
+          really_input ic tail 0 (Bytes.length tail));
+      let tmp = t.path ^ ".tmp" in
+      let fd = write_log tmp ~base:m.seq tail in
+      Unix.rename tmp t.path;
+      (try Unix.close t.fd with Unix.Unix_error _ -> ());
+      t.fd <- fd;
+      t.off <- header_len + Bytes.length tail;
+      t.synced_off <- t.off;
+      t.synced <- t.appended;
+      Condition.broadcast t.cond;
       Obs.Metrics.incr "wal.truncations")
 
 let close t =

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Guard against combination-engine performance regressions.
 
-Seven checks:
+Eight checks:
 
 1. Compares a freshly measured benchmark run against the committed
    BENCH_results.json and fails if any fully-optimised (s1+s2+s3+s4)
@@ -64,6 +64,14 @@ Seven checks:
    same cells up to the new run's largest scale (a --max-scale run
    covers a prefix of the baseline's scales).  max_ntuple is the
    union's cardinality whichever way the engine builds the union.
+
+8. B-WRITE of the NEW run alone: the p50 commit latency of a one-row
+   upsert on the largest relation must be at most 3x the p50 on the
+   smallest (1e5 vs 1e2 rows in the full run; CI runs up to 1e4).  A
+   write costs O(log n), so the figure should be flat in relation size;
+   a write that copies its relation grows with it and fails.  Both
+   sides are medians of commits interleaved round by round in one
+   process, so disk and machine speed cancel out.
 
 Usage: check_bench_regression.py BASELINE.json NEW.json
 """
@@ -191,10 +199,11 @@ def check_parallel(path):
 
 INDEX_NOISE_FLOOR_MS = 5.0
 INDEX_FACTOR = 3.0
+INDEX_FALLBACK_SLACK = 1.25
 
 
 def index_rows(path):
-    """B-INDEX rows of one run: {(query, scale): {strategy: wall_ms}}."""
+    """B-INDEX rows of one run: {(query, scale): {strategy: row dict}}."""
     with open(path) as f:
         doc = json.load(f)
     rows = {}
@@ -202,7 +211,7 @@ def index_rows(path):
         if r.get("experiment") == "B-INDEX":
             rows.setdefault((r.get("query", ""), r.get("scale", 0)), {})[
                 r.get("strategy")
-            ] = r["wall_ms"]
+            ] = r
     return rows
 
 
@@ -216,7 +225,14 @@ def check_index(path):
     relations are timer noise); (2) at the largest scale whose scan
     clears the noise floor, the scan must cost at least INDEX_FACTOR
     times the probe — the selective restriction is the index's home
-    ground, and losing the 3x there means access-path selection broke."""
+    ground, and losing the 3x there means access-path selection broke.
+
+    A pair whose indexed leg reports the "scan" access path is a
+    fallback: an order restriction too unselective for the sorted
+    index, priced by walking part of it and then run as a heap scan.
+    Its rule is that the indexed leg costs at most INDEX_FALLBACK_SLACK
+    times the scan leg (plus the noise floor): pricing the span must
+    stay small beside the scan it decides on."""
     rows = index_rows(path)
     if not rows:
         print("B-INDEX: no rows in the new run, skipping the index check")
@@ -228,7 +244,17 @@ def check_index(path):
             failed.append((query, scale))
             print(f"B-INDEX  {query:22s} scale={scale}  missing indexed/scan row")
             continue
-        indexed, scan = cells["indexed"], cells["scan"]
+        indexed, scan = cells["indexed"]["wall_ms"], cells["scan"]["wall_ms"]
+        if cells["indexed"].get("access_path") == "scan":
+            ok = indexed <= INDEX_FALLBACK_SLACK * scan + INDEX_NOISE_FLOOR_MS
+            print(
+                f"B-INDEX  {query:22s} scale={scale}  "
+                f"scan={scan:9.3f}ms  fallback={indexed:9.3f}ms  "
+                f"{'ok' if ok else 'FALLBACK TOO DEAR'}"
+            )
+            if not ok:
+                failed.append((query, scale))
+            continue
         if scan < INDEX_NOISE_FLOOR_MS:
             ok = indexed <= scan + INDEX_NOISE_FLOOR_MS
             print(
@@ -384,6 +410,31 @@ def check_order_counts(baseline_path, new_path):
     return failed
 
 
+WRITE_FACTOR = 3.0
+
+
+def check_write_scaling(path):
+    """B-WRITE p50 at the largest relation vs the smallest, new run only."""
+    with open(path) as f:
+        doc = json.load(f)
+    rows = {
+        r.get("scale", 0): r.get("wall_ms_p50", r.get("wall_ms"))
+        for r in doc.get("results", doc if isinstance(doc, list) else [])
+        if r.get("experiment") == "B-WRITE"
+    }
+    if len(rows) < 2:
+        print("B-WRITE: fewer than two sizes in the new run, skipping the scaling check")
+        return []
+    small, large = min(rows), max(rows)
+    ok = rows[large] <= WRITE_FACTOR * rows[small]
+    print(
+        f"B-WRITE  p50 at {large} rows = {rows[large]:.3f} ms, at {small} rows = "
+        f"{rows[small]:.3f} ms  (ratio {rows[large] / rows[small]:.2f}, "
+        f"limit {WRITE_FACTOR}x)  {'ok' if ok else 'GROWS WITH RELATION SIZE'}"
+    )
+    return [] if ok else [(small, large)]
+
+
 def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__.strip())
@@ -425,6 +476,7 @@ def main():
     traffic_failed = check_traffic(sys.argv[1], sys.argv[2])
     idx_failed = check_permanent_indexes(sys.argv[1], sys.argv[2])
     order_failed = check_order_counts(sys.argv[1], sys.argv[2])
+    write_failed = check_write_scaling(sys.argv[2])
     if failed:
         sys.exit(f"{len(failed)}/{compared} rows regressed beyond {FACTOR}x")
     if prep_failed:
@@ -456,6 +508,11 @@ def main():
         sys.exit(
             f"{len(order_failed)} B-ORDER cells whose max_ntuple or scan "
             "counts differ from the committed baseline"
+        )
+    if write_failed:
+        sys.exit(
+            f"B-WRITE upsert p50 at the largest relation exceeds "
+            f"{WRITE_FACTOR}x the smallest"
         )
     if compared:
         print(f"all {compared} rows within {FACTOR}x of baseline")

@@ -115,6 +115,70 @@ let test_database_catalog () =
   | _ -> Alcotest.fail "expected Unknown_relation"
   | exception Errors.Unknown_relation _ -> ()
 
+(* The persistent tuple table against a model: random inserts and
+   deletes on two handles, where a [Copy] step re-forks the second from
+   the first.  Each handle must match its own model after every step,
+   so a copy never sees the other side's later writes. *)
+let wide_schema =
+  Schema.make
+    [
+      Schema.attr "id" (Vtype.TInt { lo = 0; hi = max_int });
+      Schema.attr "v" (Vtype.TInt { lo = 0; hi = max_int });
+    ]
+    ~key:[ "id" ]
+
+module Int_map = Map.Make (Int)
+
+type copy_op = Ins of bool * int * int | Del of bool * int | Copy
+
+let test_copy_model =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 200)
+        (frequency
+           [
+             (6, map3 (fun s k v -> Ins (s, k, v)) bool (int_bound 101) (int_bound 3));
+             (3, map2 (fun s k -> Del (s, k)) bool (int_bound 101));
+             (1, return Copy);
+           ]))
+  in
+  QCheck.Test.make ~name:"copies and writes match a model on both sides"
+    ~count:150 (QCheck.make gen) (fun ops ->
+      let keys = Array.init 102 Fun.id in
+      let left = ref (Relation.create wide_schema) and right = ref (Relation.create wide_schema) in
+      let ml = ref Int_map.empty and mr = ref Int_map.empty in
+      let side s = if s then (left, ml) else (right, mr) in
+      let agrees r m =
+        Relation.cardinality r = Int_map.cardinal m
+        && Array.for_all
+             (fun k ->
+               match Relation.find_key r [ Value.int k ], Int_map.find_opt k m with
+               | None, None -> true
+               | Some t, Some v -> Value.equal (Tuple.get t 1) (Value.int v)
+               | _ -> false)
+             keys
+        && Relation.fold (fun n _ -> n + 1) 0 r = Int_map.cardinal m
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Ins (s, i, v) ->
+            let r, m = side s in
+            let k = keys.(i) in
+            Relation.delete_key !r [ Value.int k ];
+            Relation.insert !r (Tuple.of_list [ Value.int k; Value.int v ]);
+            m := Int_map.add k v !m
+          | Del (s, i) ->
+            let r, m = side s in
+            let k = keys.(i) in
+            Relation.delete_key !r [ Value.int k ];
+            m := Int_map.remove k !m
+          | Copy ->
+            right := Relation.copy !left;
+            mr := !ml);
+          agrees !left !ml && agrees !right !mr)
+        ops)
+
 let suite =
   [
     ( "relation",
@@ -130,5 +194,6 @@ let suite =
         Alcotest.test_case "composite keys" `Quick test_composite_key;
         Alcotest.test_case "database catalog and deref" `Quick
           test_database_catalog;
+        QCheck_alcotest.to_alcotest test_copy_model;
       ] );
   ]

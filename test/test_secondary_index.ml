@@ -81,7 +81,9 @@ let test_sorted_range () =
       Alcotest.(check int)
         (Fmt.str "range %s %d agrees with scan" (Value.comparison_to_string op) v)
         (scan_count op v) (count op v);
-      let frac = Secondary_index.matching_fraction ix op (Value.int v) in
+      let frac =
+        Secondary_index.matching_fraction ~cap:1.0 ix op (Value.int v)
+      in
       let exact =
         float_of_int (scan_count op v)
         /. float_of_int (max 1 (Relation.cardinality ship))
@@ -89,7 +91,16 @@ let test_sorted_range () =
       Alcotest.(check (float 1e-9))
         (Fmt.str "matching_fraction %s %d is exact"
            (Value.comparison_to_string op) v)
-        exact frac)
+        exact frac;
+      (* Under a cap the walk may stop early, but only once the count
+         has passed the cap: the answer is exact, or above the cap. *)
+      let capped =
+        Secondary_index.matching_fraction ~cap:0.1 ix op (Value.int v)
+      in
+      Alcotest.(check bool)
+        (Fmt.str "capped matching_fraction %s %d" (Value.comparison_to_string op) v)
+        true
+        (Float.abs (capped -. exact) < 1e-9 || (capped > 0.1 && capped <= exact)))
     [
       (Value.Lt, 500);
       (Value.Le, 500);
