@@ -327,18 +327,18 @@ let param_arg =
           "Bind the query's \\$NAME placeholder (repeatable).  VAL is an \
            integer, true/false, or an enumeration label.")
 
-(* --index REL:ATTR[,ATTR..][:KIND]: declare persistent secondary
-   indexes before evaluating, so the collection phase can serve
-   restrictions by probe/range scan instead of heap scans. *)
+(* --index REL:ATTR[,ATTR..]: declare persistent secondary indexes
+   before evaluating, so the collection phase can serve restrictions by
+   probe/range scan instead of heap scans. *)
 let index_arg =
   Arg.(
     value & opt_all string []
-    & info [ "index" ] ~docv:"REL:ATTR[:KIND]"
+    & info [ "index" ] ~docv:"REL:ATTR"
         ~doc:
           "Declare a secondary index on relation REL's component ATTR \
            before evaluating (repeatable; ATTR may be a comma-separated \
-           component list).  KIND is $(b,hash) (default; equality \
-           probes) or $(b,sorted) (equality and range scans).")
+           component list).  Every index serves equality probes and \
+           range scans.")
 
 let no_index_arg =
   Arg.(
@@ -352,29 +352,19 @@ let no_index_arg =
 let declare_indexes db specs =
   List.iter
     (fun spec ->
-      let fail () =
+      let rel, on =
+        match String.split_on_char ':' spec with
+        | [ rel; attrs ] ->
+          (rel, List.filter (fun a -> a <> "") (String.split_on_char ',' attrs))
+        | _ -> ("", [])
+      in
+      if rel = "" || on = [] then
         failwith
           (Fmt.str
-             "bad --index spec %S (expected REL:ATTR[,ATTR..][:hash|sorted])"
-             spec)
-      in
-      let rel, on, kind =
-        match String.split_on_char ':' spec with
-        | [ rel; attrs ] -> (rel, attrs, Relalg.Secondary_index.Hash)
-        | [ rel; attrs; kind ] -> (
-          ( rel,
-            attrs,
-            match String.lowercase_ascii kind with
-            | "hash" -> Relalg.Secondary_index.Hash
-            | "sorted" -> Relalg.Secondary_index.Sorted
-            | _ -> fail () ))
-        | _ -> fail ()
-      in
-      let on =
-        List.filter (fun a -> a <> "") (String.split_on_char ',' on)
-      in
-      if rel = "" || on = [] then fail ();
-      try ignore (Database.declare_index ~kind db rel ~on : Secondary_index.t)
+             "bad --index spec %S (expected REL:ATTR[,ATTR..]; there are no \
+              index kinds, every index serves equality and range probes)"
+             spec);
+      try ignore (Database.declare_index db rel ~on : Secondary_index.t)
       with
       | Errors.Unknown_relation m -> failwith ("--index: unknown relation " ^ m)
       | Errors.Unknown_attribute m -> failwith ("--index: unknown component " ^ m)

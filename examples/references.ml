@@ -30,7 +30,8 @@ let () =
      enrindex  :+ [<20, @employees[20]>]; *)
   let hire enr name st =
     let tuple = Tuple.of_list [ Value.int enr; Value.str name; Value.enum status st ] in
-    Relation.insert employees tuple;
+    (* The catalogued state: declaring an index below installs a new one. *)
+    Relation.insert (Database.find_relation db "employees") tuple;
     Relation.insert enrindex
       (Tuple.of_list
          [ Value.int enr; Reference.value_of_tuple employees tuple ])

@@ -209,8 +209,8 @@ let served_candidates v (range : range) atoms =
   restr @ List.filter_map (of_atom v) atoms
 
 (* Pick the best index drive for a build over [v]'s range: an equality
-   candidate always prefers a probe; an order candidate uses a sorted
-   index's range scan only while its exact matching fraction stays at
+   candidate always prefers a probe; an order candidate uses an index's
+   range scan only while its exact matching fraction stays at
    or below {!Cost.range_scan_max_fraction}.  Among eligible drives the
    one enumerating the smallest fraction of the heap wins. *)
 let choose_drive t v (range : range) atoms =
@@ -223,14 +223,13 @@ let choose_drive t v (range : range) atoms =
           (fun idx ->
             let cap = Cost.range_scan_max_fraction in
             let frac =
-              match op, Secondary_index.kind idx with
-              | Value.Eq, _ ->
+              match op with
+              | Value.Eq ->
                 Some (Secondary_index.matching_fraction ~cap idx op c)
-              | ( (Value.Lt | Value.Le | Value.Gt | Value.Ge),
-                  Secondary_index.Sorted ) ->
+              | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
                 let f = Secondary_index.matching_fraction ~cap idx op c in
                 if f <= cap then Some f else None
-              | _ -> None
+              | Value.Ne -> None
             in
             match frac, !best with
             | Some f, Some (bf, _) when bf <= f -> ()
@@ -496,8 +495,7 @@ let fold_index_entries idx op probe f init =
   match idx with
   | Built i -> Index.fold_matching_entries i op probe f init
   | Declared (i, rel) ->
-    Secondary_index.fold_matching_entries i op probe
-      (fun acc ord tuples -> f acc ord (List.map (Reference.of_tuple rel) tuples))
+    Secondary_index.fold_matching_entries i op probe (Reference.of_tuple rel) f
       init
 
 let index_exists idx op probe =

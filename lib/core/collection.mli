@@ -69,5 +69,5 @@ val intermediate_sizes : t -> (string * int) list
 
 val access_paths : t -> (string * string) list
 (** The access path that built each structure, by memo key, sorted:
-    ["probe"] (secondary-index equality), ["range"] (sorted-index range
+    ["probe"] (secondary-index equality), ["range"] (secondary-index range
     scan) or ["scan"] (heap scan). *)

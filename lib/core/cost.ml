@@ -121,7 +121,7 @@ let pp ppf e =
 (* --- Access-path policy ---------------------------------------------
 
    An equality restriction always prefers a secondary-index probe
-   (exact bucket, no scan); an order restriction uses a sorted index's
+   (exact bucket, no scan); an order restriction uses the index's
    range scan only while the exact matching fraction stays at or below
    [range_scan_max_fraction] — past that, walking the ordered map plus
    re-checking residual predicates loses to the single heap scan the

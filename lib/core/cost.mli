@@ -20,7 +20,7 @@ val pp : estimate Fmt.t
 (** {2 Access-path policy} *)
 
 val range_scan_max_fraction : float
-(** Maximum exact matching fraction at which a sorted secondary index
+(** Maximum exact matching fraction at which a secondary index
     serves an order restriction as a range scan; above it the heap scan
     is preferred. *)
 

@@ -40,7 +40,7 @@ type t = {
       (** sizes of all collection-phase structures *)
   access_paths : (string * string) list;
       (** access path per collection structure: ["probe"]
-          (secondary-index equality), ["range"] (sorted-index range
+          (secondary-index equality), ["range"] (secondary-index range
           scan) or ["scan"] (heap scan) *)
   join_algos : (string * string) list;
       (** join algorithm run per streaming combination step that

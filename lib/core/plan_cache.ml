@@ -4,8 +4,10 @@
    digest of the alpha-canonical query plus the Exec_opts fingerprint).
    Every entry remembers the database stats epoch it was compiled
    under; a lookup under a different epoch drops the entry and reports
-   a miss — the cached cost ordering and empty-range adaptation may no
-   longer hold, so the caller must re-plan.
+   a miss — the plan's empty-range decisions (adaptation and range
+   extension, through Standard_form.range_is_empty) may no longer hold,
+   so the caller must re-plan.  Nothing else in a plan depends on the
+   data: join order and access paths are chosen per execution.
 
    Each cache keeps its own stats record, and every event also bumps
    the process-wide Obs.Metrics counters (plan_cache.hits / .misses /

@@ -2,8 +2,8 @@
 
     Entries remember the {!Relalg.Database.stats_epoch} they were
     compiled under; a lookup under a different epoch invalidates the
-    entry (the cached cost ordering and empty-range adaptation may no
-    longer hold).  Every hit/miss/eviction/invalidation bumps both the
+    entry (its empty-range decisions — adaptation and range extension,
+    through {!Standard_form.range_is_empty} — may no longer hold).  Every hit/miss/eviction/invalidation bumps both the
     per-cache {!stats} and the global [plan_cache.*] counters in
     {!Obs.Metrics}. *)
 

@@ -150,9 +150,7 @@ let choose db query =
       (Fmt.str "%d secondary index(es) available: %s" (List.length l)
          (String.concat ", "
             (List.map
-               (fun (rel, on, kind) ->
-                 Fmt.str "%s(%s):%s" rel (String.concat "," on)
-                   (Relalg.Secondary_index.kind_to_string kind))
+               (fun (rel, on) -> Fmt.str "%s(%s)" rel (String.concat "," on))
                l))));
   let strategy =
     {

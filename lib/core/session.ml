@@ -12,8 +12,12 @@
    - the options fingerprint keys strategies and join order, which
      change the compiled plan;
    - the stats epoch (Database.stats_epoch) guards validity: inserts,
-     deletions and snapshot loads move it, invalidating plans whose
-     cost ordering or empty-range adaptation assumed the old contents.
+     deletions and snapshot loads move it, invalidating plans built on
+     the old contents.  A plan depends on the data only through
+     Standard_form.range_is_empty — the empty-range adaptation and
+     strategy 3's range extension, which keep Lemma 1's non-empty-range
+     conditions; quantifier pushing reads no data, and join order and
+     access paths are chosen per execution.
 
    Every execution runs inside a transaction.  [read] and [write] pin a
    snapshot (Database.Txn) and hand the body a [Txn.t] whose executors

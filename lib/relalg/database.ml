@@ -2,16 +2,12 @@
    enumeration types their schemas mention (Figure 1's TYPE section). *)
 
 (* Concurrency control state (see the transaction section at the end of
-   this file).  Every database carries one; it costs a mutex and two
-   small tables and stays inert until transactions are used. *)
+   this file).  Every database carries one; it costs a mutex and a
+   small table and stays inert until transactions are used. *)
 type mvcc = {
-  mu : Mutex.t;  (* guards rels/sec_indexes installs, pins, and this record *)
+  mu : Mutex.t;  (* guards catalog installs, pins, and this record *)
   cond : Condition.t;
-  mutable commit_seq : int;  (* global commit counter *)
   mutable next_txn : int;
-  last_commit : (string, int) Hashtbl.t;
-      (* relation name -> commit_seq of the last installed version;
-         absent = unchanged since the catalog was built (seq 0) *)
   reserved : (string, int) Hashtbl.t;
       (* relation name -> txn id of a commit past its conflict check but
          not yet installed (it is fsyncing its WAL record); a second
@@ -30,9 +26,7 @@ let fresh_mvcc () =
   {
     mu = Mutex.create ();
     cond = Condition.create ();
-    commit_seq = 0;
     next_txn = 1;
-    last_commit = Hashtbl.create 16;
     reserved = Hashtbl.create 8;
     checkpointing = false;
     ckpt_mu = Mutex.create ();
@@ -41,52 +35,72 @@ let fresh_mvcc () =
     durable = false;
   }
 
-type t = {
-  rels : (string, Relation.t) Hashtbl.t;
-  enums : (string, Value.enum_info) Hashtbl.t;
-  sec_indexes : (string, Secondary_index.t list) Hashtbl.t;
-      (* secondary indexes per relation name: persistent access paths
-         and the paper's permanent indexes (Section 3.2: "The first step
-         can be omitted, if permanent indexes exist"), maintained
-         incrementally through Relation observers and copied on first
-         write by MVCC transactions *)
-  mutable catalog_version : int;
+module Names = Map.Make (String)
+
+(* The catalog is one persistent value: a pin reads it in O(1), and a
+   catalog change installs a new value.  Each relation state carries
+   its own secondary indexes (the paper's permanent indexes, Section
+   3.2: "The first step can be omitted, if permanent indexes exist"). *)
+type catalog = {
+  rels : Relation.t Names.t;
+  enums : Value.enum_info Names.t;
+  catalog_version : int;
       (* bumped when the set of catalogued relations changes, so the
          stats epoch moves even before the new relation is populated *)
-  mvcc : mvcc;
 }
+
+type t = { mutable cat : catalog; mvcc : mvcc }
 
 let create () =
   {
-    rels = Hashtbl.create 16;
-    enums = Hashtbl.create 16;
-    sec_indexes = Hashtbl.create 8;
-    catalog_version = 0;
+    cat = { rels = Names.empty; enums = Names.empty; catalog_version = 0 };
     mvcc = fresh_mvcc ();
   }
+
+(* Catalog changes read-modify-write [cat] under the store lock, so
+   they never lose a concurrent commit's install.  They wait out
+   commits past their conflict check: such a commit installs a copy of
+   the state it pinned, which a change made meanwhile would not be in. *)
+let update db f =
+  let m = db.mvcc in
+  Mutex.lock m.mu;
+  while Hashtbl.length m.reserved > 0 do
+    Condition.wait m.cond m.mu
+  done;
+  match f db.cat with
+  | cat, v ->
+    db.cat <- cat;
+    Mutex.unlock m.mu;
+    v
+  | exception e ->
+    Mutex.unlock m.mu;
+    raise e
 
 let add_relation db r =
   let n = Relation.name r in
   if String.equal n "" then
-    Errors.schema_error "cannot catalog an anonymous relation"
-  else if Hashtbl.mem db.rels n then
-    Errors.schema_error "relation %s already declared" n
-  else begin
-    Hashtbl.replace db.rels n r;
-    db.catalog_version <- db.catalog_version + 1
-  end
+    Errors.schema_error "cannot catalog an anonymous relation";
+  update db (fun cat ->
+      if Names.mem n cat.rels then
+        Errors.schema_error "relation %s already declared" n;
+      ( {
+          cat with
+          rels = Names.add n r cat.rels;
+          catalog_version = cat.catalog_version + 1;
+        },
+        () ))
 
 (* The stats epoch: a number that changes whenever the catalogued data
    does.  Cached plans embed the epoch they were planned under; a bump
    (insertion, deletion, clear, snapshot load — loads insert tuple by
-   tuple) invalidates them, so cardinality-sensitive choices (cost-
-   ordered joins, empty-range adaptation) are recomputed against the
-   shifted data.  Summing per-relation versions keeps the epoch honest
-   even for mutations performed directly on a {!Relation.t} handle. *)
+   tuple) invalidates them, so the empty-range adaptation their
+   standard forms took (Lemma 1's side conditions) is redone against
+   the shifted data.  Summing per-relation versions keeps the epoch
+   honest even for mutations performed directly on a {!Relation.t}
+   handle. *)
 let stats_epoch db =
-  Hashtbl.fold
-    (fun _ r acc -> acc + Relation.version r)
-    db.rels db.catalog_version
+  let cat = db.cat in
+  Names.fold (fun _ r acc -> acc + Relation.version r) cat.rels cat.catalog_version
 
 let declare_relation db ~name schema =
   let r = Relation.create ~name schema in
@@ -94,88 +108,67 @@ let declare_relation db ~name schema =
   r
 
 let find_relation db name =
-  match Hashtbl.find_opt db.rels name with
+  match Names.find_opt name db.cat.rels with
   | Some r -> r
   | None -> raise (Errors.Unknown_relation name)
 
-let find_relation_opt db name = Hashtbl.find_opt db.rels name
-
-let relation_names db =
-  List.sort String.compare (Hashtbl.fold (fun n _ acc -> n :: acc) db.rels [])
-
-let relations db = List.map (find_relation db) (relation_names db)
+let find_relation_opt db name = Names.find_opt name db.cat.rels
+let relation_names db = List.map fst (Names.bindings db.cat.rels)
+let relations db = List.map snd (Names.bindings db.cat.rels)
 
 let declare_enum db name labels =
-  if Hashtbl.mem db.enums name then
-    Errors.schema_error "enumeration %s already declared" name
-  else begin
-    let info = { Value.enum_name = name; labels } in
-    Hashtbl.replace db.enums name info;
-    info
-  end
+  update db (fun cat ->
+      if Names.mem name cat.enums then
+        Errors.schema_error "enumeration %s already declared" name;
+      let info = { Value.enum_name = name; labels } in
+      ({ cat with enums = Names.add name info cat.enums }, info))
 
 let find_enum db name =
-  match Hashtbl.find_opt db.enums name with
+  match Names.find_opt name db.cat.enums with
   | Some info -> info
   | None -> Errors.schema_error "unknown enumeration %s" name
 
-let find_enum_opt db name = Hashtbl.find_opt db.enums name
-
-let enums db =
-  Hashtbl.fold (fun _ info acc -> info :: acc) db.enums []
-  |> List.sort (fun a b ->
-         String.compare a.Value.enum_name b.Value.enum_name)
+let find_enum_opt db name = Names.find_opt name db.cat.enums
+let enums db = List.map snd (Names.bindings db.cat.enums)
 
 (* --- Secondary indexes (persistent access paths) -------------------- *)
 
-(* Maintenance hook: every effective mutation of [rel] updates [idx]
-   incrementally.  Attached to the catalogued handle at declaration and
-   to each transaction's private copy at copy-on-write time. *)
-let hook_index rel idx =
-  Relation.add_observer rel (function
-    | Relation.Inserted t -> Secondary_index.on_insert idx t
-    | Relation.Deleted t -> Secondary_index.on_delete idx t
-    | Relation.Cleared -> Secondary_index.on_clear idx)
+let secondary_indexes db rel_name = Relation.indexes (find_relation db rel_name)
 
-let secondary_indexes db rel_name =
-  Option.value (Hashtbl.find_opt db.sec_indexes rel_name) ~default:[]
-
-let install_secondary db idx =
-  let rel_name = Secondary_index.source idx in
-  Hashtbl.replace db.sec_indexes rel_name (secondary_indexes db rel_name @ [ idx ])
-
-let declare_index ?(kind = Secondary_index.Hash) db rel_name ~on =
-  let rel = find_relation db rel_name in
-  if
-    List.exists
-      (fun i -> List.equal String.equal (Secondary_index.on i) on)
-      (secondary_indexes db rel_name)
-  then
-    Errors.schema_error "relation %s: index on (%s) already declared" rel_name
-      (String.concat ", " on);
-  let idx = Secondary_index.build ~kind rel ~on in
-  hook_index rel idx;
-  install_secondary db idx;
-  idx
+(* A declaration installs a new relation state carrying the index; the
+   state pinned readers and open transactions hold is never changed,
+   and a writer that pinned the old state conflicts at commit. *)
+let declare_index db rel_name ~on =
+  update db (fun cat ->
+      let rel =
+        match Names.find_opt rel_name cat.rels with
+        | Some r -> r
+        | None -> raise (Errors.Unknown_relation rel_name)
+      in
+      if
+        List.exists
+          (fun i -> List.equal String.equal (Secondary_index.on i) on)
+          (Relation.indexes rel)
+      then
+        Errors.schema_error "relation %s: index on (%s) already declared"
+          rel_name (String.concat ", " on);
+      let idx = Relation.build_index rel ~on in
+      ( { cat with rels = Names.add rel_name (Relation.with_index rel idx) cat.rels },
+        idx ))
 
 let secondary_index_list db =
-  Hashtbl.fold
-    (fun rel idxs acc ->
-      List.map
-        (fun i -> (rel, Secondary_index.on i, Secondary_index.kind i))
-        idxs
-      @ acc)
-    db.sec_indexes []
+  Names.fold
+    (fun name r acc ->
+      List.map (fun i -> (name, Secondary_index.on i)) (Relation.indexes r) @ acc)
+    db.cat.rels []
   |> List.sort compare
 
 (* The declared single-component indexes over [attr], for access-path
-   selection.  [Sorted] first, so a range-capable index wins ties. *)
+   selection, in declaration order. *)
 let secondary_on db rel_name attr =
   List.filter
     (fun i -> match Secondary_index.on i with [ a ] -> String.equal a attr | _ -> false)
     (secondary_indexes db rel_name)
-  |> List.stable_sort (fun a b ->
-         compare (Secondary_index.kind b) (Secondary_index.kind a))
 
 (* Dereference: regain the selected variable from a reference value
    (paper Section 3.1, the postfix @ operator). *)
@@ -190,19 +183,19 @@ let deref_value db = function
    buffer pool; returns the pool for statistics. *)
 let attach_storage db ~pool_pages =
   let pool = Buffer_pool.create ~capacity:pool_pages in
-  Hashtbl.iter (fun _ r -> Relation.attach_storage r ~pool) db.rels;
+  Names.iter (fun _ r -> Relation.attach_storage r ~pool) db.cat.rels;
   pool
 
 let pool_stats db =
   (* The combined stats of the distinct pools attached to this
      database's relations (normally one shared pool). *)
   let pools =
-    Hashtbl.fold
+    Names.fold
       (fun _ r acc ->
         match Relation.buffer_pool r with
         | Some p when not (List.memq p acc) -> p :: acc
         | Some _ | None -> acc)
-      db.rels []
+      db.cat.rels []
   in
   match pools with
   | [] -> None
@@ -237,15 +230,15 @@ let pp ppf db =
 
    A database is saved as one self-contained binary file:
 
-     magic "PASCALRDB3"
+     magic "PASCALRDB4"
      u16 #enums;      each: name, u16 #labels, labels
      u16 #relations;  each (sorted by name): name, schema (u16 arity;
                       each attribute: name, domain; u16 #key, key
                       names), i64 cardinality, tuples (u16 length +
                       schema-directed record, in Tuple.compare order)
-     u16 #secondary indexes; each (sorted by (relation, components,
-                      kind)): relation name, kind tag 'H'|'S', u16
-                      #components, components, i64 #tuples, the index
+     u16 #secondary indexes; each (sorted by (relation,
+                      components)): relation name, u16 #components,
+                      components, i64 #tuples, the index
                       pages (u16 length + schema-directed record, in
                       Tuple.compare order), u32 Adler-32 of this
                       index's section alone — a per-index page
@@ -263,7 +256,7 @@ let pp ppf db =
    the injected [db.save.crash]) at any point leaves the previous
    committed snapshot untouched. *)
 
-let snapshot_magic = "PASCALRDB3"
+let snapshot_magic = "PASCALRDB4"
 
 let put_vtype buf (ty : Vtype.t) =
   match ty with
@@ -346,13 +339,12 @@ let snapshot_bytes db =
     rels;
   let secondaries =
     List.concat_map
-      (fun r ->
-        List.map (fun i -> (Relation.name r, i)) (secondary_indexes db (Relation.name r)))
+      (fun r -> List.map (fun i -> (r, i)) (Relation.indexes r))
       rels
     |> List.sort (fun (ra, a) (rb, b) ->
            compare
-             (ra, Secondary_index.on a, Secondary_index.kind a)
-             (rb, Secondary_index.on b, Secondary_index.kind b))
+             (Relation.name ra, Secondary_index.on a)
+             (Relation.name rb, Secondary_index.on b))
   in
   (* Crash point at the index I/O boundary: serialization aborts before
      any byte of the snapshot reaches disk, so the committed file is
@@ -363,14 +355,10 @@ let snapshot_bytes db =
   end;
   Codec.put_u16 buf (List.length secondaries);
   List.iter
-    (fun (rel_name, idx) ->
-      let schema = Relation.schema (find_relation db rel_name) in
+    (fun (rel, idx) ->
+      let schema = Relation.schema rel in
       let section = Buffer.create 256 in
-      Codec.put_string section rel_name;
-      Buffer.add_char section
-        (match Secondary_index.kind idx with
-        | Secondary_index.Hash -> 'H'
-        | Secondary_index.Sorted -> 'S');
+      Codec.put_string section (Relation.name rel);
       let on = Secondary_index.on idx in
       Codec.put_u16 section (List.length on);
       List.iter (Codec.put_string section) on;
@@ -499,12 +487,6 @@ let load ~path =
   for _ = 1 to n_sec do
     let start = c.Codec.pos in
     let rel_name = Codec.get_string c in
-    let kind =
-      match Char.chr (Codec.get_u8 c) with
-      | 'H' -> Secondary_index.Hash
-      | 'S' -> Secondary_index.Sorted
-      | tag -> Errors.corruption "snapshot %s: unknown index kind %C" path tag
-    in
     let n_on = Codec.get_u16 c in
     let on = List.init n_on (fun _ -> Codec.get_string c) in
     let rel = find_relation db rel_name in
@@ -539,12 +521,12 @@ let load ~path =
     let idx =
       if damaged then begin
         Obs.Metrics.incr "index.recovery_rebuilds";
-        Secondary_index.build ~kind rel ~on
+        Relation.build_index rel ~on
       end
-      else Secondary_index.of_tuples ~kind rel ~on (List.rev !tuples)
+      else Secondary_index.of_tuples ~source:rel_name schema ~on (List.rev !tuples)
     in
-    hook_index rel idx;
-    install_secondary db idx
+    db.cat <-
+      { db.cat with rels = Names.add rel_name (Relation.with_index rel idx) db.cat.rels }
   done;
   if c.Codec.pos <> Bytes.length c.Codec.bytes then
     Errors.corruption "snapshot %s: %d trailing bytes" path
@@ -556,27 +538,29 @@ let load ~path =
 
    MVCC at relation granularity, riding the same versions the plan
    cache's stats epoch already sums.  A transaction pins a *snapshot* —
-   a facade database sharing the committed Relation.t handles — under
-   the store lock, so it sees every relation at one commit point and
-   none of the installs that happen while it runs.  A write transaction
-   never touches a committed state: its first write to a relation takes
-   a private [Relation.copy], an O(1) record copy sharing the committed
-   state's persistent tuple trie (and continuing its version lineage so
-   epochs stay monotone).  A write copies only the trie nodes on its
-   key's path, so it costs O(log n) however large the relation, and
-   commit *installs* the copies by swapping the handles in the store's
-   catalog.
+   the store's catalog value, read under the store lock in O(1) — so it
+   sees every relation at one commit point and none of the installs
+   that happen while it runs.  A write transaction never touches a
+   committed state: its first write to a relation takes a private
+   [Relation.copy], an O(1) record copy sharing the committed state's
+   persistent tuple trie and index maps (and continuing its version
+   lineage so epochs stay monotone).  A write copies only the trie and
+   index nodes on its key's path, so it costs O(log n) however large
+   the relation, and commit *installs* the copies in a new catalog
+   value.
 
-   Conflicts are first-committer-wins: commit re-checks, under the
-   store lock, that every written relation still has the commit
-   sequence the snapshot saw.  Because durability (the WAL fsync) runs
-   outside the lock so that concurrent commits can share fsyncs, a
-   passed check is protected by a *reservation* on the written
-   relations.  A competing writer that finds a reservation waits for
-   that commit's outcome instead of sneaking through the fsync window:
-   it loses once the reserving commit installs, and goes ahead if that
-   commit fails.  It does not abort early, so a retry loop cannot spin
-   through its attempts within one fsync.
+   Conflicts are first-committer-wins, by identity: commit re-checks,
+   under the store lock, that the store's current state of every
+   written relation is physically the state the snapshot pinned (every
+   install and every index declaration puts a new state there).
+   Because durability (the WAL fsync) runs outside the lock so that
+   concurrent commits can share fsyncs, a passed check is protected by
+   a *reservation* on the written relations.  A competing writer that
+   finds a reservation waits for that commit's outcome instead of
+   sneaking through the fsync window: it loses once the reserving
+   commit installs, and goes ahead if that commit fails.  It does not
+   abort early, so a retry loop cannot spin through its attempts within
+   one fsync.
 
    Durability: [attach_wal] snapshots the database with [save], opens a
    WAL beside it and freezes the committed states; from then on commit
@@ -590,18 +574,10 @@ let load ~path =
    the checkpoint's snapshot save and its WAL cut replays a log whose
    prefix is already in the snapshot. *)
 
-(* A facade database at the store's current commit point: copies of the
-   catalog's handle tables, sharing the committed states, which are
-   never mutated in place; the facade's own mvcc state is fresh and
-   inert.  Called with the store lock held. *)
-let pin store =
-  {
-    rels = Hashtbl.copy store.rels;
-    enums = Hashtbl.copy store.enums;
-    sec_indexes = Hashtbl.copy store.sec_indexes;
-    catalog_version = store.catalog_version;
-    mvcc = fresh_mvcc ();
-  }
+(* A facade database at the catalog [cat]: it shares the committed
+   states, which are never mutated in place; the facade's own mvcc
+   state is fresh and inert. *)
+let facade cat = { cat; mvcc = fresh_mvcc () }
 
 module Txn = struct
   type kind = Read | Write
@@ -609,14 +585,11 @@ module Txn = struct
 
   type nonrec t = {
     store : t;
+    pinned : catalog;  (* the store's catalog at pin time *)
     view_db : t;
     kind : kind;
     id : int;
-    read_seqs : (string, int) Hashtbl.t;  (* last_commit at pin time *)
-    touched : (string, Relation.t) Hashtbl.t;  (* private copies *)
-    touched_idx : (string, Secondary_index.t list) Hashtbl.t;
-        (* private secondary-index copies, pinned with the relation
-           copy at first write and installed together at commit *)
+    mutable touched : (string * Relation.t) list;  (* private copies *)
     mutable ops : Wal.op list;  (* reversed write set *)
     mutable state : state;
   }
@@ -626,8 +599,7 @@ module Txn = struct
   let begin_txn kind store =
     let m = store.mvcc in
     Mutex.lock m.mu;
-    let view_db = pin store in
-    let read_seqs = Hashtbl.copy m.last_commit in
+    let pinned = store.cat in
     let id = m.next_txn in
     m.next_txn <- id + 1;
     Mutex.unlock m.mu;
@@ -637,12 +609,11 @@ module Txn = struct
       | Write -> "txn.begin_write");
     {
       store;
-      view_db;
+      pinned;
+      view_db = facade pinned;
       kind;
       id;
-      read_seqs;
-      touched = Hashtbl.create 4;
-      touched_idx = Hashtbl.create 4;
+      touched = [];
       ops = [];
       state = Open;
     }
@@ -662,24 +633,16 @@ module Txn = struct
   (* First write to a relation: swap a private copy into the view so the
      transaction reads its own writes through the normal executors.
      O(1) — the copy is a record sharing the committed state's
-     persistent trie, and so is each secondary index's
-     {!Secondary_index.copy}, hooked to the relation copy so the
-     transaction's writes maintain its own indexes while the committed
-     ones stay as pinned readers see them. *)
+     persistent trie and index maps; its writes maintain its own
+     indexes while the committed ones stay as pinned readers see them. *)
   let touch txn name =
-    match Hashtbl.find_opt txn.touched name with
+    match List.assoc_opt name txn.touched with
     | Some c -> c
     | None ->
       let c = Relation.copy (find_relation txn.view_db name) in
-      Hashtbl.replace txn.touched name c;
-      Hashtbl.replace txn.view_db.rels name c;
-      (match secondary_indexes txn.view_db name with
-      | [] -> ()
-      | idxs ->
-        let copies = List.map Secondary_index.copy idxs in
-        List.iter (hook_index c) copies;
-        Hashtbl.replace txn.touched_idx name copies;
-        Hashtbl.replace txn.view_db.sec_indexes name copies);
+      txn.touched <- (name, c) :: txn.touched;
+      let v = txn.view_db in
+      v.cat <- { v.cat with rels = Names.add name c v.cat.rels };
       c
 
   let insert txn name tup =
@@ -700,33 +663,26 @@ module Txn = struct
     Relation.clear c;
     txn.ops <- Wal.Clear name :: txn.ops
 
-  let read_seq txn name =
-    match Hashtbl.find_opt txn.read_seqs name with Some s -> s | None -> 0
-
   (* First-committer-wins, called with the store lock held: a written
-     relation whose committed sequence moved past our snapshot loses
+     relation whose committed state is no longer the pinned one loses
      ([`Lost]).  One reserved by a commit in its fsync window has no
      outcome yet ([`Busy]): the caller waits for it to install (then we
      lose) or to fail (then we may pass). *)
   let conflicting m txn =
-    let moved name =
-      let committed =
-        Option.value (Hashtbl.find_opt m.last_commit name) ~default:0
-      in
-      committed <> read_seq txn name
+    let moved (name, _) =
+      Names.find name txn.store.cat.rels != Names.find name txn.pinned.rels
     in
-    let busy name =
+    let busy (name, _) =
       match Hashtbl.find_opt m.reserved name with
       | Some id -> id <> txn.id
       | None -> false
     in
-    let names = Hashtbl.fold (fun name _ acc -> name :: acc) txn.touched [] in
-    match List.find_opt moved names with
-    | Some name -> `Lost name
-    | None -> if List.exists busy names then `Busy else `Clear
+    match List.find_opt moved txn.touched with
+    | Some (name, _) -> `Lost name
+    | None -> if List.exists busy txn.touched then `Busy else `Clear
 
   let unreserve m txn =
-    Hashtbl.iter (fun name _ -> Hashtbl.remove m.reserved name) txn.touched;
+    List.iter (fun (name, _) -> Hashtbl.remove m.reserved name) txn.touched;
     Condition.broadcast m.cond
 
   let abort txn =
@@ -741,8 +697,7 @@ module Txn = struct
     | Open -> ()
     | Committed -> invalid_arg "Txn.commit: already committed"
     | Aborted -> invalid_arg "Txn.commit: already aborted");
-    if txn.kind = Read || Hashtbl.length txn.touched = 0 then
-      txn.state <- Committed
+    if txn.kind = Read || txn.touched = [] then txn.state <- Committed
     else begin
       let m = txn.store.mvcc in
       Mutex.lock m.mu;
@@ -772,9 +727,7 @@ module Txn = struct
         end
       in
       await_turn ();
-      Hashtbl.iter
-        (fun name _ -> Hashtbl.replace m.reserved name txn.id)
-        txn.touched;
+      List.iter (fun (name, _) -> Hashtbl.replace m.reserved name txn.id) txn.touched;
       let wal = m.wal in
       Mutex.unlock m.mu;
       (* Durability outside the store lock: concurrent commits batch
@@ -792,19 +745,19 @@ module Txn = struct
       | None -> ());
       let t0 = Unix.gettimeofday () in
       Mutex.lock m.mu;
-      m.commit_seq <- m.commit_seq + 1;
-      Hashtbl.iter
-        (fun name c ->
-          if m.durable then Relation.freeze c;
-          Hashtbl.replace txn.store.rels name c;
-          (* The index copies install with their relation: they were
-             maintained through every write of this transaction, so no
-             rebuild is needed; pinned readers keep the old pair. *)
-          (match Hashtbl.find_opt txn.touched_idx name with
-          | Some idxs -> Hashtbl.replace txn.store.sec_indexes name idxs
-          | None -> ());
-          Hashtbl.replace m.last_commit name m.commit_seq)
-        txn.touched;
+      (* The copies carry the indexes their writes maintained, so the
+         install is one catalog value; pinned readers keep the old one. *)
+      let store = txn.store in
+      store.cat <-
+        {
+          store.cat with
+          rels =
+            List.fold_left
+              (fun rels (name, c) ->
+                if m.durable then Relation.freeze c;
+                Names.add name c rels)
+              store.cat.rels txn.touched;
+        };
       unreserve m txn;
       Mutex.unlock m.mu;
       Obs.Metrics.observe "txn.install_ms" ((Unix.gettimeofday () -. t0) *. 1000.);
@@ -862,7 +815,7 @@ let make_durable db ~path w =
   m.snapshot_path <- Some path;
   m.durable <- true;
   Mutex.unlock m.mu;
-  Hashtbl.iter (fun _ r -> Relation.freeze r) db.rels
+  Names.iter (fun _ r -> Relation.freeze r) db.cat.rels
 
 let attach_wal db ~path =
   if wal_attached db then
@@ -875,35 +828,26 @@ let open_durable ~path =
   let replayed =
     Wal.replay (wal_path path) ~apply:(fun ops -> List.iter (apply_op db) ops)
   in
-  if replayed > 0 then begin
-    (* Replay mutations already maintained the secondary indexes
-       through the observers [load] attached; verify and rebuild any
-       index the replay nevertheless left inconsistent. *)
-    let indexed =
-      Hashtbl.fold (fun n idxs acc -> (n, idxs) :: acc) db.sec_indexes []
-    in
-    List.iter
-      (fun (rel_name, idxs) ->
-        let rel = find_relation db rel_name in
-        if
-          List.exists
-            (fun i -> not (Secondary_index.consistent_with i rel))
-            idxs
-        then begin
-          let rebuilt =
-            List.map
-              (fun i ->
-                Obs.Metrics.incr "index.recovery_rebuilds";
-                Secondary_index.build ~kind:(Secondary_index.kind i) rel
-                  ~on:(Secondary_index.on i))
-              idxs
-          in
-          Relation.clear_observers rel;
-          List.iter (hook_index rel) rebuilt;
-          Hashtbl.replace db.sec_indexes rel_name rebuilt
-        end)
-      indexed
-  end;
+  if replayed > 0 then
+    (* Replay maintained each relation's indexes with its tuples; verify
+       them, and rebuild those of a relation the replay nevertheless
+       left inconsistent. *)
+    db.cat <-
+      {
+        db.cat with
+        rels =
+          Names.map
+            (fun rel ->
+              let idxs = Relation.indexes rel in
+              if List.for_all (Relation.index_consistent rel) idxs then rel
+              else begin
+                List.iter
+                  (fun _ -> Obs.Metrics.incr "index.recovery_rebuilds")
+                  idxs;
+                Relation.rebuild_indexes rel
+              end)
+            db.cat.rels;
+      };
   (* Checkpoint the recovered state before going live: the snapshot
      absorbs the replayed transactions and the log restarts empty. *)
   save db ~path;
@@ -937,7 +881,7 @@ let checkpoint db =
         while Hashtbl.length m.reserved > 0 do
           Condition.wait m.cond m.mu
         done;
-        let view = pin db and upto = Wal.mark w in
+        let view = facade db.cat and upto = Wal.mark w in
         m.checkpointing <- false;
         Condition.broadcast m.cond;
         Mutex.unlock m.mu;

@@ -22,28 +22,32 @@ val find_enum : t -> string -> Value.enum_info
 val find_enum_opt : t -> string -> Value.enum_info option
 val enums : t -> Value.enum_info list
 
-val declare_index :
-  ?kind:Secondary_index.kind -> t -> string -> on:string list -> Secondary_index.t
-(** Declare a persistent secondary index (default [Hash]) on the named
-    relation's component list; built by one counted scan and from then
-    on maintained incrementally through every mutation — direct handle
-    writes, transaction copies (which clone the index on first write
-    and install the clone at commit), and WAL replay.  Persisted by
-    {!save} as checksummed pages.  A single-component index is also
+val declare_index : t -> string -> on:string list -> Secondary_index.t
+(** Declare a persistent secondary index on the named relation's
+    component list, built by one counted scan.  The declaration installs
+    a new state of the relation carrying the index, under the store
+    lock: pinned readers keep the state they pinned, a write
+    transaction that pinned the old state conflicts at commit, and a
+    handle fetched before the declaration no longer is the catalogued
+    state.  From then on the relation state maintains the index through
+    every mutation — direct handle writes, transaction copies (which
+    carry it and install with it at commit) and WAL replay.  Persisted
+    by {!save} as checksummed pages.  A single-component index is also
     the paper's permanent index (Section 3.2, Example 3.1's
-    [enrindex]): the collection phase probes it in place of building
-    an unfiltered per-query index over an unrestricted range.
+    [enrindex]): the collection phase probes it in place of building an
+    unfiltered per-query index over an unrestricted range.
     @raise Errors.Schema_error on a duplicate component list.
     @raise Errors.Unknown_relation *)
 
 val secondary_indexes : t -> string -> Secondary_index.t list
-(** All secondary indexes declared on the named relation. *)
+(** All secondary indexes declared on the named relation, in
+    declaration order ({!Relation.indexes} of its catalogued state). *)
 
 val secondary_on : t -> string -> string -> Secondary_index.t list
 (** [secondary_on db rel attr]: the single-component indexes over
-    [attr], range-capable ([Sorted]) first. *)
+    [attr]. *)
 
-val secondary_index_list : t -> (string * string list * Secondary_index.kind) list
+val secondary_index_list : t -> (string * string list) list
 (** Every declaration, sorted — the catalog the snapshot persists. *)
 
 val deref : t -> Value.reference -> Tuple.t
@@ -61,8 +65,10 @@ val stats_epoch : t -> int
     every relation's content {!Relation.version} plus a catalog version
     bumped on relation declaration.  Plan caches key on it — inserts,
     deletes, clears and snapshot loads all move the epoch, invalidating
-    plans whose cost ordering or empty-range adaptation assumed the old
-    cardinalities.  Monotone for any fixed database. *)
+    plans whose standard form was adapted to which ranges were empty
+    (Lemma 1's non-empty-range conditions).  Join order and access
+    paths are chosen per execution and depend on no cached state.
+    Monotone for any fixed database. *)
 
 val pool_stats : t -> Buffer_pool.stats option
 (** Combined stats of the distinct buffer pools attached to this
@@ -92,13 +98,15 @@ val load : path:string -> t
 
 (** {2 Snapshot-isolated transactions}
 
-    MVCC at relation granularity: a transaction pins a snapshot — a
-    facade database sharing the committed {!Relation.t} handles at one
-    commit point — and a write transaction works on private copies that
-    commit installs atomically, with first-committer-wins conflict
-    detection.  Pins and installs synchronize on the store's internal
-    lock, so transactions from concurrent domains are safe; one
-    transaction value itself is single-domain. *)
+    MVCC at relation granularity: a transaction pins a snapshot — the
+    store's persistent catalog value, read in O(1), sharing the
+    committed {!Relation.t} states (indexes included) at one commit
+    point — and a write transaction works on private copies that commit
+    installs atomically, with first-committer-wins conflict detection:
+    a writer loses when the store's state of a relation it wrote is no
+    longer the state it pinned.  Pins and installs synchronize on the
+    store's internal lock, so transactions from concurrent domains are
+    safe; one transaction value itself is single-domain. *)
 
 module Txn : sig
   type db := t

@@ -179,14 +179,6 @@ type backing = {
   mutable dirty : bool;  (* deletions force a rebuild before the next scan *)
 }
 
-(* Content-change events, delivered to registered observers on every
-   *effective* mutation (an idempotent re-insert or a miss delete fires
-   nothing).  The database layer hooks secondary indexes in through
-   these, so index maintenance rides every mutation path — direct
-   handle writes, transaction copies, WAL replay — without the relation
-   knowing what an index is. *)
-type event = Inserted of Tuple.t | Deleted of Tuple.t | Cleared
-
 type t = {
   name : string;
   schema : Schema.t;
@@ -201,9 +193,10 @@ type t = {
       (* committed state of a durable database: snapshot readers may be
          iterating this relation, so content mutation must go through a
          write transaction's private copy *)
-  mutable observers : (event -> unit) list;
-      (* not carried by [copy]: a transaction's private copy starts
-         unobserved and the database layer attaches its own hooks *)
+  indexes : Secondary_index.t list;
+      (* the secondary indexes over this state, in declaration order:
+         maintained by every effective mutation below, so a copy, a
+         commit, a snapshot load and a WAL replay each move one value *)
 }
 
 let create ?(name = "") schema =
@@ -216,14 +209,8 @@ let create ?(name = "") schema =
     version = 0;
     backing = None;
     frozen = false;
-    observers = [];
+    indexes = [];
   }
-
-let add_observer r f = r.observers <- f :: r.observers
-let clear_observers r = r.observers <- []
-
-let notify r ev =
-  match r.observers with [] -> () | obs -> List.iter (fun f -> f ev) obs
 
 let version r = r.version
 let freeze r = r.frozen <- true
@@ -262,7 +249,9 @@ let added r tbl t =
   r.card <- r.card + 1;
   r.version <- r.version + 1;
   Obs.Metrics.incr "relation.inserts";
-  notify r (Inserted t);
+  (match r.indexes with
+  | [] -> ()
+  | idxs -> List.iter (fun i -> Secondary_index.add i t) idxs);
   match r.backing with
   | Some b -> (
     (* A failed append (torn write) leaves the heap file damaged while
@@ -315,7 +304,9 @@ let delete_key r key =
     r.tbl <- Key_trie.remove r.pos (Key_trie.hash_key key) key 0 r.tbl;
     r.card <- r.card - 1;
     r.version <- r.version + 1;
-    notify r (Deleted victim)
+    (match r.indexes with
+    | [] -> ()
+    | idxs -> List.iter (fun i -> Secondary_index.remove i victim) idxs)
   | None -> ());
   match r.backing with Some b -> b.dirty <- true | None -> ()
 
@@ -325,7 +316,7 @@ let clear r =
     r.version <- r.version + 1;
     r.tbl <- Key_trie.Empty;
     r.card <- 0;
-    notify r Cleared
+    List.iter Secondary_index.clear r.indexes
   end;
   match r.backing with Some b -> b.dirty <- true | None -> ()
 
@@ -462,18 +453,47 @@ let of_list ?name schema ts =
   insert_list r ts;
   r
 
-(* O(1): the copy shares the original's trie, and a mutation of either
-   replaces only its own field.  The copy continues the original's
-   version lineage, so a transaction's private copy installed at commit
-   keeps the database stats epoch strictly monotone. *)
-let copy ?name r =
+(* O(1) in the relation's size: the copy shares the original's trie
+   and index maps, and a mutation of either replaces only its own
+   fields.  The copy continues the original's version lineage, so a
+   transaction's private copy installed at commit keeps the database
+   stats epoch strictly monotone. *)
+let copy r =
   {
     r with
-    name = Option.value name ~default:r.name;
     backing = None;
     frozen = false;
-    observers = [];
+    indexes = List.map Secondary_index.copy r.indexes;
   }
+
+(* --- Secondary indexes ---------------------------------------------- *)
+
+let indexes r = r.indexes
+
+(* Build by one counted scan — the read the paper's per-query index
+   build pays, paid once per declaration. *)
+let build_index r ~on =
+  let idx = Secondary_index.create ~source:r.name r.schema ~on in
+  scan (Secondary_index.add idx) r;
+  idx
+
+(* A new state: this one's tuples, storage and frozen flag, plus [idx].
+   The other indexes are copied, so later writes to either state leave
+   the other's indexes alone. *)
+let with_index r idx =
+  { r with indexes = List.map Secondary_index.copy r.indexes @ [ idx ] }
+
+let rebuild_indexes r =
+  {
+    r with
+    indexes =
+      List.map (fun i -> build_index r ~on:(Secondary_index.on i)) r.indexes;
+  }
+
+let index_consistent r idx =
+  Secondary_index.entry_count idx = r.card
+  && Secondary_index.well_keyed idx (mem_tuple r)
+  && for_all (Secondary_index.mem idx) r
 
 let equal_set a b =
   cardinality a = cardinality b

@@ -14,11 +14,6 @@
 
 type t
 
-type event = Inserted of Tuple.t | Deleted of Tuple.t | Cleared
-(** Content-change events, fired on every {e effective} mutation (an
-    idempotent re-insert or a miss delete fires nothing).  The database
-    layer maintains secondary indexes through these. *)
-
 val create : ?name:string -> Schema.t -> t
 
 val name : t -> string
@@ -89,23 +84,49 @@ val freeze : t -> unit
 
 val frozen : t -> bool
 
-val add_observer : t -> (event -> unit) -> unit
-(** Register a mutation observer.  Observers are not carried by
-    {!copy}: a transaction's private copy starts unobserved. *)
-
-val clear_observers : t -> unit
-
 val to_list : t -> Tuple.t list
 (** Sorted, for deterministic output. *)
 
 val of_list : ?name:string -> Schema.t -> Tuple.t list -> t
 
-val copy : ?name:string -> t -> t
-(** O(1): the copy shares the original's persistent tuple trie, and a
-    mutation of either replaces its own trie, so neither sees the
-    other's later writes.  The copy keeps the original's {!version}
-    (a write transaction's private copy continues its lineage), is
-    unfrozen, unobserved and has no paged storage. *)
+val copy : t -> t
+(** O(1) in the relation's size: the copy shares the original's
+    persistent tuple trie and index maps, and a mutation of either
+    replaces its own, so neither sees the other's later writes.  The
+    copy keeps the original's {!version} (a write transaction's private
+    copy continues its lineage) and its secondary indexes, is unfrozen
+    and has no paged storage. *)
+
+(** {2 Secondary indexes}
+
+    A relation state carries the secondary indexes over it and
+    maintains them inside {!insert}, {!delete_key} and {!clear}
+    (effective mutations only).  The database declares one by
+    installing a new state built with {!with_index}. *)
+
+val indexes : t -> Secondary_index.t list
+(** In declaration order. *)
+
+val build_index : t -> on:string list -> Secondary_index.t
+(** An index over [on] holding this relation's tuples, built by one
+    counted scan.
+    @raise Errors.Unknown_attribute / Errors.Schema_error as
+    {!Secondary_index.create}. *)
+
+val with_index : t -> Secondary_index.t -> t
+(** A new state with this one's tuples, version, paged storage and
+    frozen flag, carrying [idx] after its own indexes (which it copies);
+    [idx] must index exactly these tuples.  This state is unchanged, and
+    must not be written once the new one replaces it: the two share
+    their paged storage. *)
+
+val rebuild_indexes : t -> t
+(** {!with_index}'s new state, but with every index rebuilt from the
+    tuples by {!build_index}. *)
+
+val index_consistent : t -> Secondary_index.t -> bool
+(** The index holds exactly this relation's tuples, each under its own
+    component values. *)
 
 val equal_set : t -> t -> bool
 (** Set equality of the element sets. *)

@@ -2,39 +2,32 @@
 
    Unlike {!Index} — the paper's throwaway per-query structure, built by
    a counted scan and discarded with the query — a secondary index is a
-   catalogued access path: declared once per component list, maintained
-   incrementally through every relation mutation (via {!Relation}
-   observers), copied on first write by MVCC transactions alongside the
-   relation copy, and persisted inside database snapshots as
-   checksummed pages.  A single-component one is also the paper's
-   permanent index (Section 3.2), standing in for a per-query build.
+   catalogued access path over one relation state: declared once per
+   component list, carried by the {!Relation.t} it indexes (which
+   maintains it inside its own insert, delete and clear, and copies it
+   with itself), and persisted inside database snapshots as checksummed
+   pages.  A single-component one is also the paper's permanent index
+   (Section 3.2), standing in for a per-query build.  This module knows
+   only a schema and tuples; the relation owns the index.
 
    The buckets live in a persistent map from component values to
-   immutable tuple lists, ordered by {!Value.compare_list} and held in
-   one mutable field.  Maintenance replaces the field, so {!copy} is an
-   O(1) record copy that gives a write transaction a private index
-   sharing every node with the committed one, and a committed index is
-   never written by anyone — concurrent snapshot readers probe it
-   freely.  Two physical kinds, one structure:
-   - [Hash]: serves equality probes (an O(log n) bucket lookup).
-   - [Sorted]: also serves S3-style range restrictions (<, <=, >, >=)
-     by walking the ordered map from the span's bound, and answers
-     "what fraction of the relation matches?" by summing the span's
-     bucket lengths, stopping once the sum passes the cost model's
-     range-scan cutoff — the figure its access-path choice runs on.
+   persistent tuple sets, ordered by {!Value.compare_list} and
+   {!Tuple.compare}, and held in one mutable field.  Maintenance
+   replaces the field, so {!copy} is an O(1) record copy that gives a
+   write transaction a private index sharing every node with the
+   committed one, and a committed index is never written by anyone —
+   concurrent snapshot readers probe it freely.  Both levels are
+   ordered trees, so an insert or a delete is logarithmic in the bucket
+   as well as in the key count: deleting one row under a value shared
+   by half the relation touches O(log n) nodes, not the bucket.
 
-   Buckets store whole tuples, not references: a probe hands the
-   executor ready tuples with no dereference, and a delete removes by
-   tuple equality. *)
-
-type kind = Hash | Sorted
-
-let kind_to_string = function Hash -> "hash" | Sorted -> "sorted"
-
-let kind_of_string = function
-  | "hash" -> Hash
-  | "sorted" -> Sorted
-  | s -> Errors.type_error "unknown index kind %S" s
+   Equality probes look up their bucket; order comparisons (<, <=, >,
+   >=) walk the ordered map from the span's bound, and "what fraction
+   of the relation matches?" sums the span's bucket sizes, stopping once
+   the sum passes the cost model's range-scan cutoff — the figure the
+   collection phase's access-path choice runs on.  Buckets store whole
+   tuples, not references: a probe hands the executor ready tuples with
+   no dereference. *)
 
 module Key_map = Map.Make (struct
   type t = Value.t list
@@ -42,18 +35,21 @@ module Key_map = Map.Make (struct
   let compare = Value.compare_list
 end)
 
+module Bucket = Set.Make (struct
+  type t = Tuple.t
+
+  let compare = Tuple.compare
+end)
+
 type t = {
   source : string;
   on : string list;
-  kind : kind;
   positions : int array;
-  mutable tbl : Tuple.t list Key_map.t;  (* component values -> tuples *)
+  mutable tbl : Bucket.t Key_map.t;  (* component values -> tuples *)
   mutable entry_count : int;
 }
 
-let source t = t.source
 let on t = t.on
-let kind t = t.kind
 let entry_count t = t.entry_count
 
 (* Probes are counted in the probing domain's own metrics registry,
@@ -64,64 +60,49 @@ let count_probe () =
   Obs.Metrics.incr "index.probes";
   Obs.Metrics.incr "secondary.probes"
 
-let create ~kind rel ~on =
-  let schema = Relation.schema rel in
+let create ~source schema ~on =
   if on = [] then Errors.schema_error "secondary index needs components";
   let positions = Array.of_list (List.map (Schema.index_of schema) on) in
-  {
-    source = Relation.name rel;
-    on;
-    kind;
-    positions;
-    tbl = Key_map.empty;
-    entry_count = 0;
-  }
+  { source; on; positions; tbl = Key_map.empty; entry_count = 0 }
 
 let key_of t tuple = Array.to_list (Tuple.project t.positions tuple)
-let bucket t key = Option.value (Key_map.find_opt key t.tbl) ~default:[]
 
-(* --- Incremental maintenance (fed by Relation observers) ----------- *)
+let bucket t key =
+  Option.value (Key_map.find_opt key t.tbl) ~default:Bucket.empty
 
-let on_insert t tuple =
+(* --- Maintenance (called by the owning relation) -------------------- *)
+
+let add t tuple =
   t.tbl <-
     Key_map.update (key_of t tuple)
-      (function None -> Some [ tuple ] | Some b -> Some (tuple :: b))
+      (function
+        | None -> Some (Bucket.singleton tuple)
+        | Some b -> Some (Bucket.add tuple b))
       t.tbl;
-  t.entry_count <- t.entry_count + 1;
-  Obs.Metrics.incr "secondary.maintain_inserts"
+  t.entry_count <- t.entry_count + 1
 
-let on_delete t tuple =
+let remove t tuple =
   let key = key_of t tuple in
   match Key_map.find_opt key t.tbl with
-  | None -> ()
-  | Some bucket ->
-    let bucket' = List.filter (fun u -> not (Tuple.equal u tuple)) bucket in
-    let removed = List.length bucket - List.length bucket' in
-    if removed > 0 then begin
-      (match bucket' with
-      | [] -> t.tbl <- Key_map.remove key t.tbl
-      | _ -> t.tbl <- Key_map.add key bucket' t.tbl);
-      t.entry_count <- t.entry_count - removed;
-      Obs.Metrics.incr "secondary.maintain_deletes"
-    end
+  | Some b when Bucket.mem tuple b ->
+    let b' = Bucket.remove tuple b in
+    t.tbl <-
+      (if Bucket.is_empty b' then Key_map.remove key t.tbl
+       else Key_map.add key b' t.tbl);
+    t.entry_count <- t.entry_count - 1
+  | Some _ | None -> ()
 
-let on_clear t =
+let clear t =
   t.tbl <- Key_map.empty;
   t.entry_count <- 0
 
-(* Build by one counted scan of the source — same read the paper's
-   per-query index build pays, but paid once per declaration. *)
-let build ~kind rel ~on =
-  Obs.Metrics.incr "secondary.builds";
-  let t = create ~kind rel ~on in
-  Relation.scan (on_insert t) rel;
-  t
+let mem t tuple = Bucket.mem tuple (bucket t (key_of t tuple))
 
 (* Rebuild from stored snapshot pages: the tuples were decoded from the
    index's own persisted section, no relation scan involved. *)
-let of_tuples ~kind rel ~on tuples =
-  let t = create ~kind rel ~on in
-  List.iter (on_insert t) tuples;
+let of_tuples ~source schema ~on tuples =
+  let t = create ~source schema ~on in
+  List.iter (add t) tuples;
   t
 
 (* MVCC copy-on-write in O(1): the copy shares the map, and maintenance
@@ -130,11 +111,9 @@ let copy t = { t with tbl = t.tbl }
 
 (* --- Probing -------------------------------------------------------- *)
 
-let probe t key =
+let probe1 t v =
   count_probe ();
-  bucket t key
-
-let probe1 t v = probe t [ v ]
+  Bucket.elements (bucket t [ v ])
 
 (* The one component of an index key, for an order comparison. *)
 let single_key t = function
@@ -159,19 +138,18 @@ let span t op v =
     invalid_arg "Secondary_index.span: not an order comparison"
 
 (* Enumerate tuples matching [indexed-value op v].  Equality looks up
-   its bucket on any kind; an order comparison walks its span of the
-   ordered map and counts as one range probe regardless of span size. *)
+   its bucket; an order comparison walks its span of the ordered map
+   and counts as one range probe regardless of span size. *)
 let iter_matching t op v f =
+  count_probe ();
   match op with
-  | Value.Eq -> List.iter f (probe t [ v ])
+  | Value.Eq -> Bucket.iter f (bucket t [ v ])
   | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
-    count_probe ();
     Obs.Metrics.incr "secondary.range_scans";
-    Seq.iter (fun (_, b) -> List.iter f b) (span t op v)
+    Seq.iter (fun (_, b) -> Bucket.iter f b) (span t op v)
   | Value.Ne ->
-    count_probe ();
     Key_map.iter
-      (fun k b -> if Value.apply Value.Ne (single_key t k) v then List.iter f b)
+      (fun k b -> if Value.apply Value.Ne (single_key t k) v then Bucket.iter f b)
       t.tbl
 
 (* The probes of a declared index standing in for the collection
@@ -179,16 +157,17 @@ let iter_matching t op v f =
    Each matching entry is tagged with its ordinal in key order — its
    identity while the index is unmodified, which a pinned index always
    is; [Eq] finds its bucket by lookup and reports no ordinal. *)
-let fold_matching_entries t op v f init =
+let fold_matching_entries t op v g f init =
   count_probe ();
   match op with
-  | Value.Eq -> f init None (bucket t [ v ])
+  | Value.Eq -> f init None (List.map g (Bucket.elements (bucket t [ v ])))
   | Value.Ne | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
     let ord = ref (-1) in
     Key_map.fold
       (fun k b acc ->
         incr ord;
-        if Value.apply op (single_key t k) v then f acc (Some !ord) b
+        if Value.apply op (single_key t k) v then
+          f acc (Some !ord) (List.map g (Bucket.elements b))
         else acc)
       t.tbl init
 
@@ -210,7 +189,7 @@ let exists_matching t op v =
 
 (* Exact fraction of the indexed tuples matching [op v] — the planner's
    selectivity figure: one bucket lookup for (in)equality, the sum of
-   the span's bucket lengths for an order comparison.  The span walk
+   the span's bucket sizes for an order comparison.  The span walk
    stops once the count passes [cap] of the entries, and then answers
    the fraction counted so far, already above [cap].  Uncounted: this
    is planning, not execution. *)
@@ -218,10 +197,10 @@ let matching_fraction ~cap t op v =
   if t.entry_count = 0 then 0.0
   else
     let total = float_of_int t.entry_count in
-    let eq = float_of_int (List.length (bucket t [ v ])) /. total in
+    let eq () = float_of_int (Bucket.cardinal (bucket t [ v ])) /. total in
     match op with
-    | Value.Eq -> eq
-    | Value.Ne -> 1.0 -. eq
+    | Value.Eq -> eq ()
+    | Value.Ne -> 1.0 -. eq ()
     | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
       let limit = cap *. total in
       let rec count n s =
@@ -229,7 +208,7 @@ let matching_fraction ~cap t op v =
         else
           match s () with
           | Seq.Nil -> n
-          | Seq.Cons ((_, b), rest) -> count (n + List.length b) rest
+          | Seq.Cons ((_, b), rest) -> count (n + Bucket.cardinal b) rest
       in
       float_of_int (count 0 (span t op v)) /. total
 
@@ -239,7 +218,7 @@ let to_list t =
   let a = Array.make t.entry_count [||] and i = ref 0 in
   Key_map.iter
     (fun _ b ->
-      List.iter
+      Bucket.iter
         (fun tup ->
           a.(!i) <- tup;
           incr i)
@@ -248,19 +227,13 @@ let to_list t =
   Array.stable_sort Tuple.compare a;
   Array.to_list a
 
-(* Full consistency check against the source relation: same
-   cardinality, every tuple present in its own bucket, no strays.
-   Test-suite teeth for the maintenance paths. *)
-let consistent_with t rel =
-  t.entry_count = Relation.cardinality rel
-  && Key_map.for_all
-       (fun key bucket ->
-         List.for_all
-           (fun tup ->
-             Relation.mem_tuple rel tup
-             && List.equal Value.equal key (key_of t tup))
-           bucket)
-       t.tbl
-  && Relation.for_all
-       (fun tup -> List.exists (Tuple.equal tup) (bucket t (key_of t tup)))
-       rel
+(* Every entry sits in the bucket of its own component values and
+   satisfies [p]; with {!mem} and the entry count, the owning
+   relation's consistency check. *)
+let well_keyed t p =
+  Key_map.for_all
+    (fun key b ->
+      Bucket.for_all
+        (fun tup -> p tup && List.equal Value.equal key (key_of t tup))
+        b)
+    t.tbl

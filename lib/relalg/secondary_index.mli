@@ -1,52 +1,45 @@
-(** Persistent secondary indexes: catalogued access paths, maintained
-    incrementally through relation mutations, copied in O(1) by MVCC
-    transactions (the buckets live in a persistent map that maintenance
-    replaces rather than changes), and persisted in database snapshots
-    as checksummed pages.
+(** Persistent secondary indexes: catalogued access paths over one
+    relation state.  The {!Relation.t} an index covers carries it and
+    maintains it inside its own mutations; this module sees only a
+    schema and tuples.  A copy is O(1) (the buckets live in a persistent
+    map of persistent tuple sets that maintenance replaces rather than
+    changes), and database snapshots persist an index as checksummed
+    pages.
 
-    [Hash] serves equality probes; [Sorted] additionally serves range
-    restrictions by walking the value-ordered map from the span's bound
-    and reports exact matching fractions for the cost model. *)
-
-type kind = Hash | Sorted
-
-val kind_to_string : kind -> string
-
-val kind_of_string : string -> kind
-(** @raise Errors.Type_error on an unknown kind name. *)
+    Equality probes look up one bucket; order comparisons walk the
+    value-ordered map from the span's bound and report exact matching
+    fractions for the cost model. *)
 
 type t
 
-val create : kind:kind -> Relation.t -> on:string list -> t
-(** An empty index over [on] components of the relation.
+val create : source:string -> Schema.t -> on:string list -> t
+(** An empty index over the [on] components of [source]'s schema.
     @raise Errors.Unknown_attribute if a component is not in the schema.
     @raise Errors.Schema_error if [on] is empty. *)
 
-val build : kind:kind -> Relation.t -> on:string list -> t
-(** Build by one counted scan of the source relation. *)
-
-val of_tuples : kind:kind -> Relation.t -> on:string list -> Tuple.t list -> t
-(** Rebuild from persisted snapshot pages; no relation scan. *)
+val of_tuples : source:string -> Schema.t -> on:string list -> Tuple.t list -> t
+(** Rebuild from persisted snapshot pages. *)
 
 val copy : t -> t
 (** MVCC copy-on-write in O(1): a private index sharing the original's
-    bucket map; maintenance of either replaces only its own map. *)
+    buckets; maintenance of either replaces only its own map. *)
 
-val source : t -> string
 val on : t -> string list
-val kind : t -> kind
 val entry_count : t -> int
 
-val on_insert : t -> Tuple.t -> unit
-(** Incremental maintenance hooks, fed by {!Relation} observers. *)
+val add : t -> Tuple.t -> unit
+(** Maintenance, called by the owning relation on every effective
+    mutation.  [add] and [remove] are O(log n) however many tuples share
+    the component values. *)
 
-val on_delete : t -> Tuple.t -> unit
-val on_clear : t -> unit
+val remove : t -> Tuple.t -> unit
+val clear : t -> unit
 
-val probe : t -> Value.t list -> Tuple.t list
-(** Equality probe by component values; counted. *)
+val mem : t -> Tuple.t -> bool
+(** The tuple is indexed, under its own component values. *)
 
 val probe1 : t -> Value.t -> Tuple.t list
+(** Equality probe of a single-component index; counted. *)
 
 val iter_matching : t -> Value.comparison -> Value.t -> (Tuple.t -> unit) -> unit
 (** Enumerate tuples whose (single) indexed component satisfies
@@ -59,13 +52,15 @@ val fold_matching_entries :
   t ->
   Value.comparison ->
   Value.t ->
-  ('a -> int option -> Tuple.t list -> 'a) ->
+  (Tuple.t -> 'b) ->
+  ('a -> int option -> 'b list -> 'a) ->
   'a ->
   'a
-(** {!Index.fold_matching_entries} over this index's buckets: the
-    stand-in probe of a declared index serving as the paper's permanent
-    index.  Entries are tagged with their ordinal in key order.  The
-    probe writes nothing to the index, so it is safe under concurrent
+(** {!Index.fold_matching_entries} over this index's buckets, each
+    bucket's tuples mapped through the third argument: the stand-in
+    probe of a declared index serving as the paper's permanent index.
+    Entries are tagged with their ordinal in key order.  The probe
+    writes nothing to the index, so it is safe under concurrent
     snapshot readers.  Counted once per call. *)
 
 val exists_matching : t -> Value.comparison -> Value.t -> bool
@@ -84,6 +79,7 @@ val to_list : t -> Tuple.t list
 (** All indexed tuples, sorted: the deterministic page enumeration the
     snapshot serializer persists. *)
 
-val consistent_with : t -> Relation.t -> bool
-(** Every indexed tuple is in the relation under the right key and
-    every relation tuple is indexed; cardinalities agree. *)
+val well_keyed : t -> (Tuple.t -> bool) -> bool
+(** Every entry sits under its own component values and satisfies the
+    predicate ({!Relation.index_consistent} passes membership in the
+    relation). *)

@@ -228,7 +228,7 @@ def check_index(path):
     ground, and losing the 3x there means access-path selection broke.
 
     A pair whose indexed leg reports the "scan" access path is a
-    fallback: an order restriction too unselective for the sorted
+    fallback: an order restriction too unselective for the
     index, priced by walking part of it and then run as a heap scan.
     Its rule is that the indexed leg costs at most INDEX_FALLBACK_SLACK
     times the scan leg (plus the noise floor): pricing the span must

@@ -328,20 +328,23 @@ let test_load_rejects_damage () =
             (Bytes.sub bytes 0 (Bytes.length bytes / 2));
           (* Garbage magic. *)
           expect_corruption "bad magic" (Bytes.of_string "NOTADATABASE");
-          (* The previous format's magic — PASCALRDB2, which carried a
-             permanent-index section — over an intact checksum: only
-             the magic differs from a valid file. *)
-          Alcotest.(check string) "current magic" "PASCALRDB3"
+          (* Earlier formats' magics over an intact checksum — only the
+             magic differs from a valid file: PASCALRDB2 carried a
+             permanent-index section, PASCALRDB3 an index kind tag. *)
+          Alcotest.(check string) "current magic" "PASCALRDB4"
             (Bytes.sub_string bytes 0 10);
-          let previous = Bytes.copy bytes in
-          Bytes.blit_string "PASCALRDB2" 0 previous 0 10;
-          let n = Bytes.length previous in
-          let sum = Codec.adler32 previous ~pos:0 ~len:(n - 4) in
-          for i = 0 to 3 do
-            Bytes.set previous (n - 4 + i)
-              (Char.chr ((sum lsr (8 * i)) land 0xFF))
-          done;
-          expect_corruption "previous format" previous))
+          List.iter
+            (fun magic ->
+              let previous = Bytes.copy bytes in
+              Bytes.blit_string magic 0 previous 0 10;
+              let n = Bytes.length previous in
+              let sum = Codec.adler32 previous ~pos:0 ~len:(n - 4) in
+              for i = 0 to 3 do
+                Bytes.set previous (n - 4 + i)
+                  (Char.chr ((sum lsr (8 * i)) land 0xFF))
+              done;
+              expect_corruption ("previous format " ^ magic) previous)
+            [ "PASCALRDB2"; "PASCALRDB3" ]))
 
 (* --------------------------------------------------------------- *)
 (* The differential property: random workload x random failpoint *)
@@ -390,10 +393,7 @@ let fault_differential ?(jobs = 1) seed0 =
           (fun rel ->
             match Workload.Random_query.rel_attrs rel with
             | (a, _) :: _ ->
-              ignore
-                (Database.declare_index ~kind:Secondary_index.Sorted db rel
-                   ~on:[ a ]
-                  : Secondary_index.t)
+              ignore (Database.declare_index db rel ~on:[ a ] : Secondary_index.t)
             | [] -> ())
           Workload.Random_query.relations;
       let q = Workload.Random_query.generate db (seed + 17) in
@@ -456,11 +456,11 @@ let fault_differential ?(jobs = 1) seed0 =
               (* Persisted (or damage-rebuilt) secondary indexes must
                  describe exactly the loaded heaps. *)
               List.iter
-                (fun (rel_name, on, _) ->
+                (fun (rel_name, on) ->
                   let rel = Database.find_relation db2 rel_name in
                   List.iter
                     (fun ix ->
-                      if not (Secondary_index.consistent_with ix rel) then
+                      if not (Relation.index_consistent rel ix) then
                         QCheck.Test.fail_reportf
                           "loaded index %s(%s) inconsistent with its heap, \
                            seed %d"

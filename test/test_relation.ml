@@ -145,7 +145,13 @@ let test_copy_model =
   QCheck.Test.make ~name:"copies and writes match a model on both sides"
     ~count:150 (QCheck.make gen) (fun ops ->
       let keys = Array.init 102 Fun.id in
-      let left = ref (Relation.create wide_schema) and right = ref (Relation.create wide_schema) in
+      (* Both sides carry an index on the few-valued [v], so copies and
+         writes exercise the index maps that the states share too. *)
+      let indexed () =
+        let r = Relation.create wide_schema in
+        Relation.with_index r (Relation.build_index r ~on:[ "v" ])
+      in
+      let left = ref (indexed ()) and right = ref (indexed ()) in
       let ml = ref Int_map.empty and mr = ref Int_map.empty in
       let side s = if s then (left, ml) else (right, mr) in
       let agrees r m =
@@ -158,6 +164,13 @@ let test_copy_model =
                | _ -> false)
              keys
         && Relation.fold (fun n _ -> n + 1) 0 r = Int_map.cardinal m
+        &&
+        match Relation.indexes r with
+        | [ ix ] ->
+          Relation.index_consistent r ix
+          && List.equal Tuple.equal (Secondary_index.to_list ix)
+               (Secondary_index.to_list (Relation.build_index r ~on:[ "v" ]))
+        | _ -> false
       in
       List.for_all
         (fun op ->

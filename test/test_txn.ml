@@ -154,10 +154,10 @@ let test_durable_states_frozen () =
 
 let all_indexes_consistent db =
   List.for_all
-    (fun (rel_name, _, _) ->
+    (fun (rel_name, _) ->
       let rel = Database.find_relation db rel_name in
       List.for_all
-        (fun ix -> Secondary_index.consistent_with ix rel)
+        (fun ix -> Relation.index_consistent rel ix)
         (Database.secondary_indexes db rel_name))
     (Database.secondary_index_list db)
 
@@ -179,8 +179,7 @@ let test_index_survives_commit () =
     | [] -> Alcotest.fail "index vanished from the catalog"
   in
   Alcotest.(check bool) "committed writes maintained the index" true
-    (Secondary_index.consistent_with ix
-       (Database.find_relation db "suppliers"));
+    (Relation.index_consistent (Database.find_relation db "suppliers") ix);
   Alcotest.(check bool) "new tuple probeable by city" true
     (List.exists
        (fun t -> Value.equal (Tuple.get t 0) (Value.int 911))
@@ -199,8 +198,7 @@ let test_index_survives_abort () =
   Alcotest.(check int) "aborted insert left the entry count" entries
     (Secondary_index.entry_count ix);
   Alcotest.(check bool) "aborted txn left the index consistent" true
-    (Secondary_index.consistent_with ix
-       (Database.find_relation db "suppliers"));
+    (Relation.index_consistent (Database.find_relation db "suppliers") ix);
   Alcotest.(check bool) "ghost tuple not probeable" false
     (List.exists
        (fun t -> Value.equal (Tuple.get t 0) (Value.int 912))
@@ -494,6 +492,114 @@ let test_wal_head_cut () =
       cut_head wal;
       refused "fresh log without its head")
 
+(* A declaration installs a new relation state: a write transaction
+   that pinned the old one — whether it wrote before or after the
+   declaration — must not install a state without the new index, nor
+   one whose indexes miss its writes. *)
+let test_declare_index_during_write () =
+  List.iter
+    (fun write_first ->
+      let db = mk_db () in
+      ignore
+        (Database.declare_index db "suppliers" ~on:[ "sname" ]
+          : Secondary_index.t);
+      let txn = Database.begin_write db in
+      let write () =
+        Database.Txn.insert txn "suppliers" (supplier 920 "concurrent" db)
+      in
+      if write_first then write ();
+      ignore
+        (Database.declare_index db "suppliers" ~on:[ "scity" ]
+          : Secondary_index.t);
+      if not write_first then write ();
+      (match Database.Txn.commit txn with
+      | () -> ()
+      | exception Errors.Txn_conflict _ -> ());
+      Alcotest.(check (list (pair string (list string))))
+        "the declaration survives the commit"
+        [ ("suppliers", [ "scity" ]); ("suppliers", [ "sname" ]) ]
+        (Database.secondary_index_list db);
+      Alcotest.(check bool) "and describes the committed tuples" true
+        (all_indexes_consistent db))
+    [ true; false ]
+
+(* Declarations racing a committing writer on a durable store: none may
+   land between a commit's conflict check and its install, where the
+   commit would install a copy of the state it pinned, without the new
+   index. *)
+let test_declare_index_during_commits () =
+  let path = Filename.temp_file "pascalr_txn_decl" ".pascalrdb" in
+  let cleanup () =
+    List.iter
+      (fun p -> if Sys.file_exists p then Sys.remove p)
+      [ path; path ^ ".tmp"; path ^ ".wal" ]
+  in
+  Fun.protect ~finally:cleanup (fun () ->
+      let db = Database.create () in
+      ignore
+        (Database.declare_relation db ~name:"kv"
+           (int_schema [ "k"; "v"; "w" ] [ "k" ]));
+      Database.attach_wal db ~path;
+      let stop = Atomic.make false in
+      let writer =
+        Domain.spawn (fun () ->
+            let n = ref 0 in
+            while not (Atomic.get stop) do
+              incr n;
+              let k = !n mod 64 in
+              try
+                Database.with_write db (fun txn ->
+                    Database.Txn.delete_key txn "kv" [ Value.int k ];
+                    Database.Txn.insert txn "kv"
+                      (Tuple.of_list [ Value.int k; Value.int (!n mod 7); Value.int !n ]))
+              with Errors.Txn_conflict _ -> ()
+            done)
+      in
+      let decls = [ [ "v" ]; [ "w" ]; [ "v"; "w" ]; [ "w"; "v" ]; [ "k"; "v" ]; [ "k"; "w" ] ] in
+      List.iter
+        (fun on ->
+          Unix.sleepf 0.005;
+          ignore (Database.declare_index db "kv" ~on : Secondary_index.t))
+        decls;
+      Unix.sleepf 0.005;
+      Atomic.set stop true;
+      Domain.join writer;
+      Alcotest.(check (list (pair string (list string))))
+        "every declaration survives the commits"
+        (List.sort compare (List.map (fun on -> ("kv", on)) decls))
+        (Database.secondary_index_list db);
+      Alcotest.(check bool) "and describes the committed tuples" true
+        (all_indexes_consistent db);
+      Database.close db)
+
+(* A pin reads one catalog value: pinning and committing a read
+   allocates the same on a 2-relation and a 200-relation catalog. *)
+let test_pin_allocation_flat () =
+  let catalog n =
+    let db = Database.create () in
+    for i = 1 to n do
+      ignore
+        (Database.declare_relation db ~name:(Fmt.str "r%03d" i)
+           (int_schema [ "k" ] [ "k" ]))
+    done;
+    db
+  in
+  let words db =
+    let reps = 1000 in
+    Database.Txn.commit (Database.begin_read db);
+    let w0 = Gc.minor_words () in
+    for _ = 1 to reps do
+      Database.Txn.commit (Database.begin_read db)
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int reps
+  in
+  let small = words (catalog 2) and large = words (catalog 200) in
+  Alcotest.(check bool)
+    (Fmt.str "begin_read+commit words: %.1f at 2 relations, %.1f at 200" small
+       large)
+    true
+    (large <= (small *. 1.05) +. 4.)
+
 let suite =
   [
     ( "txn",
@@ -522,5 +628,11 @@ let suite =
           test_wal_head_cut;
         Alcotest.test_case "commits land during a checkpoint and survive"
           `Quick test_commits_during_checkpoint;
+        Alcotest.test_case "declare_index during an open write keeps the index"
+          `Quick test_declare_index_during_write;
+        Alcotest.test_case "declare_index racing durable commits keeps the index"
+          `Quick test_declare_index_during_commits;
+        Alcotest.test_case "a pin costs the same at any catalog size" `Quick
+          test_pin_allocation_flat;
       ] );
   ]
