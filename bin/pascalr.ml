@@ -179,7 +179,7 @@ let verbosity_arg =
   Arg.(
     value
     & opt (enum levels) None
-    & info [ "verbosity" ] ~docv:"LEVEL"
+    & info [ "verbosity" ] ~docv:"LEVEL" ~absent:"no reporter"
         ~doc:
           "Install a Logs reporter at this level (quiet, error, warn, \
            info, debug).  $(b,debug) surfaces the pipeline's \

@@ -118,26 +118,76 @@ let pair_schema t v1 v2 =
     ~key:[]
 
 (* ------------------------------------------------------------------ *)
-(* Per-tuple predicates *)
+(* Per-tuple predicates.
 
-(* Truth of a monadic atom on one element of variable [v]. *)
-let monadic_holds schema v tuple (a : atom) =
-  let value = function
-    | O_const c -> c
-    | O_attr (v', at) ->
-      if String.equal v' v then Tuple.get_by_name schema tuple at
-      else invalid_arg "Collection.monadic_holds: foreign variable"
-    | O_param p -> invalid_arg ("Collection: unbound parameter $" ^ p)
+   A build tests every element its scan delivers, so its tests are
+   compiled once, when the build starts: attribute names resolve to
+   positions, and each atom over the build's variable and constants
+   becomes a closure over them.  Applying a compiled test allocates
+   nothing.  Anything else — a quantifier, OR, NOT, a foreign variable,
+   an unbound [$param], an unknown attribute — is interpreted by
+   {!Naive_eval.holds}, with its errors raised per tuple. *)
+
+type pred = Tuple.t -> bool
+
+let always : pred = fun _ -> true
+
+(* Conjunction, [p] first, folding away the trivial side. *)
+let both (p : pred) (q : pred) : pred =
+  if p == always then q else if q == always then p else fun t -> p t && q t
+
+let all (ps : pred list) = List.fold_right both ps always
+
+let compile_formula schema v f =
+  let operand = function
+    | O_const c -> Some (Either.Right c)
+    | O_attr (v', at) when String.equal v' v && Schema.mem schema at ->
+      Some (Either.Left (Schema.index_of schema at))
+    | O_attr _ | O_param _ -> None
   in
-  Value.apply a.op (value a.lhs) (value a.rhs)
+  let rec compile = function
+    | F_true -> Some always
+    | F_false -> Some (fun _ -> false)
+    | F_atom { lhs; op; rhs } -> (
+      match operand lhs, operand rhs with
+      | Some (Either.Left i), Some (Either.Right c) ->
+        Some (fun (t : Tuple.t) -> Value.apply op t.(i) c)
+      | Some (Either.Right c), Some (Either.Left i) ->
+        Some (fun (t : Tuple.t) -> Value.apply op c t.(i))
+      | Some (Either.Left i), Some (Either.Left j) ->
+        Some (fun (t : Tuple.t) -> Value.apply op t.(i) t.(j))
+      | Some (Either.Right c), Some (Either.Right d) ->
+        Some (fun _ -> Value.apply op c d)
+      | None, _ | _, None -> None)
+    | F_and (a, b) -> (
+      match compile a, compile b with
+      | Some p, Some q -> Some (both p q)
+      | None, _ | _, None -> None)
+    | F_not _ | F_or _ | F_some _ | F_all _ -> None
+  in
+  compile f
 
-let restriction_holds t (range : range) schema tuple =
-  match range.restriction with
-  | None -> true
-  | Some (rv, f) ->
-    Naive_eval.holds t.db
-      (Var_map.add rv { Naive_eval.tuple; schema } Var_map.empty)
-      f
+(* [f]'s truth on an element of [v]: compiled, or interpreted. *)
+let formula_pred db schema v f : pred =
+  match compile_formula schema v f with
+  | Some p -> p
+  | None ->
+    fun tuple ->
+      Naive_eval.holds db (Var_map.singleton v { Naive_eval.tuple; schema }) f
+
+let restriction_pred db schema = function
+  | None -> always
+  | Some (rv, f) -> formula_pred db schema rv f
+
+(* The conjunction of monadic atoms over [v]. *)
+let monadic_pred db schema v atoms =
+  formula_pred db schema v
+    (List.fold_right (fun a f -> F_and (F_atom a, f)) atoms F_true)
+
+(* Reads one attribute off an element: the position resolves once. *)
+let getter schema name =
+  let i = Schema.index_of schema name in
+  fun (tuple : Tuple.t) -> tuple.(i)
 
 (* ------------------------------------------------------------------ *)
 (* Cache plumbing *)
@@ -267,12 +317,37 @@ let vlist_key (p : Plan.pushed) = "vlist:" ^ Plan.pushed_id p
 (* Predicate of an already-built derived structure: decides, for one
    value of the outer variable's component, whether the pushed
    quantifier holds. *)
-let pushed_predicate_of_entry (p : Plan.pushed) (vl, m_ok) v =
+let pushed_predicate_of_entry (p : Plan.pushed) (vl, m_ok) =
   match p.Plan.p_quant with
   | Normalize.Q_some ->
-    Value_list.quant_holds ~quant:Value_list.Q_some p.Plan.p_op v vl
+    fun v -> Value_list.quant_holds ~quant:Value_list.Q_some p.Plan.p_op v vl
   | Normalize.Q_all ->
-    m_ok && Value_list.quant_holds ~quant:Value_list.Q_all p.Plan.p_op v vl
+    fun v ->
+      m_ok && Value_list.quant_holds ~quant:Value_list.Q_all p.Plan.p_op v vl
+
+(* The derived predicates [pushed] over elements of [schema], read from
+   their already-built value lists. *)
+let derived_pred t schema (pushed : Plan.pushed list) =
+  all
+    (List.map
+       (fun (p : Plan.pushed) ->
+         match find_vlist t (vlist_key p) with
+         | Some e ->
+           let holds = pushed_predicate_of_entry p e
+           and outer = getter schema p.Plan.p_outer_attr in
+           fun tuple -> holds (outer tuple)
+         | None -> invalid_arg "Collection: derived value list not built")
+       pushed)
+
+(* The tests a build's qualifying element of [v]'s range passes: the
+   range restriction, the monadic atoms, the derived predicates. *)
+let element_pred t (range : range) schema v atoms derived =
+  all
+    [
+      restriction_pred t.db schema range.restriction;
+      monadic_pred t.db schema v atoms;
+      derived_pred t schema (List.map snd derived);
+    ]
 
 (* Specs for value lists, recursively including nested ones. *)
 let rec vlist_specs t (p : Plan.pushed) : spec list =
@@ -284,32 +359,27 @@ let rec vlist_specs t (p : Plan.pushed) : spec list =
   let start t =
     let vl = Value_list.create ~storage:(storage_for p.Plan.p_quant p.Plan.p_op) () in
     let m_ok = ref true in
-    let nested_preds =
-      List.map
-        (fun (n : Plan.pushed) ->
-          match find_vlist t (vlist_key n) with
-          | Some e ->
-            let pred = pushed_predicate_of_entry n e in
-            fun tuple -> pred (Tuple.get_by_name schema tuple n.Plan.p_outer_attr)
-          | None -> invalid_arg "Collection: nested value list not built")
-        p.Plan.p_nested
+    let in_range = restriction_pred t.db schema range.restriction
+    and inner = getter schema p.Plan.p_inner_attr
+    and qualifies =
+      both
+        (monadic_pred t.db schema p.Plan.p_var p.Plan.p_monadic)
+        (derived_pred t schema p.Plan.p_nested)
     in
-    let qualifies tuple =
-      List.for_all (monadic_holds schema p.Plan.p_var tuple) p.Plan.p_monadic
-      && List.for_all (fun pred -> pred tuple) nested_preds
-    in
-    let per_tuple tuple =
-      if restriction_holds t range schema tuple then
-        match p.Plan.p_quant with
-        | Normalize.Q_some ->
-          (* Only qualifying elements enter the list. *)
-          if qualifies tuple then
-            Value_list.add vl (Tuple.get_by_name schema tuple p.Plan.p_inner_attr)
-        | Normalize.Q_all ->
-          (* Every range element enters the list; monadic/nested terms
-             must hold for all of them. *)
-          Value_list.add vl (Tuple.get_by_name schema tuple p.Plan.p_inner_attr);
-          if not (qualifies tuple) then m_ok := false
+    let per_tuple =
+      match p.Plan.p_quant with
+      | Normalize.Q_some ->
+        (* Only qualifying elements enter the list. *)
+        fun tuple ->
+          if in_range tuple && qualifies tuple then Value_list.add vl (inner tuple)
+      | Normalize.Q_all ->
+        (* Every range element enters the list; monadic/nested terms
+           must hold for all of them. *)
+        fun tuple ->
+          if in_range tuple then begin
+            Value_list.add vl (inner tuple);
+            if not (qualifies tuple) then m_ok := false
+          end
     in
     (per_tuple, fun () -> E_vlist (vl, !m_ok))
   in
@@ -337,9 +407,12 @@ let base_spec t v : spec =
   let schema = Relation.schema rel in
   let start t =
     let out = Relation.create ~name:("sl_" ^ v) (single_schema t v) in
+    let in_range = restriction_pred t.db schema range.restriction in
+    (* The references of one keyed relation's elements are distinct
+       and well typed by construction. *)
     let per_tuple tuple =
-      if restriction_holds t range schema tuple then
-        Relation.insert out (Tuple.of_list [ Reference.value_of_tuple rel tuple ])
+      if in_range tuple then
+        Relation.insert_unchecked out [| Reference.value_of_tuple rel tuple |]
     in
     (per_tuple, fun () -> E_rel out)
   in
@@ -365,23 +438,10 @@ let single_spec t v atoms (derived : (var * Plan.pushed) list) : spec list =
   let key = single_key v atoms derived in
   let start t =
     let out = Relation.create ~name:("sl_" ^ v) (single_schema t v) in
-    let dpreds =
-      List.map
-        (fun ((_, p) : var * Plan.pushed) ->
-          match find_vlist t (vlist_key p) with
-          | Some e ->
-            let pred = pushed_predicate_of_entry p e in
-            fun tuple -> pred (Tuple.get_by_name schema tuple p.Plan.p_outer_attr)
-          | None -> invalid_arg "Collection: derived value list not built")
-        derived
-    in
+    let keep = element_pred t range schema v atoms derived in
     let per_tuple tuple =
-      if
-        restriction_holds t range schema tuple
-        && List.for_all (monadic_holds schema v tuple) atoms
-        && List.for_all (fun pred -> pred tuple) dpreds
-      then
-        Relation.insert out (Tuple.of_list [ Reference.value_of_tuple rel tuple ])
+      if keep tuple then
+        Relation.insert_unchecked out [| Reference.value_of_tuple rel tuple |]
     in
     (per_tuple, fun () -> E_rel out)
   in
@@ -411,23 +471,8 @@ let index_spec t v attr atoms derived : spec list =
   let key = index_key v attr atoms derived in
   let start t =
     let idx = Index.create rel ~on:[ attr ] in
-    let dpreds =
-      List.map
-        (fun ((_, p) : var * Plan.pushed) ->
-          match find_vlist t (vlist_key p) with
-          | Some e ->
-            let pred = pushed_predicate_of_entry p e in
-            fun tuple -> pred (Tuple.get_by_name schema tuple p.Plan.p_outer_attr)
-          | None -> invalid_arg "Collection: derived value list not built")
-        derived
-    in
-    let per_tuple tuple =
-      if
-        restriction_holds t range schema tuple
-        && List.for_all (monadic_holds schema v tuple) atoms
-        && List.for_all (fun pred -> pred tuple) dpreds
-      then Index.add idx rel tuple
-    in
+    let keep = element_pred t range schema v atoms derived in
+    let per_tuple tuple = if keep tuple then Index.add idx rel tuple in
     (per_tuple, fun () -> E_index (Built idx))
   in
   vspecs
@@ -490,13 +535,14 @@ let pair_shape t (a : atom) =
       }
   | _ -> invalid_arg "Collection.pair_shape: not a dyadic join term"
 
-(* Probing either kind of index side. *)
-let fold_index_entries idx op probe f init =
-  match idx with
-  | Built i -> Index.fold_matching_entries i op probe f init
+(* Probing either kind of index side: the fold, set up once per
+   build. *)
+let index_fold = function
+  | Built i -> Index.fold_matching_entries i
   | Declared (i, rel) ->
-    Secondary_index.fold_matching_entries i op probe (Reference.of_tuple rel) f
-      init
+    let to_ref = Reference.of_tuple rel in
+    fun op probe f init ->
+      Secondary_index.fold_matching_entries i op probe to_ref f init
 
 let index_exists idx op probe =
   match idx with
@@ -550,9 +596,8 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
         (fun (m, m_key, _) ->
           match find_index t m_key with
           | Some mi ->
-            fun tuple ->
-              index_exists mi m.ps_probe_op
-                (Tuple.get_by_name schema tuple m.ps_probe_attr)
+            let probe_value = getter schema m.ps_probe_attr in
+            fun tuple -> index_exists mi m.ps_probe_op (probe_value tuple)
           | None -> invalid_arg "Collection: mutual index not built")
         mutual_with_keys
     in
@@ -561,16 +606,12 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
         ~name:("ij_" ^ shape.ps_probe ^ "_" ^ shape.ps_index)
         (pair_schema t shape.ps_probe shape.ps_index)
     in
-    let dpreds =
-      List.map
-        (fun ((_, p) : var * Plan.pushed) ->
-          match find_vlist t (vlist_key p) with
-          | Some e ->
-            let pred = pushed_predicate_of_entry p e in
-            fun tuple -> pred (Tuple.get_by_name schema tuple p.Plan.p_outer_attr)
-          | None -> invalid_arg "Collection: derived value list not built")
-        probe_derived
-    in
+    let keep =
+      both
+        (element_pred t range schema v probe_atoms probe_derived)
+        (all mutual_checks)
+    and probe_value = getter schema shape.ps_probe_attr
+    and fold_entries = index_fold idx in
     (* Vectorized collection: the combination phase may consume this
        structure columnarly, so the build records the rows it inserts
        and registers a deferred encode of them
@@ -586,42 +627,39 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
        the entry), or the value of an [Eq] bucket match. *)
     let inserted = ref [] in
     let entries = Hashtbl.create 16 in
+    (* The reference of the probe element being matched, read by the
+       entry fold, which is built once rather than per element. *)
+    let probe_ref = ref (Value.VBool false) in
+    (* The pair structure has a whole-tuple key and both components
+       are references built from already-checked relations, so the
+       unchecked fast path applies — this is the hottest insert site
+       of the collection phase (one insert per qualifying index
+       match). *)
+    let add_entry cells ord refs =
+      List.fold_left
+        (fun (cells, i) r ->
+          let rv = Value.VRef r in
+          let before = Relation.cardinality out in
+          Relation.insert_unchecked out [| !probe_ref; rv |];
+          ( (if Relation.cardinality out = before then cells
+             else
+               match ord with
+               | Some o ->
+                 if not (Hashtbl.mem entries o) then
+                   Hashtbl.replace entries o refs;
+                 Either.Left (o, i) :: cells
+               | None -> Either.Right rv :: cells),
+            i + 1 ))
+        (cells, 0) refs
+      |> fst
+    in
     let per_tuple tuple =
-      if
-        restriction_holds t range schema tuple
-        && List.for_all (monadic_holds schema v tuple) probe_atoms
-        && List.for_all (fun pred -> pred tuple) dpreds
-        && List.for_all (fun check -> check tuple) mutual_checks
-      then begin
-        let probe_value = Tuple.get_by_name schema tuple shape.ps_probe_attr in
-        let probe_ref = Reference.value_of_tuple rel tuple in
-        (* The pair structure has a whole-tuple key and both components
-           are references built from already-checked relations, so the
-           unchecked fast path applies — this is the hottest insert site
-           of the collection phase (one insert per qualifying index
-           match). *)
+      if keep tuple then begin
+        probe_ref := Reference.value_of_tuple rel tuple;
         let cells =
-          fold_index_entries idx shape.ps_probe_op probe_value
-            (fun cells ord refs ->
-              List.fold_left
-                (fun (cells, i) r ->
-                  let rv = Value.VRef r in
-                  let before = Relation.cardinality out in
-                  Relation.insert_unchecked out (Tuple.of_list [ probe_ref; rv ]);
-                  ( (if Relation.cardinality out = before then cells
-                     else
-                       match ord with
-                       | Some o ->
-                         if not (Hashtbl.mem entries o) then
-                           Hashtbl.replace entries o refs;
-                         Either.Left (o, i) :: cells
-                       | None -> Either.Right rv :: cells),
-                    i + 1 ))
-                (cells, 0) refs
-              |> fst)
-            []
+          fold_entries shape.ps_probe_op (probe_value tuple) add_entry []
         in
-        if cells <> [] then inserted := (probe_ref, cells) :: !inserted
+        if cells <> [] then inserted := (!probe_ref, cells) :: !inserted
       end
     in
     let encode () =
@@ -931,9 +969,12 @@ let execute_grouped t specs =
       ("scan " ^ best_rel)
       (fun () ->
         let started = List.map (fun sp -> (sp, sp.sp_start t)) best in
+        let actions = Array.of_list (List.map (fun (_, (f, _)) -> f) started) in
         Relation.scan
           (fun tuple ->
-            List.iter (fun (_, (per_tuple, _)) -> per_tuple tuple) started)
+            for i = 0 to Array.length actions - 1 do
+              actions.(i) tuple
+            done)
           rel;
         List.iter
           (fun (sp, (_, finish)) ->

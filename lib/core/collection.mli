@@ -63,6 +63,13 @@ val components : t -> Plan.conj -> component list
 
 val var_schema : t -> var -> Schema.t
 
+val compile_formula : Schema.t -> var -> formula -> (Tuple.t -> bool) option
+(** [compile_formula schema v f] is [f]'s truth on an element of [v]
+    (of [schema]) as a closure over resolved positions, which allocates
+    nothing when applied — when [f] is built of [AND], [TRUE], [FALSE]
+    and atoms over [v]'s attributes and constants.  [None] otherwise:
+    builds then interpret it with {!Naive_eval.holds}. *)
+
 val intermediate_sizes : t -> (string * int) list
 (** Cardinality (or stored size) of every materialized structure, by
     memo key — the intermediate-growth metric of the experiments. *)

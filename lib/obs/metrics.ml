@@ -9,16 +9,14 @@ type datum =
       buckets : int array;  (* Histogram.n_buckets log-spaced buckets *)
     }
 
+(* A histogram's running float summary: an all-float record is stored
+   flat, so updating it boxes nothing. *)
+type summary = { mutable sum : float; mutable min : float; mutable max : float }
+
 type instrument =
   | I_counter of { mutable c : int }
   | I_gauge of { mutable g : float }
-  | I_histogram of {
-      mutable count : int;
-      mutable sum : float;
-      mutable min : float;
-      mutable max : float;
-      buckets : int array;
-    }
+  | I_histogram of { mutable count : int; s : summary; buckets : int array }
 
 type snapshot = (string * datum) list
 
@@ -33,47 +31,51 @@ let registry_key : (string, instrument) Hashtbl.t Domain.DLS.key =
 
 let registry () = Domain.DLS.get registry_key
 
+(* The update paths look their instrument up with [Hashtbl.find], not
+   [find_opt]: a hit — every call but the first — must not allocate an
+   option, since [relation.inserts] and [relation.probes] are bumped per
+   tuple. *)
 let incr ?(by = 1) name =
   let registry = registry () in
-  match Hashtbl.find_opt registry name with
-  | Some (I_counter c) -> c.c <- c.c + by
-  | Some (I_gauge _ | I_histogram _) ->
+  match Hashtbl.find registry name with
+  | I_counter c -> c.c <- c.c + by
+  | I_gauge _ | I_histogram _ ->
     invalid_arg ("Metrics.incr: " ^ name ^ " is not a counter")
-  | None -> Hashtbl.replace registry name (I_counter { c = by })
+  | exception Not_found -> Hashtbl.replace registry name (I_counter { c = by })
 
 let set_gauge name v =
   let registry = registry () in
-  match Hashtbl.find_opt registry name with
-  | Some (I_gauge g) -> g.g <- v
-  | Some (I_counter _ | I_histogram _) ->
+  match Hashtbl.find registry name with
+  | I_gauge g -> g.g <- v
+  | I_counter _ | I_histogram _ ->
     invalid_arg ("Metrics.set_gauge: " ^ name ^ " is not a gauge")
-  | None -> Hashtbl.replace registry name (I_gauge { g = v })
+  | exception Not_found -> Hashtbl.replace registry name (I_gauge { g = v })
 
 let gauge_max name v =
   let registry = registry () in
-  match Hashtbl.find_opt registry name with
-  | Some (I_gauge g) -> if v > g.g then g.g <- v
-  | Some (I_counter _ | I_histogram _) ->
+  match Hashtbl.find registry name with
+  | I_gauge g -> if v > g.g then g.g <- v
+  | I_counter _ | I_histogram _ ->
     invalid_arg ("Metrics.gauge_max: " ^ name ^ " is not a gauge")
-  | None -> Hashtbl.replace registry name (I_gauge { g = v })
+  | exception Not_found -> Hashtbl.replace registry name (I_gauge { g = v })
 
 let observe name v =
   let registry = registry () in
-  match Hashtbl.find_opt registry name with
-  | Some (I_histogram h) ->
+  match Hashtbl.find registry name with
+  | I_histogram h ->
     h.count <- h.count + 1;
-    h.sum <- h.sum +. v;
-    if v < h.min then h.min <- v;
-    if v > h.max then h.max <- v;
+    h.s.sum <- h.s.sum +. v;
+    if v < h.s.min then h.s.min <- v;
+    if v > h.s.max then h.s.max <- v;
     let i = Histogram.bucket_of v in
     h.buckets.(i) <- h.buckets.(i) + 1
-  | Some (I_counter _ | I_gauge _) ->
+  | I_counter _ | I_gauge _ ->
     invalid_arg ("Metrics.observe: " ^ name ^ " is not a histogram")
-  | None ->
+  | exception Not_found ->
     let buckets = Array.make Histogram.n_buckets 0 in
     buckets.(Histogram.bucket_of v) <- 1;
     Hashtbl.replace registry name
-      (I_histogram { count = 1; sum = v; min = v; max = v; buckets })
+      (I_histogram { count = 1; s = { sum = v; min = v; max = v }; buckets })
 
 let counter_value name =
   match Hashtbl.find_opt (registry ()) name with
@@ -87,9 +89,9 @@ let freeze = function
     Histogram
       {
         count = h.count;
-        sum = h.sum;
-        min = h.min;
-        max = h.max;
+        sum = h.s.sum;
+        min = h.s.min;
+        max = h.s.max;
         buckets = Array.copy h.buckets;
       }
 
@@ -144,9 +146,9 @@ let merge (delta : snapshot) =
       | Gauge v, _ -> gauge_max name v
       | Histogram h, Some (I_histogram cur) ->
         cur.count <- cur.count + h.count;
-        cur.sum <- cur.sum +. h.sum;
-        if h.min < cur.min then cur.min <- h.min;
-        if h.max > cur.max then cur.max <- h.max;
+        cur.s.sum <- cur.s.sum +. h.sum;
+        if h.min < cur.s.min then cur.s.min <- h.min;
+        if h.max > cur.s.max then cur.s.max <- h.max;
         Array.iteri
           (fun i c -> if i < Array.length cur.buckets then
               cur.buckets.(i) <- cur.buckets.(i) + c)
@@ -156,9 +158,7 @@ let merge (delta : snapshot) =
           (I_histogram
              {
                count = h.count;
-               sum = h.sum;
-               min = h.min;
-               max = h.max;
+               s = { sum = h.sum; min = h.min; max = h.max };
                buckets = Array.copy h.buckets;
              }))
     delta

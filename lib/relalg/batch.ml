@@ -24,12 +24,7 @@
    row-multiplying operators (join, product) gather into fresh dense
    columns. *)
 
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
+module Vtbl = Value_key.Vtable
 
 type col = C_int of int array | C_bool of Bytes.t | C_obj of int array
 

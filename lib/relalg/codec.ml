@@ -7,8 +7,11 @@
 
 let u16_max = 0xFFFF
 
+let check_u16 n =
+  if n < 0 || n > u16_max then Errors.type_error "codec: u16 overflow (%d)" n
+
 let put_u16 buf n =
-  if n < 0 || n > u16_max then Errors.type_error "codec: u16 overflow (%d)" n;
+  check_u16 n;
   Buffer.add_char buf (Char.chr (n land 0xFF));
   Buffer.add_char buf (Char.chr ((n lsr 8) land 0xFF))
 
@@ -64,13 +67,15 @@ let get_string c =
    word stored in heap pages and at the tail of database snapshots.
    Fast, order-sensitive, and catches the single-byte and truncation
    damage the fault injector produces. *)
-let adler32 bytes ~pos ~len =
-  let a = ref 1 and b = ref 0 in
+let adler32_update sum bytes ~pos ~len =
+  let a = ref (sum land 0xFFFF) and b = ref (sum lsr 16) in
   for i = pos to pos + len - 1 do
     a := (!a + Char.code (Bytes.get bytes i)) mod 65521;
     b := (!b + !a) mod 65521
   done;
   (!b lsl 16) lor !a
+
+let adler32 bytes ~pos ~len = adler32_update 1 bytes ~pos ~len
 
 (* Self-described value encoding (used inside references). *)
 let rec put_value buf (v : Value.t) =
@@ -133,7 +138,9 @@ let get_typed c ty : Value.t =
   | _ -> get_value c
 
 let put_tuple buf schema (t : Tuple.t) =
-  Array.iteri (fun i v -> put_typed buf (Schema.type_at schema i) v) t
+  for i = 0 to Array.length t - 1 do
+    put_typed buf (Schema.type_at schema i) t.(i)
+  done
 
 let encode_tuple schema t =
   let buf = Buffer.create 32 in

@@ -23,6 +23,9 @@ val put_value : Buffer.t -> Value.t -> unit
     Shared by the heap file's page layout and the database snapshot
     format. *)
 
+val check_u16 : int -> unit
+(** @raise Errors.Type_error if out of [0, 0xFFFF]. *)
+
 val put_u16 : Buffer.t -> int -> unit
 (** @raise Errors.Type_error if out of [0, 0xFFFF]. *)
 
@@ -47,3 +50,8 @@ val get_value : cursor -> Value.t
 val adler32 : Bytes.t -> pos:int -> len:int -> int
 (** Adler-32 of a byte range: the checksum word stored in heap pages
     and at the tail of database snapshots. *)
+
+val adler32_update : int -> Bytes.t -> pos:int -> len:int -> int
+(** [adler32_update sum bytes ~pos ~len] continues the Adler-32 [sum]
+    of some bytes over the range that follows them: running it over
+    consecutive pieces from [1] gives the {!adler32} of the whole. *)

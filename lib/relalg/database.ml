@@ -2,8 +2,9 @@
    enumeration types their schemas mention (Figure 1's TYPE section). *)
 
 (* Concurrency control state (see the transaction section at the end of
-   this file).  Every database carries one; it costs a mutex and a
-   small table and stays inert until transactions are used. *)
+   this file): a mutex, a condition and a small table.  A store carries
+   one from the start; a facade (a transaction's view) makes its own
+   only when a transaction is begun on it, so a pin pays for none. *)
 type mvcc = {
   mu : Mutex.t;  (* guards catalog installs, pins, and this record *)
   cond : Condition.t;
@@ -49,20 +50,29 @@ type catalog = {
          stats epoch moves even before the new relation is populated *)
 }
 
-type t = { mutable cat : catalog; mvcc : mvcc }
+type t = { mutable cat : catalog; cc : mvcc option Atomic.t }
 
 let create () =
   {
     cat = { rels = Names.empty; enums = Names.empty; catalog_version = 0 };
-    mvcc = fresh_mvcc ();
+    cc = Atomic.make (Some (fresh_mvcc ()));
   }
+
+(* The database's concurrency state, made on first use; the
+   compare-and-set keeps one when two domains race to make it. *)
+let rec mvcc db =
+  match Atomic.get db.cc with
+  | Some m -> m
+  | None ->
+    ignore (Atomic.compare_and_set db.cc None (Some (fresh_mvcc ())) : bool);
+    mvcc db
 
 (* Catalog changes read-modify-write [cat] under the store lock, so
    they never lose a concurrent commit's install.  They wait out
    commits past their conflict check: such a commit installs a copy of
    the state it pinned, which a change made meanwhile would not be in. *)
 let update db f =
-  let m = db.mvcc in
+  let m = mvcc db in
   Mutex.lock m.mu;
   while Hashtbl.length m.reserved > 0 do
     Condition.wait m.cond m.mu
@@ -153,8 +163,11 @@ let declare_index db rel_name ~on =
         Errors.schema_error "relation %s: index on (%s) already declared"
           rel_name (String.concat ", " on);
       let idx = Relation.build_index rel ~on in
-      ( { cat with rels = Names.add rel_name (Relation.with_index rel idx) cat.rels },
-        idx ))
+      let installed = Relation.with_index rel idx in
+      (* The replaced state leaves the catalog: a write through a handle
+         to it would vanish, so it raises {!Errors.Frozen} instead. *)
+      Relation.freeze rel;
+      ({ cat with rels = Names.add rel_name installed cat.rels }, idx))
 
 let secondary_index_list db =
   Names.fold
@@ -295,98 +308,190 @@ let get_vtype c : Vtype.t =
   | 'R' -> Vtype.TRef (Codec.get_string c)
   | tag -> Errors.corruption "snapshot: unknown domain tag %C" tag
 
-(* Length-prefixed records of [tuples], encoded through one scratch
-   buffer: a checkpoint writes every tuple, and fresh bytes per tuple
-   were most of its allocation. *)
-let put_records buf schema tuples =
-  let record = Buffer.create 64 in
-  List.iter
+(* The snapshot is streamed: every byte passes through one fixed chunk
+   that is handed on ([emit]: to the file, or to a buffer for
+   {!snapshot_bytes}) whenever it fills, and the Adler-32 of the body
+   and of the open index section run over each stretch of the chunk as
+   it is handed on.  Nothing grows with the database but the sort
+   arrays: no doubling body buffer, no copy of it, no copy per
+   section. *)
+type sink = {
+  chunk : Bytes.t;
+  mutable len : int;  (* bytes of [chunk] in use *)
+  emit : Bytes.t -> int -> unit;  (* hand on the first [n] bytes *)
+  mutable body : int;  (* Adler-32 of the body before [body_from] *)
+  mutable body_from : int;
+  mutable section : int;  (* the open section's, before [section_from] *)
+  mutable section_from : int;  (* -1: no section open *)
+  scratch : Buffer.t;  (* one record, or one header, at a time *)
+}
+
+let sink emit =
+  {
+    chunk = Bytes.create 32768;
+    len = 0;
+    emit;
+    body = 1;
+    body_from = 0;
+    section = 1;
+    section_from = -1;
+    scratch = Buffer.create 256;
+  }
+
+(* Bring the running sums up to the end of the chunk's contents. *)
+let fold_sums s =
+  s.body <-
+    Codec.adler32_update s.body s.chunk ~pos:s.body_from
+      ~len:(s.len - s.body_from);
+  s.body_from <- s.len;
+  if s.section_from >= 0 then begin
+    s.section <-
+      Codec.adler32_update s.section s.chunk ~pos:s.section_from
+        ~len:(s.len - s.section_from);
+    s.section_from <- s.len
+  end
+
+let flush_chunk s =
+  fold_sums s;
+  s.emit s.chunk s.len;
+  s.len <- 0;
+  s.body_from <- 0;
+  if s.section_from >= 0 then s.section_from <- 0
+
+let out_byte s n =
+  if s.len = Bytes.length s.chunk then flush_chunk s;
+  Bytes.unsafe_set s.chunk s.len (Char.unsafe_chr (n land 0xFF));
+  s.len <- s.len + 1
+
+let out_u16 s n =
+  Codec.check_u16 n;
+  out_byte s n;
+  out_byte s (n lsr 8)
+
+let out_u32 s n =
+  for i = 0 to 3 do
+    out_byte s (n lsr (8 * i))
+  done
+
+(* Append the scratch buffer's contents from [off] on, and clear it.
+   Top level, not a local loop: it runs once per record. *)
+let rec out_scratch_from s off =
+  let n = Buffer.length s.scratch in
+  if off < n then begin
+    if s.len = Bytes.length s.chunk then flush_chunk s;
+    let k = min (n - off) (Bytes.length s.chunk - s.len) in
+    Buffer.blit s.scratch off s.chunk s.len k;
+    s.len <- s.len + k;
+    out_scratch_from s (off + k)
+  end
+  else Buffer.clear s.scratch
+
+let out_scratch s = out_scratch_from s 0
+
+(* Length-prefixed records of [tuples], each encoded in the scratch. *)
+let out_records s schema tuples =
+  Array.iter
     (fun t ->
-      Buffer.clear record;
-      Codec.put_tuple record schema t;
-      Codec.put_u16 buf (Buffer.length record);
-      Buffer.add_buffer buf record)
+      Codec.put_tuple s.scratch schema t;
+      out_u16 s (Buffer.length s.scratch);
+      out_scratch s)
     tuples
 
-let snapshot_bytes db =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf snapshot_magic;
-  let enum_list = enums db in
-  Codec.put_u16 buf (List.length enum_list);
-  List.iter
-    (fun info ->
-      Codec.put_string buf info.Value.enum_name;
-      Codec.put_u16 buf (Array.length info.Value.labels);
-      Array.iter (Codec.put_string buf) info.Value.labels)
-    enum_list;
-  let rels = relations db in
-  Codec.put_u16 buf (List.length rels);
-  List.iter
-    (fun r ->
-      let schema = Relation.schema r in
-      Codec.put_string buf (Relation.name r);
-      Codec.put_u16 buf (Schema.arity schema);
-      List.iteri
-        (fun i name ->
-          Codec.put_string buf name;
-          put_vtype buf (Schema.type_at schema i))
-        (Schema.names schema);
-      let key = Schema.key_names schema in
-      Codec.put_u16 buf (List.length key);
-      List.iter (Codec.put_string buf) key;
-      Codec.put_i64 buf (Relation.cardinality r);
-      put_records buf schema (Relation.to_list r))
-    rels;
-  let secondaries =
-    List.concat_map
-      (fun r -> List.map (fun i -> (r, i)) (Relation.indexes r))
-      rels
-    |> List.sort (fun (ra, a) (rb, b) ->
-           compare
-             (Relation.name ra, Secondary_index.on a)
-             (Relation.name rb, Secondary_index.on b))
-  in
-  (* Crash point at the index I/O boundary: serialization aborts before
-     any byte of the snapshot reaches disk, so the committed file is
-     untouched. *)
+let begin_section s =
+  fold_sums s;
+  s.section <- 1;
+  s.section_from <- s.len
+
+(* Close the section and write its checksum, which is not part of it. *)
+let end_section s =
+  fold_sums s;
+  s.section_from <- -1;
+  out_u32 s s.section
+
+(* The secondary indexes in snapshot order: by (relation, components). *)
+let snapshot_indexes rels =
+  List.concat_map (fun r -> List.map (fun i -> (r, i)) (Relation.indexes r)) rels
+  |> List.sort (fun (ra, a) (rb, b) ->
+         compare
+           (Relation.name ra, Secondary_index.on a)
+           (Relation.name rb, Secondary_index.on b))
+
+(* Crash point at the index I/O boundary: serialization aborts before
+   any byte of the snapshot is written, so the committed file is
+   untouched. *)
+let index_save_crash secondaries =
   if secondaries <> [] && Failpoint.should_fire "index.save.crash" then begin
     Obs.Metrics.incr "index.save_crashes";
     Errors.io_error "index.save.crash: crash while serializing indexes"
-  end;
-  Codec.put_u16 buf (List.length secondaries);
+  end
+
+(* The whole snapshot through [s]: body, then its checksum, flushed. *)
+let write_snapshot s db rels secondaries =
+  let b = s.scratch in
+  Buffer.add_string b snapshot_magic;
+  let enum_list = enums db in
+  Codec.put_u16 b (List.length enum_list);
+  List.iter
+    (fun info ->
+      Codec.put_string b info.Value.enum_name;
+      Codec.put_u16 b (Array.length info.Value.labels);
+      Array.iter (Codec.put_string b) info.Value.labels)
+    enum_list;
+  Codec.put_u16 b (List.length rels);
+  out_scratch s;
+  List.iter
+    (fun r ->
+      let schema = Relation.schema r in
+      Codec.put_string b (Relation.name r);
+      Codec.put_u16 b (Schema.arity schema);
+      List.iteri
+        (fun i name ->
+          Codec.put_string b name;
+          put_vtype b (Schema.type_at schema i))
+        (Schema.names schema);
+      let key = Schema.key_names schema in
+      Codec.put_u16 b (List.length key);
+      List.iter (Codec.put_string b) key;
+      Codec.put_i64 b (Relation.cardinality r);
+      out_scratch s;
+      out_records s schema (Relation.sorted r))
+    rels;
+  out_u16 s (List.length secondaries);
   List.iter
     (fun (rel, idx) ->
-      let schema = Relation.schema rel in
-      let section = Buffer.create 256 in
-      Codec.put_string section (Relation.name rel);
+      begin_section s;
+      Codec.put_string b (Relation.name rel);
       let on = Secondary_index.on idx in
-      Codec.put_u16 section (List.length on);
-      List.iter (Codec.put_string section) on;
-      let tuples = Secondary_index.to_list idx in
-      Codec.put_i64 section (List.length tuples);
-      put_records section schema tuples;
-      let page = Buffer.to_bytes section in
-      Buffer.add_bytes buf page;
-      let sum = Codec.adler32 page ~pos:0 ~len:(Bytes.length page) in
-      for i = 0 to 3 do
-        Buffer.add_char buf (Char.chr ((sum lsr (8 * i)) land 0xFF))
-      done)
+      Codec.put_u16 b (List.length on);
+      List.iter (Codec.put_string b) on;
+      let tuples = Secondary_index.sorted idx in
+      Codec.put_i64 b (Array.length tuples);
+      out_scratch s;
+      out_records s (Relation.schema rel) tuples;
+      end_section s)
     secondaries;
-  (* Room for the checksum, filled in place once the body is copied
-     out of the buffer. *)
-  Buffer.add_string buf "\000\000\000\000";
-  let data = Buffer.to_bytes buf in
-  let n = Bytes.length data - 4 in
-  let sum = Codec.adler32 data ~pos:0 ~len:n in
-  for i = 0 to 3 do
-    Bytes.set data (n + i) (Char.chr ((sum lsr (8 * i)) land 0xFF))
-  done;
-  data
+  fold_sums s;
+  out_u32 s s.body;
+  s.emit s.chunk s.len;
+  s.len <- 0
 
-let write_file_fsync path data len =
+(* Serialize into memory, without the index crash point. *)
+let snapshot_buffer db rels secondaries =
+  let out = Buffer.create 4096 in
+  write_snapshot (sink (fun chunk n -> Buffer.add_subbytes out chunk 0 n)) db rels
+    secondaries;
+  Buffer.to_bytes out
+
+let snapshot_bytes db =
+  let rels = relations db in
+  let secondaries = snapshot_indexes rels in
+  index_save_crash secondaries;
+  snapshot_buffer db rels secondaries
+
+let write_file_fsync path write =
   let oc = open_out_bin path in
   (try
-     output oc data 0 len;
+     write oc;
      flush oc;
      Unix.fsync (Unix.descr_of_out_channel oc)
    with e ->
@@ -395,16 +500,21 @@ let write_file_fsync path data len =
   close_out oc
 
 let save db ~path =
-  let data = snapshot_bytes db in
+  let rels = relations db in
+  let secondaries = snapshot_indexes rels in
+  index_save_crash secondaries;
   let tmp = path ^ ".tmp" in
   (* Crash point 1: mid-write of the temp file — half the snapshot
      lands, the committed file is never touched. *)
   if Failpoint.should_fire "db.save.crash" then begin
-    write_file_fsync tmp data (Bytes.length data / 2);
+    let data = snapshot_buffer db rels secondaries in
+    write_file_fsync tmp (fun oc -> output oc data 0 (Bytes.length data / 2));
     Obs.Metrics.incr "db.save_crashes";
     Errors.io_error "db.save.crash: crash while writing %s" tmp
   end;
-  write_file_fsync tmp data (Bytes.length data);
+  write_file_fsync tmp (fun oc ->
+      write_snapshot (sink (fun chunk n -> output oc chunk 0 n)) db rels
+        secondaries);
   (* Crash point 2: temp fully written and durable, but never renamed
      into place; the committed file still wins. *)
   if Failpoint.should_fire "db.save.crash" then begin
@@ -575,9 +685,9 @@ let load ~path =
    prefix is already in the snapshot. *)
 
 (* A facade database at the catalog [cat]: it shares the committed
-   states, which are never mutated in place; the facade's own mvcc
-   state is fresh and inert. *)
-let facade cat = { cat; mvcc = fresh_mvcc () }
+   states, which are never mutated in place; its own concurrency state
+   is made only if a transaction is begun on it. *)
+let facade cat = { cat; cc = Atomic.make None }
 
 module Txn = struct
   type kind = Read | Write
@@ -597,7 +707,7 @@ module Txn = struct
   (* Pin a snapshot under the store lock, so the view is one commit
      point even while writers install. *)
   let begin_txn kind store =
-    let m = store.mvcc in
+    let m = mvcc store in
     Mutex.lock m.mu;
     let pinned = store.cat in
     let id = m.next_txn in
@@ -699,7 +809,7 @@ module Txn = struct
     | Aborted -> invalid_arg "Txn.commit: already aborted");
     if txn.kind = Read || txn.touched = [] then txn.state <- Committed
     else begin
-      let m = txn.store.mvcc in
+      let m = mvcc txn.store in
       Mutex.lock m.mu;
       let rec await_turn () =
         if m.checkpointing then begin
@@ -755,6 +865,10 @@ module Txn = struct
             List.fold_left
               (fun rels (name, c) ->
                 if m.durable then Relation.freeze c;
+                (* The retired state: pinned readers still read it, and a
+                   write through a stale handle raises rather than
+                   vanishes. *)
+                Relation.freeze (Names.find name rels);
                 Names.add name c rels)
               store.cat.rels txn.touched;
         };
@@ -786,8 +900,13 @@ let with_write db f = with_txn begin_write db f
 (* Durability: WAL attach, recovery, checkpoint. *)
 
 let wal_path path = path ^ ".wal"
-let wal_attached db = db.mvcc.wal <> None
-let durable db = db.mvcc.durable
+(* Read without making a facade's concurrency state: a view has none
+   until a transaction is begun on it, and then no WAL. *)
+let wal_attached db =
+  match Atomic.get db.cc with Some m -> m.wal <> None | None -> false
+
+let durable db =
+  match Atomic.get db.cc with Some m -> m.durable | None -> false
 
 (* Replay application is an upsert: a crash between a checkpoint's
    snapshot save and its WAL truncation leaves a log whose prefix is
@@ -809,7 +928,7 @@ let apply_op db = function
   | Wal.Clear name -> Relation.clear (find_relation db name)
 
 let make_durable db ~path w =
-  let m = db.mvcc in
+  let m = mvcc db in
   Mutex.lock m.mu;
   m.wal <- Some w;
   m.snapshot_path <- Some path;
@@ -864,7 +983,7 @@ let checkpoint_crash what =
   end
 
 let checkpoint db =
-  let m = db.mvcc in
+  let m = mvcc db in
   match m.wal, m.snapshot_path with
   | Some w, Some path ->
     Mutex.lock m.ckpt_mu;
@@ -900,9 +1019,10 @@ let checkpoint db =
   | _ -> Errors.io_error "checkpoint: no wal attached"
 
 let close db =
-  match db.mvcc.wal with
+  let m = mvcc db in
+  match m.wal with
   | None -> ()
   | Some w ->
     checkpoint db;
     Wal.close w;
-    db.mvcc.wal <- None
+    m.wal <- None

@@ -33,8 +33,9 @@ let create rel ~on =
   }
 
 let add t rel tuple =
-  let key = Array.to_list (Tuple.project t.positions tuple) in
-  Value_key.add_multi t.tbl key (Reference.of_tuple rel tuple);
+  Value_key.add_multi t.tbl
+    (Tuple.values_at t.positions tuple)
+    (Reference.of_tuple rel tuple);
   t.entry_count <- t.entry_count + 1;
   Obs.Metrics.incr "index.entries"
 

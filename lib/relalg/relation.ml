@@ -70,15 +70,20 @@ module Key_trie = struct
   let slot h shift = 1 lsl ((h lsr shift) land 31)
   let index bm bit = popcount (bm land (bit - 1))
 
-  (* The element with key hash [h] that satisfies [p]. *)
-  let rec find h p shift = function
+  (* The element with key hash [h] that [matches pos x].  [matches] is
+     a top-level function ({!carries} or {!same_key}) and its data
+     rides along, so a lookup allocates no closure. *)
+  let rec find h matches pos x shift = function
     | Empty -> None
-    | Leaf t -> if p t then Some t else None
-    | Multi (h', l) -> if h = h' then List.find_opt p l else None
+    | Leaf t -> if matches pos x t then Some t else None
+    | Multi (h', l) ->
+      if h = h' then List.find_opt (matches pos x) l else None
     | Branch (bm, kids) ->
       let bit = slot h shift in
       if bm land bit = 0 then None
-      else find h p (shift + bits) (Array.unsafe_get kids (index bm bit))
+      else
+        find h matches pos x (shift + bits)
+          (Array.unsafe_get kids (index bm bit))
 
   (* A branch holding two nodes whose whole hashes differ. *)
   let rec join shift h1 n1 h2 n2 =
@@ -153,24 +158,39 @@ module Key_trie = struct
               Branch (bm land lnot bit, out))
         | kid' -> Branch (bm, with_kid kids i kid'))
 
+  (* Walks loop over a branch's children rather than pass a partial
+     application to [Array.iter]: a scan visits every branch, and must
+     not allocate per branch. *)
   let rec iter f = function
     | Empty -> ()
     | Leaf t -> f t
     | Multi (_, l) -> List.iter f l
-    | Branch (_, kids) -> Array.iter (iter f) kids
+    | Branch (_, kids) ->
+      for i = 0 to Array.length kids - 1 do
+        iter f (Array.unsafe_get kids i)
+      done
 
   let rec fold f trie acc =
     match trie with
     | Empty -> acc
     | Leaf t -> f t acc
     | Multi (_, l) -> List.fold_left (fun acc t -> f t acc) acc l
-    | Branch (_, kids) -> Array.fold_left (fun acc kid -> fold f kid acc) acc kids
+    | Branch (_, kids) ->
+      let acc = ref acc in
+      for i = 0 to Array.length kids - 1 do
+        acc := fold f (Array.unsafe_get kids i) !acc
+      done;
+      !acc
 
   let rec exists p = function
     | Empty -> false
     | Leaf t -> p t
     | Multi (_, l) -> List.exists p l
-    | Branch (_, kids) -> Array.exists (exists p) kids
+    | Branch (_, kids) -> exists_from p kids 0
+
+  and exists_from p kids i =
+    i < Array.length kids
+    && (exists p (Array.unsafe_get kids i) || exists_from p kids (i + 1))
 end
 
 type backing = {
@@ -192,7 +212,9 @@ type t = {
   mutable frozen : bool;
       (* committed state of a durable database: snapshot readers may be
          iterating this relation, so content mutation must go through a
-         write transaction's private copy *)
+         write transaction's private copy; or a state a commit or an
+         index declaration replaced in the catalog, where a write would
+         be lost *)
   indexes : Secondary_index.t list;
       (* the secondary indexes over this state, in declaration order:
          maintained by every effective mutation below, so a copy, a
@@ -219,8 +241,8 @@ let frozen r = r.frozen
 let check_unfrozen r op =
   if r.frozen then
     Errors.frozen
-      "relation %s: %s on a frozen (snapshot-visible) state; mutate through \
-       a write transaction"
+      "relation %s: %s on a frozen (snapshot-visible or retired) state; \
+       re-fetch it, or mutate through a write transaction"
       r.name op
 
 let name r = r.name
@@ -237,7 +259,7 @@ let check_tuple r t =
       r.name (Tuple.to_string t)
 
 let lookup r key =
-  Key_trie.find (Key_trie.hash_key key) (Key_trie.carries r.pos key) 0 r.tbl
+  Key_trie.find (Key_trie.hash_key key) Key_trie.carries r.pos key 0 r.tbl
 
 (* The trie with [t] added.  @raise Key_trie.Bound if its key is bound. *)
 let add r t = Key_trie.add r.pos (Key_trie.hash_tuple r.pos t) t 0 r.tbl
@@ -339,7 +361,7 @@ let mem_key r key =
 
 let mem_tuple r t =
   let h = Key_trie.hash_tuple r.pos t in
-  match Key_trie.find h (Key_trie.same_key r.pos t) 0 r.tbl with
+  match Key_trie.find h Key_trie.same_key r.pos t 0 r.tbl with
   | Some t' -> Tuple.equal t t'
   | None -> false
 
@@ -442,11 +464,13 @@ let for_all p r = not (Key_trie.exists (fun t -> not (p t)) r.tbl)
 
 (* Sorted through an array: a list sort would allocate a fresh list per
    merge level, and snapshot serialization sorts every relation. *)
-let to_list r =
+let sorted r =
   let a = Array.make r.card [||] in
   ignore (fold (fun i t -> a.(i) <- t; i + 1) 0 r : int);
   Array.stable_sort Tuple.compare a;
-  Array.to_list a
+  a
+
+let to_list r = Array.to_list (sorted r)
 
 let of_list ?name schema ts =
   let r = create ?name schema in

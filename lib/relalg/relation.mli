@@ -84,6 +84,9 @@ val freeze : t -> unit
 
 val frozen : t -> bool
 
+val sorted : t -> Tuple.t array
+(** The elements in {!Tuple.compare} order, in a fresh array. *)
+
 val to_list : t -> Tuple.t list
 (** Sorted, for deterministic output. *)
 

@@ -15,15 +15,17 @@ let arity s = Array.length s.attrs
 let attrs s = Array.to_list s.attrs
 let attr_at s i = s.attrs.(i)
 let key_positions s = Array.copy s.key
+let key_length s = Array.length s.key
+let key_position s i = s.key.(i)
 
-let index_of s name =
-  let rec find i =
-    if i >= Array.length s.attrs then
-      raise (Errors.Unknown_attribute name)
-    else if String.equal s.attrs.(i).attr_name name then i
-    else find (i + 1)
-  in
-  find 0
+(* Top level, so a lookup allocates no closure: collection and
+   construction resolve names against schemas on their set-up paths. *)
+let rec find_attr attrs name i =
+  if i >= Array.length attrs then raise (Errors.Unknown_attribute name)
+  else if String.equal attrs.(i).attr_name name then i
+  else find_attr attrs name (i + 1)
+
+let index_of s name = find_attr s.attrs name 0
 
 let mem s name =
   Array.exists (fun a -> String.equal a.attr_name name) s.attrs

@@ -18,6 +18,13 @@ val attrs : t -> attr list
 val attr_at : t -> int -> attr
 val names : t -> string list
 val key_positions : t -> int array
+(** A fresh copy of the key positions. *)
+
+val key_length : t -> int
+val key_position : t -> int -> int
+(** [key_position s i] is the position of the [i]th key attribute —
+    {!key_positions} without the copy. *)
+
 val key_names : t -> string list
 
 val index_of : t -> string -> int

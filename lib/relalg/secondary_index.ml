@@ -65,7 +65,7 @@ let create ~source schema ~on =
   let positions = Array.of_list (List.map (Schema.index_of schema) on) in
   { source; on; positions; tbl = Key_map.empty; entry_count = 0 }
 
-let key_of t tuple = Array.to_list (Tuple.project t.positions tuple)
+let key_of t tuple = Tuple.values_at t.positions tuple
 
 let bucket t key =
   Option.value (Key_map.find_opt key t.tbl) ~default:Bucket.empty
@@ -214,7 +214,7 @@ let matching_fraction ~cap t op v =
 
 (* All indexed tuples, sorted — the deterministic enumeration the
    snapshot serializer writes as this index's pages. *)
-let to_list t =
+let sorted t =
   let a = Array.make t.entry_count [||] and i = ref 0 in
   Key_map.iter
     (fun _ b ->
@@ -225,7 +225,7 @@ let to_list t =
         b)
     t.tbl;
   Array.stable_sort Tuple.compare a;
-  Array.to_list a
+  a
 
 (* Every entry sits in the bucket of its own component values and
    satisfies [p]; with {!mem} and the entry count, the owning

@@ -75,9 +75,9 @@ val matching_fraction :
     stops once more than [cap] of the entries matched, answering some
     fraction above [cap].  Uncounted (planning). *)
 
-val to_list : t -> Tuple.t list
-(** All indexed tuples, sorted: the deterministic page enumeration the
-    snapshot serializer persists. *)
+val sorted : t -> Tuple.t array
+(** All indexed tuples in {!Tuple.compare} order, in a fresh array: the
+    deterministic page enumeration the snapshot serializer persists. *)
 
 val well_keyed : t -> (Tuple.t -> bool) -> bool
 (** Every entry sits under its own component values and satisfies the

@@ -28,20 +28,33 @@ let hash (t : t) =
 let project positions (t : t) : t =
   Array.map (fun i -> t.(i)) positions
 
+(* The values at [positions], as a list: built straight off the
+   positions, with no projected array between — index keys. *)
+let values_at positions (t : t) =
+  let rec build i acc =
+    if i < 0 then acc else build (i - 1) (t.(positions.(i)) :: acc)
+  in
+  build (Array.length positions - 1) []
+
 let project_names schema names (t : t) : t =
   of_list (List.map (fun n -> get_by_name schema t n) names)
 
 (* Key values of a tuple under a schema, as a list (the form stored in
    references and used for key lookup). *)
 let key_of schema (t : t) =
-  Array.to_list (Array.map (fun i -> t.(i)) (Schema.key_positions schema))
+  let rec build i acc =
+    if i < 0 then acc
+    else build (i - 1) (t.(Schema.key_position schema i) :: acc)
+  in
+  build (Schema.key_length schema - 1) []
 
 (* Does the tuple's every component belong to the declared domain? *)
 let well_typed schema (t : t) =
-  arity t = Schema.arity schema
-  && Array.for_all
-       (fun i -> Vtype.member (Schema.type_at schema i) t.(i))
-       (Array.init (arity t) (fun i -> i))
+  let rec from i =
+    i >= Array.length t
+    || (Vtype.member (Schema.type_at schema i) t.(i) && from (i + 1))
+  in
+  arity t = Schema.arity schema && from 0
 
 let pp ppf (t : t) =
   Fmt.pf ppf "@[<h><%a>@]" (Fmt.array ~sep:Fmt.comma Value.pp) t

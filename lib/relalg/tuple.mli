@@ -18,6 +18,9 @@ val hash : t -> int
 
 val project : int array -> t -> t
 val project_names : Schema.t -> string list -> t -> t
+val values_at : int array -> t -> Value.t list
+(** The values at the given positions, in order. *)
+
 val key_of : Schema.t -> t -> Value.t list
 (** The tuple's key values under the schema's declared key. *)
 

@@ -1,5 +1,14 @@
-(* Hash tables keyed by value lists (relations, indexes) and by value
-   arrays (the classic operators' key sets). *)
+(* Hash tables keyed by value lists (relations, indexes), by value
+   arrays (the classic operators' key sets) and by bare values. *)
+
+(* Keyed by one value: hashing a bare value allocates nothing, where a
+   one-element key list costs a cons per probe. *)
+module Vtable = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
 
 module Table = Hashtbl.Make (struct
   type t = Value.t list
@@ -14,9 +23,9 @@ let create n : 'a table = Table.create n
 
 (* Multimap helper: cons onto the bucket for [k]. *)
 let add_multi (tbl : 'a list table) k v =
-  match Table.find_opt tbl k with
-  | None -> Table.replace tbl k [ v ]
-  | Some vs -> Table.replace tbl k (v :: vs)
+  match Table.find tbl k with
+  | vs -> Table.replace tbl k (v :: vs)
+  | exception Not_found -> Table.replace tbl k [ v ]
 
 let find_multi (tbl : 'a list table) k =
   Option.value (Table.find_opt tbl k) ~default:[]

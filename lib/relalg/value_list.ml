@@ -20,7 +20,7 @@ type quantifier = Q_some | Q_all
 
 type t = {
   storage : storage;
-  values : unit Value_key.table;  (* used by Full only *)
+  values : unit Value_key.Vtable.t;  (* used by Full only *)
   mutable vmin : Value.t option;
   mutable vmax : Value.t option;
   mutable first : Value.t option; (* used by At_most_one *)
@@ -32,7 +32,7 @@ type t = {
 let create ?(storage = Full) () =
   {
     storage;
-    values = Value_key.create 64;
+    values = Value_key.Vtable.create 64;
     vmin = None;
     vmax = None;
     first = None;
@@ -59,8 +59,8 @@ let add t v =
   | Some f -> if not (Value.equal f v) then t.distinct2 <- true);
   match t.storage with
   | Full ->
-    if not (Value_key.Table.mem t.values [ v ]) then begin
-      Value_key.Table.replace t.values [ v ] ();
+    if not (Value_key.Vtable.mem t.values v) then begin
+      Value_key.Vtable.replace t.values v ();
       t.distinct <- t.distinct + 1
     end
   | Bounds | At_most_one -> ()
@@ -76,7 +76,7 @@ let is_empty t = t.added = 0
 
 let mem t v =
   match t.storage with
-  | Full -> Value_key.Table.mem t.values [ v ]
+  | Full -> Value_key.Vtable.mem t.values v
   | Bounds | At_most_one ->
     Errors.type_error "membership query on a %s value list"
       (match t.storage with Bounds -> "bounds-only" | _ -> "at-most-one")
@@ -103,15 +103,18 @@ let max_value t = t.vmax
 let to_sorted_list t =
   match t.storage with
   | Full ->
-    Value_key.Table.fold
-      (fun key () acc -> match key with [ v ] -> v :: acc | _ -> acc)
-      t.values []
+    Value_key.Vtable.fold (fun v () acc -> v :: acc) t.values []
     |> List.sort Value.compare
   | Bounds | At_most_one ->
     Errors.type_error "enumeration of a reduced value list"
 
 let exists_value p t = List.exists p (to_sorted_list t)
 let for_all_values p t = List.for_all p (to_sorted_list t)
+
+(* Top level rather than local closures over [v] and [t]: a derived
+   predicate asks once per element its build scans. *)
+let against_min t op v = Value.apply op v (Option.get t.vmin)
+let against_max t op v = Value.apply op v (Option.get t.vmax)
 
 (* [quant_holds ~quant op v t] decides (Q w IN list) (v op w).
    SOME over an empty list is false, ALL over an empty list is true.
@@ -121,18 +124,16 @@ let for_all_values p t = List.for_all p (to_sorted_list t)
 let quant_holds ~quant op v t =
   if is_empty t then (match quant with Q_some -> false | Q_all -> true)
   else
-    let against_min op = Value.apply op v (Option.get t.vmin) in
-    let against_max op = Value.apply op v (Option.get t.vmax) in
     match quant, op with
     (* v < SOME w  <=>  v < max;  v < ALL w  <=>  v < min;  dually for >. *)
-    | Q_some, Value.Lt -> against_max Value.Lt
-    | Q_some, Value.Le -> against_max Value.Le
-    | Q_some, Value.Gt -> against_min Value.Gt
-    | Q_some, Value.Ge -> against_min Value.Ge
-    | Q_all, Value.Lt -> against_min Value.Lt
-    | Q_all, Value.Le -> against_min Value.Le
-    | Q_all, Value.Gt -> against_max Value.Gt
-    | Q_all, Value.Ge -> against_max Value.Ge
+    | Q_some, Value.Lt -> against_max t Value.Lt v
+    | Q_some, Value.Le -> against_max t Value.Le v
+    | Q_some, Value.Gt -> against_min t Value.Gt v
+    | Q_some, Value.Ge -> against_min t Value.Ge v
+    | Q_all, Value.Lt -> against_min t Value.Lt v
+    | Q_all, Value.Le -> against_min t Value.Le v
+    | Q_all, Value.Gt -> against_max t Value.Gt v
+    | Q_all, Value.Ge -> against_max t Value.Ge v
     | Q_some, Value.Eq -> (
       match t.storage with
       | Full -> mem t v

@@ -304,6 +304,34 @@ let test_json_escaping () =
   Alcotest.(check bool) "member on non-object" true
     (Json.member "x" (Json.Int 1) = None)
 
+(* An update of an existing instrument allocates nothing: counters are
+   bumped per tuple inserted and per key probed.  The words of the
+   measurement itself are taken off by measuring an empty loop. *)
+let test_metrics_hits_allocation_free () =
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let baseline = words ignore in
+  Metrics.incr "test.alloc.counter";
+  Metrics.set_gauge "test.alloc.gauge" 1.0;
+  Metrics.observe "test.alloc.histogram" 2.0;
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check (float 0.)) (what ^ ": minor words of 1000 hits") 0.
+        (words f -. baseline))
+    [
+      ("incr", fun () -> Metrics.incr "test.alloc.counter");
+      ("set_gauge", fun () -> Metrics.set_gauge "test.alloc.gauge" 1.0);
+      ("gauge_max", fun () -> Metrics.gauge_max "test.alloc.gauge" 3.0);
+      ("observe", fun () -> Metrics.observe "test.alloc.histogram" 2.0);
+    ];
+  Alcotest.(check int) "the counter still counts" 1001
+    (Metrics.counter_value "test.alloc.counter")
+
 let suite =
   [
     ( "obs",
@@ -323,5 +351,7 @@ let suite =
           test_nested_collect_rejected;
         Alcotest.test_case "trace json" `Quick test_trace_json;
         Alcotest.test_case "json escaping" `Quick test_json_escaping;
+        Alcotest.test_case "metric hits allocate nothing" `Quick
+          test_metrics_hits_allocation_free;
       ] );
   ]

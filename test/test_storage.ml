@@ -176,6 +176,39 @@ let test_page_io_cost_model () =
     (Printf.sprintf "page reads: naive %d > full pipeline %d" naive_io full_io)
     true (naive_io > full_io)
 
+(* A save streams the snapshot through a fixed chunk with running
+   checksums: the file must hold exactly [snapshot_bytes] — here over
+   several chunks, with index sections crossing chunk boundaries — and
+   load back with the body and every index section's checksum intact. *)
+let test_save_is_snapshot_bytes () =
+  List.iter
+    (fun indexes ->
+      let db = Workload.Suppliers.generate (Workload.Suppliers.scaled 32) in
+      List.iter
+        (fun (rel, on) ->
+          ignore (Database.declare_index db rel ~on : Secondary_index.t))
+        indexes;
+      let what = Fmt.str "%d indexes" (List.length indexes) in
+      let path = Filename.temp_file "pascalr_save" ".pascalrdb" in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          Database.save db ~path;
+          let file = In_channel.with_open_bin path In_channel.input_all in
+          let expected = Bytes.to_string (Database.snapshot_bytes db) in
+          Alcotest.(check bool) (what ^ ": spans several chunks") true
+            (String.length file > 3 * 32768);
+          Alcotest.(check bool) (what ^ ": file = snapshot_bytes") true
+            (String.equal file expected);
+          let rebuilds () = Obs.Metrics.counter_value "index.recovery_rebuilds" in
+          let before = rebuilds () in
+          let loaded = Database.load ~path in
+          Alcotest.(check int) (what ^ ": no section rebuilt") before (rebuilds ());
+          Alcotest.(check bool) (what ^ ": load round trip") true
+            (String.equal expected
+               (Bytes.to_string (Database.snapshot_bytes loaded)))))
+    [ []; [ ("shipments", [ "hqty" ]); ("suppliers", [ "scity" ]) ] ]
+
 let suite =
   [
     ( "storage",
@@ -191,5 +224,7 @@ let suite =
           test_engine_over_paged_database;
         Alcotest.test_case "page I/O cost model" `Quick
           test_page_io_cost_model;
+        Alcotest.test_case "save writes exactly snapshot_bytes" `Quick
+          test_save_is_snapshot_bytes;
       ] );
   ]
