@@ -70,6 +70,7 @@ let named_query db = function
   | "ships-all-parts" -> Workload.Suppliers.ships_all_parts db
   | "ships-all-red" -> Workload.Suppliers.ships_all_red_parts db
   | "no-red-part" -> Workload.Suppliers.ships_no_red_part db
+  | "london-some-red" -> Workload.Suppliers.london_ships_some_red db
   | other -> failwith ("unknown example query: " ^ other)
 
 let resolve_query db ~query ~file ~example =
@@ -279,7 +280,8 @@ let example_arg =
     & info [ "e"; "example" ] ~docv:"NAME"
         ~doc:
           "Built-in query: running, example-4.5, example-4.7, existential, \
-           universal, ships-all-parts, ships-all-red, no-red-part.")
+           universal, ships-all-parts, ships-all-red, no-red-part, \
+           london-some-red.")
 
 let strategy_arg =
   Arg.(

@@ -357,7 +357,13 @@ let rec vlist_specs t (p : Plan.pushed) : spec list =
   let rel = Database.find_relation t.db range.range_rel in
   let schema = Relation.schema rel in
   let start t =
-    let vl = Value_list.create ~storage:(storage_for p.Plan.p_quant p.Plan.p_op) () in
+    let vl =
+      Value_list.create
+        ~storage:(storage_for p.Plan.p_quant p.Plan.p_op)
+        ~domain:(Schema.type_of schema p.Plan.p_inner_attr)
+        ~rows:(Relation.cardinality (Database.find_relation t.db range.range_rel))
+        ()
+    in
     let m_ok = ref true in
     let in_range = restriction_pred t.db schema range.restriction
     and inner = getter schema p.Plan.p_inner_attr

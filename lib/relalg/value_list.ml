@@ -12,36 +12,132 @@
                    vnrel must be stored");
    - [At_most_one] the first value plus a saw-two-distinct flag —
                    sufficient for ALL combined with =, and SOME combined
-                   with <> ("at most one value need to be stored"). *)
+                   with <> ("at most one value need to be stored").
+
+   A [Full] list keeps its values in one of two sets, chosen from the
+   declared domain of the column it is built from.  PASCAL/R declares
+   every component's domain, and a subrange, enumeration or boolean
+   domain is finite: its values map to bits [n - lo], the ordinal, or
+   [false]/[true].  A bitset over it answers a membership test and an
+   insert with one bit access and no hashing, and it is used while it
+   takes no more 63-bit words than the build scans tuples (domain
+   width <= 63 x rows), so it never costs more memory than the scan
+   touches.  Strings, references, the language's [integer], and
+   domains too wide for the build keep a hash set.  The two sets hold
+   the same values and answer every question alike. *)
 
 type storage = Full | Bounds | At_most_one
 
 type quantifier = Q_some | Q_all
 
+module Vtable = Value_key.Vtable
+
+(* How a value of a finite declared domain maps to its bit. *)
+type dom =
+  | Ints of { lo : int; hi : int }
+  | Enum of Value.enum_info
+  | Bools
+
+type set =
+  | Reduced  (* Bounds, At_most_one: no set *)
+  | Hashed of unit Vtable.t
+  | Bits of dom * Bytes.t  (* bit [i land 7] of byte [i lsr 3]: index [i] *)
+
 type t = {
   storage : storage;
-  values : unit Value_key.Vtable.t;  (* used by Full only *)
+  mutable set : set;
+  mutable distinct : int;  (* Full: distinct values in [set] *)
+  mutable stale : bool;    (* Full: a value came in since [vmin]/[vmax] were derived *)
   mutable vmin : Value.t option;
   mutable vmax : Value.t option;
-  mutable first : Value.t option; (* used by At_most_one *)
-  mutable distinct2 : bool;       (* saw >= 2 distinct values *)
-  mutable added : int;            (* total insertions (with duplicates) *)
-  mutable distinct : int;         (* distinct values seen (Full only) *)
+  mutable first : Value.t option;  (* reduced storage only *)
+  mutable distinct2 : bool;        (* reduced storage: saw >= 2 distinct values *)
 }
 
-let create ?(storage = Full) () =
+(* A bitset domain for a build that scans [rows] tuples: the declared
+   domain is finite and its bitset takes at most [rows] 63-bit words. *)
+let bitset_domain domain ~rows =
+  match Vtype.size domain with
+  | Some n when (n / 63) + Bool.to_int (n mod 63 <> 0) <= rows -> (
+    match domain with
+    | Vtype.TInt { lo; hi } -> Some (Ints { lo; hi }, n)
+    | Vtype.TEnum info -> Some (Enum info, n)
+    | Vtype.TBool -> Some (Bools, n)
+    | Vtype.TStr _ | Vtype.TRef _ -> None)
+  | Some _ | None -> None
+
+let create ?(storage = Full) ~domain ~rows () =
+  let set =
+    match storage with
+    | Bounds | At_most_one -> Reduced
+    | Full -> (
+      match bitset_domain domain ~rows with
+      | Some (dom, n) -> Bits (dom, Bytes.make ((n + 7) / 8) '\000')
+      | None -> Hashed (Vtable.create 64))
+  in
   {
     storage;
-    values = Value_key.Vtable.create 64;
+    set;
+    distinct = 0;
+    stale = false;
     vmin = None;
     vmax = None;
     first = None;
     distinct2 = false;
-    added = 0;
-    distinct = 0;
   }
 
-let storage t = t.storage
+let is_bitset t = match t.set with Bits _ -> true | Reduced | Hashed _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Bitsets *)
+
+(* The index of [v] in a bitset over [dom], or -1 when [v] is of the
+   domain's kind but outside it.  A value of another kind is a type
+   error, as comparing it with a member would be. *)
+let index_of dom v =
+  match dom, v with
+  | Ints { lo; hi }, Value.VInt n -> if lo <= n && n <= hi then n - lo else -1
+  | Enum info, Value.VEnum (info', i)
+    when info == info' || String.equal info.Value.enum_name info'.Value.enum_name ->
+    if i >= 0 && i < Array.length info.Value.labels then i else -1
+  | Bools, Value.VBool b -> Bool.to_int b
+  | (Ints _ | Enum _ | Bools), _ ->
+    Errors.type_error "a %s value against a value list of %s"
+      (Value.type_name v)
+      (match dom with
+      | Ints { lo; hi } -> Printf.sprintf "%d..%d" lo hi
+      | Enum info -> info.Value.enum_name
+      | Bools -> "boolean")
+
+let value_at dom i =
+  match dom with
+  | Ints { lo; _ } -> Value.VInt (lo + i)
+  | Enum info -> Value.VEnum (info, i)
+  | Bools -> Value.VBool (i = 1)
+
+(* [Bytes.get]/[Bytes.set] check the index against the bitset. *)
+let bit bits i = Char.code (Bytes.get bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let set_bit bits i =
+  let b = i lsr 3 in
+  Bytes.set bits b
+    (Char.unsafe_chr (Char.code (Bytes.get bits b) lor (1 lsl (i land 7))))
+
+(* Fold the indexes of the set bits in ascending order, skipping zero
+   bytes whole. *)
+let fold_bits f bits init =
+  let acc = ref init in
+  for b = 0 to Bytes.length bits - 1 do
+    let byte = Char.code (Bytes.get bits b) in
+    if byte <> 0 then
+      for j = 0 to 7 do
+        if byte land (1 lsl j) <> 0 then acc := f ((b lsl 3) + j) !acc
+      done
+  done;
+  !acc
+
+(* ------------------------------------------------------------------ *)
+(* Adding *)
 
 let update_bounds t v =
   (match t.vmin with
@@ -51,40 +147,98 @@ let update_bounds t v =
   | None -> t.vmax <- Some v
   | Some m -> if Value.compare v m > 0 then t.vmax <- Some v
 
-let add t v =
-  t.added <- t.added + 1;
-  update_bounds t v;
-  (match t.first with
-  | None -> t.first <- Some v
-  | Some f -> if not (Value.equal f v) then t.distinct2 <- true);
-  match t.storage with
-  | Full ->
-    if not (Value_key.Vtable.mem t.values v) then begin
-      Value_key.Vtable.replace t.values v ();
-      t.distinct <- t.distinct + 1
-    end
-  | Bounds | At_most_one -> ()
+(* One hash probe: [replace] leaves a present value in place, so the
+   table grows exactly when [v] is new. *)
+let add_hashed t h v =
+  Vtable.replace h v ();
+  let n = Vtable.length h in
+  if n <> t.distinct then begin
+    t.distinct <- n;
+    t.stale <- true
+  end
 
-let of_column ?storage ?filter rel name =
-  let t = create ?storage () in
-  let keep = Option.value filter ~default:(fun _ -> true) in
-  let pos = Schema.index_of (Relation.schema rel) name in
-  Relation.scan (fun tuple -> if keep tuple then add t (Tuple.get tuple pos)) rel;
+let add t v =
+  match t.set with
+  | Bits (dom, bits) ->
+    let i = index_of dom v in
+    if i < 0 then begin
+      (* Outside the declared domain (an intermediate's unchecked
+         insert): the hash set takes over. *)
+      let h = Vtable.create (max 64 (2 * t.distinct)) in
+      fold_bits (fun i () -> Vtable.replace h (value_at dom i) ()) bits ();
+      t.set <- Hashed h;
+      add_hashed t h v
+    end
+    else if not (bit bits i) then begin
+      set_bit bits i;
+      t.distinct <- t.distinct + 1;
+      t.stale <- true
+    end
+  | Hashed h -> add_hashed t h v
+  | Reduced -> (
+    update_bounds t v;
+    match t.first with
+    | None -> t.first <- Some v
+    | Some f -> if not (Value.equal f v) then t.distinct2 <- true)
+
+let of_column ?storage rel name =
+  let schema = Relation.schema rel in
+  let pos = Schema.index_of schema name in
+  let t =
+    create ?storage ~domain:(Schema.type_at schema pos)
+      ~rows:(Relation.cardinality rel) ()
+  in
+  Relation.scan (fun tuple -> add t (Tuple.get tuple pos)) rel;
   t
 
-let is_empty t = t.added = 0
+(* ------------------------------------------------------------------ *)
+(* Questions *)
+
+(* A Full list's min and max, derived once after the adds that changed
+   it. *)
+let derive t =
+  (match t.set with
+  | Bits (dom, bits) ->
+    let lo, hi =
+      fold_bits (fun i (lo, _) -> ((if lo < 0 then i else lo), i)) bits (-1, -1)
+    in
+    let at i = if i < 0 then None else Some (value_at dom i) in
+    t.vmin <- at lo;
+    t.vmax <- at hi
+  | Hashed h ->
+    t.vmin <- None;
+    t.vmax <- None;
+    Vtable.iter (fun v () -> update_bounds t v) h
+  | Reduced -> ());
+  t.stale <- false
+
+let min_value t =
+  if t.stale then derive t;
+  t.vmin
+
+let max_value t =
+  if t.stale then derive t;
+  t.vmax
+
+let is_empty t =
+  match t.set with
+  | Bits _ | Hashed _ -> t.distinct = 0
+  | Reduced -> Option.is_none t.first
 
 let mem t v =
-  match t.storage with
-  | Full -> Value_key.Vtable.mem t.values v
-  | Bounds | At_most_one ->
+  match t.set with
+  | Bits (dom, bits) ->
+    let i = index_of dom v in
+    i >= 0 && bit bits i
+  | Hashed h -> Vtable.mem h v
+  | Reduced ->
     Errors.type_error "membership query on a %s value list"
       (match t.storage with Bounds -> "bounds-only" | _ -> "at-most-one")
 
 let distinct_count t =
-  match t.storage with
-  | Full -> Some t.distinct
-  | Bounds | At_most_one -> None
+  match t.set with
+  | Bits _ | Hashed _ -> Some t.distinct
+  | Reduced -> None
 
 (* Number of component values physically retained — the paper's storage
    claim for the Bounds and At_most_one policies. *)
@@ -97,24 +251,27 @@ let stored_size t =
     | Some _, None | None, Some _ -> 1)
   | At_most_one -> (match t.first with None -> 0 | Some _ -> 1)
 
-let min_value t = t.vmin
-let max_value t = t.vmax
-
 let to_sorted_list t =
-  match t.storage with
-  | Full ->
-    Value_key.Vtable.fold (fun v () acc -> v :: acc) t.values []
-    |> List.sort Value.compare
-  | Bounds | At_most_one ->
-    Errors.type_error "enumeration of a reduced value list"
+  match t.set with
+  | Bits (dom, bits) -> List.rev (fold_bits (fun i acc -> value_at dom i :: acc) bits [])
+  | Hashed h ->
+    Vtable.fold (fun v () acc -> v :: acc) h [] |> List.sort Value.compare
+  | Reduced -> Errors.type_error "enumeration of a reduced value list"
 
-let exists_value p t = List.exists p (to_sorted_list t)
-let for_all_values p t = List.for_all p (to_sorted_list t)
+(* Saw two distinct values, and the one value of a list that did not:
+   a Full list knows both from its set. *)
+let distinct2 t =
+  match t.set with Bits _ | Hashed _ -> t.distinct >= 2 | Reduced -> t.distinct2
+
+let first t =
+  match t.set with
+  | Bits _ | Hashed _ -> Option.get (min_value t)
+  | Reduced -> Option.get t.first
 
 (* Top level rather than local closures over [v] and [t]: a derived
    predicate asks once per element its build scans. *)
-let against_min t op v = Value.apply op v (Option.get t.vmin)
-let against_max t op v = Value.apply op v (Option.get t.vmax)
+let against_min t op v = Value.apply op v (Option.get (min_value t))
+let against_max t op v = Value.apply op v (Option.get (max_value t))
 
 (* [quant_holds ~quant op v t] decides (Q w IN list) (v op w).
    SOME over an empty list is false, ALL over an empty list is true.
@@ -163,21 +320,7 @@ let quant_holds ~quant op v t =
     (* The paper's at-most-one cases. *)
     | Q_all, Value.Eq ->
       (* v = ALL w: false as soon as two distinct values exist. *)
-      (not t.distinct2)
-      && (match t.storage with
-         | Full | At_most_one | Bounds -> Value.equal v (Option.get t.first))
+      (not (distinct2 t)) && Value.equal v (first t)
     | Q_some, Value.Ne ->
       (* v <> SOME w: true as soon as two distinct values exist. *)
-      t.distinct2
-      || not (Value.equal v (Option.get t.first))
-
-let pp ppf t =
-  match t.storage with
-  | Full ->
-    Fmt.pf ppf "{%a}" (Fmt.list ~sep:Fmt.comma Value.pp) (to_sorted_list t)
-  | Bounds ->
-    Fmt.pf ppf "{bounds %a..%a}" (Fmt.option Value.pp) t.vmin
-      (Fmt.option Value.pp) t.vmax
-  | At_most_one ->
-    Fmt.pf ppf "{first %a%s}" (Fmt.option Value.pp) t.first
-      (if t.distinct2 then ", 2+ distinct" else "")
+      distinct2 t || not (Value.equal v (first t))

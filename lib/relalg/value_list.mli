@@ -1,7 +1,12 @@
 (** Value lists for collection-phase quantifier evaluation (paper
     Section 4.4, strategy 4), with the paper's reduced storage policies:
     min/max only for the order comparisons, and at-most-one value for
-    [ALL =] / [SOME <>]. *)
+    [ALL =] / [SOME <>].
+
+    A [Full] list holds its values in a bitset when the column's
+    declared domain is a subrange, enumeration or boolean whose bitset
+    takes at most as many 63-bit words as the build scans tuples, and
+    in a hash set otherwise; the two answer every question alike. *)
 
 type storage =
   | Full          (** all distinct values *)
@@ -12,18 +17,23 @@ type quantifier = Q_some | Q_all
 
 type t
 
-val create : ?storage:storage -> unit -> t
-val storage : t -> storage
+val create : ?storage:storage -> domain:Vtype.t -> rows:int -> unit -> t
+(** An empty list of values of [domain], the declared domain of the
+    column a build that scans [rows] tuples reads.  A [Full] list is a
+    bitset when [domain] is finite and at most [63 * rows] wide (so a
+    build that scans nothing keeps a hash set). *)
+
+val is_bitset : t -> bool
+(** Whether [create] chose the bitset and it still holds every value. *)
 
 val add : t -> Value.t -> unit
+(** A value outside a bitset's domain moves the list to a hash set.
+    @raise Errors.Type_error if a bitset list gets a value of another
+    kind. *)
 
-val of_column :
-  ?storage:storage ->
-  ?filter:(Tuple.t -> bool) ->
-  Relation.t ->
-  string ->
-  t
-(** Build from one component of a relation by a counted scan. *)
+val of_column : ?storage:storage -> Relation.t -> string -> t
+(** Build from one component of a relation by a counted scan, with the
+    component's declared domain and the relation's cardinality. *)
 
 val is_empty : t -> bool
 
@@ -40,13 +50,8 @@ val max_value : t -> Value.t option
 val to_sorted_list : t -> Value.t list
 (** Full storage only. @raise Errors.Type_error otherwise. *)
 
-val exists_value : (Value.t -> bool) -> t -> bool
-val for_all_values : (Value.t -> bool) -> t -> bool
-
 val quant_holds : quant:quantifier -> Value.comparison -> Value.t -> t -> bool
 (** [quant_holds ~quant op v t] decides [(quant w IN t) (v op w)].
     SOME over empty is false; ALL over empty is true.  Reduced storage
     policies decide exactly the paper's operator/quantifier cases and
     raise {!Errors.Type_error} outside them. *)
-
-val pp : t Fmt.t

@@ -84,15 +84,28 @@ let equal a b =
   | TRef ra, TRef rb -> String.equal ra rb
   | (TInt _ | TStr _ | TBool | TEnum _ | TRef _), _ -> false
 
+(* Number of values of a finite domain, or [None] when it is unbounded
+   or has more than [max_int] values.  [hi - lo] wraps exactly when the
+   subrange is wider than [max_int]: its true value lies in
+   [0, 2 * max_int + 1], and the part above [max_int] wraps negative. *)
+let size = function
+  | TInt { lo; hi } ->
+    if lo > hi then Some 0
+    else
+      let d = hi - lo in
+      if d < 0 || d = max_int then None else Some (d + 1)
+  | TEnum info -> Some (Array.length info.Value.labels)
+  | TBool -> Some 2
+  | TStr _ | TRef _ -> None
+
 (* Enumerate the values of a finite domain in order; used by the random
    workload generators and by the one-sorted test evaluator.  Unbounded
-   domains have no enumeration. *)
-let enumerate = function
-  | TInt { lo; hi } when hi - lo < 1_000_000 ->
-    Some (List.init (hi - lo + 1) (fun i -> Value.VInt (lo + i)))
-  | TEnum info ->
-    Some
-      (List.init (Array.length info.Value.labels) (fun i ->
-           Value.VEnum (info, i)))
-  | TBool -> Some [ Value.VBool false; Value.VBool true ]
-  | TInt _ | TStr _ | TRef _ -> None
+   domains, and subranges of more than a million values, have no
+   enumeration. *)
+let enumerate ty =
+  match ty, size ty with
+  | TInt { lo; _ }, Some n when n <= 1_000_000 ->
+    Some (List.init n (fun i -> Value.VInt (lo + i)))
+  | TEnum info, Some n -> Some (List.init n (fun i -> Value.VEnum (info, i)))
+  | TBool, _ -> Some [ Value.VBool false; Value.VBool true ]
+  | (TInt _ | TEnum _ | TStr _ | TRef _), _ -> None

@@ -32,8 +32,14 @@ val comparable : t -> t -> bool
 
 val equal : t -> t -> bool
 
+val size : t -> int option
+(** Number of values of a finite domain; [None] for strings, references
+    and subranges of more than [max_int] values ([int_full] among them).
+    Never overflows. *)
+
 val enumerate : t -> Value.t list option
-(** All values of a finite domain in order, or [None] if unbounded. *)
+(** All values of a finite domain in order, or [None] if it is unbounded
+    or a subrange of more than a million values. *)
 
 val to_string : t -> string
 val pp : t Fmt.t

@@ -284,9 +284,10 @@ let test_uncompiled_predicates () =
     ]
 
 (* Reads allocate per structure built and per output row, not per
-   tuple scanned: london-some-red at Suppliers.scaled 8 allocated
-   31.5k minor words per execution (OCaml 5.1.1; 75.9k before its
-   builds were compiled), so twice that is the bound. *)
+   tuple scanned: london-some-red at Suppliers.scaled 8 allocates
+   30.4k minor words per execution (OCaml 5.1.1; 31.5k while its value
+   lists were hash sets, 75.9k before its builds were compiled), so
+   twice that is the bound. *)
 let test_read_allocation () =
   let db = Workload.Suppliers.generate (Workload.Suppliers.scaled 8) in
   let opts = Exec_opts.make ~jobs:1 ~batch_size:2048 ~use_index:true () in
@@ -304,8 +305,8 @@ let test_read_allocation () =
   done;
   let per_read = (Gc.minor_words () -. w0) /. float_of_int reps in
   Alcotest.(check bool)
-    (Fmt.str "%.0f minor words per read, bound 63000" per_read)
-    true (per_read <= 63_000.)
+    (Fmt.str "%.0f minor words per read, bound 61000" per_read)
+    true (per_read <= 61_000.)
 
 let suite =
   [

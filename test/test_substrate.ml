@@ -50,6 +50,28 @@ let test_vtype_enumerate () =
   Alcotest.(check bool) "strings not enumerable" true
     (Vtype.enumerate Vtype.string_any = None)
 
+(* Domain sizes never overflow: [hi - lo] wraps for the full integer
+   domain and for any subrange wider than [max_int]. *)
+let test_vtype_size () =
+  let wide = Vtype.int_range (-(1 lsl 61)) (1 lsl 61) in
+  Alcotest.(check (option int)) "integer" None (Vtype.size Vtype.int_full);
+  Alcotest.(check bool) "integer not enumerable" true
+    (Vtype.enumerate Vtype.int_full = None);
+  Alcotest.(check (option int)) "wider than max_int" None (Vtype.size wide);
+  Alcotest.(check bool) "wide subrange not enumerable" true
+    (Vtype.enumerate wide = None);
+  Alcotest.(check (option int)) "max_int values" (Some max_int)
+    (Vtype.size (Vtype.int_range 0 (max_int - 1)));
+  Alcotest.(check (option int)) "max_int + 1 values" None
+    (Vtype.size (Vtype.int_range (-1) (max_int - 1)));
+  Alcotest.(check (option int)) "one value" (Some 1)
+    (Vtype.size (Vtype.int_range 5 5));
+  Alcotest.(check (list Helpers.value)) "one value enumerated" [ Value.int 5 ]
+    (Option.get (Vtype.enumerate (Vtype.int_range 5 5)));
+  Alcotest.(check (option int)) "enumeration" (Some 4) (Vtype.size level);
+  Alcotest.(check (option int)) "boolean" (Some 2) (Vtype.size Vtype.boolean);
+  Alcotest.(check (option int)) "string" None (Vtype.size Vtype.string_any)
+
 let test_vtype_errors () =
   (match Vtype.int_range 5 1 with
   | _ -> Alcotest.fail "expected Schema_error"
@@ -189,7 +211,9 @@ let test_index_to_relation () =
 (* Value lists *)
 
 let vl_of ints storage =
-  let vl = Value_list.create ~storage () in
+  let vl =
+    Value_list.create ~storage ~domain:Vtype.int_full ~rows:(List.length ints) ()
+  in
   List.iter (fun n -> Value_list.add vl (Value.int n)) ints;
   vl
 
@@ -270,6 +294,114 @@ let test_value_list_empty () =
   Alcotest.(check bool) "ALL over empty" true
     (Value_list.quant_holds ~quant:Value_list.Q_all Value.Eq (Value.int 1) vl)
 
+(* A Full list over a declared finite domain (a bitset while it fits
+   the build) and one forced onto the hash set (a build that scans no
+   rows), fed the same adds, answer every question alike.  Subranges
+   take a negative [lo], width 1, the bitset limit [63 * rows] and one
+   past it; some int adds fall outside the subrange (an intermediate's
+   unchecked insert) and move the bitset to the hash set; probes reach
+   below [lo] and above [hi]. *)
+let test_value_list_bitset_differential =
+  QCheck.Test.make ~name:"value list: bitset = hash set" ~count:300
+    QCheck.(make Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let pick n = Random.State.int st n in
+      let rows = 1 + pick 4 in
+      let domain, values, probes =
+        match pick 4 with
+        | 0 | 1 ->
+          let lo = pick 100 - 60 in
+          let width =
+            match pick 4 with
+            | 0 -> 1
+            | 1 -> 63 * rows
+            | 2 -> (63 * rows) + 1
+            | _ -> 1 + pick 200
+          in
+          let hi = lo + width - 1 in
+          let outside = pick 3 = 0 in
+          ( Vtype.int_range lo hi,
+            (fun () ->
+              if outside && pick 10 = 0 then Value.int (hi + 1 + pick 5)
+              else Value.int (lo + pick width)),
+            List.init (width + 8) (fun i -> Value.int (lo - 4 + i)) )
+        | 2 ->
+          let info =
+            { Value.enum_name = "e"; labels = Array.init (1 + pick 9) string_of_int }
+          in
+          let n = Array.length info.labels in
+          ( Vtype.TEnum info,
+            (fun () -> Value.VEnum (info, pick n)),
+            List.init n (fun i -> Value.VEnum (info, i)) )
+        | _ ->
+          ( Vtype.boolean,
+            (fun () -> Value.bool (pick 2 = 0)),
+            [ Value.bool false; Value.bool true ] )
+      in
+      let bits = Value_list.create ~domain ~rows ()
+      and hashed = Value_list.create ~domain ~rows:0 () in
+      let expect_bits =
+        match Vtype.size domain with Some n -> n <= 63 * rows | None -> false
+      in
+      if Value_list.is_bitset bits <> expect_bits || Value_list.is_bitset hashed
+      then QCheck.Test.fail_reportf "wrong representation, seed %d" seed;
+      for _ = 1 to pick (4 * rows * 8) do
+        let v = values () in
+        Value_list.add bits v;
+        Value_list.add hashed v
+      done;
+      let same what eq f =
+        eq (f bits) (f hashed)
+        || QCheck.Test.fail_reportf "%s differs, seed %d" what seed
+      in
+      same "distinct_count" ( = ) Value_list.distinct_count
+      && same "stored_size" ( = ) Value_list.stored_size
+      && same "min_value" (Option.equal Value.equal) Value_list.min_value
+      && same "max_value" (Option.equal Value.equal) Value_list.max_value
+      && same "to_sorted_list" (List.equal Value.equal) Value_list.to_sorted_list
+      && List.for_all
+           (fun v ->
+             same "mem" Bool.equal (fun vl -> Value_list.mem vl v)
+             && List.for_all
+                  (fun quant ->
+                    List.for_all
+                      (fun op ->
+                        same
+                          (Fmt.str "quant_holds %s %a"
+                             (Value.comparison_to_string op) Value.pp v)
+                          Bool.equal
+                          (Value_list.quant_holds ~quant op v))
+                      Value.all_comparisons)
+                  [ Value_list.Q_some; Value_list.Q_all ])
+           probes)
+
+(* A bitset build allocates its bitset and nothing per add: building a
+   Full list over 1..1280 from 7680 tuples costs the same words whatever
+   the number of tuples added and of distinct values among them. *)
+let test_value_list_bitset_allocation () =
+  let domain = Vtype.int_range 1 1280 in
+  let values = Array.init 1280 (fun i -> Value.int (i + 1)) in
+  let build ~adds ~distinct =
+    let w0 = Gc.minor_words () in
+    let vl = Value_list.create ~domain ~rows:7680 () in
+    for i = 0 to adds - 1 do
+      Value_list.add vl values.(i mod distinct)
+    done;
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check bool) "bitset" true (Value_list.is_bitset vl);
+    Alcotest.(check (option int)) "distinct" (Some distinct)
+      (Value_list.distinct_count vl);
+    words
+  in
+  let base = build ~adds:7680 ~distinct:1280 in
+  List.iter
+    (fun (adds, distinct) ->
+      Alcotest.(check (float 0.))
+        (Fmt.str "%d adds, %d distinct" adds distinct)
+        base (build ~adds ~distinct))
+    [ (7680, 7); (1280, 1280); (1, 1) ]
+
 (* --------------------------------------------------------------- *)
 (* Buffer pool LRU order *)
 
@@ -329,6 +461,7 @@ let suite =
         Alcotest.test_case "vtype comparability" `Quick
           test_vtype_comparability;
         Alcotest.test_case "vtype enumerate" `Quick test_vtype_enumerate;
+        Alcotest.test_case "vtype size never overflows" `Quick test_vtype_size;
         Alcotest.test_case "vtype errors" `Quick test_vtype_errors;
         Alcotest.test_case "schema accessors" `Quick test_schema_accessors;
         Alcotest.test_case "schema project/rename" `Quick
@@ -347,6 +480,9 @@ let suite =
         Alcotest.test_case "value list at-most-one storage" `Quick
           test_value_list_at_most_one;
         Alcotest.test_case "value list empty" `Quick test_value_list_empty;
+        QCheck_alcotest.to_alcotest test_value_list_bitset_differential;
+        Alcotest.test_case "value list bitset allocation" `Quick
+          test_value_list_bitset_allocation;
         Alcotest.test_case "buffer pool LRU eviction order" `Quick
           test_pool_lru_eviction_order;
         Alcotest.test_case "buffer pool invalidate keeps list consistent"
