@@ -7,9 +7,11 @@ open Relalg
 
 type cache_outcome = Hit | Miss | Invalidated | Reground
 (** How the plan cache served this execution's plan.  [Invalidated]:
-    the cached plan was compiled under a different stats epoch;
-    [Reground]: a $param-dependent range turned out empty under the
-    bindings and the substituted query was re-planned from scratch. *)
+    an emptiness answer the cached plan was compiled under no longer
+    holds on the snapshot, so it was re-planned; [Reground]: a range
+    the plan assumed non-empty because it mentions a $param turned out
+    empty under the bindings, and the substituted query was planned
+    uncached. *)
 
 val cache_outcome_to_string : cache_outcome -> string
 

@@ -9,9 +9,11 @@
                                 = ALL rec IN rel (A AND B)  otherwise
    4. A OR  ALL  rec IN rel (B) = ALL rec IN rel (A OR B)        (always)
 
-   [distribute] applies the correct variant by consulting the database;
-   [distribute_assuming_nonempty] applies the unconditional forms — the
-   compile-time behaviour whose runtime repair is the adaptation pass.
+   [rewrite] applies the correct variant, asking the database through
+   Standard_form.range_is_empty (the one emptiness question a plan
+   records); [rewrite_assuming_nonempty] applies the unconditional
+   forms — the compile-time behaviour whose runtime repair is the
+   adaptation pass.
    The test suite proves both the rules and their empty-relation
    exceptions against the naive and one-sorted semantics. *)
 
@@ -75,10 +77,3 @@ let rewrite db rule f =
       else Some (F_all (v, r, f_and a b)))
 
 let all_rules = [ Rule1; Rule2; Rule3; Rule4 ]
-
-(* Apply the first applicable rule at the root. *)
-let distribute db f =
-  List.find_map (fun rule -> rewrite db rule f) all_rules
-
-let distribute_assuming_nonempty f =
-  List.find_map (fun rule -> rewrite_assuming_nonempty rule f) all_rules

@@ -23,6 +23,3 @@ val rewrite : Database.t -> rule -> formula -> formula option
 val rewrite_assuming_nonempty : rule -> formula -> formula option
 (** The compile-time (non-empty assumption) rewrite — wrong on empty
     relations for rules 2 and 3, as the test suite demonstrates. *)
-
-val distribute : Database.t -> formula -> formula option
-val distribute_assuming_nonempty : formula -> formula option

@@ -54,20 +54,13 @@ and iter_range db range f =
 
 and exists_in_range db range p =
   let rel, schema = range_elements db range in
-  Relation.scan_fold
-    (fun acc tuple ->
-      acc
-      || (range_satisfies db schema range.restriction tuple && p { tuple; schema }))
-    false rel
+  Relation.scan_exists
+    (fun tuple ->
+      range_satisfies db schema range.restriction tuple && p { tuple; schema })
+    rel
 
 and forall_in_range db range p =
-  let rel, schema = range_elements db range in
-  Relation.scan_fold
-    (fun acc tuple ->
-      acc
-      && ((not (range_satisfies db schema range.restriction tuple))
-         || p { tuple; schema }))
-    true rel
+  not (exists_in_range db range (fun b -> not (p b)))
 
 and holds db (env : benv) = function
   | F_true -> true

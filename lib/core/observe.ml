@@ -58,8 +58,8 @@ let counters () =
 let window = counters
 
 (* The plan-cache outcome of an execution is the most specific event in
-   its counter window: a reground implies a miss (of the substituted
-   plan), an invalidation implies the subsequent miss, so precedence is
+   its counter window: a reground follows the lookup of the plan it
+   replaces, and an invalidation stands for a re-plan, so precedence is
    reground > invalidated > miss > hit. *)
 let cache_outcome ~since now =
   if now.w_regrounds > since.w_regrounds then Exec_result.Reground

@@ -44,6 +44,35 @@ let of_standard_form (sf : Standard_form.t) =
       List.map (fun atoms -> { atoms; derived = [] }) sf.Standard_form.matrix;
   }
 
+(* Substitute bound $params across free ranges, prefix ranges, matrix
+   atoms and derived predicates: the collection, combination and
+   construction phases only ever see ground plans. *)
+let rec ground_pushed b p =
+  {
+    p with
+    p_range = subst_range b p.p_range;
+    p_monadic = List.map (subst_atom b) p.p_monadic;
+    p_nested = List.map (ground_pushed b) p.p_nested;
+  }
+
+let ground b p =
+  {
+    p with
+    free = List.map (fun (v, r) -> (v, subst_range b r)) p.free;
+    prefix =
+      List.map
+        (fun e -> { e with Normalize.range = subst_range b e.Normalize.range })
+        p.prefix;
+    conjs =
+      List.map
+        (fun c ->
+          {
+            atoms = List.map (subst_atom b) c.atoms;
+            derived = List.map (fun (v, d) -> (v, ground_pushed b d)) c.derived;
+          })
+        p.conjs;
+  }
+
 (* Variables used by a conjunction: variables of its atoms plus the outer
    variables of its derived predicates. *)
 let conj_vars c =

@@ -32,6 +32,9 @@ type t = {
 
 val of_standard_form : Standard_form.t -> t
 
+val ground : Value.t Var_map.t -> t -> t
+(** Substitute bound [$name] placeholders everywhere in the plan. *)
+
 val conj_vars : conj -> Var_set.t
 (** Variables of the atoms plus outer variables of derived predicates. *)
 

@@ -2,12 +2,11 @@
 
    Keys are opaque strings (Session builds them from the structural
    digest of the alpha-canonical query plus the Exec_opts fingerprint).
-   Every entry remembers the database stats epoch it was compiled
-   under; a lookup under a different epoch drops the entry and reports
-   a miss — the plan's empty-range decisions (adaptation and range
-   extension, through Standard_form.range_is_empty) may no longer hold,
-   so the caller must re-plan.  Nothing else in a plan depends on the
-   data: join order and access paths are chosen per execution.
+   Every entry keeps the emptiness answers its plan was compiled under
+   (Standard_form.recording); a lookup on a snapshot where one of them
+   no longer holds drops the entry and reports an invalidation, so the
+   caller re-plans.  Nothing else in a plan depends on the data: join
+   order and access paths are chosen per execution.
 
    Each cache keeps its own stats record, and every event also bumps
    the process-wide Obs.Metrics counters (plan_cache.hits / .misses /
@@ -22,8 +21,7 @@ type stats = {
 }
 
 type entry = {
-  e_plan : Plan.t;
-  e_epoch : int;
+  e_planned : Plan.t * Standard_form.answers;
   mutable e_used : int;  (* recency tick of the last hit *)
 }
 
@@ -49,7 +47,6 @@ let create ?(capacity = 64) () =
     invalidations = 0;
   }
 
-let capacity t = t.cap
 let length t = Hashtbl.length t.tbl
 
 let stats t =
@@ -69,19 +66,19 @@ let next_tick t =
   t.tick <- t.tick + 1;
   t.tick
 
-let find t ~epoch key =
+let find t db key =
   match Hashtbl.find_opt t.tbl key with
   | None ->
     t.misses <- t.misses + 1;
     Obs.Metrics.incr "plan_cache.misses";
     None
-  | Some e when e.e_epoch = epoch ->
+  | Some e when Standard_form.still_hold db (snd e.e_planned) ->
     e.e_used <- next_tick t;
     t.hits <- t.hits + 1;
     Obs.Metrics.incr "plan_cache.hits";
-    Some e.e_plan
+    Some e.e_planned
   | Some _ ->
-    (* Stale: compiled under different statistics. *)
+    (* Stale: an emptiness answer it was compiled under has changed. *)
     Hashtbl.remove t.tbl key;
     t.invalidations <- t.invalidations + 1;
     Obs.Metrics.incr "plan_cache.invalidations";
@@ -103,10 +100,10 @@ let evict_lru t =
     t.evictions <- t.evictions + 1;
     Obs.Metrics.incr "plan_cache.evictions"
 
-let add t ~epoch key plan =
+let add t key planned =
   if (not (Hashtbl.mem t.tbl key)) && Hashtbl.length t.tbl >= t.cap then
     evict_lru t;
   Hashtbl.replace t.tbl key
-    { e_plan = plan; e_epoch = epoch; e_used = next_tick t }
+    { e_planned = planned; e_used = next_tick t }
 
 let clear t = Hashtbl.reset t.tbl

@@ -1,11 +1,11 @@
-(** A bounded LRU cache of compiled plans, epoch-checked.
+(** A bounded LRU cache of compiled plans, each kept with the
+    emptiness answers it was compiled under.
 
-    Entries remember the {!Relalg.Database.stats_epoch} they were
-    compiled under; a lookup under a different epoch invalidates the
-    entry (its empty-range decisions — adaptation and range extension,
-    through {!Standard_form.range_is_empty} — may no longer hold).  Every hit/miss/eviction/invalidation bumps both the
-    per-cache {!stats} and the global [plan_cache.*] counters in
-    {!Obs.Metrics}. *)
+    A lookup validates the entry on the caller's snapshot
+    ({!Standard_form.still_hold}); if an answer changed, the entry is
+    dropped as an invalidation.  Every hit/miss/eviction/invalidation
+    bumps both the per-cache {!stats} and the global [plan_cache.*]
+    counters in {!Obs.Metrics}. *)
 
 type t
 
@@ -19,14 +19,15 @@ type stats = {
 val create : ?capacity:int -> unit -> t
 (** [capacity] defaults to 64 plans; at least 1. *)
 
-val capacity : t -> int
 val length : t -> int
 
-val find : t -> epoch:int -> string -> Plan.t option
-(** [None] on absence (miss) or epoch mismatch (invalidation — the
-    entry is dropped); the caller re-plans and {!add}s. *)
+val find :
+  t -> Relalg.Database.t -> string -> (Plan.t * Standard_form.answers) option
+(** [None] on absence (miss) or when an answer the plan was compiled
+    under fails on the snapshot (invalidation — the entry is dropped);
+    the caller re-plans and {!add}s. *)
 
-val add : t -> epoch:int -> string -> Plan.t -> unit
+val add : t -> string -> Plan.t * Standard_form.answers -> unit
 (** Insert (or refresh) a plan, evicting the least recently used entry
     when the cache is full. *)
 

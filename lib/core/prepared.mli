@@ -1,10 +1,10 @@
 (** Prepared queries: compile once via {!Session.prepare}, execute many
-    times.  Execution re-validates the plan against the stats epoch of
-    the snapshot it runs against through the session's plan cache,
-    grounds any [$name] placeholders, then runs only the collection /
-    combination / construction phases.  Entry points without an
-    explicit snapshot pin a read transaction for the duration of the
-    execution (autocommit). *)
+    times.  Execution takes its plan through the session's plan cache,
+    valid while the emptiness answers it was planned under hold on the
+    snapshot it runs against, grounds any [$name] placeholders, then
+    runs only the collection / combination / construction phases.
+    Entry points without an explicit snapshot pin a read transaction
+    for the duration of the execution (autocommit). *)
 
 open Relalg
 
@@ -21,19 +21,13 @@ val make :
   opts:Exec_opts.t ->
   digest:string ->
   query:Calculus.query ->
-  replan:(Database.t -> Plan.t) ->
-  reground:(Database.t -> Relalg.Value.t Calculus.Var_map.t -> Plan.t) ->
+  plan:(Database.t -> Relalg.Value.t Calculus.Var_map.t -> Plan.t) ->
   t
-(** Used by {!Session.prepare}; [replan db] must consult the session's
-    plan cache under [db]'s current stats epoch ([db] is the snapshot
-    the execution runs against).  [digest] is the structural digest of
-    the alpha-canonical query — the key under which executions
-    accumulate in {!Obs.Query_stats}.  [reground db] must plan the
-    fully substituted query from scratch against [db] — the fallback
-    taken when a [$param]-dependent quantifier range turns out empty
-    under the actual bindings, so the empty-range adaptation assumed
-    at plan time no longer holds (counted as
-    [plan_cache.regrounds]). *)
+(** Used by {!Session.prepare}; [plan db b] must return the query's
+    plan for the snapshot [db], through the session's plan cache,
+    ground under the bindings [b] (empty: placeholders intact).
+    [digest] is the structural digest of the alpha-canonical query —
+    the key under which executions accumulate in {!Obs.Query_stats}. *)
 
 val params : t -> string list
 (** The [$name] placeholders an execution must bind, sorted. *)
@@ -47,7 +41,7 @@ val text : t -> string
 (** The query pretty-printed once at prepare time. *)
 
 val plan : t -> Plan.t
-(** The current (possibly re-validated) plan against the session's
+(** The current (possibly re-planned) plan against the session's
     store, placeholders intact. *)
 
 val exec :

@@ -53,10 +53,7 @@ let conj_mentions v conj = Var_set.mem v (Normalize.conj_vars conj)
    variables are extended regardless: their identity
    [<...> OF EACH v IN rel : S AND W] = [<...> OF EACH v IN [rel: S] : W]
    holds for empty ranges too. *)
-let range_has_params (range : range) =
-  match range.restriction with
-  | None -> false
-  | Some (_, f) -> not (Var_set.is_empty (formula_params Var_set.empty f))
+let range_has_params = Standard_form.has_params
 
 (* Remove atoms (mirrored-equal) from a conjunction. *)
 let remove_atoms atoms conj =
@@ -221,6 +218,29 @@ let extend_clause_existential db st v range ~is_free ~set_range ~drop_var =
     end
   end
 
+let set_free st v r =
+  st.free <-
+    List.map (fun (v', r') -> if String.equal v' v then (v, r) else (v', r')) st.free
+
+let set_prefix st v r =
+  st.prefix <-
+    List.map
+      (fun (e : Normalize.prefix_entry) ->
+        if String.equal e.Normalize.v v then { e with Normalize.range = r } else e)
+      st.prefix
+
+let drop_prefix st v () =
+  st.prefix <-
+    List.filter
+      (fun (e : Normalize.prefix_entry) -> not (String.equal e.Normalize.v v))
+      st.prefix
+
+(* A prefix variable's current entry, if it is still quantified. *)
+let current st (entry : Normalize.prefix_entry) =
+  List.find_opt
+    (fun (e : Normalize.prefix_entry) -> String.equal e.Normalize.v entry.Normalize.v)
+    st.prefix
+
 let apply ?(cnf = false) db (sf : Standard_form.t) : Standard_form.t =
   let st =
     {
@@ -235,123 +255,46 @@ let apply ?(cnf = false) db (sf : Standard_form.t) : Standard_form.t =
   while !changed && (not st.finished) && !rounds < 10 do
     changed := false;
     incr rounds;
-    (* Free variables. *)
     List.iter
       (fun (v, range) ->
-        if not st.finished then
-          let set_range r =
-            st.free <-
-              List.map
-                (fun (v', r') -> if String.equal v' v then (v, r) else (v', r'))
-                st.free
-          in
-          if
-            extract_existential db st v range ~is_free:true ~set_range
-              ~drop_var:(fun () -> ())
-          then changed := true)
-      st.free;
-    (* Quantified variables. *)
-    List.iter
-      (fun (entry : Normalize.prefix_entry) ->
         if
           (not st.finished)
-          && List.exists
-               (fun (e : Normalize.prefix_entry) ->
-                 String.equal e.Normalize.v entry.Normalize.v)
-               st.prefix
-        then
-          let v = entry.Normalize.v in
-          let current_range =
-            match
-              List.find_opt
-                (fun (e : Normalize.prefix_entry) -> String.equal e.Normalize.v v)
-                st.prefix
-            with
-            | Some e -> e.Normalize.range
-            | None -> entry.Normalize.range
-          in
-          match entry.Normalize.q with
-          | Normalize.Q_some ->
-            let set_range r =
-              st.prefix <-
-                List.map
-                  (fun (e : Normalize.prefix_entry) ->
-                    if String.equal e.Normalize.v v then
-                      { e with Normalize.range = r }
-                    else e)
-                  st.prefix
-            in
-            let drop_var () =
-              st.prefix <-
-                List.filter
-                  (fun (e : Normalize.prefix_entry) ->
-                    not (String.equal e.Normalize.v v))
-                  st.prefix
-            in
-            if
-              extract_existential db st v current_range ~is_free:false
-                ~set_range ~drop_var
-            then changed := true
-          | Normalize.Q_all ->
-            if
-              extract_universal ~cnf db st
-                { entry with Normalize.range = current_range }
-            then changed := true)
+          && extract_existential db st v range ~is_free:true
+               ~set_range:(set_free st v) ~drop_var:ignore
+        then changed := true)
+      st.free;
+    List.iter
+      (fun entry ->
+        match current st entry with
+        | Some e when not st.finished ->
+          let v = e.Normalize.v in
+          if
+            match e.Normalize.q with
+            | Normalize.Q_some ->
+              extract_existential db st v e.Normalize.range ~is_free:false
+                ~set_range:(set_prefix st v) ~drop_var:(drop_prefix st v)
+            | Normalize.Q_all -> extract_universal ~cnf db st e
+          then changed := true
+        | Some _ | None -> ())
       st.prefix
   done;
   if cnf && not st.finished then begin
     (* One clause-extension pass per free/SOME variable. *)
     List.iter
       (fun (v, range) ->
-        let set_range r =
-          st.free <-
-            List.map
-              (fun (v', r') -> if String.equal v' v then (v, r) else (v', r'))
-              st.free
-        in
         ignore
-          (extend_clause_existential db st v range ~is_free:true ~set_range
-             ~drop_var:(fun () -> ())))
+          (extend_clause_existential db st v range ~is_free:true
+             ~set_range:(set_free st v) ~drop_var:ignore))
       st.free;
     List.iter
-      (fun (entry : Normalize.prefix_entry) ->
-        if entry.Normalize.q = Normalize.Q_some then
-          let v = entry.Normalize.v in
-          let still_present =
-            List.exists
-              (fun (e : Normalize.prefix_entry) -> String.equal e.Normalize.v v)
-              st.prefix
-          in
-          if still_present then
-            let current_range =
-              match
-                List.find_opt
-                  (fun (e : Normalize.prefix_entry) ->
-                    String.equal e.Normalize.v v)
-                  st.prefix
-              with
-              | Some e -> e.Normalize.range
-              | None -> entry.Normalize.range
-            in
-            let set_range r =
-              st.prefix <-
-                List.map
-                  (fun (e : Normalize.prefix_entry) ->
-                    if String.equal e.Normalize.v v then
-                      { e with Normalize.range = r }
-                    else e)
-                  st.prefix
-            in
-            let drop_var () =
-              st.prefix <-
-                List.filter
-                  (fun (e : Normalize.prefix_entry) ->
-                    not (String.equal e.Normalize.v v))
-                  st.prefix
-            in
-            ignore
-              (extend_clause_existential db st v current_range ~is_free:false
-                 ~set_range ~drop_var))
+      (fun entry ->
+        match current st entry with
+        | Some e when e.Normalize.q = Normalize.Q_some ->
+          let v = e.Normalize.v in
+          ignore
+            (extend_clause_existential db st v e.Normalize.range ~is_free:false
+               ~set_range:(set_prefix st v) ~drop_var:(drop_prefix st v))
+        | Some _ | None -> ())
       st.prefix
   end;
   {

@@ -4,27 +4,27 @@
    Planning a PASCAL/R selection is the expensive prefix of every
    evaluation — empty-range adaptation, standard form (prenex + DNF),
    strategy 3's range extension and strategy 4's quantifier pushing.
-   A session runs that pipeline once per (query structure, options,
-   stats epoch) and caches the resulting plan:
+   A session runs that pipeline once per (query structure, options)
+   and caches the resulting plan with the emptiness answers it was
+   planned under:
 
    - the query structure is keyed by the MD5 digest of its
      alpha-canonical form, so spelling of variables does not matter;
    - the options fingerprint keys strategies and join order, which
      change the compiled plan;
-   - the stats epoch (Database.stats_epoch) guards validity: inserts,
-     deletions and snapshot loads move it, invalidating plans built on
-     the old contents.  A plan depends on the data only through
-     Standard_form.range_is_empty — the empty-range adaptation and
-     strategy 3's range extension, which keep Lemma 1's non-empty-range
-     conditions; quantifier pushing reads no data, and join order and
-     access paths are chosen per execution.
+   - validity is the paper's own rule: a plan depends on the data only
+     through Standard_form.range_is_empty — the empty-range adaptation,
+     strategy 3's range extension and Lemma 1's exceptions — so it
+     stays valid while every answer it got still holds; quantifier
+     pushing reads no data, and join order and access paths are chosen
+     per execution.  A write to a relation the plan never asked about
+     keeps the plan; a write that flips an answer re-plans.
 
    Every execution runs inside a transaction.  [read] and [write] pin a
    snapshot (Database.Txn) and hand the body a [Txn.t] whose executors
    evaluate against the pinned view through the session's plan cache —
-   the epoch validated is the snapshot's, which continues the store's
-   version lineage, so monotonicity holds across installs.  The plain
-   [exec] family are single-statement autocommit wrappers over [read].
+   the answers are validated on that snapshot.  The plain [exec] family
+   are single-statement autocommit wrappers over [read].
 
    A session is shared-database, single-domain: concurrent clients each
    create their own session over one store (what Workload.Driver and
@@ -110,24 +110,33 @@ let clear_cache t = Plan_cache.clear t.s_cache
    compile differently — the plan cache. *)
 let digest query = Calculus.digest_query (Normalize.canonical_query query)
 
-(* Build the Prepared without planning anything yet: the replan and
-   reground closures take the database to plan against, so the same
-   prepared query serves the store (autocommit) and any transaction's
-   snapshot, each validated under its own epoch. *)
+(* Build the Prepared without planning anything yet: the plan closure
+   takes the database to plan against, so the same prepared query
+   serves the store (autocommit) and any transaction's snapshot.  A
+   $param range was planned as non-empty; when the bindings make it
+   empty, the substituted query is planned uncached (a reground). *)
 let prepare_lazy ?(opts = Exec_opts.default) t query =
   let digest = digest query in
   let key = digest ^ "#" ^ Exec_opts.fingerprint opts in
-  let replan db =
-    let epoch = Database.stats_epoch db in
-    match Plan_cache.find t.s_cache ~epoch key with
-    | Some plan -> plan
-    | None ->
-      let plan = plan_only ~opts db query in
-      Plan_cache.add t.s_cache ~epoch key plan;
-      plan
+  let plan db b =
+    let plan, answers =
+      match Plan_cache.find t.s_cache db key with
+      | Some entry -> entry
+      | None ->
+        let entry =
+          Standard_form.recording (fun () -> plan_only ~opts db query)
+        in
+        Plan_cache.add t.s_cache key entry;
+        entry
+    in
+    if Calculus.Var_map.is_empty b then plan
+    else if Standard_form.hold_under b db answers then Plan.ground b plan
+    else begin
+      Obs.Metrics.incr "plan_cache.regrounds";
+      plan_only ~opts db (Calculus.subst_query b query)
+    end
   in
-  Prepared.make ~db:t.s_db ~opts ~digest ~query ~replan
-    ~reground:(fun db b -> plan_only ~opts db (Calculus.subst_query b query))
+  Prepared.make ~db:t.s_db ~opts ~digest ~query ~plan
 
 let prepare ?(opts = Exec_opts.default) t query =
   let p = prepare_lazy ~opts t query in
@@ -178,17 +187,12 @@ let read t f =
   Database.with_read t.s_db (fun inner ->
       f { Txn.x_session = t; x_inner = inner })
 
-(* On any aborted write — conflict or exception — drop the session's
-   cached plans: they may have been compiled against the transaction's
-   private snapshot, under epochs the store can later reach with
-   different contents. *)
+(* An aborted write needs no cache repair: a plan cached inside it
+   recorded the transaction's private relation states, which the store
+   never holds, so its answers are asked again on the next snapshot. *)
 let write t f =
-  try
-    Database.with_write t.s_db (fun inner ->
-        f { Txn.x_session = t; x_inner = inner })
-  with e ->
-    Plan_cache.clear t.s_cache;
-    raise e
+  Database.with_write t.s_db (fun inner ->
+      f { Txn.x_session = t; x_inner = inner })
 
 (* One-shot conveniences: single-statement autocommit — pin a read
    snapshot, prepare + execute through the session cache (so a repeated

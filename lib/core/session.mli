@@ -3,13 +3,15 @@
 
     {!prepare} runs the planning pipeline — empty-range adaptation,
     standard form, strategies 3 and 4 — at most once per (query
-    structure, {!Exec_opts}, stats epoch); every execution then runs
-    the one body {!Prepared.exec_report_with} — only the collection /
-    combination / construction phases — and the [exec] family return
-    its {!Exec_result.t} or that report's result relation.  Cache
-    keys digest the alpha-canonical query, so variable spelling does
-    not matter; entries are invalidated when
-    {!Relalg.Database.stats_epoch} moves.
+    structure, {!Exec_opts}) while the plan's emptiness answers hold;
+    every execution then runs the one body
+    {!Prepared.exec_report_with} — only the collection / combination /
+    construction phases — and the [exec] family return its
+    {!Exec_result.t} or that report's result relation.  Cache keys
+    digest the alpha-canonical query, so variable spelling does not
+    matter; an entry is invalidated when a range it asked about
+    ({!Standard_form.range_is_empty}) changes between empty and
+    non-empty on the snapshot an execution runs against.
 
     Every execution runs inside a transaction.  {!read} and {!write}
     pin a snapshot and hand the body a {!Txn.t}; the body sees a stable
@@ -93,7 +95,8 @@ module Txn : sig
     query ->
     Relation.t
   (** Evaluate against the pinned snapshot, through the session's plan
-      cache (plans validate against the {e snapshot's} stats epoch). *)
+      cache (a cached plan's emptiness answers are checked on the
+      {e snapshot}). *)
 
   val exec_report :
     ?opts:Exec_opts.t ->
@@ -118,7 +121,8 @@ val write : t -> (Txn.t -> 'a) -> 'a
       under first-committer-wins: another transaction committed to a
       relation this one touched since it pinned its snapshot.  Nothing
       was installed; the caller retries by calling [write] again.
-      Any abort also clears the session's plan cache. *)
+      Plans cached inside an aborted transaction stay cached: they are
+      re-checked on the next snapshot like any other. *)
 
 (** {2 One-shot execution}
 

@@ -18,28 +18,138 @@ type t = {
   matrix : Normalize.dnf;
 }
 
-(* Is a range empty in the live database?  For an extended range the
-   restriction is evaluated per element (one scan). *)
-let range_is_empty db (range : range) =
+(* --- Emptiness questions ------------------------------------------- *)
+
+(* Planning reads the data only through [range_is_empty]: adaptation,
+   strategy 3's extension and Lemma 1's exceptions each ask whether a
+   range is empty.  A plan is therefore a pure function of the query,
+   the options and the answers, and stays valid on any snapshot where
+   every answer it was planned under still holds.  [recording] collects
+   those answers; each remembers the relation states (ids and versions)
+   it read, so re-checking it on a snapshot that shares those states is
+   two integer compares per relation. *)
+type answer =
+  | Assumed of range
+      (* mentions a $param: unknowable before the bindings, planned as
+         non-empty, asked again under every execution's bindings *)
+  | Answered of {
+      range : range;
+      empty : bool;
+      mutable read : (string * int * int) list;
+          (* every relation the answer read: name, state id, version *)
+    }
+
+type answers = answer list
+
+let recorder : answer list ref option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let recording f =
+  let saved = Domain.DLS.get recorder in
+  let asked = ref [] in
+  Domain.DLS.set recorder (Some asked);
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set recorder saved)
+    (fun () ->
+      let v = f () in
+      (v, List.rev !asked))
+
+let question = function Assumed r | Answered { range = r; _ } -> r
+
+let record a =
+  match Domain.DLS.get recorder with
+  | Some asked
+    when not (List.exists (fun b -> equal_range (question a) (question b)) !asked)
+    ->
+    asked := a :: !asked
+  | Some _ | None -> ()
+
+(* The relations a range's emptiness depends on: its own, and those
+   its restriction quantifies over. *)
+let rec range_rels acc (r : range) =
+  match r.restriction with
+  | None -> r.range_rel :: acc
+  | Some (_, f) -> formula_rels (r.range_rel :: acc) f
+
+and formula_rels acc = function
+  | F_true | F_false | F_atom _ -> acc
+  | F_not f -> formula_rels acc f
+  | F_and (a, b) | F_or (a, b) -> formula_rels (formula_rels acc a) b
+  | F_some (_, r, f) | F_all (_, r, f) -> formula_rels (range_rels acc r) f
+
+(* States are remembered by id, not held: a cached plan keeps no
+   retired state alive. *)
+let states db range =
+  List.map
+    (fun n ->
+      let r = Database.find_relation db n in
+      (n, Relation.id r, Relation.version r))
+    (range_rels [] range)
+
+let unmoved db (n, id, version) =
+  let r = Database.find_relation db n in
+  Relation.id r = id && Relation.version r = version
+
+(* Is a range empty in [db]?  An extended range costs one counted scan
+   that stops at the first element satisfying the restriction. *)
+let ask db (range : range) =
   let rel = Database.find_relation db range.range_rel in
   match range.restriction with
   | None -> Relation.is_empty rel
-  | Some (_, f)
-    when not (Var_set.is_empty (Calculus.formula_params Var_set.empty f)) ->
-    (* The restriction mentions $params, so its emptiness is unknowable
-       until execution grounds them; keeping the quantifier is always
-       correct, adaptation being only a simplification. *)
-    false
   | Some (v, f) ->
     let schema = Relation.schema rel in
     not
-      (Relation.scan_fold
-         (fun acc tuple ->
-           acc
-           || Naive_eval.holds db
-                (Var_map.add v { Naive_eval.tuple; schema } Var_map.empty)
-                f)
-         false rel)
+      (Relation.scan_exists
+         (fun tuple ->
+           Naive_eval.holds db (Var_map.singleton v { Naive_eval.tuple; schema }) f)
+         rel)
+
+let has_params (range : range) =
+  match range.restriction with
+  | Some (_, f) -> not (Var_set.is_empty (formula_params Var_set.empty f))
+  | None -> false
+
+let range_is_empty db range =
+  if has_params range then begin
+    (* Keeping the quantifier is always correct, adaptation being only
+       a simplification; execution checks the assumption once ground. *)
+    record (Assumed range);
+    false
+  end
+  else begin
+    (* States before the answer: a write in between leaves them stale,
+       so the answer is asked again, never trusted for newer states. *)
+    let read = states db range in
+    let empty = ask db range in
+    record (Answered { range; empty; read });
+    empty
+  end
+
+(* Does every answer still hold on [db]?  An answer whose relations are
+   the very states it read, at the versions it read, holds unasked;
+   otherwise it is asked again, and a confirmed answer moves to the
+   states it was confirmed on. *)
+let still_hold db answers =
+  List.for_all
+    (function
+      | Assumed _ -> true
+      | Answered a ->
+        List.for_all (unmoved db) a.read
+        ||
+        let read = states db a.range in
+        ask db a.range = a.empty
+        && begin
+             a.read <- read;
+             true
+           end)
+    answers
+
+(* Do the $param assumptions hold under bindings [b]? *)
+let hold_under b db answers =
+  List.for_all
+    (function
+      | Assumed r -> not (ask db (subst_range b r)) | Answered _ -> true)
+    answers
 
 (* Runtime adaptation: replace quantifiers over empty ranges by their
    truth values (SOME over [] is false, ALL over [] is true), recursively
@@ -104,21 +214,6 @@ let to_query (sf : t) =
   in
   { free = sf.free; select = sf.select; body }
 
-(* All variables of the form, free first then prefix order — the
-   canonical column order of the combination phase's n-tuples. *)
-let variable_order (sf : t) =
-  List.map fst sf.free @ List.map (fun e -> e.Normalize.v) sf.prefix
-
-let range_of (sf : t) v =
-  match List.assoc_opt v sf.free with
-  | Some r -> Some r
-  | None ->
-    List.find_map
-      (fun e -> if String.equal e.Normalize.v v then Some e.Normalize.range else None)
-      sf.prefix
-
-let conjunction_count (sf : t) = List.length sf.matrix
-
 let pp ppf (sf : t) =
   let pp_sel ppf (v, a) = Fmt.pf ppf "%s.%s" v a in
   let pp_free ppf (v, r) = Fmt.pf ppf "EACH %s IN %a" v pp_range r in
@@ -135,4 +230,3 @@ let pp ppf (sf : t) =
     (Fmt.list ~sep:Fmt.sp pp_prefix)
     sf.prefix Normalize.pp_dnf sf.matrix
 
-let to_string sf = Fmt.str "%a" pp sf

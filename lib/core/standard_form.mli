@@ -11,11 +11,43 @@ type t = {
   matrix : Normalize.dnf;
 }
 
-val range_is_empty : Database.t -> range -> bool
-(** Emptiness against the live database; evaluates extended-range
-    restrictions (one counted scan). *)
+(** {2 Emptiness questions}
 
-val adapt_formula : Database.t -> formula -> formula
+    Planning reads the data only through {!range_is_empty}, so a plan
+    is valid wherever the answers it was planned under still hold. *)
+
+type answer
+(** One question asked while {!recording}: a range and its answer, with
+    the relation states (ids and versions) the answer read — or, for a
+    range that mentions a [$param], the assumption that it is
+    non-empty. *)
+
+type answers = answer list
+
+val range_is_empty : Database.t -> range -> bool
+(** Emptiness in [db]; an extended range costs one counted scan that
+    stops at the first witness.  A range mentioning a [$param] is
+    answered [false] (assumed non-empty).  Inside {!recording}, the
+    question and its answer are recorded. *)
+
+val has_params : range -> bool
+(** Does the range's restriction mention a [$param]? *)
+
+val recording : (unit -> 'a) -> 'a * answers
+(** Run a planning function and return the distinct emptiness questions
+    it asked (on this domain), in order. *)
+
+val still_hold : Database.t -> answers -> bool
+(** Does every recorded answer hold on [db]?  An answer whose relations
+    are the very states it read (same {!Relalg.Relation.id}), at the
+    same versions, holds without asking; any other is asked again (and, if
+    confirmed, re-keyed to [db]'s states).  [$param] assumptions are not checked
+    here: see {!hold_under}. *)
+
+val hold_under : Value.t Var_map.t -> Database.t -> answers -> bool
+(** Are the [$param] ranges assumed non-empty really non-empty in [db]
+    under these bindings? *)
+
 val adapt_query : Database.t -> query -> query
 (** Replace quantifiers over empty ranges by their truth values so that
     the subsequent prenex transformation is an equivalence. *)
@@ -30,12 +62,4 @@ val compile : Database.t -> query -> t
 val to_query : t -> query
 (** Rebuild a query; [run (to_query (compile db q)) = run q] on [db]. *)
 
-val variable_order : t -> var list
-(** Free variables first, then the prefix order — the canonical column
-    order of the combination phase's n-tuples. *)
-
-val range_of : t -> var -> range option
-val conjunction_count : t -> int
-
 val pp : t Fmt.t
-val to_string : t -> string

@@ -45,16 +45,13 @@ module Names = Map.Make (String)
 type catalog = {
   rels : Relation.t Names.t;
   enums : Value.enum_info Names.t;
-  catalog_version : int;
-      (* bumped when the set of catalogued relations changes, so the
-         stats epoch moves even before the new relation is populated *)
 }
 
 type t = { mutable cat : catalog; cc : mvcc option Atomic.t }
 
 let create () =
   {
-    cat = { rels = Names.empty; enums = Names.empty; catalog_version = 0 };
+    cat = { rels = Names.empty; enums = Names.empty };
     cc = Atomic.make (Some (fresh_mvcc ()));
   }
 
@@ -93,24 +90,7 @@ let add_relation db r =
   update db (fun cat ->
       if Names.mem n cat.rels then
         Errors.schema_error "relation %s already declared" n;
-      ( {
-          cat with
-          rels = Names.add n r cat.rels;
-          catalog_version = cat.catalog_version + 1;
-        },
-        () ))
-
-(* The stats epoch: a number that changes whenever the catalogued data
-   does.  Cached plans embed the epoch they were planned under; a bump
-   (insertion, deletion, clear, snapshot load — loads insert tuple by
-   tuple) invalidates them, so the empty-range adaptation their
-   standard forms took (Lemma 1's side conditions) is redone against
-   the shifted data.  Summing per-relation versions keeps the epoch
-   honest even for mutations performed directly on a {!Relation.t}
-   handle. *)
-let stats_epoch db =
-  let cat = db.cat in
-  Names.fold (fun _ r acc -> acc + Relation.version r) cat.rels cat.catalog_version
+      ({ cat with rels = Names.add n r cat.rels }, ()))
 
 let declare_relation db ~name schema =
   let r = Relation.create ~name schema in
@@ -646,15 +626,14 @@ let load ~path =
 (* ------------------------------------------------------------------ *)
 (* Snapshot-isolated transactions.
 
-   MVCC at relation granularity, riding the same versions the plan
-   cache's stats epoch already sums.  A transaction pins a *snapshot* —
+   MVCC at relation granularity.  A transaction pins a *snapshot* —
    the store's catalog value, read under the store lock in O(1) — so it
    sees every relation at one commit point and none of the installs
    that happen while it runs.  A write transaction never touches a
    committed state: its first write to a relation takes a private
    [Relation.copy], an O(1) record copy sharing the committed state's
    persistent tuple trie and index maps (and continuing its version
-   lineage so epochs stay monotone).  A write copies only the trie and
+   lineage).  A write copies only the trie and
    index nodes on its key's path, so it costs O(log n) however large
    the relation, and commit *installs* the copies in a new catalog
    value.

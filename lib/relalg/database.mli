@@ -60,16 +60,6 @@ val attach_storage : t -> pool_pages:int -> Buffer_pool.t
 (** Attach paged storage to every relation, sharing one buffer pool of
     the given capacity (in pages); returns the pool for statistics. *)
 
-val stats_epoch : t -> int
-(** A number that changes whenever the catalogued data does: the sum of
-    every relation's content {!Relation.version} plus a catalog version
-    bumped on relation declaration.  Plan caches key on it — inserts,
-    deletes, clears and snapshot loads all move the epoch, invalidating
-    plans whose standard form was adapted to which ranges were empty
-    (Lemma 1's non-empty-range conditions).  Join order and access
-    paths are chosen per execution and depend on no cached state.
-    Monotone for any fixed database. *)
-
 val pool_stats : t -> Buffer_pool.stats option
 (** Combined stats of the distinct buffer pools attached to this
     database's relations; [None] when no paged storage is attached. *)

@@ -200,14 +200,19 @@ type backing = {
 }
 
 type t = {
+  id : int;
+      (* this state's own number: a memo compares it (with [version])
+         where holding the state to compare physically would keep a
+         retired state alive *)
   name : string;
   schema : Schema.t;
   pos : int array;  (* key positions: a tuple's key is read off these *)
   mutable tbl : Key_trie.t;
   mutable card : int;  (* element count; the trie keeps none *)
   mutable version : int;
-      (* bumped on every content change (insert/delete/clear); feeds the
-         database stats epoch that invalidates cached plans *)
+      (* bumped on every content change (insert/delete/clear): with the
+         state's identity, what a cached plan's emptiness answers and
+         Batch's encode cache are validated against *)
   mutable backing : backing option;
   mutable frozen : bool;
       (* committed state of a durable database: snapshot readers may be
@@ -221,8 +226,12 @@ type t = {
          commit, a snapshot load and a WAL replay each move one value *)
 }
 
+let next_id = Atomic.make 0
+let fresh_id () = Atomic.fetch_and_add next_id 1
+
 let create ?(name = "") schema =
   {
+    id = fresh_id ();
     name;
     schema;
     pos = Schema.key_positions schema;
@@ -234,6 +243,7 @@ let create ?(name = "") schema =
     indexes = [];
   }
 
+let id r = r.id
 let version r = r.version
 let freeze r = r.frozen <- true
 let frozen r = r.frozen
@@ -446,15 +456,20 @@ let scan f r =
       List.iter f tuples
     end
 
-let scan_fold f init r =
+exception Witness
+
+(* One counted scan that stops at the first element satisfying [p]; on
+   paged storage it decodes no page past the witness's. *)
+let scan_exists p r =
   match r.backing with
   | None ->
     count_scan r;
-    fold f init r
-  | Some _ ->
-    let acc = ref init in
-    scan (fun t -> acc := f !acc t) r;
-    !acc
+    Key_trie.exists p r.tbl
+  | Some _ -> (
+    try
+      scan (fun t -> if p t then raise_notrace Witness) r;
+      false
+    with Witness -> true)
 
 (* Short-circuiting quantifiers: [for_all] sits on the division and
    [equal_set] paths, so bail out on the first witness instead of
@@ -479,12 +494,12 @@ let of_list ?name schema ts =
 
 (* O(1) in the relation's size: the copy shares the original's trie
    and index maps, and a mutation of either replaces only its own
-   fields.  The copy continues the original's version lineage, so a
-   transaction's private copy installed at commit keeps the database
-   stats epoch strictly monotone. *)
+   fields.  The copy continues the original's version lineage under a
+   new [id], so it never passes for the original in a memo. *)
 let copy r =
   {
     r with
+    id = fresh_id ();
     backing = None;
     frozen = false;
     indexes = List.map Secondary_index.copy r.indexes;
@@ -505,11 +520,16 @@ let build_index r ~on =
    The other indexes are copied, so later writes to either state leave
    the other's indexes alone. *)
 let with_index r idx =
-  { r with indexes = List.map Secondary_index.copy r.indexes @ [ idx ] }
+  {
+    r with
+    id = fresh_id ();
+    indexes = List.map Secondary_index.copy r.indexes @ [ idx ];
+  }
 
 let rebuild_indexes r =
   {
     r with
+    id = fresh_id ();
     indexes =
       List.map (fun i -> build_index r ~on:(Secondary_index.on i)) r.indexes;
   }

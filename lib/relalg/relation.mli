@@ -54,7 +54,10 @@ val scan : (Tuple.t -> unit) -> t -> unit
 (** Instrumented full scan: counts [relation.scans] and, for a named
     relation, [relation.scans.<name>]. *)
 
-val scan_fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
+val scan_exists : (Tuple.t -> bool) -> t -> bool
+(** Instrumented existence test: one counted scan, as {!scan}, that
+    stops at the first element satisfying the predicate. *)
+
 val exists : (Tuple.t -> bool) -> t -> bool
 val for_all : (Tuple.t -> bool) -> t -> bool
 
@@ -72,8 +75,14 @@ val backing_pages : t -> int option
 
 val version : t -> int
 (** Content version: bumped on every effective insertion, deletion and
-    clear.  Feeds {!Database.stats_epoch}, which invalidates cached
-    plans whose cardinality assumptions the change may break. *)
+    clear.  A state at an unchanged version holds unchanged contents,
+    so memos keyed by (state, version) stay valid — a cached plan's
+    emptiness answers, Batch's encode cache. *)
+
+val id : t -> int
+(** A number of this state's own, fresh for every state made
+    ({!create}, {!copy}, {!with_index}): equal ids are the same state,
+    so a memo can key on [(id, version)] without holding the state. *)
 
 val freeze : t -> unit
 (** Mark this relation state immutable: every subsequent content
@@ -98,7 +107,8 @@ val copy : t -> t
     replaces its own, so neither sees the other's later writes.  The
     copy keeps the original's {!version} (a write transaction's private
     copy continues its lineage) and its secondary indexes, is unfrozen
-    and has no paged storage. *)
+    and has no paged storage.  It is a different state with its own
+    {!id}, so a memo never mistakes one for the other. *)
 
 (** {2 Secondary indexes}
 

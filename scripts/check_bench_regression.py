@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Guard against combination-engine performance regressions.
 
-Eight checks:
+Nine checks:
 
 1. Compares a freshly measured benchmark run against the committed
    BENCH_results.json and fails if any fully-optimised (s1+s2+s3+s4)
@@ -72,6 +72,12 @@ Eight checks:
    a write that copies its relation grows with it and fails.  Both
    sides are medians of commits interleaved round by round in one
    process, so disk and machine speed cancel out.
+
+9. B-EMPTY of the NEW run alone: every leg (cold populated, cold
+   empty, and one session's cached plan through papers populated,
+   cleared and refilled) must agree with the naive evaluator.  A cached
+   plan kept across an emptiness flip gives wrong answers, not slow
+   ones, so a single disagreeing row fails the gate.
 
 Usage: check_bench_regression.py BASELINE.json NEW.json
 """
@@ -435,6 +441,30 @@ def check_write_scaling(path):
     return [] if ok else [(small, large)]
 
 
+def check_empty_agreement(path):
+    """B-EMPTY rows of the new run that disagree with the naive evaluator."""
+    with open(path) as f:
+        doc = json.load(f)
+    rows = [
+        r
+        for r in doc.get("results", doc if isinstance(doc, list) else [])
+        if r.get("experiment") == "B-EMPTY"
+    ]
+    if not rows:
+        print("B-EMPTY: no rows in the new run, skipping the agreement check")
+        return []
+    failed = []
+    for r in rows:
+        ok = r.get("agrees_naive") is True
+        print(
+            f"B-EMPTY  {r.get('leg', '?'):16s} rows={r.get('rows')}  "
+            f"cache={r.get('cache')}  {'ok' if ok else 'DISAGREES WITH NAIVE'}"
+        )
+        if not ok:
+            failed.append(r.get("leg"))
+    return failed
+
+
 def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__.strip())
@@ -477,6 +507,7 @@ def main():
     idx_failed = check_permanent_indexes(sys.argv[1], sys.argv[2])
     order_failed = check_order_counts(sys.argv[1], sys.argv[2])
     write_failed = check_write_scaling(sys.argv[2])
+    empty_failed = check_empty_agreement(sys.argv[2])
     if failed:
         sys.exit(f"{len(failed)}/{compared} rows regressed beyond {FACTOR}x")
     if prep_failed:
@@ -513,6 +544,11 @@ def main():
         sys.exit(
             f"B-WRITE upsert p50 at the largest relation exceeds "
             f"{WRITE_FACTOR}x the smallest"
+        )
+    if empty_failed:
+        sys.exit(
+            f"{len(empty_failed)} B-EMPTY legs whose answer differs from "
+            "the naive evaluator"
         )
     if compared:
         print(f"all {compared} rows within {FACTOR}x of baseline")

@@ -1,7 +1,8 @@
-(* The Session front door: plan-cache behaviour (repeat hits, stats-
-   epoch invalidation, LRU eviction, per-option and alpha-renaming
-   keys), prepared-query parameter grounding, and the PREPARE/EXECUTE
-   statement surface of the language. *)
+(* The Session front door: plan-cache behaviour (repeat hits,
+   invalidation exactly when an emptiness answer flips, LRU eviction,
+   per-option and alpha-renaming keys), prepared-query parameter
+   grounding, and the PREPARE/EXECUTE statement surface of the
+   language. *)
 
 open Pascalr
 open Relalg
@@ -48,33 +49,91 @@ let test_repeat_hits () =
     (Obs.Trace.find root2 "collection" <> None)
 
 (* ---------------------------------------------------------------- *)
-(* A stats-epoch bump (here: an insertion) invalidates the cached plan
-   and forces a re-plan on the next execution. *)
+(* A cached plan stays valid while the emptiness answers it was planned
+   under hold.  ships_all_parts asks about parts and shipments (its
+   quantifier ranges), never about suppliers (its free range). *)
 
-let test_epoch_invalidation () =
+let stats ~hits ~misses ~invalidations =
+  { Plan_cache.hits; misses; evictions = 0; invalidations }
+
+let agrees_naive db q r =
+  Alcotest.(check bool) "answer = naive" true
+    (Relation.equal_set (Naive_eval.run db q) r)
+
+let test_unasked_write_keeps_plan () =
   let db = mk_db () in
   let q = Workload.Suppliers.ships_all_parts db in
   let s = Session.create db in
-  let _ = Session.exec_traced s q in
-  let epoch_before = Database.stats_epoch db in
-  let suppliers = Database.find_relation db "suppliers" in
-  let free_snr = 998 in
-  Relation.insert suppliers
+  ignore (Session.exec s q : Relation.t);
+  Relation.insert
+    (Database.find_relation db "suppliers")
     (Tuple.of_list
-       [
-         Value.int free_snr;
-         Value.str "latecomer";
-         Workload.Suppliers.london db;
-       ]);
+       [ Value.int 998; Value.str "latecomer"; Workload.Suppliers.london db ]);
+  (* An asked range that stays non-empty keeps the plan too. *)
+  Relation.insert
+    (Database.find_relation db "shipments")
+    (Tuple.of_list [ Value.int 998; Value.int 1; Value.int 5 ]);
+  let r = Session.exec s q in
+  Alcotest.check cache_stats "one hit, no invalidation"
+    (stats ~hits:1 ~misses:1 ~invalidations:0)
+    (Session.cache_stats s);
+  agrees_naive db q r
+
+let test_flip_replans () =
+  let db = mk_db () in
+  let q = Workload.Suppliers.ships_all_parts db in
+  let s = Session.create db in
+  let parts = Database.find_relation db "parts" in
+  let saved = Relation.to_list parts in
+  ignore (Session.exec s q : Relation.t);
+  Relation.clear parts;
+  let r, root = Session.exec_traced s q in
+  Alcotest.check cache_stats "emptied range: one invalidation"
+    (stats ~hits:0 ~misses:1 ~invalidations:1)
+    (Session.cache_stats s);
   Alcotest.(check bool)
-    "insertion moves the stats epoch" true
-    (Database.stats_epoch db > epoch_before);
-  let _, root = Session.exec_traced s q in
-  let stats = Session.cache_stats s in
-  Alcotest.(check int) "one invalidation" 1 stats.Plan_cache.invalidations;
+    "the stale plan is rebuilt" true
+    (Obs.Trace.find root "plan" <> None);
+  agrees_naive db q r.Exec_result.result;
+  Relation.insert_list parts saved;
+  let r = Session.exec s q in
+  Alcotest.check cache_stats "refilled range: a second invalidation"
+    (stats ~hits:0 ~misses:1 ~invalidations:2)
+    (Session.cache_stats s);
+  agrees_naive db q r
+
+(* A plan cached inside a write transaction recorded the transaction's
+   private relation states.  After an abort, the store's papers can
+   reach the private copy's version with other contents; the plan must
+   still be re-checked (the states differ), never trusted on the
+   version alone. *)
+let test_abort_then_same_version () =
+  let db = Workload.University.generate Workload.University.default_params in
+  let q = Workload.Queries.running_query db in
+  let s = Session.create db in
+  let papers_empty_answer = ref 0 in
+  (try
+     Session.write s (fun txn ->
+         Session.Txn.clear txn "papers";
+         papers_empty_answer :=
+           Relation.cardinality (Session.Txn.exec txn q);
+         Alcotest.(check int) "txn's copy is one version ahead"
+           (Relation.version (Database.find_relation db "papers") + 1)
+           (Relation.version
+              (Database.find_relation (Session.Txn.database txn) "papers"));
+         raise Exit)
+   with Exit -> ());
+  let papers = Database.find_relation db "papers" in
+  let victim = List.hd (Relation.to_list papers) in
+  Relation.delete_key papers (Tuple.key_of (Relation.schema papers) victim);
+  let r = Session.exec s q in
+  let naive = Naive_eval.run db q in
   Alcotest.(check bool)
-    "stale entry forces a re-plan" true
-    (Obs.Trace.find root "plan" <> None)
+    "the test discriminates: papers = [] answers differently" true
+    (!papers_empty_answer <> Relation.cardinality naive);
+  Alcotest.(check int) "re-planned" 1
+    (Session.cache_stats s).Plan_cache.invalidations;
+  agrees_naive db q r
 
 (* ---------------------------------------------------------------- *)
 (* LRU eviction: with capacity 2, the least recently used entry is the
@@ -261,6 +320,152 @@ let test_prepared_equals_fresh =
     prepared_equals_fresh_on
 
 (* ---------------------------------------------------------------- *)
+(* Differential: one prepared plan per strategy preset, run through
+   random writes that flip the emptiness of a base range (shipments), a
+   restricted range (red parts) and a $param range (shipments of at
+   least $q) both ways: committed through Session.write, made inside
+   write transactions that execute the plans on their private states
+   and then abort, and made directly on the relations of a store
+   without a WAL.  After every write each prepared result must equal
+   Naive_eval's, and the plan the cache serves must print exactly as a
+   fresh Session.plan_only: planning is a pure function of the query,
+   the options and the emptiness answers. *)
+
+let flip_query db =
+  let open Calculus in
+  let red_parts =
+    restricted "parts" "p" (eq (attr "p" "pcolor") (const (Workload.Suppliers.red db)))
+  in
+  let big_shipments =
+    restricted "shipments" "k" (mk_atom (attr "k" "hqty") Value.Ge (param "q"))
+  in
+  {
+    free = [ ("s", base "suppliers") ];
+    select = [ ("s", "sname") ];
+    body =
+      f_or
+        (f_and
+           (eq (attr "s" "scity") (const (Workload.Suppliers.london db)))
+           (f_all "j" big_shipments (eq (attr "j" "hsnr") (attr "s" "snr"))))
+        (f_and
+           (f_some "h" (base "shipments") (eq (attr "h" "hsnr") (attr "s" "snr")))
+           (f_all "p" red_parts
+              (f_some "k" (base "shipments")
+                 (f_and
+                    (eq (attr "k" "hsnr") (attr "s" "snr"))
+                    (eq (attr "k" "hpnr") (attr "p" "pnr"))))));
+  }
+
+type mutator = {
+  ins : string -> Tuple.t -> unit;
+  del : string -> Value.t list -> unit;
+  clr : string -> unit;
+}
+
+let direct db =
+  let rel = Database.find_relation db in
+  {
+    ins = (fun n t -> Relation.insert (rel n) t);
+    del = (fun n k -> Relation.delete_key (rel n) k);
+    clr = (fun n -> Relation.clear (rel n));
+  }
+
+let in_txn txn =
+  {
+    ins = Session.Txn.insert txn;
+    del = Session.Txn.delete_key txn;
+    clr = Session.Txn.clear txn;
+  }
+
+let random_write db rng m =
+  let int n = Random.State.int rng n in
+  let upsert name key rest =
+    m.del name key;
+    m.ins name (Tuple.of_list (key @ rest))
+  in
+  match int 6 with
+  | 0 -> m.clr "shipments"
+  | 1 -> m.clr "parts"
+  | 2 ->
+    upsert "shipments"
+      [ Value.int (1 + int 4); Value.int (1 + int 3) ]
+      [ Value.int (List.nth [ 1; 50; 500 ] (int 3)) ]
+  | 3 ->
+    let color = Database.find_enum db "colortype" in
+    upsert "parts"
+      [ Value.int (1 + int 3) ]
+      [ Value.str "part"; Value.enum_ordinal color (int 2); Value.int 1 ]
+  | 4 -> m.del "parts" [ Value.int (1 + int 3) ]
+  | _ -> m.del "shipments" [ Value.int (1 + int 4); Value.int (1 + int 3) ]
+
+let cached_plan_differential seed =
+  let db =
+    Workload.Suppliers.generate
+      {
+        Workload.Suppliers.default_params with
+        n_suppliers = 4;
+        n_parts = 3;
+        n_shipments = 5;
+        seed;
+      }
+  in
+  let rng = Random.State.make [| seed |] in
+  let q = flip_query db in
+  let preps =
+    List.map
+      (fun (name, strategy) ->
+        let opts = Exec_opts.make ~strategy () in
+        (name, opts, Session.prepare ~opts (Session.create db) q))
+      Strategy.all_presets
+  in
+  let writer = Session.create db in
+  let check ?within step =
+    let view = Option.value within ~default:db in
+    let qty = List.nth [ 1; 50; 501 ] (Random.State.int rng 3) in
+    let params = [ ("q", Value.int qty) ] in
+    let expected =
+      Naive_eval.run view
+        (Calculus.subst_query (Calculus.Var_map.singleton "q" (Value.int qty)) q)
+    in
+    List.iter
+      (fun (name, opts, prep) ->
+        if not (Relation.equal_set expected (Prepared.exec ?within ~params prep))
+        then
+          QCheck.Test.fail_reportf "%s: step %d ($q = %d): answer <> naive"
+            name step qty;
+        let pp = Fmt.str "%a" Plan.pp in
+        if
+          within = None
+          && pp (Prepared.plan prep) <> pp (Session.plan_only ~opts db q)
+        then
+          QCheck.Test.fail_reportf "%s: step %d: cached plan <> fresh plan"
+            name step)
+      preps
+  in
+  for step = 1 to 10 do
+    match Random.State.int rng 3 with
+    | 0 -> random_write db rng (direct db); check step
+    | 1 ->
+      Session.write writer (fun txn -> random_write db rng (in_txn txn));
+      check step
+    | _ ->
+      (try
+         Session.write writer (fun txn ->
+             random_write db rng (in_txn txn);
+             check ~within:(Session.Txn.database txn) step;
+             raise Exit)
+       with Exit -> ());
+      check step
+  done;
+  true
+
+let test_cached_plan_differential =
+  QCheck.Test.make ~name:"cached plan = fresh plan across emptiness flips"
+    ~count:40
+    QCheck.(make Gen.(int_range 0 100_000))
+    cached_plan_differential
+
+(* ---------------------------------------------------------------- *)
 (* The statement surface: PREPARE ... FOR, EXECUTE with bindings into
    a target relation, and the error paths. *)
 
@@ -326,8 +531,12 @@ let suite =
       [
         Alcotest.test_case "repeat execution hits the plan cache" `Quick
           test_repeat_hits;
-        Alcotest.test_case "stats-epoch bump invalidates and re-plans" `Quick
-          test_epoch_invalidation;
+        Alcotest.test_case "unasked or unflipped write keeps the plan" `Quick
+          test_unasked_write_keeps_plan;
+        Alcotest.test_case "emptiness flip invalidates and re-plans" `Quick
+          test_flip_replans;
+        Alcotest.test_case "aborted write's plan is re-checked" `Quick
+          test_abort_then_same_version;
         Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction;
         Alcotest.test_case "distinct keys per strategy and join order" `Quick
           test_keys_per_options;
@@ -337,6 +546,7 @@ let suite =
           test_params_ground;
         Alcotest.test_case "parameter binding errors" `Quick test_params_errors;
         QCheck_alcotest.to_alcotest test_prepared_equals_fresh;
+        QCheck_alcotest.to_alcotest test_cached_plan_differential;
         Alcotest.test_case "PREPARE/EXECUTE statements" `Quick
           test_lang_prepare_execute;
         Alcotest.test_case "EXECUTE without a required binding" `Quick
