@@ -32,14 +32,18 @@ open Calculus
 (* The index side of an indirect join: the per-query {!Index} this
    phase builds, or a declared secondary index standing in for it
    (paper Section 3.2: "The first step can be omitted, if permanent
-   indexes exist") — its buckets hold tuples, which the range relation
-   turns into references. *)
+   indexes exist") — its buckets hold tuples of the range relation,
+   whose ordinals are the references. *)
 type probe_index =
   | Built of Index.t
   | Declared of Secondary_index.t * Relation.t
 
+(* A reference made during an execution is the element's ordinal in the
+   query's tuple table ([batch_pool]): single lists and indirect joins
+   are int columns of ordinals, filled by the scan that finds the
+   elements. *)
 type entry =
-  | E_rel of Relation.t
+  | E_rel of Batch.columns
   | E_index of probe_index
   | E_vlist of Value_list.t * bool  (* value list, monadics-hold-for-all flag *)
 
@@ -52,9 +56,8 @@ type t = {
   mutable stand_ins_installed : bool;
   batch_size : int;  (* row window of the vectorized stream kernels *)
   batch_pool : Batch.pool;
-      (* one interning pool per query: every stream chain of the
-         combination phase shares it, so a base single list padded into
-         several disjuncts is column-encoded exactly once *)
+      (* the query's tuple table: every structure's ordinals and every
+         combination-phase column are over it *)
   use_index : bool;
       (* serve structure builds from declared secondary indexes when a
          restriction allows it; false = heap scans everywhere *)
@@ -64,8 +67,8 @@ type t = {
 }
 
 type component =
-  | C_single of var * Relation.t
-  | C_pair of var * var * Relation.t
+  | C_single of var * Batch.columns
+  | C_pair of var * var * Batch.columns
 
 (* ------------------------------------------------------------------ *)
 (* Setup *)
@@ -403,6 +406,15 @@ let rec vlist_specs t (p : Plan.pushed) : spec list =
       };
     ]
 
+(* A single list [<@v>]: the ordinals of the scanned elements of [v]'s
+   range relation [rel] that [keep] accepts.  A scan delivers each
+   element once, so the list needs no dedup. *)
+let single_list t v rel keep =
+  let out = Batch.acc_create ~name:("sl_" ^ v) (single_schema t v) in
+  let ord = Batch.ordinals t.batch_pool rel in
+  ( (fun tuple -> if keep tuple then Batch.acc_push_cell out 0 (ord tuple)),
+    fun () -> E_rel (Batch.acc_finish out) )
+
 (* Base single list of a variable: its (restricted) range expression
    evaluated to a reference relation [<@v>]. *)
 let base_key v = "base:" ^ v
@@ -412,15 +424,8 @@ let base_spec t v : spec =
   let rel = Database.find_relation t.db range.range_rel in
   let schema = Relation.schema rel in
   let start t =
-    let out = Relation.create ~name:("sl_" ^ v) (single_schema t v) in
-    let in_range = restriction_pred t.db schema range.restriction in
-    (* The references of one keyed relation's elements are distinct
-       and well typed by construction. *)
-    let per_tuple tuple =
-      if in_range tuple then
-        Relation.insert_unchecked out [| Reference.value_of_tuple rel tuple |]
-    in
-    (per_tuple, fun () -> E_rel out)
+    let keep = restriction_pred t.db schema range.restriction in
+    single_list t v rel keep
   in
   {
     sp_key = base_key v;
@@ -442,15 +447,7 @@ let single_spec t v atoms (derived : (var * Plan.pushed) list) : spec list =
   let schema = Relation.schema rel in
   let vspecs = List.concat_map (fun (_, p) -> vlist_specs t p) derived in
   let key = single_key v atoms derived in
-  let start t =
-    let out = Relation.create ~name:("sl_" ^ v) (single_schema t v) in
-    let keep = element_pred t range schema v atoms derived in
-    let per_tuple tuple =
-      if keep tuple then
-        Relation.insert_unchecked out [| Reference.value_of_tuple rel tuple |]
-    in
-    (per_tuple, fun () -> E_rel out)
-  in
+  let start t = single_list t v rel (element_pred t range schema v atoms derived) in
   vspecs
   @ [
       {
@@ -477,8 +474,9 @@ let index_spec t v attr atoms derived : spec list =
   let key = index_key v attr atoms derived in
   let start t =
     let idx = Index.create rel ~on:[ attr ] in
-    let keep = element_pred t range schema v atoms derived in
-    let per_tuple tuple = if keep tuple then Index.add idx rel tuple in
+    let keep = element_pred t range schema v atoms derived
+    and ord = Batch.ordinals t.batch_pool rel in
+    let per_tuple tuple = if keep tuple then Index.add idx tuple (ord tuple) in
     (per_tuple, fun () -> E_index (Built idx))
   in
   vspecs
@@ -541,14 +539,13 @@ let pair_shape t (a : atom) =
       }
   | _ -> invalid_arg "Collection.pair_shape: not a dyadic join term"
 
-(* Probing either kind of index side: the fold, set up once per
-   build. *)
-let index_fold = function
-  | Built i -> Index.fold_matching_entries i
+(* Probing either kind of index side for the ordinals of the matching
+   elements, set up once per build. *)
+let index_iter pool = function
+  | Built i -> Index.iter_matching i
   | Declared (i, rel) ->
-    let to_ref = Reference.of_tuple rel in
-    fun op probe f init ->
-      Secondary_index.fold_matching_entries i op probe to_ref f init
+    let ord = Batch.ordinals pool rel in
+    fun op probe f -> Secondary_index.iter_matching i op probe (fun t -> f (ord t))
 
 let index_exists idx op probe =
   match idx with
@@ -608,7 +605,7 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
         mutual_with_keys
     in
     let out =
-      Relation.create
+      Batch.acc_create
         ~name:("ij_" ^ shape.ps_probe ^ "_" ^ shape.ps_index)
         (pair_schema t shape.ps_probe shape.ps_index)
     in
@@ -617,89 +614,25 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
         (element_pred t range schema v probe_atoms probe_derived)
         (all mutual_checks)
     and probe_value = getter schema shape.ps_probe_attr
-    and fold_entries = index_fold idx in
-    (* Vectorized collection: the combination phase may consume this
-       structure columnarly, so the build records the rows it inserts
-       and registers a deferred encode of them
-       ({!Batch.register_unordered}).  A columnar divide over the
-       structure then forces it instead of re-interning the whole
-       structure — for a large indirect join that re-encode is its
-       single biggest cost — and a structure no divide reads never pays
-       for interning at all.  Each matched index entry's references are
-       interned once, however many probes match it. *)
-    let pool = t.batch_pool in
-    (* Per qualifying probe tuple, newest first: its reference and the
-       index side of each row it inserted — (entry ordinal, position in
-       the entry), or the value of an [Eq] bucket match. *)
-    let inserted = ref [] in
-    let entries = Hashtbl.create 16 in
-    (* The reference of the probe element being matched, read by the
-       entry fold, which is built once rather than per element. *)
-    let probe_ref = ref (Value.VBool false) in
-    (* The pair structure has a whole-tuple key and both components
-       are references built from already-checked relations, so the
-       unchecked fast path applies — this is the hottest insert site
-       of the collection phase (one insert per qualifying index
-       match). *)
-    let add_entry cells ord refs =
-      List.fold_left
-        (fun (cells, i) r ->
-          let rv = Value.VRef r in
-          let before = Relation.cardinality out in
-          Relation.insert_unchecked out [| !probe_ref; rv |];
-          ( (if Relation.cardinality out = before then cells
-             else
-               match ord with
-               | Some o ->
-                 if not (Hashtbl.mem entries o) then
-                   Hashtbl.replace entries o refs;
-                 Either.Left (o, i) :: cells
-               | None -> Either.Right rv :: cells),
-            i + 1 ))
-        (cells, 0) refs
-      |> fst
+    and ord = Batch.ordinals t.batch_pool rel
+    and matching = index_iter t.batch_pool idx in
+    (* One row per (probe element, matching index element): distinct
+       probe elements and disjoint index buckets make every row
+       distinct, so the structure needs no dedup.  [probe] is the
+       ordinal of the probe element being matched, read by [pair], which
+       is built once rather than per element. *)
+    let probe = ref 0 in
+    let pair i =
+      Batch.acc_push_cell out 0 !probe;
+      Batch.acc_push_cell out 1 i
     in
     let per_tuple tuple =
       if keep tuple then begin
-        probe_ref := Reference.value_of_tuple rel tuple;
-        let cells =
-          fold_entries shape.ps_probe_op (probe_value tuple) add_entry []
-        in
-        if cells <> [] then inserted := (!probe_ref, cells) :: !inserted
+        probe := ord tuple;
+        matching shape.ps_probe_op (probe_value tuple) pair
       end
     in
-    let encode () =
-      let entry_ids = Hashtbl.create (Hashtbl.length entries) in
-      let entry_id (o, i) =
-        match Hashtbl.find_opt entry_ids o with
-        | Some ids -> ids.(i)
-        | None ->
-          let ids =
-            Array.of_list
-              (List.map
-                 (fun r -> Batch.intern pool (Value.VRef r))
-                 (Hashtbl.find entries o))
-          in
-          Hashtbl.replace entry_ids o ids;
-          ids.(i)
-      in
-      let acc = Batch.acc_create [| Batch.K_obj; Batch.K_obj |] in
-      List.iter
-        (fun (probe_ref, cells) ->
-          let probe_id = Batch.intern pool probe_ref in
-          List.iter
-            (fun cell ->
-              Batch.acc_push_cell acc 0 probe_id;
-              Batch.acc_push_cell acc 1
-                (Either.fold ~left:entry_id ~right:(Batch.intern pool) cell))
-            (List.rev cells))
-        (List.rev !inserted);
-      Batch.acc_finish acc
-    in
-    ( per_tuple,
-      fun () ->
-        Batch.register_unordered pool out (lazy (encode ()));
-        E_rel out )
+    (per_tuple, fun () -> E_rel (Batch.acc_finish out))
   in
   vspecs @ idx_specs
   @ List.concat_map (fun (_, _, specs) -> specs) mutual_with_keys
@@ -1072,7 +1005,7 @@ let intermediate_sizes t =
     (fun key entry acc ->
       let size =
         match entry with
-        | E_rel r -> Relation.cardinality r
+        | E_rel r -> r.Batch.c_rows
         | E_index (Built i) -> Index.entry_count i
         | E_index (Declared (i, _)) -> Secondary_index.entry_count i
         | E_vlist (vl, _) -> Value_list.stored_size vl

@@ -7,7 +7,12 @@
     (all structures over a relation in one pass, honouring
     index-before-probe dependencies).  Strategy 2 folds monadic terms
     and derived predicates into the indirect joins; strategy 4's derived
-    predicates are evaluated through {!Relalg.Value_list}. *)
+    predicates are evaluated through {!Relalg.Value_list}.
+
+    A reference made during the execution is the element's ordinal in
+    the query's tuple table ({!batch_pool}): single lists and indirect
+    joins are int columns of ordinals ({!Relalg.Batch.columns}), built
+    by the scan that finds the elements. *)
 
 open Relalg
 open Calculus
@@ -15,9 +20,9 @@ open Calculus
 type t
 
 type component =
-  | C_single of var * Relation.t
+  | C_single of var * Batch.columns
       (** single list: reference relation [<@v>] *)
-  | C_pair of var * var * Relation.t
+  | C_pair of var * var * Batch.columns
       (** indirect join: reference relation [<@v1, @v2>] *)
 
 val create :
@@ -44,16 +49,17 @@ val create :
 val batch_size : t -> int
 (** The batch size given to {!create}. *)
 
-val batch_pool : t -> Relalg.Batch.pool
-(** The query-scoped interning pool every combination-phase stream
-    chain shares; one column encode per base list per query. *)
+val batch_pool : t -> Batch.pool
+(** The query's tuple table: the ordinals of every structure, of every
+    combination-phase column and of the combination result are over
+    it. *)
 
 val run : t -> unit
 (** With strategy 1, build every structure of the plan up front in
     grouped scans; otherwise a no-op (structures build lazily).  Every
     build runs on the caller. *)
 
-val base_list : t -> var -> Relation.t
+val base_list : t -> var -> Batch.columns
 (** The variable's (restricted) range expression as a single list —
     used for padding and as the division divisor. *)
 

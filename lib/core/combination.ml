@@ -40,20 +40,24 @@
 
    Both engines use one operator set: joins, products and projections
    are {!Algebra.Stream} chains, a union is one materialization fed by
-   several chains, and ALL is the columnar {!divide_columns}. *)
+   several chains, and ALL is the columnar {!divide_columns}.  Every
+   relation of the phase is int columns of the query's tuple-table
+   ordinals ({!Batch.columns}): the collection phase's structures go in
+   as they are, and the result goes to construction as it is. *)
 
 open Relalg
 open Calculus
 
 type join_order = Cost_ordered | Declaration
 
-let columns rel = Schema.names (Relation.schema rel)
+let columns (c : Batch.columns) = Schema.names c.Batch.c_schema
+let card (c : Batch.columns) = c.Batch.c_rows
 
 let rel_of = function
   | Collection.C_single (_, r) -> r
   | Collection.C_pair (_, _, r) -> r
 
-let has_col rel v = Schema.mem (Relation.schema rel) v
+let has_col (c : Batch.columns) v = Schema.mem c.Batch.c_schema v
 
 (* Schema of the n-tuple reference relations over [order]. *)
 let ntuple_schema (plan : Plan.t) order =
@@ -68,14 +72,20 @@ let ntuple_schema (plan : Plan.t) order =
 
 module Stream = Algebra.Stream
 
-let of_rel coll = Stream.of_relation ~pool:(Collection.batch_pool coll)
+let of_rel coll = Stream.of_columns (Collection.batch_pool coll)
 
 (* Every combination-phase relation is one materialization of one or
    more chains over the query's batch pool: several chains are unioned
-   into the one whole-tuple-keyed sink. *)
+   into the one whole-row-deduplicated output. *)
 let materialize ~par coll chains =
-  Stream.materialize ?par ~batch_size:(Collection.batch_size coll)
-    ~name:"refrel" chains
+  Stream.run ?par ~batch_size:(Collection.batch_size coll) ~name:"refrel"
+    chains
+
+(* The relation of [schema] holding the given integer rows. *)
+let of_rows schema rows =
+  let acc = Batch.acc_create ~name:"refrel" schema in
+  List.iter (Array.iteri (Batch.acc_push_cell acc)) rows;
+  Batch.acc_finish acc
 
 (* Projection for SOME as a one-stage chain. *)
 let project ~par coll rel names =
@@ -86,30 +96,25 @@ let project ~par coll rel names =
 (* ------------------------------------------------------------------ *)
 
 (* The division kernel both engines share: the pad -> union -> divide
-   pipeline of one ALL elimination executed over interned integer
-   columns.  Each dividend member is given as its sources — the member
-   relation, then one base list per column it lacks — whose cross
-   product, read through the columns named [common], is the member's
-   padded rows.  Materializing the padded members and their union would
-   cost one deep structural hash per inserted reference tuple, tens of
-   thousands of inserts whose only purpose is to feed the division.
-   Instead each source is encoded once (cached in the query pool), the
-   padded rows are enumerated as integer rows with an odometer over the
-   sources, the division groups by integer quotient keys, and only the
-   quotient — typically a few rows — is decoded back.
+   pipeline of one ALL elimination executed over integer columns.  Each
+   dividend member is given as its sources — the member, then one base
+   list per column it lacks — whose cross product, read through the
+   columns named [common], is the member's padded rows.  Materializing
+   the padded members and their union would build tens of thousands of
+   rows whose only purpose is to feed the division.  Instead the padded
+   rows are enumerated as integer rows with an odometer over the
+   sources' columns, and the division groups by integer quotient keys.
 
-   Set semantics: interning is injective, so integer-row equality is
-   tuple equality within the pool; the union's set semantics fall out
-   of the image sets (duplicate (quotient, image) pairs collapse); cover
-   checks compare the same sets of values.  Relation scan/insert
-   counters do not move for the skipped intermediates (the batch.rows
-   counters do instead).
+   Set semantics: ordinals (and interned values) are injective, so
+   integer-row equality is tuple equality within the pool; the union's
+   set semantics fall out of the image sets (duplicate (quotient, image)
+   pairs collapse); cover checks compare the same sets of values.
 
    Returns the covering quotient keys (integer rows over [common]
    without [v], in Ikey iteration order) and the distinct-row count of
    the virtual union.  With [v] the only column, the one quotient is the
    empty key, present iff the union's v set covers the divisor. *)
-let divide_columns pool ~v ~common members divisor =
+let divide_columns ~v ~common members divisor =
   let t0 = Unix.gettimeofday () in
   let k = List.length common in
   let vq =
@@ -120,43 +125,25 @@ let divide_columns pool ~v ~common members divisor =
   let members =
     List.map
       (fun sources ->
-        let views =
-          List.map
-            (fun r ->
-              (* The whole pipeline here is order-insensitive (groups,
-                 image sets, distinct counts), so a source that was
-                 materialized by the stream kernels can reuse the
-                 insertion-order columns it registered. *)
-              let e = Batch.encode_relation_unordered pool r in
-              ( Relation.schema r,
-                Batch.of_encoded pool e ~off:0 ~len:(Batch.encoded_rows e) ))
-            sources
-        in
         let locate c =
           let rec go si = function
             | [] -> invalid_arg "Combination: padded column without a source"
-            | (s, view) :: rest ->
-              if Schema.mem s c then (si, view.Batch.cols.(Schema.index_of s c))
+            | (s : Batch.columns) :: rest ->
+              if has_col s c then
+                (si, s.Batch.c_cols.(Schema.index_of s.Batch.c_schema c))
               else go (si + 1) rest
           in
-          go 0 views
+          go 0 sources
         in
         let mapping = Array.of_list (List.map locate common) in
-        let dims =
-          Array.of_list (List.map (fun (_, b) -> b.Batch.nrows) views)
-        in
-        (mapping, dims))
+        (mapping, Array.of_list (List.map card sources)))
       members
   in
-  let divisor_view =
-    let e = Batch.encode_relation pool divisor in
-    Batch.of_encoded pool e ~off:0 ~len:(Batch.encoded_rows e)
-  in
   let divisor_col =
-    divisor_view.Batch.cols.(Schema.index_of (Relation.schema divisor) v)
+    divisor.Batch.c_cols.(Schema.index_of divisor.Batch.c_schema v)
   in
   let divisor_set = Hashtbl.create 64 in
-  for r = 0 to divisor_view.Batch.nrows - 1 do
+  for r = 0 to divisor.Batch.c_rows - 1 do
     Hashtbl.replace divisor_set (Batch.cell divisor_col r) ()
   done;
   let needed = Hashtbl.length divisor_set in
@@ -237,24 +224,11 @@ let divide_columns pool ~v ~common members divisor =
   Obs.Metrics.incr ~by:ns "algebra.batch.kernel_ns";
   (keys, !dividend_card)
 
-(* Decode quotient keys into a relation of [schema], through the
-   batch accumulator so every column class decodes as it was encoded. *)
-let decode_quotient pool schema keys =
-  let acc =
-    Batch.acc_create
-      (Array.init (Schema.arity schema) (fun c ->
-           Batch.cls_of_type (Schema.type_at schema c)))
-  in
-  List.iter (Array.iteri (Batch.acc_push_cell acc)) keys;
-  let e = Batch.acc_finish acc in
-  let b = Batch.of_encoded pool e ~off:0 ~len:(Batch.encoded_rows e) in
-  let out = Relation.create ~name:"refrel" schema in
-  Batch.live_iter (fun i -> Relation.insert out (Batch.tuple b i)) b;
-  out
-
-let divide ?(pool = Batch.create_pool ()) ~v r divisor =
+(* The relation-level division: both inputs encoded once into a fresh
+   pool, the quotient decoded. *)
+let divide ~v r divisor =
   let quotient_names =
-    List.filter (fun c -> not (String.equal c v)) (columns r)
+    List.filter (fun c -> not (String.equal c v)) (Schema.names (Relation.schema r))
   in
   if quotient_names = [] then
     Errors.schema_error "divide: no quotient attributes remain";
@@ -262,8 +236,14 @@ let divide ?(pool = Batch.create_pool ()) ~v r divisor =
   if Batch.cls_of_type (ty r) <> Batch.cls_of_type (ty divisor) then
     Errors.type_error "divide on %s: cannot compare %a with %a" v Vtype.pp
       (ty r) Vtype.pp (ty divisor);
-  let keys, _ = divide_columns pool ~v ~common:(columns r) [ [ r ] ] divisor in
-  decode_quotient pool (Schema.project (Relation.schema r) quotient_names) keys
+  let pool = Batch.create_pool () in
+  let r = Batch.of_relation pool r in
+  let keys, _ =
+    divide_columns ~v ~common:(columns r) [ [ r ] ]
+      (Batch.of_relation pool divisor)
+  in
+  Batch.to_relation pool
+    (of_rows (Schema.project r.Batch.c_schema quotient_names) keys)
 
 (* ------------------------------------------------------------------ *)
 (* Declaration-order engine (the paper's baseline).                    *)
@@ -281,8 +261,8 @@ let combine_conjunction coll order components =
   in
   let rec go acc remaining =
     match List.partition (shares acc) remaining with
-    | c :: others, rest -> go (Stream.natural_join acc (rel_of c)) (others @ rest)
-    | [], c :: rest -> go (Stream.natural_join acc (rel_of c)) rest
+    | c :: others, rest -> go (Stream.join acc (rel_of c)) (others @ rest)
+    | [], c :: rest -> go (Stream.join acc (rel_of c)) rest
     | [], [] -> acc
   in
   let joined =
@@ -295,7 +275,7 @@ let combine_conjunction coll order components =
     List.fold_left
       (fun s v ->
         if Schema.mem (Stream.schema s) v then s
-        else Stream.product s (Collection.base_list coll v))
+        else Stream.cross s (Collection.base_list coll v))
       joined order
   in
   Stream.project padded order
@@ -317,11 +297,13 @@ let eliminate_quantifiers ~par coll (plan : Plan.t) rel =
             match e.Normalize.q with
             | Normalize.Q_some -> project ~par coll acc remaining
             | Normalize.Q_all ->
-              divide ~pool:(Collection.batch_pool coll) ~v acc
-                (Collection.base_list coll v)
+              let keys, _ =
+                divide_columns ~v ~common:(columns acc) [ [ acc ] ]
+                  (Collection.base_list coll v)
+              in
+              of_rows (Schema.project acc.Batch.c_schema remaining) keys
           in
-          Obs.Trace.add_attr "ntuples"
-            (Obs.Json.Int (Relation.cardinality reduced));
+          Obs.Trace.add_attr "ntuples" (Obs.Json.Int (card reduced));
           reduced))
     rel
     (List.rev plan.Plan.prefix)
@@ -339,14 +321,14 @@ let evaluate_declaration ~par coll (plan : Plan.t) grow =
   in
   let unioned =
     match chains with
-    | [] -> Relation.create ~name:"refrel" (ntuple_schema plan order)
+    | [] -> of_rows (ntuple_schema plan order) []
     | _ ->
       Obs.Trace.with_span "union" (fun () ->
           let u = materialize ~par coll chains in
-          Obs.Trace.add_attr "ntuples" (Obs.Json.Int (Relation.cardinality u));
+          Obs.Trace.add_attr "ntuples" (Obs.Json.Int (card u));
           u)
   in
-  grow (Relation.cardinality unioned);
+  grow (card unioned);
   (* Eliminating the prefix from [order] = free @ prefix leaves exactly
      the free variables, in declaration order. *)
   eliminate_quantifiers ~par coll plan unioned
@@ -400,7 +382,7 @@ let pad_chain coll target rel =
     List.fold_left
       (fun s v ->
         if List.mem v cols then s
-        else Stream.product s (Collection.base_list coll v))
+        else Stream.cross s (Collection.base_list coll v))
       (of_rel coll rel) target
   in
   if List.equal String.equal cols target then s else Stream.project s target
@@ -420,7 +402,7 @@ let combine_streaming ~par ~label ~record coll (plan : Plan.t) order components 
       List.map
         (fun r ->
           {
-            Cost.ji_card = Relation.cardinality r;
+            Cost.ji_card = card r;
             ji_cols = columns r;
             ji_distinct = Stats.column_distincts r;
           })
@@ -451,9 +433,9 @@ let combine_streaming ~par ~label ~record coll (plan : Plan.t) order components 
             if List.exists (fun c -> Schema.mem (Stream.schema s) c) (columns r)
             then begin
               Obs.Metrics.incr "combination.join.hash";
-              record (Fmt.str "%s.j%d:%s" label step (Relation.name r)) "hash"
+              record (Fmt.str "%s.j%d:%s" label step r.Batch.c_name) "hash"
             end;
-            (step + 1, Stream.natural_join s r))
+            (step + 1, Stream.join s r))
           (1, of_rel coll first)
           rest
         |> snd
@@ -475,7 +457,6 @@ let combine_streaming ~par ~label ~record coll (plan : Plan.t) order components 
    only common column the quotient is a boolean: the constant TRUE
    disjunct or nothing. *)
 let eliminate_all coll (plan : Plan.t) grow ~v ~common cohort =
-  let pool = Collection.batch_pool coll in
   (match cohort with
   | [ d ] when List.equal String.equal (columns d) common -> ()
   | _ -> Obs.Metrics.incr "algebra.materialized.union");
@@ -490,7 +471,7 @@ let eliminate_all coll (plan : Plan.t) grow ~v ~common cohort =
       cohort
   in
   let keys, card =
-    divide_columns pool ~v ~common members (Collection.base_list coll v)
+    divide_columns ~v ~common members (Collection.base_list coll v)
   in
   grow card;
   match List.filter (fun c -> not (String.equal c v)) common with
@@ -500,14 +481,10 @@ let eliminate_all coll (plan : Plan.t) grow ~v ~common cohort =
        carrying it. *)
     let attr c =
       match List.find_opt (fun d -> has_col d c) cohort with
-      | Some d -> Schema.attr c (Schema.type_of (Relation.schema d) c)
+      | Some d -> Schema.attr c (Schema.type_of d.Batch.c_schema c)
       | None -> invalid_arg "Combination: cohort column without a source"
     in
-    [
-      decode_quotient pool
-        (Schema.make (List.map attr quotient_names) ~key:[])
-        keys;
-    ]
+    [ of_rows (Schema.make (List.map attr quotient_names) ~key:[]) keys ]
 
 (* Disjunct-wise right-to-left quantifier elimination over the LIST of
    conjunction relations (heterogeneous column sets); see the header
@@ -534,7 +511,7 @@ let eliminate_streaming ~par coll (plan : Plan.t) grow disjuncts =
                     in
                     if remaining = [] then
                       (* ∃v over a one-column disjunct is a boolean *)
-                      if Relation.is_empty d then None
+                      if card d = 0 then None
                       else Some (true_disjunct coll plan)
                     else Some (project ~par coll d remaining))
                 djs
@@ -551,7 +528,7 @@ let eliminate_streaming ~par coll (plan : Plan.t) grow disjuncts =
                 eliminate_all coll plan grow ~v ~common cohort @ others)
           in
           let total =
-            List.fold_left (fun n d -> n + Relation.cardinality d) 0 reduced
+            List.fold_left (fun n d -> n + card d) 0 reduced
           in
           Obs.Trace.add_attr "ntuples" (Obs.Json.Int total);
           reduced))
@@ -575,22 +552,21 @@ let evaluate_streaming ~par ~record coll (plan : Plan.t) grow =
               | Some r -> r
               | None -> true_disjunct coll plan
             in
-            grow (Relation.cardinality r);
-            Obs.Trace.add_attr "ntuples"
-              (Obs.Json.Int (Relation.cardinality r));
+            grow (card r);
+            Obs.Trace.add_attr "ntuples" (Obs.Json.Int (card r));
             r))
       plan.Plan.conjs
   in
   let reduced = eliminate_streaming ~par coll plan grow disjuncts in
   match reduced with
-  | [] -> Relation.create ~name:"refrel" (ntuple_schema plan free_names)
+  | [] -> of_rows (ntuple_schema plan free_names) []
   | [ d ] when List.equal String.equal (columns d) free_names -> d
   | ds ->
     (* Free-variable padding happens here, inside the union's one
        materialization; a lone padded disjunct is no union. *)
     Obs.Trace.with_span "union" (fun () ->
         let u = materialize ~par coll (List.map (pad_chain coll free_names) ds) in
-        if List.compare_length_with ds 1 > 0 then grow (Relation.cardinality u);
+        if List.compare_length_with ds 1 > 0 then grow (card u);
         u)
 
 (* ------------------------------------------------------------------ *)
@@ -602,7 +578,7 @@ let evaluate_streaming ~par ~record coll (plan : Plan.t) grow =
    step (empty under the Declaration engine, whose joins are the
    literal baseline). *)
 type outcome = {
-  o_result : Relation.t;
+  o_result : Batch.columns;
   o_max_ntuple : int;
   o_join_algos : (string * string) list;
 }

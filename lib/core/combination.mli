@@ -1,7 +1,8 @@
 (** The combination phase (paper Section 3.3): combine each
     conjunction's reference structures into n-tuples, union the
     disjuncts, and eliminate quantifiers right to left — projection for
-    SOME, division for ALL. *)
+    SOME, division for ALL.  Every relation of the phase is int columns
+    of the query's tuple-table ordinals ({!Collection.batch_pool}). *)
 
 open Relalg
 
@@ -20,9 +21,9 @@ type join_order =
           the padded n-tuple relation. *)
 
 type outcome = {
-  o_result : Relation.t;
+  o_result : Batch.columns;
       (** the reference relation over the free variables, in
-          declaration order *)
+          declaration order: ordinals for construction to read back *)
   o_max_ntuple : int;
       (** cardinality of the largest n-tuple relation built — the
           combinatorial-growth metric *)
@@ -40,14 +41,13 @@ val evaluate :
     Precondition: every prefix range is non-empty (established by
     {!Standard_form.adapt_query}). *)
 
-val divide :
-  ?pool:Batch.pool -> v:string -> Relation.t -> Relation.t -> Relation.t
-(** [divide ~v r s]: the columnar division both engines run — the
-    tuples over [r]'s columns other than [v] whose [v]-images in [r]
-    cover every [v] value of [s].  An empty divisor yields every
-    quotient (ALL over the empty range holds vacuously).  [?pool] is
-    the interning pool the inputs' column encodes are cached in
-    (default: a fresh one).
+val divide : v:string -> Relation.t -> Relation.t -> Relation.t
+(** [divide ~v r s]: the columnar division both engines run, at the
+    relation level — the tuples over [r]'s columns other than [v] whose
+    [v]-images in [r] cover every [v] value of [s].  An empty divisor
+    yields every quotient (ALL over the empty range holds vacuously).
+    Both inputs are encoded once into a fresh pool and the quotient is
+    decoded.
     @raise Errors.Schema_error if [v] is [r]'s only column.
     @raise Errors.Type_error if the two [v] columns encode into
     different column classes. *)

@@ -4,7 +4,9 @@
 
 open Relalg
 
-val run : ?name:string -> Database.t -> Plan.t -> Relation.t -> Relation.t
-(** [run db plan refs] dereferences each free variable's column of
-    [refs] and projects the plan's component selection; the result uses
-    {!Wellformed.result_schema}. *)
+val run :
+  ?name:string -> Database.t -> Plan.t -> Batch.pool -> Batch.columns -> Relation.t
+(** [run db plan pool refs] reads each free variable's column of [refs]
+    — ordinals of [pool]'s tuple table — back into its elements by
+    array index and projects the plan's component selection; the result
+    uses {!Wellformed.result_schema}. *)

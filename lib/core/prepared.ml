@@ -95,7 +95,8 @@ let exec_report_with ?name ?(params = []) ?within ~since
     let result =
       clock.time Observe.Construction (fun () ->
           Obs.Trace.with_span "construction" (fun () ->
-              Construction.run ?name db plan outcome.Combination.o_result))
+              Construction.run ?name db plan (Collection.batch_pool coll)
+                outcome.Combination.o_result))
     in
     let now = Observe.window () in
     let scans, probes = Observe.scans_probes ~since now in

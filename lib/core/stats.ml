@@ -115,19 +115,15 @@ let pp ppf t =
         rs.r_attrs)
     t.per_rel
 
-(* Per-column distinct counts of an already-materialized relation, via
-   an uninstrumented walk — the combination phase's join ordering runs
-   this over intermediate reference relations, whose reads are not part
-   of the reported scan counts. *)
-let column_distincts rel =
-  let schema = Relation.schema rel in
-  let n = Schema.arity schema in
-  let seen = Array.init n (fun _ -> Value_key.acreate 64) in
-  Relation.iter
-    (fun t ->
-      for i = 0 to n - 1 do
-        Value_key.Atable.replace seen.(i) [| Tuple.get t i |] ()
-      done)
-    rel;
-  List.init n (fun i ->
-      (Schema.name_at schema i, Value_key.Atable.length seen.(i)))
+(* Per-column distinct counts of an intermediate reference relation —
+   the combination phase's join ordering runs this over the collection
+   phase's structures. *)
+let column_distincts (c : Batch.columns) =
+  List.mapi
+    (fun i name ->
+      let seen = Hashtbl.create 64 in
+      for r = 0 to c.Batch.c_rows - 1 do
+        Hashtbl.replace seen (Batch.cell c.Batch.c_cols.(i) r) ()
+      done;
+      (name, Hashtbl.length seen))
+    (Schema.names c.Batch.c_schema)

@@ -38,6 +38,7 @@ val join_selectivity : t -> string -> string -> string -> string -> float
 
 val pp : t Fmt.t
 
-val column_distincts : Relation.t -> (string * int) list
-(** Distinct count per column of a materialized relation, in schema
-    order; uninstrumented (used on intermediate reference relations). *)
+val column_distincts : Batch.columns -> (string * int) list
+(** Distinct count per column of an intermediate reference relation, in
+    schema order: ordinals are injective, so distinct ordinals are
+    distinct references. *)

@@ -6,25 +6,25 @@
    disjunctive form (one materialization fed by several chains) and
    projection eliminates existential quantifiers (Codd's relational
    completeness repertoire, the paper's reference [5]).  Division, the
-   universal counterpart, runs over the same column encodes in the
-   combination phase itself. *)
+   universal counterpart, runs over the same columns in the combination
+   phase itself. *)
 
 let positions_of schema names =
   Array.of_list (List.map (Schema.index_of schema) names)
 
 (* Fused streaming operators: the combination phase's join, product and
    projection chains, run as vectorized batch kernels.  A stream is
-   rooted at one source relation.  Materializing it encodes the source
-   into column arrays ({!Batch}) and drives [batch_size]-row windows
-   through the chain's kernels, so an operator chain allocates exactly
-   one output relation instead of one per operator.
+   rooted at one source, int columns over a {!Batch.pool}.  Running it
+   drives [batch_size]-row windows of the source through the chain's
+   kernels, so an operator chain builds exactly one output instead of
+   one per operator.
 
-   Each operator contributes three closures: [force] encodes its build
-   side (before any counter moves), [prime] bumps the per-run tallies,
+   Each operator contributes three closures: [force] builds its hash
+   table (before any counter moves), [prime] bumps the per-run tallies,
    and [stage] manufactures a fresh kernel instance — one per run, or
    one per chunk of windows under a parallel fan-out.  Kernels work on
    selection vectors, shared column arrays and integer-keyed hash
-   tables; only the materialization decodes rows back into tuples. *)
+   tables. *)
 module Stream = struct
   type stage = {
     feed : (Batch.t -> unit) -> Batch.t -> unit;
@@ -35,7 +35,7 @@ module Stream = struct
 
   type t = {
     schema : Schema.t;
-    src : Relation.t;
+    src : Batch.columns;
     pool : Batch.pool;
     force : unit -> unit;
     prime : unit -> unit;
@@ -45,15 +45,18 @@ module Stream = struct
   let schema s = s.schema
   let fused op = Obs.Metrics.incr ("algebra.fused." ^ op)
 
-  let of_relation ?pool rel =
+  let of_columns pool (c : Batch.columns) =
     {
-      schema = Relation.schema rel;
-      src = rel;
-      pool = (match pool with Some p -> p | None -> Batch.create_pool ());
+      schema = c.Batch.c_schema;
+      src = c;
+      pool;
       force = ignore;
       prime = ignore;
       stage = (fun () -> { feed = (fun k -> k); flush = ignore });
     }
+
+  let of_relation ?(pool = Batch.create_pool ()) rel =
+    of_columns pool (Batch.of_relation pool rel)
 
   (* Append one operator to the chain: its build work, its tallies and
      its kernel, composed after the upstream ones. *)
@@ -86,13 +89,13 @@ module Stream = struct
           Obs.Metrics.incr ~by:!n_out "combination.join_rows_out");
     }
 
-  let count_build op rel () =
+  let count_build op (c : Batch.columns) () =
     fused op;
-    Obs.Metrics.incr ~by:(Relation.cardinality rel) "combination.join_rows_in"
+    Obs.Metrics.incr ~by:c.Batch.c_rows "combination.join_rows_in"
 
   (* Columnar projection shares the retained column arrays — no per-row
      work at all.  Duplicates pass through; the materialization's
-     whole-tuple key folds them. *)
+     whole-row dedup folds them. *)
   let project s names =
     let positions = positions_of s.schema names in
     extend s
@@ -105,17 +108,13 @@ module Stream = struct
         })
 
   (* Each probe row pairs with every inner row, inner rows taken in
-     reverse iteration order. *)
-  let product s rel =
-    let enc = lazy (Batch.encode_relation s.pool rel) in
+     reverse order. *)
+  let cross s (c : Batch.columns) =
     extend s
-      ~schema:(Schema.concat s.schema (Relation.schema rel))
-      ~force:(fun () -> ignore (Lazy.force enc : Batch.encoded))
-      ~prime:(count_build "product" rel)
+      ~schema:(Schema.concat s.schema c.Batch.c_schema)
+      ~prime:(count_build "product" c)
       (fun up ->
-        let e = Lazy.force enc in
-        let ni = Batch.encoded_rows e in
-        let ib = Batch.of_encoded s.pool e ~off:0 ~len:ni in
+        let ni = c.Batch.c_rows in
         counted_stage up (fun n_in n_out k b ->
             let lc = Batch.live_count b in
             n_in := !n_in + lc;
@@ -135,23 +134,23 @@ module Stream = struct
               let cols =
                 Array.append
                   (Batch.gather_cols b.Batch.cols pidx)
-                  (Batch.gather_cols ib.Batch.cols iidx)
+                  (Batch.gather_cols c.Batch.c_cols iidx)
               in
-              k (Batch.of_cols s.pool cols m)
+              k (Batch.of_cols cols m)
             end))
 
-  (* Hash join with the stream as probe side and a relation as build
-     side, both over interned integer keys.  The build table is filled
-     once per run; its buckets cons row indices in iteration order and
-     are walked front-first, so per-probe matches surface in reverse
-     iteration order.  When the build side contributes no new columns
-     the join degenerates to a semijoin filter — one emission per
-     matching probe row — and with no shared attribute to a product. *)
-  let natural_join s rel =
-    let sa = s.schema and sb = Relation.schema rel in
+  (* Hash join with the stream as probe side and columns as build side,
+     over integer keys.  The build table is filled once per run; its
+     buckets cons row indices in order and are walked front-first, so
+     per-probe matches surface in reverse order.  When the build side
+     contributes no new columns the join degenerates to a semijoin
+     filter — one emission per matching probe row — and with no shared
+     attribute to a product. *)
+  let join s (c : Batch.columns) =
+    let sa = s.schema and sb = c.Batch.c_schema in
     let shared = List.filter (fun n -> Schema.mem sa n) (Schema.names sb) in
     match shared with
-    | [] -> product s rel
+    | [] -> cross s c
     | _ ->
       let pa = positions_of sa shared and pb = positions_of sb shared in
       (* Integer keys are only comparable when the paired columns encode
@@ -168,30 +167,28 @@ module Stream = struct
       let keep_b =
         List.filter (fun n -> not (Schema.mem sa n)) (Schema.names sb)
       in
-      let keep_positions = positions_of sb keep_b in
+      let keep_src =
+        Array.map (fun p -> c.Batch.c_cols.(p)) (positions_of sb keep_b)
+      in
       let out_schema =
         if keep_b = [] then sa else Schema.concat sa (Schema.project sb keep_b)
       in
-      let built =
+      let table =
         lazy
-          (let e = Batch.encode_relation s.pool rel in
-           let nb = Batch.encoded_rows e in
-           let eb = Batch.of_encoded s.pool e ~off:0 ~len:nb in
-           let tbl = Batch.Ikey.create (max 16 nb) in
-           for r = 0 to nb - 1 do
-             let key = Batch.key_of_row eb.Batch.cols pb r in
+          (let tbl = Batch.Ikey.create (max 16 c.Batch.c_rows) in
+           for r = 0 to c.Batch.c_rows - 1 do
+             let key = Batch.key_of_row c.Batch.c_cols pb r in
              match Batch.Ikey.find_opt tbl key with
              | Some rows -> Batch.Ikey.replace tbl key (r :: rows)
              | None -> Batch.Ikey.replace tbl key [ r ]
            done;
-           (Array.map (fun c -> eb.Batch.cols.(c)) keep_positions, tbl))
+           tbl)
       in
       extend s ~schema:out_schema
-        ~force:(fun () ->
-          ignore (Lazy.force built : Batch.col array * int list Batch.Ikey.t))
-        ~prime:(count_build "join" rel)
+        ~force:(fun () -> ignore (Lazy.force table : int list Batch.Ikey.t))
+        ~prime:(count_build "join" c)
         (fun up ->
-          let keep_src, tbl = Lazy.force built in
+          let tbl = Lazy.force table in
           counted_stage up (fun n_in n_out k b ->
               n_in := !n_in + Batch.live_count b;
               if keep_b = [] then begin
@@ -228,29 +225,25 @@ module Stream = struct
                       (Batch.gather_cols b.Batch.cols (Batch.Ivec.to_array pidx))
                       (Batch.gather_cols keep_src (Batch.Ivec.to_array bidx))
                   in
-                  k (Batch.of_cols s.pool cols m)
+                  k (Batch.of_cols cols m)
                 end
               end))
 
-  (* The one output relation of one or more same-shape chains (one
+  let natural_join s rel = join s (Batch.of_relation s.pool rel)
+  let product s rel = cross s (Batch.of_relation s.pool rel)
+
+  (* The one output of one or more same-shape chains over one pool (one
      chain: a join/product/project pipeline; several: their union, the
-     full disjunctive form), re-keyed on the whole tuple (set semantics,
-     like every intermediate reference relation).  Insertions skip the
-     per-value domain check: every emitted tuple is a projection /
-     concatenation of tuples from already-checked relations.  The output
-     key table is preallocated from the source cardinalities.
+     full disjunctive form), with set semantics like every intermediate
+     reference relation: a row is kept on its first emission.
 
      Chains run in list order into one sink.  Serially, a chain's
      windows run through one kernel instance.  Under [par] the windows
      of a source clearing the threshold are the fan-out unit: each
      domain gets whole windows and a private kernel instance over the
      read-only shared build tables, and its output batches replay here
-     in chunk order — the serial insertion sequence, for every [jobs].
-     Either way, when every chain shares one pool, the inserted rows'
-     integer cells are registered as the output's insertion-order
-     encode, so a later set-semantics pass (the columnar divide) reuses
-     these columns instead of re-interning the whole intermediate. *)
-  let materialize ?par ?(batch_size = 2048) ?name chains =
+     in chunk order — the serial emission sequence, for every [jobs]. *)
+  let run ?par ?(batch_size = 2048) ?(name = "") chains =
     let first =
       match chains with
       | s :: _ -> s
@@ -260,48 +253,40 @@ module Stream = struct
       (fun s ->
         if not (Schema.same_shape first.schema s.schema) then
           Errors.schema_error "union: incompatible schemas %a vs %a" Schema.pp
-            first.schema Schema.pp s.schema)
+            first.schema Schema.pp s.schema;
+        if s.pool != first.pool then
+          invalid_arg "Stream.materialize: chains over different pools")
       chains;
     let batch_size = max 1 batch_size in
-    let runs =
-      List.map
-        (fun s ->
-          let enc = Batch.encode_relation s.pool s.src in
-          s.force ();
-          (s, enc))
-        chains
-    in
+    List.iter (fun s -> s.force ()) chains;
     if List.compare_length_with chains 1 > 0 then
       Obs.Metrics.incr "algebra.materialized.union";
     let n_total =
-      List.fold_left (fun n (_, enc) -> n + Batch.encoded_rows enc) 0 runs
+      List.fold_left (fun n s -> n + s.src.Batch.c_rows) 0 chains
     in
-    let out =
-      Relation.create ?name (Schema.make (Schema.attrs first.schema) ~key:[])
-    in
-    let rows_out = ref 0 in
     let acc =
-      Batch.acc_create
-        (Array.init (Schema.arity first.schema) (fun c ->
-             Batch.cls_of_type (Schema.type_at first.schema c)))
+      Batch.acc_create ~name (Schema.make (Schema.attrs first.schema) ~key:[])
     in
+    let all = Array.init (Schema.arity first.schema) Fun.id in
+    let seen = Batch.Ikey.create 64 in
+    let rows_out = ref 0 in
     let sink ob =
       Batch.live_iter
         (fun i ->
           incr rows_out;
-          let before = Relation.cardinality out in
-          Relation.insert_unchecked out (Batch.tuple ob i);
-          if Relation.cardinality out <> before then Batch.acc_push acc ob i)
+          let before = Batch.Ikey.length seen in
+          Batch.Ikey.replace seen (Batch.key_of_row ob.Batch.cols all i) ();
+          if Batch.Ikey.length seen <> before then Batch.acc_push acc ob i)
         ob
     in
     let t0 = Unix.gettimeofday () in
     List.iter
-      (fun (s, enc) ->
+      (fun s ->
         Obs.Metrics.incr "algebra.materialized.stream";
         s.prime ();
-        let n = Batch.encoded_rows enc in
+        let n = s.src.Batch.c_rows in
         let window off =
-          Batch.of_encoded s.pool enc ~off ~len:(min batch_size (n - off))
+          Batch.window s.src ~off ~len:(min batch_size (n - off))
         in
         match Domain_pool.active par n with
         | Some p ->
@@ -327,12 +312,14 @@ module Stream = struct
             off := !off + batch_size
           done;
           inst.flush ())
-      runs;
-    if List.for_all (fun s -> s.pool == first.pool) chains then
-      Batch.register_unordered first.pool out (lazy (Batch.acc_finish acc));
+      chains;
     let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
     Obs.Metrics.incr ~by:n_total "algebra.batch.rows_in";
     Obs.Metrics.incr ~by:!rows_out "algebra.batch.rows_out";
     Obs.Metrics.incr ~by:ns "algebra.batch.kernel_ns";
-    out
+    Batch.acc_finish acc
+
+  let materialize ?par ?batch_size ?name chains =
+    let out = run ?par ?batch_size ?name chains in
+    Batch.to_relation (List.hd chains).pool out
 end

@@ -2,21 +2,26 @@
 
    A batch holds a few thousand rows of one schema as column arrays:
    integer and boolean components are unboxed ([int array] / one byte
-   per row in [Bytes]), everything else — strings, enums, references —
-   is interned into a chain-scoped {!pool} and stored as [int array] of
-   pool ids.  Interning pays each value's structural hash (deep for the
-   nested-key references the combination phase traffics in) exactly once
-   per distinct value per chain; every downstream kernel — selection,
-   projection, duplicate elimination, hash join build/probe — then works
-   on machine integers.
+   per row in [Bytes]); every other column holds ids of a
+   {!pool}, so every downstream kernel — selection, projection,
+   duplicate elimination, hash join build/probe, division — works on
+   machine integers.
 
-   Equality is preserved by construction: interning is injective with
-   respect to {!Value.equal}, so two rows are {!Tuple.equal} iff their
-   encoded integer rows are component-wise equal (integer columns store
-   the value itself, boolean columns the 0/1 byte, interned columns the
-   pool id).  That makes integer-row comparison a sound implementation
-   of tuple comparison inside one pool — the invariant the batched
-   kernels rest on.
+   The pool is one execution's tuple table.  A reference made during
+   the execution is an ordinal: the collection scan that finds a base
+   element asks {!ordinals} once per structure it feeds, gets the same
+   ordinal for the same (relation, key) every time, and the table keeps
+   the physical tuple there for construction to read back by array
+   index.  A relation handed to the kernels as a {!Relation.t} (the
+   relation-level API) has its strings, enums and stored references
+   interned as values instead.
+
+   Equality is preserved by construction: both numberings are
+   injective, so two rows are equal iff their integer rows are
+   component-wise equal (integer columns store the value itself,
+   boolean columns the 0/1 byte, the others the pool id).  That makes
+   integer-row comparison a sound implementation of tuple comparison
+   inside one pool — the invariant the batched kernels rest on.
 
    A batch also carries an optional selection vector: the ascending live
    row indices.  Filters refine the vector instead of compacting the
@@ -28,165 +33,145 @@ module Vtbl = Value_key.Vtable
 
 type col = C_int of int array | C_bool of Bytes.t | C_obj of int array
 
-(* One encoded relation, kept in the pool's cache: all columns in the
-   relation's (uninstrumented) iteration order. *)
-type encoded = { e_cols : col array; e_rows : int }
+type columns = {
+  c_name : string;
+  c_schema : Schema.t;
+  c_cols : col array;
+  c_rows : int;
+}
+
+(* One relation's share of the tuple table: its ordinals by key, open
+   addressing over the key hash (a slot holds ordinal + 1; 0 is
+   free). *)
+type owned = {
+  pos : int array;  (* the relation's key positions *)
+  mutable slots : int array;
+  mutable used : int;
+}
 
 type pool = {
-  mutable vals : Value.t array;  (* id -> the interned value *)
+  mutable tuples : Tuple.t array;  (* ordinal -> element *)
+  mutable nt : int;
+  owned : (string, owned) Hashtbl.t;  (* relation name -> its ordinals *)
+  mutable vals : Value.t array;  (* value id -> the interned value *)
   mutable n : int;
-  ids : int Vtbl.t;              (* value -> id *)
-  mutable cache : (Relation.t * int * encoded) list;
-      (* per-relation encodes, keyed by physical identity + version *)
-  mutable ucache : (Relation.t * int * encoded Lazy.t) list;
-      (* encodes registered by the relation's builder (the stream
-         materializer, the collection phase's pair builder), forced on
-         first use — the same row set as [cache] would hold but not
-         necessarily the relation's iteration order; only
-         order-insensitive consumers may look here *)
+  ids : int Vtbl.t;  (* value -> value id *)
 }
 
 type t = {
   cols : col array;
   nrows : int;                (* physical length of every column *)
   sel : int array option;     (* ascending live row indices; None = all *)
-  pool : pool;
 }
 
 let create_pool () =
   {
-    vals = Array.make 64 (Value.VInt 0);
+    tuples = Array.make 64 [||];
+    nt = 0;
+    owned = Hashtbl.create 8;
+    vals = Array.make 16 (Value.VInt 0);
     n = 0;
-    ids = Vtbl.create 256;
-    cache = [];
-    ucache = [];
+    ids = Vtbl.create 16;
   }
+
+let grown a n fill =
+  let bigger = Array.make (2 * n) fill in
+  Array.blit a 0 bigger 0 n;
+  bigger
+
+(* --- The tuple table -------------------------------------------------- *)
+
+let key_hash pos (t : Tuple.t) =
+  let h = ref 17 in
+  for i = 0 to Array.length pos - 1 do
+    h := (!h * 31) + Value.hash t.(pos.(i))
+  done;
+  !h land max_int
+
+let rec same_key pos (a : Tuple.t) (b : Tuple.t) i =
+  i >= Array.length pos
+  || (Value.equal a.(pos.(i)) b.(pos.(i)) && same_key pos a b (i + 1))
+
+(* The slot holding [t]'s key, or the free slot ending its probe run. *)
+let rec slot pool o (t : Tuple.t) i =
+  let s = o.slots.(i) in
+  if s = 0 || pool.tuples.(s - 1) == t || same_key o.pos pool.tuples.(s - 1) t 0
+  then i
+  else slot pool o t ((i + 1) land (Array.length o.slots - 1))
+
+let rehash pool o =
+  let slots = Array.make (2 * Array.length o.slots) 0 in
+  let mask = Array.length slots - 1 in
+  Array.iter
+    (fun s ->
+      if s > 0 then begin
+        let i = ref (key_hash o.pos pool.tuples.(s - 1) land mask) in
+        while slots.(!i) <> 0 do
+          i := (!i + 1) land mask
+        done;
+        slots.(!i) <- s
+      end)
+    o.slots;
+  o.slots <- slots
+
+let ordinal pool o t =
+  let i = slot pool o t (key_hash o.pos t land (Array.length o.slots - 1)) in
+  let s = o.slots.(i) in
+  if s > 0 then s - 1
+  else begin
+    let ord = pool.nt in
+    if ord = Array.length pool.tuples then
+      pool.tuples <- grown pool.tuples ord [||];
+    pool.tuples.(ord) <- t;
+    pool.nt <- ord + 1;
+    o.slots.(i) <- ord + 1;
+    o.used <- o.used + 1;
+    if 2 * o.used > Array.length o.slots then rehash pool o;
+    ord
+  end
+
+let ordinals pool rel =
+  let name = Relation.name rel in
+  let o =
+    match Hashtbl.find_opt pool.owned name with
+    | Some o -> o
+    | None ->
+      let o =
+        {
+          pos = Schema.key_positions (Relation.schema rel);
+          slots = Array.make 16 0;
+          used = 0;
+        }
+      in
+      Hashtbl.replace pool.owned name o;
+      o
+  in
+  ordinal pool o
+
+let tuple_at pool ord = pool.tuples.(ord)
+
+(* --- Value interning (the relation-level API) ------------------------- *)
 
 let intern pool v =
   match Vtbl.find_opt pool.ids v with
   | Some id -> id
   | None ->
     let id = pool.n in
-    if id = Array.length pool.vals then begin
-      let bigger = Array.make (2 * id) (Value.VInt 0) in
-      Array.blit pool.vals 0 bigger 0 id;
-      pool.vals <- bigger
-    end;
+    if id = Array.length pool.vals then
+      pool.vals <- grown pool.vals id (Value.VInt 0);
     pool.vals.(id) <- v;
     pool.n <- id + 1;
     Vtbl.replace pool.ids v id;
     id
 
-let value pool id = pool.vals.(id)
-
 (* Column class per attribute domain.  Integer-like and boolean domains
-   get unboxed columns; everything else goes through the pool.  Enums
-   could store their ordinal, but interning returns the physically
-   original value — no reconstruction subtleties — and enum columns are
-   tiny-cardinality anyway. *)
+   get unboxed columns; everything else goes through the pool. *)
 type cls = K_int | K_bool | K_obj
 
 let cls_of_type = function
   | Vtype.TInt _ -> K_int
   | Vtype.TBool -> K_bool
   | Vtype.TStr _ | Vtype.TEnum _ | Vtype.TRef _ -> K_obj
-
-(* --- Encoding ------------------------------------------------------- *)
-
-(* A value that does not fit its column's declared class (a non-integer
-   in a TInt column, say).  Tuples written through the checked insertion
-   path can never trigger it. *)
-let misfit schema c v =
-  Errors.type_error "%a does not fit column %s : %a" Value.pp v
-    (Schema.name_at schema c) Vtype.pp (Schema.type_at schema c)
-
-let encode_rows pool schema rows nrows =
-  let arity = Schema.arity schema in
-  let cols =
-    Array.init arity (fun c ->
-        match cls_of_type (Schema.type_at schema c) with
-        | K_int ->
-          let a = Array.make nrows 0 in
-          List.iteri
-            (fun r (t : Tuple.t) ->
-              match t.(c) with
-              | Value.VInt n -> a.(r) <- n
-              | v -> misfit schema c v)
-            rows;
-          C_int a
-        | K_bool ->
-          let b = Bytes.make nrows '\000' in
-          List.iteri
-            (fun r (t : Tuple.t) ->
-              match t.(c) with
-              | Value.VBool x -> if x then Bytes.set b r '\001'
-              | v -> misfit schema c v)
-            rows;
-          C_bool b
-        | K_obj ->
-          let a = Array.make nrows 0 in
-          List.iteri (fun r (t : Tuple.t) -> a.(r) <- intern pool t.(c)) rows;
-          C_obj a)
-  in
-  { e_cols = cols; e_rows = nrows }
-
-(* Encode a whole relation (iteration order), memoized in the pool by
-   physical identity and content version — base single lists are padded
-   into every disjunct of a quantifier cohort, and the cache turns their
-   per-disjunct re-encode into one encode per query. *)
-let encode_relation pool rel =
-  let version = Relation.version rel in
-  let rec find = function
-    | [] -> None
-    | (r, v, enc) :: rest ->
-      if r == rel then if v = version then Some enc else None else find rest
-  in
-  match find pool.cache with
-  | Some enc -> enc
-  | None ->
-    let rows = List.rev (Relation.fold (fun acc t -> t :: acc) [] rel) in
-    let enc = encode_rows pool (Relation.schema rel) rows (Relation.cardinality rel) in
-    pool.cache <-
-      (rel, version, enc) :: List.filter (fun (r, _, _) -> r != rel) pool.cache;
-    enc
-
-let encoded_rows enc = enc.e_rows
-
-(* A relation's builder hands over the columns of the rows it inserted
-   (deferred: nothing is built unless a consumer asks), so a later
-   order-insensitive pass over the same relation skips the re-encode —
-   for a large intermediate that is the single biggest cost of the
-   columnar divide. *)
-let register_unordered pool rel enc =
-  pool.ucache <-
-    (rel, Relation.version rel, enc)
-    :: List.filter (fun (r, _, _) -> r != rel) pool.ucache
-
-(* Encode for set-semantics consumers only: prefers a registered
-   insertion-order encode, else takes (or fills) the iteration-order
-   cache.  The row SET always equals the relation's contents; the row
-   ORDER may not be the iteration order, so order-sensitive stream
-   sources must keep using [encode_relation]. *)
-let encode_relation_unordered pool rel =
-  let version = Relation.version rel in
-  let rec find = function
-    | [] -> None
-    | (r, v, enc) :: rest ->
-      if r == rel then if v = version then Some enc else None else find rest
-  in
-  match find pool.ucache with
-  | Some enc -> Lazy.force enc
-  | None -> encode_relation pool rel
-
-(* A zero-copy window onto an encoded relation: columns are shared, the
-   selection vector names the window's rows. *)
-let of_encoded pool enc ~off ~len =
-  {
-    cols = enc.e_cols;
-    nrows = enc.e_rows;
-    sel = (if off = 0 && len = enc.e_rows then None else Some (Array.init len (fun i -> off + i)));
-    pool;
-  }
 
 (* --- Row access ----------------------------------------------------- *)
 
@@ -202,8 +187,8 @@ let live_iter f b =
   | Some s -> Array.iter f s
 
 (* The integer image of one cell: the value itself (int), the 0/1 byte
-   (bool) or the pool id (interned).  Comparable across batches of one
-   pool when the column classes agree. *)
+   (bool) or the pool id.  Comparable across batches of one pool when
+   the column classes agree. *)
 let cell col row =
   match col with
   | C_int a -> a.(row)
@@ -216,12 +201,16 @@ let cell_value pool col row =
   | C_bool b -> Value.VBool (Bytes.get b row <> '\000')
   | C_obj a -> pool.vals.(a.(row))
 
-(* Decode one row back to a boxed tuple (the per-row adapter at the
-   stream boundary).  Interned cells return the physically original
-   value, so reference-typed hot paths re-box nothing but the tuple
-   array itself. *)
-let tuple b row =
-  Array.init (Array.length b.cols) (fun c -> cell_value b.pool b.cols.(c) row)
+(* A zero-copy window onto columns: the arrays are shared, the
+   selection vector names the window's rows. *)
+let window c ~off ~len =
+  {
+    cols = c.c_cols;
+    nrows = c.c_rows;
+    sel =
+      (if off = 0 && len = c.c_rows then None
+       else Some (Array.init len (fun i -> off + i)));
+  }
 
 (* --- Kernel building blocks ----------------------------------------- *)
 
@@ -260,7 +249,7 @@ let gather_col col idx =
 let gather_cols cols idx = Array.map (fun c -> gather_col c idx) cols
 
 (* Dense batch from gathered columns. *)
-let of_cols pool cols nrows = { cols; nrows; sel = None; pool }
+let of_cols cols nrows = { cols; nrows; sel = None }
 
 (* Growable integer vector — collects the gather indices of a join
    whose output size is not known up front. *)
@@ -270,11 +259,7 @@ module Ivec = struct
   let create () = { a = Array.make 256 0; n = 0 }
 
   let push v x =
-    if v.n = Array.length v.a then begin
-      let bigger = Array.make (2 * v.n) 0 in
-      Array.blit v.a 0 bigger 0 v.n;
-      v.a <- bigger
-    end;
+    if v.n = Array.length v.a then v.a <- grown v.a v.n 0;
     v.a.(v.n) <- x;
     v.n <- v.n + 1
 
@@ -282,27 +267,34 @@ module Ivec = struct
   let to_array v = Array.sub v.a 0 v.n
 end
 
-(* --- Output accumulator ---------------------------------------------- *)
+(* --- Column builder -------------------------------------------------- *)
 
-(* Collects the integer cells of rows the batched materializer actually
-   inserted (duplicates skipped by the destination relation are skipped
-   here too), and rebuilds them into an [encoded] for
-   [register_unordered].  Column classes come from the destination
-   schema so an empty output still yields well-shaped columns. *)
-type acc = { a_cls : cls array; a_vecs : Ivec.t array }
+type acc = {
+  a_name : string;
+  a_schema : Schema.t;
+  a_cls : cls array;
+  a_vecs : Ivec.t array;
+}
 
-let acc_create cls =
-  { a_cls = cls; a_vecs = Array.map (fun _ -> Ivec.create ()) cls }
+let acc_create ~name schema =
+  let cls =
+    Array.init (Schema.arity schema) (fun c ->
+        cls_of_type (Schema.type_at schema c))
+  in
+  {
+    a_name = name;
+    a_schema = schema;
+    a_cls = cls;
+    a_vecs = Array.map (fun _ -> Ivec.create ()) cls;
+  }
 
 let acc_push acc b row =
   Array.iteri (fun c vec -> Ivec.push vec (cell b.cols.(c) row)) acc.a_vecs
 
-(* Append one already-interned cell to one column — for builders that
-   produce integer images directly instead of decoding a batch. *)
 let acc_push_cell acc c x = Ivec.push acc.a_vecs.(c) x
 
 let acc_finish acc =
-  let n = if Array.length acc.a_vecs = 0 then 0 else Ivec.length acc.a_vecs.(0) in
+  let n = Ivec.length acc.a_vecs.(0) in
   let cols =
     Array.mapi
       (fun c vec ->
@@ -316,7 +308,42 @@ let acc_finish acc =
           C_bool b)
       acc.a_vecs
   in
-  { e_cols = cols; e_rows = n }
+  { c_name = acc.a_name; c_schema = acc.a_schema; c_cols = cols; c_rows = n }
+
+(* --- Relations in and out -------------------------------------------- *)
+
+(* A value that does not fit its column's declared class (a non-integer
+   in a TInt column, say).  Tuples written through the checked insertion
+   path can never trigger it. *)
+let misfit schema c v =
+  Errors.type_error "%a does not fit column %s : %a" Value.pp v
+    (Schema.name_at schema c) Vtype.pp (Schema.type_at schema c)
+
+let of_relation pool rel =
+  let schema = Relation.schema rel in
+  let acc = acc_create ~name:(Relation.name rel) schema in
+  let image c v =
+    match acc.a_cls.(c), v with
+    | K_int, Value.VInt n -> n
+    | K_bool, Value.VBool x -> Bool.to_int x
+    | K_obj, v -> intern pool v
+    | (K_int | K_bool), v -> misfit schema c v
+  in
+  Relation.iter
+    (fun t -> Array.iteri (fun c v -> acc_push_cell acc c (image c v)) t)
+    rel;
+  acc_finish acc
+
+let to_relation pool c =
+  let out =
+    Relation.create ~name:c.c_name
+      (Schema.make (Schema.attrs c.c_schema) ~key:[])
+  in
+  for r = 0 to c.c_rows - 1 do
+    Relation.insert_unchecked out
+      (Array.map (fun col -> cell_value pool col r) c.c_cols)
+  done;
+  out
 
 (* --- Integer-row hash tables ----------------------------------------- *)
 

@@ -6,14 +6,15 @@
    to the elements satisfying the build's predicates, making it
    *partial* ("a (partial) INDEX on one relation involved in the join
    term is created") — probed by the indirect-join builds, and
-   discarded with the query.  Persistent indexes are
-   {!Secondary_index}. *)
+   discarded with the query.  Its references are the elements' ordinals
+   in the execution's tuple table ({!Batch.ordinals}).  Persistent
+   indexes are {!Secondary_index}. *)
 
 type t = {
   source : string;
   on : string list;
   positions : int array;
-  tbl : Value.reference list Value_key.table;
+  tbl : int list Value_key.table;
   mutable entry_count : int;
 }
 
@@ -32,19 +33,17 @@ let create rel ~on =
     entry_count = 0;
   }
 
-let add t rel tuple =
-  Value_key.add_multi t.tbl
-    (Tuple.values_at t.positions tuple)
-    (Reference.of_tuple rel tuple);
+let add t tuple ord =
+  Value_key.add_multi t.tbl (Tuple.values_at t.positions tuple) ord;
   t.entry_count <- t.entry_count + 1;
   Obs.Metrics.incr "index.entries"
 
 (* Probes against a built index are read-only: the indirect-join builds
    of a parallel collection round probe one index from several pool
    workers at once. *)
-let fold_matching_entries t op probe f init =
+let iter_matching t op probe f =
   Obs.Metrics.incr "index.probes";
-  Value_key.fold_matching_entries ~source:t.source t.tbl op probe f init
+  Value_key.iter_matching ~source:t.source t.tbl op probe f
 
 let exists_matching t op probe =
   Obs.Metrics.incr "index.probes";
@@ -52,18 +51,21 @@ let exists_matching t op probe =
 
 (* Materialize the index as a relation <components..., ref>, the form
    Figure 2 declares. *)
-let to_relation ?(name = "") t schema_of_source =
+let to_relation ?(name = "") t pool schema_of_source =
   let attr_of n =
     Schema.attr n (Schema.type_of schema_of_source n)
   in
   let attrs = List.map attr_of t.on @ [ Schema.attr "ref" (Vtype.reference t.source) ] in
   let rel = Relation.create ~name (Schema.make attrs ~key:[]) in
   Value_key.Table.iter
-    (fun key refs ->
+    (fun key ords ->
       List.iter
-        (fun r ->
-          Relation.insert rel
-            (Tuple.of_list (key @ [ Value.VRef r ])))
-        refs)
+        (fun o ->
+          let r =
+            Reference.make ~target:t.source
+              ~key:(Tuple.key_of schema_of_source (Batch.tuple_at pool o))
+          in
+          Relation.insert rel (Tuple.of_list (key @ [ Value.VRef r ])))
+        ords)
     t.tbl;
   rel

@@ -152,26 +152,7 @@ let iter_matching t op v f =
       (fun k b -> if Value.apply Value.Ne (single_key t k) v then Bucket.iter f b)
       t.tbl
 
-(* The probes of a declared index standing in for the collection
-   phase's per-query {!Index} (paper Section 3.2's permanent index).
-   Each matching entry is tagged with its ordinal in key order — its
-   identity while the index is unmodified, which a pinned index always
-   is; [Eq] finds its bucket by lookup and reports no ordinal. *)
-let fold_matching_entries t op v g f init =
-  count_probe ();
-  match op with
-  | Value.Eq -> f init None (List.map g (Bucket.elements (bucket t [ v ])))
-  | Value.Ne | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
-    let ord = ref (-1) in
-    Key_map.fold
-      (fun k b acc ->
-        incr ord;
-        if Value.apply op (single_key t k) v then
-          f acc (Some !ord) (List.map g (Bucket.elements b))
-        else acc)
-      t.tbl init
-
-(* Existence version of [fold_matching_entries]: buckets are never
+(* Existence version of [iter_matching]: buckets are never
    empty, so an order comparison needs only the map's extreme key. *)
 let exists_matching t op v =
   count_probe ();

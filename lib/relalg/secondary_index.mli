@@ -48,23 +48,8 @@ val iter_matching : t -> Value.comparison -> Value.t -> (Tuple.t -> unit) -> uni
     @raise Errors.Type_error on an order probe of a multi-component
     index. *)
 
-val fold_matching_entries :
-  t ->
-  Value.comparison ->
-  Value.t ->
-  (Tuple.t -> 'b) ->
-  ('a -> int option -> 'b list -> 'a) ->
-  'a ->
-  'a
-(** {!Index.fold_matching_entries} over this index's buckets, each
-    bucket's tuples mapped through the third argument: the stand-in
-    probe of a declared index serving as the paper's permanent index.
-    Entries are tagged with their ordinal in key order.  The probe
-    writes nothing to the index, so it is safe under concurrent
-    snapshot readers.  Counted once per call. *)
-
 val exists_matching : t -> Value.comparison -> Value.t -> bool
-(** Existence version of {!fold_matching_entries}: an order comparison
+(** Existence version of {!iter_matching}: an order comparison
     consults only the map's extreme key. *)
 
 val matching_fraction :

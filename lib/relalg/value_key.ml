@@ -58,25 +58,20 @@ let single_key ~source = function
     Errors.type_error "comparison probe on a multi-component index over %s"
       source
 
-(* Comparison probes of a single-component multimap: fold the entries
-   whose key [k] satisfies [k op probe], each tagged with its ordinal in
-   [Table.fold] order — stable while the table is unmodified.  [Eq]
-   finds its bucket by lookup rather than a walk and reports no ordinal.
-   Read-only, so concurrent probes of one table are safe. *)
-let fold_matching_entries ~source (tbl : 'a list table) op probe f init =
+(* Comparison probes of a single-component multimap: every element of
+   the buckets whose key [k] satisfies [k op probe].  [Eq] finds its
+   bucket by lookup rather than a walk.  Read-only, so concurrent probes
+   of one table are safe. *)
+let iter_matching ~source (tbl : 'a list table) op probe f =
   match op with
-  | Value.Eq -> f init None (find_multi tbl [ probe ])
+  | Value.Eq -> List.iter f (find_multi tbl [ probe ])
   | Value.Ne | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
-    let ord = ref (-1) in
-    Table.fold
-      (fun key bucket acc ->
-        incr ord;
-        if Value.apply op (single_key ~source key) probe then
-          f acc (Some !ord) bucket
-        else acc)
-      tbl init
+    Table.iter
+      (fun key bucket ->
+        if Value.apply op (single_key ~source key) probe then List.iter f bucket)
+      tbl
 
-(* Existence version of [fold_matching_entries], with early exit.
+(* Existence version of [iter_matching], with early exit.
    Buckets are never empty, so a matching key is a matching entry. *)
 let exists_matching ~source (tbl : 'a list table) op probe =
   match op with

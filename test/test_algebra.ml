@@ -60,7 +60,10 @@ let test_equi_join () =
 let test_set_operations () =
   let a = unary "a" [ 1; 2; 3 ] in
   let b = unary "b" [ 2; 3; 4 ] in
-  let union rels = Stream.materialize (List.map Stream.of_relation rels) in
+  let union rels =
+    let pool = Batch.create_pool () in
+    Stream.materialize (List.map (Stream.of_relation ~pool) rels)
+  in
   Alcotest.(check (list int)) "union" [ 1; 2; 3; 4 ] (Helpers.ints (union [ a; b ]));
   Alcotest.(check (list int)) "union with an empty chain" [ 1; 2; 3 ]
     (Helpers.ints (union [ a; unary "e" [] ]))

@@ -162,6 +162,99 @@ let test_batch_differential =
     batch_independent_on
 
 (* --------------------------------------------------------------- *)
+(* The tuple table: a reference made during an execution is an ordinal,
+   one per (relation, key).  Employee 1 and paper 1 share the key value
+   1 in the fixture, which is what a self-join or a padding with a base
+   list over another relation must never confuse. *)
+
+let test_one_ordinal_per_element () =
+  let db = Fixtures.make () in
+  let employees = Database.find_relation db "employees"
+  and papers = Database.find_relation db "papers" in
+  let pool = Batch.create_pool () in
+  let first = Batch.ordinals pool employees
+  and second = Batch.ordinals pool employees
+  and paper = Batch.ordinals pool papers in
+  let key_one rel =
+    List.find
+      (fun t -> Value.equal (Tuple.get t 0) (Value.int 1))
+      (Relation.to_list rel)
+  in
+  let e1 = key_one employees and p1 = key_one papers in
+  let o = first e1 in
+  Alcotest.(check int) "two structures, one ordinal" o (second e1);
+  Alcotest.(check int) "an equal tuple (another scan's copy), one ordinal" o
+    (second (Array.copy e1));
+  Alcotest.(check bool) "the ordinal reads back the physical tuple" true
+    (Batch.tuple_at pool o == e1);
+  Alcotest.(check bool) "equal key in another relation, another ordinal" true
+    (paper p1 <> o);
+  Relation.iter
+    (fun t -> Alcotest.(check int) "stable per element" (first t) (second t))
+    employees;
+  (* Whole executions: grouped (s1) and lazy (palermo) builds intern
+     every element into one ordinal across all the structures of the
+     running query, and each ordinal reads back an element of the
+     relation its column references. *)
+  List.iter
+    (fun (label, strategy) ->
+      let q = Workload.Queries.running_query db in
+      let plan =
+        Session.plan_only ~opts:(Exec_opts.make ~strategy ()) db q
+      in
+      let coll = Collection.create db strategy plan in
+      Collection.run coll;
+      let pool = Collection.batch_pool coll in
+      let columns =
+        List.concat_map
+          (fun conj ->
+            List.concat_map
+              (function
+                | Collection.C_single (v, c) -> [ (v, c) ]
+                | Collection.C_pair (v1, v2, c) -> [ (v1, c); (v2, c) ])
+              (Collection.components coll conj))
+          plan.Plan.conjs
+        @ List.map
+            (fun v -> (v, Collection.base_list coll v))
+            (Plan.variable_order plan)
+      in
+      let by_key = Hashtbl.create 64 and seen_in = Hashtbl.create 64 in
+      List.iteri
+        (fun structure (v, (c : Batch.columns)) ->
+          let target =
+            match Schema.type_of c.Batch.c_schema v with
+            | Vtype.TRef r -> r
+            | _ -> Alcotest.fail "a reference column"
+          in
+          let rel = Database.find_relation db target in
+          let i = Schema.index_of c.Batch.c_schema v in
+          for r = 0 to c.Batch.c_rows - 1 do
+            let o = Batch.cell c.Batch.c_cols.(i) r in
+            let t = Batch.tuple_at pool o in
+            Alcotest.(check bool) (label ^ ": an element of " ^ target) true
+              (Relation.mem_tuple rel t);
+            let key = (target, Tuple.key_of (Relation.schema rel) t) in
+            (match Hashtbl.find_opt by_key key with
+            | Some o' ->
+              Alcotest.(check int) (label ^ ": one ordinal per element") o' o
+            | None -> Hashtbl.replace by_key key o);
+            Hashtbl.replace seen_in (o, structure) ()
+          done)
+        columns;
+      let structures o =
+        Hashtbl.fold (fun (o', _) () n -> if o = o' then n + 1 else n) seen_in 0
+      in
+      Alcotest.(check bool) (label ^ ": some element is in two structures")
+        true
+        (Hashtbl.fold (fun _ o acc -> acc || structures o > 1) by_key false);
+      Alcotest.(check int) (label ^ ": distinct elements, distinct ordinals")
+        (Hashtbl.length by_key)
+        (List.length
+           (List.sort_uniq compare
+              (Hashtbl.fold (fun _ o acc -> o :: acc) by_key []))))
+    [ ("s1", Strategy.s1); ("palermo", Strategy.palermo) ]
+
+(* --------------------------------------------------------------- *)
 (* Counters and options plumbing *)
 
 let test_batch_counters_move () =
@@ -201,6 +294,8 @@ let suite =
           test_join_class_mismatch;
         Alcotest.test_case "fingerprint separates batch sizes" `Quick
           test_fingerprint_distinguishes_batch_size;
+        Alcotest.test_case "one ordinal per element, per relation" `Quick
+          test_one_ordinal_per_element;
         QCheck_alcotest.to_alcotest test_batch_differential;
       ] );
   ]

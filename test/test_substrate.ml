@@ -147,21 +147,24 @@ let test_tuple_operations () =
 (* Index *)
 
 (* The collection phase's way of building an index: create it empty and
-   add each element while a scan passes over the relation. *)
+   add each element, with its ordinal in an execution's tuple table,
+   while a scan passes over the relation. *)
 let index_of ?(keep = fun _ -> true) rel ~on =
+  let pool = Batch.create_pool () in
+  let ord = Batch.ordinals pool rel in
   let idx = Index.create rel ~on in
-  Relation.scan (fun t -> if keep t then Index.add idx rel t) rel;
-  idx
+  Relation.scan (fun t -> if keep t then Index.add idx t (ord t)) rel;
+  (idx, pool)
 
 let count_matching idx op v =
-  Index.fold_matching_entries idx op (Value.int v)
-    (fun acc _ refs -> acc + List.length refs)
-    0
+  let n = ref 0 in
+  Index.iter_matching idx op (Value.int v) (fun _ -> incr n);
+  !n
 
 let test_index_build_and_probe () =
   let db = Fixtures.make () in
   let timetable = Database.find_relation db "timetable" in
-  let idx = index_of timetable ~on:[ "tcnr" ] in
+  let idx, pool = index_of timetable ~on:[ "tcnr" ] in
   Alcotest.(check int) "3 entries" 3 (Index.entry_count idx);
   Alcotest.(check int) "course 10 taught by two" 2
     (count_matching idx Value.Eq 10);
@@ -176,22 +179,19 @@ let test_index_build_and_probe () =
   Alcotest.(check int) "tcnr <> 10" 1 (count_matching idx Value.Ne 10);
   Alcotest.(check bool) "no tcnr > 99" false
     (Index.exists_matching idx Value.Gt (Value.int 99));
-  (* Entry ordinals: one per distinct course number, stable across
-     probes of the unmodified index. *)
-  let ordinals () =
-    Index.fold_matching_entries idx Value.Ge (Value.int 0)
-      (fun acc ord _ -> Option.get ord :: acc)
-      []
-    |> List.sort compare
-  in
-  Alcotest.(check (list int)) "ordinals" [ 0; 1 ] (ordinals ());
-  Alcotest.(check (list int)) "ordinals stable" (ordinals ()) (ordinals ())
+  (* The references are the elements' ordinals: each reads back the
+     element it was given for. *)
+  let schema = Relation.schema timetable in
+  Index.iter_matching idx Value.Eq (Value.int 10) (fun o ->
+      Alcotest.(check bool) "ordinal reads back a course-10 element" true
+        (Value.equal (Value.int 10)
+           (Tuple.get_by_name schema (Batch.tuple_at pool o) "tcnr")))
 
 let test_index_partial () =
   let db = Fixtures.make () in
   let papers = Database.find_relation db "papers" in
   let schema = Relation.schema papers in
-  let idx =
+  let idx, _ =
     index_of papers ~on:[ "penr" ] ~keep:(fun t ->
         Value.equal (Tuple.get_by_name schema t "pyear") (Value.int 1977))
   in
@@ -200,8 +200,10 @@ let test_index_partial () =
 let test_index_to_relation () =
   let db = Fixtures.make () in
   let timetable = Database.find_relation db "timetable" in
-  let idx = index_of timetable ~on:[ "tcnr" ] in
-  let rel = Index.to_relation ~name:"ind_t_cnr" idx (Relation.schema timetable) in
+  let idx, pool = index_of timetable ~on:[ "tcnr" ] in
+  let rel =
+    Index.to_relation ~name:"ind_t_cnr" idx pool (Relation.schema timetable)
+  in
   (* Figure 2's ind_t_cnr: RELATION <tcnr, tref>. *)
   Alcotest.(check (list string)) "schema" [ "tcnr"; "ref" ]
     (Schema.names (Relation.schema rel));
