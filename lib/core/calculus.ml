@@ -277,8 +277,8 @@ let subst_query bindings q =
 
    Serializes a query unambiguously (every string is length-prefixed, so
    no concrete-syntax collision can alias two distinct queries) and
-   hashes with MD5.  The digest of the alpha-canonical form — see
-   {!Normalize.canonical_query} — is the plan cache's query key. *)
+   hashes with MD5.  The digest of a query's shape — see
+   {!Normalize.shape} — is the plan cache's query key. *)
 
 let ser_string buf s =
   Buffer.add_string buf (string_of_int (String.length s));

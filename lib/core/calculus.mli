@@ -113,8 +113,7 @@ val subst_query : Value.t Var_map.t -> query -> query
 
 val digest_query : query -> string
 (** Unambiguous structural MD5 of a query (every string length-prefixed).
-    Digest the alpha-canonical form ({!Normalize.canonical_query}) to key
-    a plan cache. *)
+    Digest a query's shape ({!Normalize.shape}) to key a plan cache. *)
 
 (** {1 Equality} *)
 

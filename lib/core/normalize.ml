@@ -144,70 +144,89 @@ let formula_of_conj (conj : conjunction) =
 
 let formula_of_dnf (d : dnf) = disj (List.map formula_of_conj d)
 
-(* --- Alpha-canonical renaming --------------------------------------
+(* --- Query shape ----------------------------------------------------
 
-   Rename every variable to a reserved positional name ('%'-prefixed,
-   which the lexer cannot produce): free variables to %f0, %f1, ... in
-   declaration order, quantifier-bound variables to %b0, %b1, ... in
-   traversal order, range-restriction variables to %r0, %r1, ...
-   likewise.  Two queries differing only in variable spelling
-   canonicalize identically, so digesting the canonical form
-   ({!Calculus.digest_query}) keys a plan cache by query structure. *)
+   One walk renames every variable to a reserved positional name
+   ('%'-prefixed, which the lexer cannot produce): free variables %f0,
+   %f1, ... in declaration order, bound variables %b0, ... and
+   restriction variables %r0, ... in traversal order.  It also lifts
+   every constant compared against an attribute into a placeholder
+   %c0, %c1, ... in traversal order; a constant compared against a
+   constant stays, for {!nnf} to fold.  Queries differing only in
+   variable spelling and those literals have one shape, whose digest
+   keys a plan cache.  The lifted query keeps the caller's variable
+   names, so its plan prints as the caller wrote it once ground. *)
 
-let canonical_query (q : query) =
-  let bound = ref 0 and restr = ref 0 in
-  let rename_operand env = function
-    | O_attr (v, a) as o -> (
-      match Var_map.find_opt v env with
-      | Some v' -> O_attr (v', a)
-      | None -> o)
-    | (O_const _ | O_param _) as o -> o
+let shape (q : query) =
+  let frees = ref 0 and bound = ref 0 and restr = ref 0 in
+  let literals = ref Var_map.empty in
+  let fresh kind n =
+    incr n;
+    Printf.sprintf "%%%c%d" kind (!n - 1)
   in
-  let rename_atom env a =
-    { a with lhs = rename_operand env a.lhs; rhs = rename_operand env a.rhs }
+  let lift = function
+    | O_const c ->
+      let p = Printf.sprintf "%%c%d" (Var_map.cardinal !literals) in
+      literals := Var_map.add p c !literals;
+      O_param p
+    | (O_attr _ | O_param _) as o -> o
   in
-  let rec rename_range r =
+  let rename env = function
+    | O_attr (v, a) when Var_map.mem v env -> O_attr (Var_map.find v env, a)
+    | (O_attr _ | O_const _ | O_param _) as o -> o
+  in
+  (* Each walker returns the lifted form and the shape. *)
+  let atom env a =
+    let a =
+      match a.lhs, a.rhs with
+      | O_attr _, O_const _ | O_const _, O_attr _ ->
+        { a with lhs = lift a.lhs; rhs = lift a.rhs }
+      | (O_attr _ | O_const _ | O_param _), _ -> a
+    in
+    (F_atom a, F_atom { a with lhs = rename env a.lhs; rhs = rename env a.rhs })
+  in
+  let rec range r =
     match r.restriction with
-    | None -> r
+    | None -> (r, r)
     | Some (rv, f) ->
       (* Restriction formulas mention only their own variable
          (wellformedness), so a fresh one-entry environment suffices. *)
-      let rv' = Printf.sprintf "%%r%d" !restr in
-      incr restr;
-      let env = Var_map.add rv rv' Var_map.empty in
-      { r with restriction = Some (rv', rename_formula env f) }
-  and rename_formula env = function
-    | F_true -> F_true
-    | F_false -> F_false
-    | F_atom a -> F_atom (rename_atom env a)
-    | F_not f -> F_not (rename_formula env f)
-    | F_and (a, b) -> F_and (rename_formula env a, rename_formula env b)
-    | F_or (a, b) -> F_or (rename_formula env a, rename_formula env b)
-    | F_some (v, r, f) ->
-      let r' = rename_range r in
-      let v' = Printf.sprintf "%%b%d" !bound in
-      incr bound;
-      F_some (v', r', rename_formula (Var_map.add v v' env) f)
-    | F_all (v, r, f) ->
-      let r' = rename_range r in
-      let v' = Printf.sprintf "%%b%d" !bound in
-      incr bound;
-      F_all (v', r', rename_formula (Var_map.add v v' env) f)
+      let rv' = fresh 'r' restr in
+      let f, f' = formula (Var_map.singleton rv rv') f in
+      ({ r with restriction = Some (rv, f) }, { r with restriction = Some (rv', f') })
+  and formula env = function
+    | (F_true | F_false) as f -> (f, f)
+    | F_atom a -> atom env a
+    | F_not f ->
+      let f, f' = formula env f in
+      (F_not f, F_not f')
+    | F_and (a, b) -> both env (fun a b -> F_and (a, b)) a b
+    | F_or (a, b) -> both env (fun a b -> F_or (a, b)) a b
+    | F_some (v, r, f) -> quantified env (fun v r f -> F_some (v, r, f)) v r f
+    | F_all (v, r, f) -> quantified env (fun v r f -> F_all (v, r, f)) v r f
+  and both env mk a b =
+    let a, a' = formula env a in
+    let b, b' = formula env b in
+    (mk a b, mk a' b')
+  and quantified env mk v r f =
+    let r, r' = range r in
+    let v' = fresh 'b' bound in
+    let f, f' = formula (Var_map.add v v' env) f in
+    (mk v r f, mk v' r' f')
   in
-  let env, free_rev =
-    List.fold_left
-      (fun (env, acc) (v, r) ->
-        let v' = Printf.sprintf "%%f%d" (Var_map.cardinal env) in
-        (Var_map.add v v' env, (v', rename_range r) :: acc))
-      (Var_map.empty, []) q.free
+  let env, free =
+    List.fold_left_map
+      (fun env (v, r) ->
+        let v' = fresh 'f' frees in
+        let r, r' = range r in
+        (Var_map.add v v' env, ((v, r), (v', r'))))
+      Var_map.empty q.free
   in
-  let select =
-    List.map
-      (fun (v, a) ->
-        match Var_map.find_opt v env with Some v' -> (v', a) | None -> (v, a))
-      q.select
-  in
-  { free = List.rev free_rev; select; body = rename_formula env q.body }
+  let free, free' = List.split free in
+  let body, body' = formula env q.body in
+  let name v = Option.value (Var_map.find_opt v env) ~default:v in
+  let select = List.map (fun (v, a) -> (name v, a)) q.select in
+  ({ q with free; body }, { free = free'; select; body = body' }, !literals)
 
 let pp_conjunction ppf conj =
   match conj with

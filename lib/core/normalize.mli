@@ -40,13 +40,16 @@ val dnf_vars : dnf -> Var_set.t
 val formula_of_conj : conjunction -> formula
 val formula_of_dnf : dnf -> formula
 
-val canonical_query : query -> query
-(** Alpha-canonical form: every variable renamed to a reserved
-    positional name ([%f0]/[%b0]/[%r0]-style, unlexable) — free
-    variables in declaration order, bound variables in traversal order.
-    Queries differing only in variable spelling canonicalize
-    identically; digest the result ({!Calculus.digest_query}) to key a
-    plan cache. *)
+val shape : query -> query * query * Relalg.Value.t Var_map.t
+(** [shape q] is [(lifted, shape, literals)].  [lifted] is [q] with
+    every constant compared against an attribute replaced by a reserved
+    placeholder ([%c0], [%c1], ... in traversal order, unlexable);
+    [literals] binds the placeholders to those constants, so
+    [subst_query literals lifted = q].  [shape] is [lifted] with every
+    variable renamed to a reserved positional name ([%f0]/[%b0]/[%r0]):
+    queries differing only in variable spelling and in those literals
+    have one shape; digest it ({!Calculus.digest_query}) to key a plan
+    cache.  Constant-vs-constant atoms stay, for {!nnf} to fold. *)
 
 val pp_conjunction : conjunction Fmt.t
 val pp_dnf : dnf Fmt.t

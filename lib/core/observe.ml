@@ -83,7 +83,7 @@ let txn_stats ~since now =
 let scans_probes ~since now =
   (now.w_scans - since.w_scans, now.w_probes - since.w_probes)
 
-let run ~digest ~text ~opts ~rows_of f =
+let run_lazy ~digest ~text_of ~opts ~rows_of f =
   let go () =
     let before = counters () in
     let t0 = Obs.Trace.now_ms () in
@@ -115,6 +115,9 @@ let run ~digest ~text ~opts ~rows_of f =
       + d (fun w -> w.w_regrounds)
     in
     let fingerprint = Exec_opts.fingerprint opts in
+    (* The text is kept only by the entry's first execution. *)
+    let first = Option.is_none (Obs.Query_stats.find digest) in
+    let text = if first then text_of () else "" in
     Obs.Query_stats.record ~digest ~query:text ~opts:fingerprint ~wall_ms
       ~collection_ms:!coll_ms ~combination_ms:!comb_ms
       ~construction_ms:!cons_ms ~rows:(rows_of result)
@@ -148,3 +151,5 @@ let run ~digest ~text ~opts ~rows_of f =
     result
   end
   else go ()
+
+let run ~digest ~text = run_lazy ~digest ~text_of:(fun () -> text)

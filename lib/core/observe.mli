@@ -54,3 +54,8 @@ val run :
     window, so callers must open the window around {e all} planning
     work for the execution (Session's one-shot paths call this around
     prepare + execute).  Exceptions propagate unrecorded. *)
+
+val run_lazy :
+  digest:string -> text_of:(unit -> string) -> opts:Exec_opts.t ->
+  rows_of:('r -> int) -> (clock -> 'r) -> 'r
+(** {!run}, printing the text only for a new {!Obs.Query_stats} entry. *)

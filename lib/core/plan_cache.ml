@@ -23,6 +23,7 @@ type stats = {
 type entry = {
   e_planned : Plan.t * Standard_form.answers;
   mutable e_used : int;  (* recency tick of the last hit *)
+  mutable e_live : bool;  (* still in the table: its holder skips the key *)
 }
 
 type t = {
@@ -66,8 +67,20 @@ let next_tick t =
   t.tick <- t.tick + 1;
   t.tick
 
-let find t db key =
-  match Hashtbl.find_opt t.tbl key with
+let planned e = e.e_planned
+
+let remove t key e =
+  Hashtbl.remove t.tbl key;
+  e.e_live <- false
+
+(* A caller that holds the entry it was last served for [key] skips
+   hashing the key while that entry is still cached. *)
+let find ?held t db key =
+  match
+    match held with
+    | Some e when e.e_live -> Some e
+    | Some _ | None -> Hashtbl.find_opt t.tbl key
+  with
   | None ->
     t.misses <- t.misses + 1;
     Obs.Metrics.incr "plan_cache.misses";
@@ -76,10 +89,10 @@ let find t db key =
     e.e_used <- next_tick t;
     t.hits <- t.hits + 1;
     Obs.Metrics.incr "plan_cache.hits";
-    Some e.e_planned
-  | Some _ ->
+    Some e
+  | Some e ->
     (* Stale: an emptiness answer it was compiled under has changed. *)
-    Hashtbl.remove t.tbl key;
+    remove t key e;
     t.invalidations <- t.invalidations + 1;
     Obs.Metrics.incr "plan_cache.invalidations";
     None
@@ -89,21 +102,24 @@ let evict_lru t =
     Hashtbl.fold
       (fun key e acc ->
         match acc with
-        | Some (_, used) when used <= e.e_used -> acc
-        | _ -> Some (key, e.e_used))
+        | Some (_, v) when v.e_used <= e.e_used -> acc
+        | _ -> Some (key, e))
       t.tbl None
   in
   match victim with
   | None -> ()
-  | Some (key, _) ->
-    Hashtbl.remove t.tbl key;
+  | Some (key, e) ->
+    remove t key e;
     t.evictions <- t.evictions + 1;
     Obs.Metrics.incr "plan_cache.evictions"
 
 let add t key planned =
   if (not (Hashtbl.mem t.tbl key)) && Hashtbl.length t.tbl >= t.cap then
     evict_lru t;
-  Hashtbl.replace t.tbl key
-    { e_planned = planned; e_used = next_tick t }
+  let e = { e_planned = planned; e_used = next_tick t; e_live = true } in
+  Hashtbl.replace t.tbl key e;
+  e
 
-let clear t = Hashtbl.reset t.tbl
+let clear t =
+  Hashtbl.iter (fun _ e -> e.e_live <- false) t.tbl;
+  Hashtbl.reset t.tbl

@@ -21,13 +21,19 @@ val create : ?capacity:int -> unit -> t
 
 val length : t -> int
 
-val find :
-  t -> Relalg.Database.t -> string -> (Plan.t * Standard_form.answers) option
+type entry
+(** A cached plan with the emptiness answers it was compiled under. *)
+
+val planned : entry -> Plan.t * Standard_form.answers
+
+val find : ?held:entry -> t -> Relalg.Database.t -> string -> entry option
 (** [None] on absence (miss) or when an answer the plan was compiled
     under fails on the snapshot (invalidation — the entry is dropped);
-    the caller re-plans and {!add}s. *)
+    the caller re-plans and {!add}s.  [held] is the entry this caller
+    was last served for the key: while it is still cached, the lookup
+    checks it without hashing the key. *)
 
-val add : t -> string -> Plan.t * Standard_form.answers -> unit
+val add : t -> string -> Plan.t * Standard_form.answers -> entry
 (** Insert (or refresh) a plan, evicting the least recently used entry
     when the cache is full. *)
 

@@ -27,8 +27,9 @@ exception Unknown_parameter of string
 type t = {
   p_db : Database.t;  (* the session's store; autocommit pins snapshots of it *)
   p_opts : Exec_opts.t;
-  p_digest : string;  (* structural digest: the Query_stats key *)
-  p_text : string;  (* pretty-printed query, for stats display *)
+  p_digest : string;  (* shape digest: the Query_stats key *)
+  p_query : query;
+  mutable p_text : string;  (* p_query printed once asked for, else "" *)
   p_params : string list;  (* required placeholders, sorted *)
   p_plan : Database.t -> Value.t Var_map.t -> Plan.t;
       (* the plan for a snapshot, ground under the bindings *)
@@ -39,7 +40,8 @@ let make ~db ~opts ~digest ~query ~plan =
     p_db = db;
     p_opts = opts;
     p_digest = digest;
-    p_text = Fmt.str "%a" pp_query query;
+    p_query = query;
+    p_text = "";
     p_params = query_params query;
     p_plan = plan;
   }
@@ -47,7 +49,11 @@ let make ~db ~opts ~digest ~query ~plan =
 let params t = t.p_params
 let opts t = t.p_opts
 let digest t = t.p_digest
-let text t = t.p_text
+
+let text t =
+  if t.p_text = "" then t.p_text <- Fmt.str "%a" pp_query t.p_query;
+  t.p_text
+
 let plan t = t.p_plan t.p_db Var_map.empty
 
 let bindings_of t provided =
@@ -125,8 +131,8 @@ let exec_report_with ?name ?(params = []) ?within ~since
 let exec ?name ?params ?within t =
   let since = Observe.window () in
   let report =
-    Observe.run ~digest:t.p_digest ~text:t.p_text ~opts:t.p_opts
-      ~rows_of:(fun r -> r.Exec_result.rows)
+    Observe.run_lazy ~digest:t.p_digest ~text_of:(fun () -> text t)
+      ~opts:t.p_opts ~rows_of:(fun r -> r.Exec_result.rows)
       (fun clock -> exec_report_with ?name ?params ?within ~since clock t)
   in
   report.Exec_result.result

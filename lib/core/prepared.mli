@@ -25,8 +25,8 @@ val make :
   t
 (** Used by {!Session.prepare}; [plan db b] must return the query's
     plan for the snapshot [db], through the session's plan cache,
-    ground under the bindings [b] (empty: placeholders intact).
-    [digest] is the structural digest of the alpha-canonical query —
+    ground under the bindings [b] (empty: [$name] placeholders intact).
+    [digest] is the digest of the query's shape ({!Normalize.shape}) —
     the key under which executions accumulate in {!Obs.Query_stats}. *)
 
 val params : t -> string list
@@ -35,14 +35,14 @@ val params : t -> string list
 val opts : t -> Exec_opts.t
 
 val digest : t -> string
-(** The structural digest executions are accounted under. *)
+(** The shape digest executions are accounted under. *)
 
 val text : t -> string
-(** The query pretty-printed once at prepare time. *)
+(** The query pretty-printed, on the first call. *)
 
 val plan : t -> Plan.t
 (** The current (possibly re-planned) plan against the session's
-    store, placeholders intact. *)
+    store, [$name] placeholders intact. *)
 
 val exec :
   ?name:string ->

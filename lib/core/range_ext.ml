@@ -22,7 +22,10 @@
    database, because the surrounding prenex form is only valid for
    non-empty ranges (Lemma 1): an empty extended SOME-range deletes the
    variable's conjunctions instead; an empty extended ALL-range makes
-   the whole quantified part true. *)
+   the whole quantified part true.  A restriction that mentions a
+   $param is extended all the same: Standard_form.range_is_empty
+   records it as assumed non-empty, and every execution asks it again
+   under its bindings, re-planning the ground query when it is empty. *)
 
 open Relalg
 open Calculus
@@ -43,17 +46,6 @@ let extend_range (range : range) v f =
     restricted range.range_rel v (f_and existing f)
 
 let conj_mentions v conj = Var_set.mem v (Normalize.conj_vars conj)
-
-(* Does a range's restriction mention a $param?  Extraction for a
-   QUANTIFIED variable hinges on knowing whether the extended range is
-   empty (Lemma 1: elimination of the quantifier assumes non-empty),
-   which is undecidable before the parameters are bound — so such
-   extensions are skipped and the monadic terms stay in the matrix,
-   where the combination phase evaluates them after grounding.  Free
-   variables are extended regardless: their identity
-   [<...> OF EACH v IN rel : S AND W] = [<...> OF EACH v IN [rel: S] : W]
-   holds for empty ranges too. *)
-let range_has_params = Standard_form.has_params
 
 (* Remove atoms (mirrored-equal) from a conjunction. *)
 let remove_atoms atoms conj =
@@ -91,31 +83,28 @@ let extract_existential db st v range ~is_free ~set_range ~drop_var =
     | atoms ->
       let s_formula = conj (List.map (fun a -> F_atom a) atoms) in
       let new_range = extend_range range v s_formula in
-      if (not is_free) && range_has_params new_range then false
-      else begin
-        (if (not is_free) && Standard_form.range_is_empty db new_range
-         then begin
-           (* SOME v over an empty extended range: the variable's
-              conjunctions are unsatisfiable; the rest of the matrix
-              survives (Lemma 1, rule 2 applied in reverse). *)
-           st.matrix <-
-             List.filter (fun c -> not (conj_mentions v c)) st.matrix;
-           drop_var ();
-           prune_vacuous st
-         end
-         else begin
-           st.matrix <-
-             List.map
-               (fun conj ->
-                 if conj_mentions v conj || is_free then
-                   remove_atoms atoms conj
-                 else conj)
-               st.matrix;
-           set_range new_range;
-           prune_vacuous st
-         end);
-        true
-      end
+      (if (not is_free) && Standard_form.range_is_empty db new_range
+       then begin
+         (* SOME v over an empty extended range: the variable's
+            conjunctions are unsatisfiable; the rest of the matrix
+            survives (Lemma 1, rule 2 applied in reverse). *)
+         st.matrix <-
+           List.filter (fun c -> not (conj_mentions v c)) st.matrix;
+         drop_var ();
+         prune_vacuous st
+       end
+       else begin
+         st.matrix <-
+           List.map
+             (fun conj ->
+               if conj_mentions v conj || is_free then
+                 remove_atoms atoms conj
+               else conj)
+             st.matrix;
+         set_range new_range;
+         prune_vacuous st
+       end);
+      true
   end
 
 (* One extraction attempt for a universally quantified variable.  With
@@ -154,31 +143,28 @@ let extract_universal ~cnf db st (entry : Normalize.prefix_entry) =
     in
     let s_formula = conj negated in
     let new_range = extend_range entry.Normalize.range v s_formula in
-    if range_has_params new_range then false
-    else begin
-      st.matrix <-
-        List.filter
-          (fun c -> not (List.exists (Normalize.conj_equal c) singleton_conjs))
-          st.matrix;
-      (if Standard_form.range_is_empty db new_range then begin
-         (* ALL v over an empty extended range: the quantified part is
-            identically true; only the free ranges still select. *)
-         st.matrix <- [ [] ];
-         st.prefix <- [];
-         st.finished <- true
-       end
-       else begin
-         st.prefix <-
-           List.map
-             (fun (e : Normalize.prefix_entry) ->
-               if String.equal e.Normalize.v v then
-                 { e with Normalize.range = new_range }
-               else e)
-             st.prefix;
-         prune_vacuous st
-       end);
-      true
-    end
+    st.matrix <-
+      List.filter
+        (fun c -> not (List.exists (Normalize.conj_equal c) singleton_conjs))
+        st.matrix;
+    (if Standard_form.range_is_empty db new_range then begin
+       (* ALL v over an empty extended range: the quantified part is
+          identically true; only the free ranges still select. *)
+       st.matrix <- [ [] ];
+       st.prefix <- [];
+       st.finished <- true
+     end
+     else begin
+       st.prefix <-
+         List.map
+           (fun (e : Normalize.prefix_entry) ->
+             if String.equal e.Normalize.v v then
+               { e with Normalize.range = new_range }
+             else e)
+           st.prefix;
+       prune_vacuous st
+     end);
+    true
   end
 
 (* CNF clause extension for a free/SOME variable (applied once, after
@@ -205,17 +191,14 @@ let extend_clause_existential db st v range ~is_free ~set_range ~drop_var =
            relevant_conjs)
     in
     let new_range = extend_range range v clause in
-    if (not is_free) && range_has_params new_range then false
-    else begin
-      (if (not is_free) && Standard_form.range_is_empty db new_range
-       then begin
-         st.matrix <- List.filter (fun c -> not (conj_mentions v c)) st.matrix;
-         drop_var ();
-         prune_vacuous st
-       end
-       else set_range new_range);
-      true
-    end
+    (if (not is_free) && Standard_form.range_is_empty db new_range
+     then begin
+       st.matrix <- List.filter (fun c -> not (conj_mentions v c)) st.matrix;
+       drop_var ();
+       prune_vacuous st
+     end
+     else set_range new_range);
+    true
   end
 
 let set_free st v r =

@@ -4,12 +4,16 @@
    Planning a PASCAL/R selection is the expensive prefix of every
    evaluation — empty-range adaptation, standard form (prenex + DNF),
    strategy 3's range extension and strategy 4's quantifier pushing.
-   A session runs that pipeline once per (query structure, options)
-   and caches the resulting plan with the emptiness answers it was
-   planned under:
+   A session runs that pipeline once per (query shape, options) and
+   caches the resulting plan with the emptiness answers it was planned
+   under:
 
-   - the query structure is keyed by the MD5 digest of its
-     alpha-canonical form, so spelling of variables does not matter;
+   - the query shape is keyed by the MD5 digest of Normalize.shape: its
+     variables renamed to positional names and every constant compared
+     against an attribute lifted into a placeholder, so neither the
+     spelling of variables nor those literals matter; each execution
+     grounds the shape's plan with its own literals, asking again every
+     emptiness question the placeholders left open;
    - the options fingerprint keys strategies and join order, which
      change the compiled plan;
    - validity is the paper's own rule: a plan depends on the data only
@@ -104,44 +108,55 @@ let cache_stats t = Plan_cache.stats t.s_cache
 let cache_length t = Plan_cache.length t.s_cache
 let clear_cache t = Plan_cache.clear t.s_cache
 
-(* The structural digest ignores variable spelling; it keys the
-   cumulative per-query statistics on its own, and — concatenated with
-   the options fingerprint, which separates plans the knobs would
-   compile differently — the plan cache. *)
-let digest query = Calculus.digest_query (Normalize.canonical_query query)
+(* The shape digest ignores variable spelling and the literals compared
+   against attributes; it keys the cumulative per-query statistics on
+   its own, and — concatenated with the options fingerprint, which
+   separates plans the knobs would compile differently — the plan
+   cache. *)
+let digest query =
+  let _, shape, _ = Normalize.shape query in
+  Calculus.digest_query shape
 
 (* Build the Prepared without planning anything yet: the plan closure
    takes the database to plan against, so the same prepared query
-   serves the store (autocommit) and any transaction's snapshot.  A
-   $param range was planned as non-empty; when the bindings make it
-   empty, the substituted query is planned uncached (a reground). *)
-let prepare_lazy ?(opts = Exec_opts.default) t query =
-  let digest = digest query in
+   serves the store (autocommit) and any transaction's snapshot.  It
+   grounds the lifted query's cached plan with the literals plus the
+   caller's bindings; when they make an assumed range empty, the ground
+   query is planned uncached (a reground).  [fetch], the cached plan
+   alone, holds the entry it was last served, so the next fetch skips
+   the key lookup while that entry stays cached. *)
+let prepare_with ~opts t query =
+  let lifted, shape, literals = Normalize.shape query in
+  let digest = Calculus.digest_query shape in
   let key = digest ^ "#" ^ Exec_opts.fingerprint opts in
-  let plan db b =
-    let plan, answers =
-      match Plan_cache.find t.s_cache db key with
-      | Some entry -> entry
+  let held = ref None in
+  let fetch db =
+    let e =
+      match Plan_cache.find ?held:!held t.s_cache db key with
+      | Some e -> e
       | None ->
-        let entry =
-          Standard_form.recording (fun () -> plan_only ~opts db query)
-        in
-        Plan_cache.add t.s_cache key entry;
-        entry
+        Plan_cache.add t.s_cache key
+          (Standard_form.recording (fun () -> plan_only ~opts db lifted))
     in
+    held := Some e;
+    Plan_cache.planned e
+  in
+  let plan db user =
+    let b = Calculus.Var_map.union (fun _ lit _ -> Some lit) literals user in
+    let plan, answers = fetch db in
     if Calculus.Var_map.is_empty b then plan
     else if Standard_form.hold_under b db answers then Plan.ground b plan
     else begin
       Obs.Metrics.incr "plan_cache.regrounds";
-      plan_only ~opts db (Calculus.subst_query b query)
+      plan_only ~opts db (Calculus.subst_query b lifted)
     end
   in
-  Prepared.make ~db:t.s_db ~opts ~digest ~query ~plan
+  (Prepared.make ~db:t.s_db ~opts ~digest ~query ~plan, fetch)
 
 let prepare ?(opts = Exec_opts.default) t query =
-  let p = prepare_lazy ~opts t query in
+  let p, fetch = prepare_with ~opts t query in
   (* Plan eagerly: prepare pays for planning, executions need not. *)
-  ignore (Prepared.plan p : Plan.t);
+  ignore (fetch t.s_db : Plan.t * Standard_form.answers);
   p
 
 (* --- The transaction surface --------------------------------------- *)
@@ -171,13 +186,13 @@ module Txn = struct
   let exec_report ?(opts = Exec_opts.default) ?name ?params txn query =
     let view = database txn in
     let since = Observe.window () in
-    Observe.run ~digest:(digest query)
-      ~text:(Fmt.str "%a" Calculus.pp_query query)
+    let p, _ = prepare_with ~opts txn.x_session query in
+    Observe.run_lazy ~digest:(Prepared.digest p)
+      ~text_of:(fun () -> Prepared.text p)
       ~opts
       ~rows_of:(fun r -> r.Exec_result.rows)
       (fun clock ->
-        Prepared.exec_report_with ?name ?params ~within:view ~since clock
-          (prepare_lazy ~opts txn.x_session query))
+        Prepared.exec_report_with ?name ?params ~within:view ~since clock p)
 
   let exec ?opts ?name ?params txn query =
     (exec_report ?opts ?name ?params txn query).Exec_result.result

@@ -3,13 +3,14 @@
 
     {!prepare} runs the planning pipeline — empty-range adaptation,
     standard form, strategies 3 and 4 — at most once per (query
-    structure, {!Exec_opts}) while the plan's emptiness answers hold;
+    shape, {!Exec_opts}) while the plan's emptiness answers hold;
     every execution then runs the one body
     {!Prepared.exec_report_with} — only the collection / combination /
     construction phases — and the [exec] family return its
     {!Exec_result.t} or that report's result relation.  Cache keys
-    digest the alpha-canonical query, so variable spelling does not
-    matter; an entry is invalidated when a range it asked about
+    digest the query's shape ({!Normalize.shape}), so neither variable
+    spelling nor the literals compared against attributes matter (each
+    execution grounds the plan with its own); an entry is invalidated when a range it asked about
     ({!Standard_form.range_is_empty}) changes between empty and
     non-empty on the snapshot an execution runs against.
 
@@ -44,7 +45,7 @@ val cache_length : t -> int
 val clear_cache : t -> unit
 
 val digest : query -> string
-(** The structural digest of the alpha-canonical query — the key under
+(** The digest of the query's shape ({!Normalize.shape}) — the key under
     which executions accumulate in {!Obs.Query_stats} and (with the
     {!Exec_opts.fingerprint} appended) in the plan cache. *)
 

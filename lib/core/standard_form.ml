@@ -144,11 +144,15 @@ let still_hold db answers =
            end)
     answers
 
-(* Do the $param assumptions hold under bindings [b]? *)
+(* Do the $param assumptions hold under bindings [b]?  One that still
+   mentions an unbound $param stays assumed. *)
 let hold_under b db answers =
   List.for_all
     (function
-      | Assumed r -> not (ask db (subst_range b r)) | Answered _ -> true)
+      | Assumed r ->
+        let r = subst_range b r in
+        has_params r || not (ask db r)
+      | Answered _ -> true)
     answers
 
 (* Runtime adaptation: replace quantifiers over empty ranges by their

@@ -30,9 +30,6 @@ val range_is_empty : Database.t -> range -> bool
     answered [false] (assumed non-empty).  Inside {!recording}, the
     question and its answer are recorded. *)
 
-val has_params : range -> bool
-(** Does the range's restriction mention a [$param]? *)
-
 val recording : (unit -> 'a) -> 'a * answers
 (** Run a planning function and return the distinct emptiness questions
     it asked (on this domain), in order. *)
@@ -46,7 +43,8 @@ val still_hold : Database.t -> answers -> bool
 
 val hold_under : Value.t Var_map.t -> Database.t -> answers -> bool
 (** Are the [$param] ranges assumed non-empty really non-empty in [db]
-    under these bindings? *)
+    under these bindings?  A range that still mentions an unbound
+    [$param] stays assumed. *)
 
 val adapt_query : Database.t -> query -> query
 (** Replace quantifiers over empty ranges by their truth values so that

@@ -1,7 +1,7 @@
 (* Cumulative per-query statistics, pg_stat_statements-style.
 
-   One entry per plan-cache digest (the MD5 of the alpha-canonical
-   query), accumulated across every Session / Prepared execution in the
+   One entry per plan-cache digest (the MD5 of the query's shape: its
+   variables renamed and its literals lifted), accumulated across every Session / Prepared execution in the
    process: call and cache-hit counts, rows produced, a bucketed wall-ms
    latency histogram (p50/p95/p99 via Histogram), and the
    collection / combination / construction time split.

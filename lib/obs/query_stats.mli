@@ -1,7 +1,7 @@
 (** Cumulative per-query execution statistics.
 
-    One entry per plan-cache digest (the structural MD5 of the
-    alpha-canonical query), accumulated across every {!Core.Session} /
+    One entry per plan-cache digest (the structural MD5 of the query's
+    shape: its variables renamed and its literals lifted), accumulated across every {!Core.Session} /
     {!Core.Prepared} execution in the process — the pg_stat_statements
     view of the engine.  Each entry tracks call and plan-cache-hit
     counts, replans, total rows produced, a bucketed wall-clock latency

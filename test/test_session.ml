@@ -207,6 +207,189 @@ let test_alpha_renaming_shares_key () =
   Alcotest.(check int) "only the first misses" 1 stats.Plan_cache.misses
 
 (* ---------------------------------------------------------------- *)
+(* Shapes: every literal compared against an attribute becomes a
+   placeholder of one cached plan per query shape, which each execution
+   grounds with its own literals. *)
+
+let gadgets_db () =
+  let db = Database.create () in
+  let color = Database.declare_enum db "colortype" [| "red"; "green"; "blue" |] in
+  let colortype = Vtype.enum "colortype" color.Value.labels in
+  let small = Vtype.int_range 1 99 in
+  let rel name attrs rows =
+    let r =
+      Database.declare_relation db ~name
+        (Schema.make (List.map (fun (a, ty) -> Schema.attr a ty) attrs)
+           ~key:[ fst (List.hd attrs) ])
+    in
+    List.iter (fun row -> Relation.insert r (Tuple.of_list row)) rows
+  in
+  let gadget n size name c spare =
+    [ Value.int n; Value.int size; Value.str name; Value.enum color c; Value.bool spare ]
+  in
+  rel "gadgets"
+    [ ("gnr", small); ("gsize", small); ("gname", Vtype.string_any);
+      ("gcolor", colortype); ("gspare", Vtype.boolean) ]
+    [
+      gadget 1 5 "cam" "red" true;
+      gadget 2 3 "bolt" "green" false;
+      gadget 3 9 "cog" "red" false;
+      gadget 4 1 "nut" "blue" true;
+    ];
+  rel "bins"
+    [ ("bnr", small); ("bcolor", colortype) ]
+    [ [ Value.int 1; Value.enum color "red" ]; [ Value.int 2; Value.enum color "blue" ] ];
+  db
+
+(* The text parser has no boolean operand, so the boolean literal is
+   conjoined to the elaborated query. *)
+let gadget_query db ?(attr = "gnr") ?(op = ">=") ?(quant = "SOME")
+    ?(inner = "b IN bins (b.bcolor") (n, name, spare, color) =
+  let q =
+    Pascalr_lang.Elaborate.query_of_string db
+      (Printf.sprintf
+         "[<g.gnr> OF EACH g IN gadgets: (g.%s %s %d) AND (g.gname <> '%s') \
+          AND (g.gcolor <> %s) AND (%s %s = g.gcolor))]"
+         attr op n name color quant inner)
+  in
+  let open Calculus in
+  { q with body = f_and q.body (eq (attr "g" "gspare") (const (Value.bool spare))) }
+
+let first_literals = (1, "cam", true, "green")
+
+let test_literals_share_plan () =
+  let db = gadgets_db () in
+  let s = Session.create db in
+  let queries =
+    List.map (gadget_query db)
+      [
+        first_literals;
+        (2, "bolt", false, "red");
+        (0, "x", true, "blue");
+        (3, "nut", false, "green");
+        (4, "cog", true, "red");
+      ]
+  in
+  List.iter (fun q -> agrees_naive db q (Session.exec s q)) queries;
+  let n = List.length queries in
+  Alcotest.(check int) "one plan for the shape" 1 (Session.cache_length s);
+  Alcotest.check cache_stats "the first text misses, the others hit"
+    (stats ~hits:(n - 1) ~misses:1 ~invalidations:0)
+    (Session.cache_stats s);
+  let distinct qs =
+    List.length (List.sort_uniq String.compare (List.map Session.digest qs))
+  in
+  Alcotest.(check int) "one digest" 1 (distinct queries);
+  let variants =
+    [
+      gadget_query db first_literals;
+      gadget_query db ~op:">" first_literals;
+      gadget_query db ~attr:"gsize" first_literals;
+      gadget_query db ~inner:"b IN gadgets (b.gcolor" first_literals;
+      gadget_query db ~quant:"ALL" first_literals;
+    ]
+  in
+  Alcotest.(check int) "operator, attribute, relation and quantifier \
+                        each change the digest"
+    (List.length variants) (distinct variants)
+
+let test_literals_beside_params () =
+  let db = gadgets_db () in
+  let s = Session.create db in
+  let q =
+    Pascalr_lang.Elaborate.query_of_string db
+      "[<g.gnr> OF EACH g IN gadgets: (g.gcolor = red) AND (g.gsize >= $lo)]"
+  in
+  let prep = Session.prepare s q in
+  Alcotest.(check (list string)) "only the caller's params" [ "lo" ]
+    (Prepared.params prep);
+  Alcotest.check_raises "an internal name is not a parameter"
+    (Prepared.Unknown_parameter "%c0") (fun () ->
+      ignore
+        (Prepared.exec ~params:[ ("lo", Value.int 1); ("%c0", Value.int 1) ] prep));
+  let printed = Fmt.str "%a" Plan.pp (Prepared.plan prep) in
+  let contains sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length printed && (String.sub printed i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  Alcotest.(check bool) "the plan prints the literal" true (contains "red");
+  Alcotest.(check bool) "and no placeholder" false (contains "%c");
+  Alcotest.(check bool) "the caller's parameter stays" true (contains "$lo");
+  List.iter
+    (fun lo ->
+      let ground =
+        Calculus.subst_query (Calculus.Var_map.singleton "lo" (Value.int lo)) q
+      in
+      agrees_naive db ground (Prepared.exec ~params:[ ("lo", Value.int lo) ] prep))
+    [ 1; 5; 10 ]
+
+(* A constant compared against a constant is no literal: it stays in
+   the shape, and standard form folds it. *)
+let test_constant_atoms_fold () =
+  let open Calculus in
+  let db = gadgets_db () in
+  let s = Session.create db in
+  let with_truth x =
+    {
+      free = [ ("g", base "gadgets") ];
+      select = [ ("g", "gnr") ];
+      body = f_and (ge (attr "g" "gsize") (cint 3)) (eq (cint 1) (cint x));
+    }
+  in
+  let conjs x = (Prepared.plan (Session.prepare s (with_truth x))).Plan.conjs in
+  Alcotest.(check int) "1 = 2 folds the matrix to false" 0 (List.length (conjs 2));
+  Alcotest.(check int) "1 = 1 folds away" 1 (List.length (conjs 1));
+  Alcotest.(check bool) "the folded constants are part of the shape" true
+    (Session.digest (with_truth 1) <> Session.digest (with_truth 2));
+  agrees_naive db (with_truth 2) (Session.exec s (with_truth 2))
+
+(* Strategy 3 extends a quantified range whose restriction mentions a
+   $param: the range is assumed non-empty, and an execution whose
+   binding makes it empty re-plans the ground query.  The generator
+   writes papers for 1970-1985 only, so 1990 empties it. *)
+let test_param_range_extension () =
+  let db = Workload.University.generate Workload.University.small_params in
+  let q =
+    Pascalr_lang.Elaborate.query_of_string db
+      "[<e.enr> OF EACH e IN employees: (e.estatus = professor) AND (ALL p IN \
+       papers ((p.pyear <> $y) OR (e.enr < p.penr)))]"
+  in
+  List.iter
+    (fun (name, strategy) ->
+      let opts = Exec_opts.make ~strategy () in
+      let s = Session.create db in
+      let prefix = (Prepared.plan (Session.prepare ~opts s q)).Plan.prefix in
+      let alls =
+        List.filter (fun e -> e.Normalize.q = Normalize.Q_all) prefix
+      in
+      if strategy.Strategy.range_extension || strategy.Strategy.cnf_extension
+      then begin
+        Alcotest.(check bool) (name ^ ": no ALL over bare papers") true
+          (List.for_all
+             (fun e -> e.Normalize.range.Calculus.restriction <> None)
+             alls);
+        if strategy.Strategy.quantifier_push then
+          Alcotest.(check int) (name ^ ": no ALL left in the prefix") 0
+            (List.length alls)
+      end;
+      List.iter
+        (fun y ->
+          let params = [ ("y", Value.int y) ] in
+          let r = Session.exec_report ~opts ~params s q in
+          agrees_naive db
+            (Calculus.subst_query (Calculus.Var_map.singleton "y" (Value.int y)) q)
+            r.Exec_result.result;
+          if y = 1990 && strategy.Strategy.range_extension then
+            Alcotest.(check string) (name ^ ": an empty extension regrounds")
+              "reground"
+              (Exec_result.cache_outcome_to_string r.Exec_result.cache))
+        [ 1975; 1990 ])
+    Strategy.all_presets
+
+(* ---------------------------------------------------------------- *)
 (* Parameters: a prepared query grounded with bindings answers exactly
    like the substituted query run from scratch; bad bindings raise. *)
 
@@ -542,6 +725,14 @@ let suite =
           test_keys_per_options;
         Alcotest.test_case "alpha-renamed query shares the cached plan" `Quick
           test_alpha_renaming_shares_key;
+        Alcotest.test_case "texts of one shape share one plan" `Quick
+          test_literals_share_plan;
+        Alcotest.test_case "literals beside parameters stay internal" `Quick
+          test_literals_beside_params;
+        Alcotest.test_case "constant-vs-constant atoms still fold" `Quick
+          test_constant_atoms_fold;
+        Alcotest.test_case "strategy 3 extends a $param range" `Quick
+          test_param_range_extension;
         Alcotest.test_case "parameter grounding matches fresh runs" `Quick
           test_params_ground;
         Alcotest.test_case "parameter binding errors" `Quick test_params_errors;
