@@ -47,13 +47,36 @@ type entry =
   | E_index of probe_index
   | E_vlist of Value_list.t * bool  (* value list, monadics-hold-for-all flag *)
 
+(* Access paths.
+
+   A structure build is driven either by the heap scan of its source
+   relation or — when a declared secondary index can enumerate a
+   superset-free candidate set — by an index probe (equality) or range
+   scan (order comparison).  Soundness: the build's per-tuple action
+   re-checks EVERY predicate (range restriction, monadic atoms, derived
+   predicates), so the index may serve any single atom that every
+   qualifying tuple must satisfy; the index merely shrinks the driving
+   enumeration from the whole heap to the matching tuples. *)
+
+type drive =
+  | Drive_scan
+  | Drive_index of Secondary_index.t * Value.comparison * Value.t
+
+(* One execution's collection phase: the structures built so far
+   ([cache]) and the structure table describing every structure the
+   plan needs ([specs], [schedule], [comps]). *)
 type t = {
   db : Database.t;
   strategy : Strategy.t;
   plan : Plan.t;
   schemas : Schema.t Var_map.t;
   cache : (string, entry) Hashtbl.t;
-  mutable stand_ins_installed : bool;
+  specs : (string, spec) Hashtbl.t;
+      (* the structure table: every structure the plan needs, by key,
+         derived once by [create]; a base list outside the schedule is
+         added when first asked for *)
+  schedule : spec list;  (* strategy 1's structures, prerequisites first *)
+  comps : comp_spec list array;  (* each conjunction's components *)
   batch_size : int;  (* row window of the vectorized stream kernels *)
   batch_pool : Batch.pool;
       (* the query's tuple table: every structure's ordinals and every
@@ -65,6 +88,26 @@ type t = {
       (* spec key -> "probe" | "range" | "scan", recorded as each
          structure is built — the per-term access-path report *)
 }
+
+(* A spec describes one intermediate structure: its cache key, the
+   relation whose scan produces it, the keys it depends on, and how to
+   start it (returning a per-tuple action and a finisher).  Both the
+   lazy mode and the strategy-1 scheduler execute specs; the only
+   difference is how scans are shared. *)
+and spec = {
+  sp_key : string;
+  sp_rel : string;  (* relation scanned to build this structure *)
+  sp_deps : string list;
+  sp_drive : drive;  (* heap scan or secondary-index enumeration *)
+  sp_start : t -> (Tuple.t -> unit) * (unit -> entry);
+}
+
+(* One component of a conjunction: the key of the structure covering
+   it, and the specs that build it, prerequisites first, that structure
+   last. *)
+and comp_spec =
+  | CS_single of { key : string; v : var; specs : spec list }
+  | CS_pair of { key : string; v1 : var; v2 : var; specs : spec list }
 
 type component =
   | C_single of var * Batch.columns
@@ -82,20 +125,6 @@ let var_schemas db (plan : Plan.t) =
   List.fold_left
     (fun acc e -> bind acc (e.Normalize.v, e.Normalize.range))
     acc plan.Plan.prefix
-
-let create ?(batch_size = 2048) ?(use_index = true) db strategy plan =
-  {
-    db;
-    strategy;
-    plan;
-    schemas = var_schemas db plan;
-    cache = Hashtbl.create 64;
-    stand_ins_installed = false;
-    batch_size = max 1 batch_size;
-    batch_pool = Batch.create_pool ();
-    use_index;
-    access = Hashtbl.create 16;
-  }
 
 let batch_size t = t.batch_size
 let batch_pool t = t.batch_pool
@@ -211,28 +240,7 @@ let find_vlist t key =
   | Some (E_rel _ | E_index _) | None -> None
 
 (* ------------------------------------------------------------------ *)
-(* Structure specifications.
-
-   A spec describes one intermediate structure: its cache key, the
-   relation whose scan produces it, the keys it depends on, and how to
-   start it (returning a per-tuple action and a finisher).  Both the
-   lazy mode and the strategy-1 scheduler execute specs; the only
-   difference is how scans are shared. *)
-
-(* Access paths.
-
-   A structure build is driven either by the heap scan of its source
-   relation or — when a declared secondary index can enumerate a
-   superset-free candidate set — by an index probe (equality) or range
-   scan (order comparison).  Soundness: the build's per-tuple action
-   re-checks EVERY predicate (range restriction, monadic atoms, derived
-   predicates), so the index may serve any single atom that every
-   qualifying tuple must satisfy; the index merely shrinks the driving
-   enumeration from the whole heap to the matching tuples. *)
-
-type drive =
-  | Drive_scan
-  | Drive_index of Secondary_index.t * Value.comparison * Value.t
+(* Structure specifications, derived once per execution by [create]. *)
 
 (* Atoms any qualifying tuple of the build must satisfy: the monadic
    atoms its per-tuple action tests, plus the top-level conjuncts of
@@ -298,14 +306,6 @@ let access_label = function
   | Drive_index (_, Value.Eq, _) -> "probe"
   | Drive_index _ -> "range"
 
-type spec = {
-  sp_key : string;
-  sp_rel : string;  (* relation scanned to build this structure *)
-  sp_deps : string list;
-  sp_drive : drive;  (* heap scan or secondary-index enumeration *)
-  sp_start : t -> (Tuple.t -> unit) * (unit -> entry);
-}
-
 (* Storage policy of a value list, from the paper's Section 4.4 special
    cases. *)
 let storage_for quant op =
@@ -352,9 +352,23 @@ let element_pred t (range : range) schema v atoms derived =
       derived_pred t schema (List.map snd derived);
     ]
 
+(* The structure a spec list builds: its last spec, after its
+   prerequisites. *)
+let rec last = function
+  | [ sp ] -> sp
+  | _ :: rest -> last rest
+  | [] -> invalid_arg "Collection: empty spec list"
+
+(* The specs of several structures, each after its prerequisites, and
+   the keys of those structures. *)
+let concat_keyed lists =
+  (List.concat lists, List.map (fun l -> (last l).sp_key) lists)
+
 (* Specs for value lists, recursively including nested ones. *)
 let rec vlist_specs t (p : Plan.pushed) : spec list =
-  let nested = List.concat_map (vlist_specs t) p.Plan.p_nested in
+  let nested, nested_keys =
+    concat_keyed (List.map (vlist_specs t) p.Plan.p_nested)
+  in
   let key = vlist_key p in
   let range = p.Plan.p_range in
   let rel = Database.find_relation t.db range.range_rel in
@@ -397,7 +411,7 @@ let rec vlist_specs t (p : Plan.pushed) : spec list =
       {
         sp_key = key;
         sp_rel = range.range_rel;
-        sp_deps = List.map (fun n -> vlist_key n) p.Plan.p_nested;
+        sp_deps = nested_keys;
         (* Value lists must see every range element (a Q_all list's
            monadics-hold-for-all flag inspects even non-qualifying
            tuples), so they always build from the heap scan. *)
@@ -441,11 +455,15 @@ let single_key v atoms derived =
   Fmt.str "single:%s:%s:[%s]" v (Plan.atoms_id atoms)
     (String.concat ";" (List.map Plan.derived_id derived))
 
+(* The value lists of a build's derived predicates. *)
+let derived_specs t derived =
+  concat_keyed (List.map (fun (_, p) -> vlist_specs t p) derived)
+
 let single_spec t v atoms (derived : (var * Plan.pushed) list) : spec list =
   let range = range_of_exn t v in
   let rel = Database.find_relation t.db range.range_rel in
   let schema = Relation.schema rel in
-  let vspecs = List.concat_map (fun (_, p) -> vlist_specs t p) derived in
+  let vspecs, vkeys = derived_specs t derived in
   let key = single_key v atoms derived in
   let start t = single_list t v rel (element_pred t range schema v atoms derived) in
   vspecs
@@ -453,7 +471,7 @@ let single_spec t v atoms (derived : (var * Plan.pushed) list) : spec list =
       {
         sp_key = key;
         sp_rel = range.range_rel;
-        sp_deps = List.map (fun (_, p) -> vlist_key p) derived;
+        sp_deps = vkeys;
         sp_drive = choose_drive t v range atoms;
         sp_start = start;
       };
@@ -470,7 +488,7 @@ let index_spec t v attr atoms derived : spec list =
   let range = range_of_exn t v in
   let rel = Database.find_relation t.db range.range_rel in
   let schema = Relation.schema rel in
-  let vspecs = List.concat_map (fun (_, p) -> vlist_specs t p) derived in
+  let vspecs, vkeys = derived_specs t derived in
   let key = index_key v attr atoms derived in
   let start t =
     let idx = Index.create rel ~on:[ attr ] in
@@ -484,7 +502,7 @@ let index_spec t v attr atoms derived : spec list =
       {
         sp_key = key;
         sp_rel = range.range_rel;
-        sp_deps = List.map (fun (_, p) -> vlist_key p) derived;
+        sp_deps = vkeys;
         sp_drive = choose_drive t v range atoms;
         sp_start = start;
       };
@@ -505,8 +523,7 @@ type pair_shape = {
   ps_index_attr : string;
 }
 
-let pair_shape t (a : atom) =
-  let order = Plan.variable_order t.plan in
+let pair_shape order (a : atom) =
   let position v =
     let rec go i = function
       | [] -> invalid_arg ("Collection: variable not in order: " ^ v)
@@ -573,17 +590,19 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
   let rel = Database.find_relation t.db range.range_rel in
   let schema = Relation.schema rel in
   let idx_specs = index_spec t shape.ps_index shape.ps_index_attr index_atoms index_derived in
-  let idx_key = index_key shape.ps_index shape.ps_index_attr index_atoms index_derived in
+  let idx_key = (last idx_specs).sp_key in
   (* Mutual atoms contribute their (unfiltered-by-this-conjunction's-
      probe-side) indexes as dependencies. *)
   let mutual_with_keys =
     List.map
       (fun (m, m_index_atoms, m_index_derived) ->
-        (m, index_key m.ps_index m.ps_index_attr m_index_atoms m_index_derived,
-         index_spec t m.ps_index m.ps_index_attr m_index_atoms m_index_derived))
+        let specs =
+          index_spec t m.ps_index m.ps_index_attr m_index_atoms m_index_derived
+        in
+        (m, (last specs).sp_key, specs))
       mutual
   in
-  let vspecs = List.concat_map (fun (_, p) -> vlist_specs t p) probe_derived in
+  let vspecs, vkeys = derived_specs t probe_derived in
   let key =
     pair_key shape probe_atoms probe_derived index_atoms index_derived
       (List.map (fun (m, _, _) -> m) mutual)
@@ -641,8 +660,7 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
         sp_key = key;
         sp_rel = range.range_rel;
         sp_deps =
-          (idx_key :: List.map (fun (_, k, _) -> k) mutual_with_keys)
-          @ List.map (fun (_, p) -> vlist_key p) probe_derived;
+          (idx_key :: List.map (fun (_, k, _) -> k) mutual_with_keys) @ vkeys;
         sp_drive = choose_drive t v range probe_atoms;
         sp_start = start;
       };
@@ -657,54 +675,62 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
    Without it, each atom and each derived predicate materializes its own
    unrestricted structure. *)
 
-type comp_spec =
-  | CS_single of { key : string; v : var; specs : spec list }
-  | CS_pair of { key : string; v1 : var; v2 : var; specs : spec list }
+(* A declared index standing in for a per-query one (Section 3.2's
+   permanent indexes): a declared single-component index on the indexed
+   side of a join term stands in only for an unfiltered index over an
+   unrestricted range, and only when indexes are in use.  It enters the
+   cache as the join term is derived.  [t.db] is the transaction view,
+   so the stand-in is the index state pinned with the relation — or the
+   private copy its writes maintain. *)
+let stand_in t shape =
+  let range = range_of_exn t shape.ps_index in
+  if t.use_index && range.restriction = None then
+    match Database.secondary_on t.db range.range_rel shape.ps_index_attr with
+    | idx :: _ ->
+      Hashtbl.replace t.cache
+        (index_key shape.ps_index shape.ps_index_attr [] [])
+        (E_index
+           (Declared (idx, Database.find_relation t.db range.range_rel)))
+    | [] -> ()
 
-let conj_comp_specs t (conj : Plan.conj) : comp_spec list =
+let single_comp v specs = CS_single { key = (last specs).sp_key; v; specs }
+
+let pair_comp shape specs =
+  CS_pair
+    { key = (last specs).sp_key; v1 = shape.ps_probe; v2 = shape.ps_index; specs }
+
+let conj_comp_specs t order (conj : Plan.conj) : comp_spec list =
   let atoms = conj.Plan.atoms in
   let monadic v = Plan.monadic_over v atoms in
   let derived v =
     List.filter (fun (vm, _) -> String.equal vm v) conj.Plan.derived
   in
   let dyadics = List.filter is_dyadic atoms in
-  let vars = Var_set.elements (Plan.conj_vars conj) in
+  let shapes = List.map (pair_shape order) dyadics in
+  List.iter (stand_in t) shapes;
   if t.strategy.Strategy.monadic_restrict then
     let pair_specs =
       List.map
-        (fun a ->
-          let shape = pair_shape t a in
-          let probe_atoms = monadic shape.ps_probe
-          and probe_derived = derived shape.ps_probe
-          and index_atoms = monadic shape.ps_index
-          and index_derived = derived shape.ps_index in
+        (fun shape ->
           (* Mutual restriction (Section 4.2): every other dyadic term
              of this conjunction probing from the same variable filters
              this indirect join's probe side through its own index. *)
           let mutual =
             List.filter_map
-              (fun a2 ->
-                if Calculus.equal_atom a2 a then None
-                else
-                  let s2 = pair_shape t a2 in
-                  if String.equal s2.ps_probe shape.ps_probe then
-                    Some (s2, monadic s2.ps_index, derived s2.ps_index)
-                  else None)
-              dyadics
+              (fun s2 ->
+                if
+                  (not (Calculus.equal_atom s2.ps_atom shape.ps_atom))
+                  && String.equal s2.ps_probe shape.ps_probe
+                then Some (s2, monadic s2.ps_index, derived s2.ps_index)
+                else None)
+              shapes
           in
-          CS_pair
-            {
-              key =
-                pair_key shape probe_atoms probe_derived index_atoms
-                  index_derived
-                  (List.map (fun (m, _, _) -> m) mutual);
-              v1 = shape.ps_probe;
-              v2 = shape.ps_index;
-              specs =
-                pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms
-                  ~index_derived ~mutual;
-            })
-        dyadics
+          pair_comp shape
+            (pair_spec t shape ~probe_atoms:(monadic shape.ps_probe)
+               ~probe_derived:(derived shape.ps_probe)
+               ~index_atoms:(monadic shape.ps_index)
+               ~index_derived:(derived shape.ps_index) ~mutual))
+        shapes
     in
     let single_specs =
       List.filter_map
@@ -714,11 +740,8 @@ let conj_comp_specs t (conj : Plan.conj) : comp_spec list =
             List.exists (fun a -> Var_set.mem v (atom_vars a)) dyadics
           in
           if has_dyadic || (m = [] && d = []) then None
-          else
-            Some
-              (CS_single
-                 { key = single_key v m d; v; specs = single_spec t v m d }))
-        vars
+          else Some (single_comp v (single_spec t v m d)))
+        (Var_set.elements (Plan.conj_vars conj))
     in
     single_specs @ pair_specs
   else
@@ -727,83 +750,76 @@ let conj_comp_specs t (conj : Plan.conj) : comp_spec list =
       List.filter_map
         (fun a ->
           if is_monadic a then
-            match Var_set.choose_opt (atom_vars a) with
-            | Some v ->
-              Some
-                (CS_single
-                   {
-                     key = single_key v [ a ] [];
-                     v;
-                     specs = single_spec t v [ a ] [];
-                   })
-            | None -> None
+            Option.map
+              (fun v -> single_comp v (single_spec t v [ a ] []))
+              (Var_set.choose_opt (atom_vars a))
           else None)
         atoms
     in
     let derived_singles =
       List.map
-        (fun (vm, p) ->
-          CS_single
-            {
-              key = single_key vm [] [ (vm, p) ];
-              v = vm;
-              specs = single_spec t vm [] [ (vm, p) ];
-            })
+        (fun (vm, p) -> single_comp vm (single_spec t vm [] [ (vm, p) ]))
         conj.Plan.derived
     in
     let pairs =
       List.map
-        (fun a ->
-          let shape = pair_shape t a in
-          CS_pair
-            {
-              key = pair_key shape [] [] [] [] [];
-              v1 = shape.ps_probe;
-              v2 = shape.ps_index;
-              specs =
-                pair_spec t shape ~probe_atoms:[] ~probe_derived:[]
-                  ~index_atoms:[] ~index_derived:[] ~mutual:[];
-            })
-        dyadics
+        (fun shape ->
+          pair_comp shape
+            (pair_spec t shape ~probe_atoms:[] ~probe_derived:[]
+               ~index_atoms:[] ~index_derived:[] ~mutual:[]))
+        shapes
     in
     singles @ derived_singles @ pairs
 
-(* All specs needed by the plan: base single lists for the variables the
-   combination phase will actually ask for — ALL variables (division
-   divisors) and variables missing from some conjunction (padding) —
-   plus every conjunction's components. *)
-let all_specs t =
+(* The structure table, derived once.  The schedule holds base single
+   lists for the variables the combination phase will actually ask for —
+   ALL variables (division divisors) and variables missing from some
+   conjunction (padding) — then every conjunction's components, each
+   structure once, at its first occurrence. *)
+let create ?(batch_size = 2048) ?(use_index = true) db strategy plan =
+  let t =
+    {
+      db;
+      strategy;
+      plan;
+      schemas = var_schemas db plan;
+      cache = Hashtbl.create 64;
+      specs = Hashtbl.create 64;
+      schedule = [];
+      comps = [||];
+      batch_size = max 1 batch_size;
+      batch_pool = Batch.create_pool ();
+      use_index;
+      access = Hashtbl.create 16;
+    }
+  in
+  let order = Plan.variable_order plan in
   let base_needed v =
     List.exists
       (fun (e : Normalize.prefix_entry) ->
         String.equal e.Normalize.v v && e.Normalize.q = Normalize.Q_all)
-      t.plan.Plan.prefix
+      plan.Plan.prefix
     || List.exists
          (fun c -> not (Var_set.mem v (Plan.conj_vars c)))
-         t.plan.Plan.conjs
+         plan.Plan.conjs
   in
-  let bases =
-    List.map (base_spec t)
-      (List.filter base_needed (Plan.variable_order t.plan))
+  let bases = List.map (base_spec t) (List.filter base_needed order) in
+  let comps = List.map (conj_comp_specs t order) plan.Plan.conjs in
+  let schedule =
+    List.filter
+      (fun sp ->
+        if Hashtbl.mem t.specs sp.sp_key then false
+        else begin
+          Hashtbl.add t.specs sp.sp_key sp;
+          true
+        end)
+      (bases
+      @ List.concat_map
+          (List.concat_map (function
+            | CS_single { specs; _ } | CS_pair { specs; _ } -> specs))
+          comps)
   in
-  let comps =
-    List.concat_map
-      (fun conj ->
-        List.concat_map
-          (function CS_single { specs; _ } | CS_pair { specs; _ } -> specs)
-          (conj_comp_specs t conj))
-      t.plan.Plan.conjs
-  in
-  (* Deduplicate by key, keeping first occurrence. *)
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun sp ->
-      if Hashtbl.mem seen sp.sp_key then false
-      else begin
-        Hashtbl.add seen sp.sp_key ();
-        true
-      end)
-    (bases @ comps)
+  { t with schedule; comps = Array.of_list comps }
 
 (* ------------------------------------------------------------------ *)
 (* Execution *)
@@ -841,12 +857,12 @@ let build_one t (sp : spec) =
 
 (* Lazy execution of one spec: recursively ensure dependencies (each
    with its own scan), then build this spec alone. *)
-let rec execute_lazy t (specs_by_key : (string, spec) Hashtbl.t) (sp : spec) =
+let rec execute_lazy t (sp : spec) =
   if not (Hashtbl.mem t.cache sp.sp_key) then begin
     List.iter
       (fun dep ->
-        match Hashtbl.find_opt specs_by_key dep with
-        | Some dsp -> execute_lazy t specs_by_key dsp
+        match Hashtbl.find_opt t.specs dep with
+        | Some dsp -> execute_lazy t dsp
         | None ->
           if not (Hashtbl.mem t.cache dep) then
             invalid_arg ("Collection: unknown dependency " ^ dep))
@@ -926,77 +942,40 @@ let execute_grouped t specs =
     end
   done
 
-(* Seed the cache with declared indexes standing in for per-query ones
-   (Section 3.2's permanent indexes).  A declared single-component index
-   on the indexed side of a join term stands in only for an unfiltered
-   index over an unrestricted range, and only when indexes are in use.
-   [t.db] is the transaction view, so the stand-in is the index state
-   pinned with the relation — or the private copy its writes maintain. *)
-let install_stand_ins t =
-  if t.use_index && not t.stand_ins_installed then begin
-    t.stand_ins_installed <- true;
-    List.iter
-      (fun (conj : Plan.conj) ->
-        List.iter
-          (fun a ->
-            let shape = pair_shape t a in
-            let range = range_of_exn t shape.ps_index in
-            if range.restriction = None then
-              match
-                Database.secondary_on t.db range.range_rel shape.ps_index_attr
-              with
-              | idx :: _ ->
-                Hashtbl.replace t.cache
-                  (index_key shape.ps_index shape.ps_index_attr [] [])
-                  (E_index
-                     (Declared
-                        (idx, Database.find_relation t.db range.range_rel)))
-              | [] -> ())
-          (List.filter is_dyadic conj.Plan.atoms))
-      t.plan.Plan.conjs
-  end
-
-let specs_table specs =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun sp -> if not (Hashtbl.mem tbl sp.sp_key) then Hashtbl.add tbl sp.sp_key sp) specs;
-  tbl
-
 (* Run the collection phase.  With strategy 1 every structure is built
    up front in grouped scans; otherwise structures are built lazily, one
    scan each, as the combination phase requests them. *)
-let run t =
-  install_stand_ins t;
-  if t.strategy.Strategy.parallel_scan then execute_grouped t (all_specs t)
-
-let ensure t sp =
-  install_stand_ins t;
-  if not (Hashtbl.mem t.cache sp.sp_key) then begin
-    let tbl = specs_table (all_specs t) in
-    execute_lazy t tbl sp
-  end
+let run t = if t.strategy.Strategy.parallel_scan then execute_grouped t t.schedule
 
 let base_list t v =
-  let sp = base_spec t v in
-  ensure t sp;
-  match find_rel t sp.sp_key with
+  let key = base_key v in
+  let sp =
+    match Hashtbl.find_opt t.specs key with
+    | Some sp -> sp
+    | None ->
+      let sp = base_spec t v in
+      Hashtbl.add t.specs key sp;
+      sp
+  in
+  execute_lazy t sp;
+  match find_rel t key with
   | Some r -> r
   | None -> invalid_arg "Collection.base_list: missing"
 
-let components t (conj : Plan.conj) =
+let components t i =
   List.map
-    (fun cs ->
-      match cs with
-      | CS_single { key; v; specs } ->
-        List.iter (ensure t) specs;
-        (match find_rel t key with
+    (function
+      | CS_single { key; v; specs } -> (
+        List.iter (execute_lazy t) specs;
+        match find_rel t key with
         | Some r -> C_single (v, r)
         | None -> invalid_arg "Collection.components: missing single")
-      | CS_pair { key; v1; v2; specs } ->
-        List.iter (ensure t) specs;
-        (match find_rel t key with
+      | CS_pair { key; v1; v2; specs } -> (
+        List.iter (execute_lazy t) specs;
+        match find_rel t key with
         | Some r -> C_pair (v1, v2, r)
         | None -> invalid_arg "Collection.components: missing pair"))
-    (conj_comp_specs t conj)
+    t.comps.(i)
 
 (* Sizes of all materialized intermediate structures, for the
    experiments on intermediate-result growth. *)

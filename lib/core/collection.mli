@@ -9,6 +9,12 @@
     and derived predicates into the indirect joins; strategy 4's derived
     predicates are evaluated through {!Relalg.Value_list}.
 
+    {!create} derives the description of every structure the plan
+    needs once, into one structure table per execution: each
+    structure's spec by key, strategy 1's schedule and each
+    conjunction's components.  {!run}, {!components} and {!base_list}
+    only look structures up and build them.
+
     A reference made during the execution is the element's ordinal in
     the query's tuple table ({!batch_pool}): single lists and indirect
     joins are int columns of ordinals ({!Relalg.Batch.columns}), built
@@ -44,7 +50,9 @@ val create :
     single-component index stand in for the unfiltered per-query index
     over an unrestricted range that an indirect join probes — the
     paper's permanent index (Section 3.2), whose index-building scan
-    is then omitted.  With [false] no declared index is ever read. *)
+    is then omitted.  With [false] no declared index is ever read.
+
+    Derives the plan's structure table; builds nothing. *)
 
 val batch_size : t -> int
 (** The batch size given to {!create}. *)
@@ -63,9 +71,10 @@ val base_list : t -> var -> Batch.columns
 (** The variable's (restricted) range expression as a single list —
     used for padding and as the division divisor. *)
 
-val components : t -> Plan.conj -> component list
-(** The structures covering one conjunction's atoms and derived
-    predicates (shape depends on strategy 2). *)
+val components : t -> int -> component list
+(** [components t i]: the structures covering the atoms and derived
+    predicates of the plan's [i]th conjunction (shape depends on
+    strategy 2). *)
 
 val var_schema : t -> var -> Schema.t
 

@@ -314,9 +314,9 @@ let evaluate_declaration ~par coll (plan : Plan.t) grow =
   let order = Plan.variable_order plan in
   let chains =
     List.mapi
-      (fun i conj ->
+      (fun i _ ->
         Obs.Trace.with_span (Fmt.str "conjunction %d" i) (fun () ->
-            combine_conjunction coll order (Collection.components coll conj)))
+            combine_conjunction coll order (Collection.components coll i)))
       plan.Plan.conjs
   in
   let unioned =
@@ -540,9 +540,9 @@ let evaluate_streaming ~par ~record coll (plan : Plan.t) grow =
   let free_names = List.map fst plan.Plan.free in
   let disjuncts =
     List.mapi
-      (fun i conj ->
+      (fun i _ ->
         Obs.Trace.with_span (Fmt.str "conjunction %d" i) (fun () ->
-            let components = Collection.components coll conj in
+            let components = Collection.components coll i in
             let r =
               match
                 combine_streaming ~par

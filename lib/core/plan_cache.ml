@@ -23,7 +23,6 @@ type stats = {
 type entry = {
   e_planned : Plan.t * Standard_form.answers;
   mutable e_used : int;  (* recency tick of the last hit *)
-  mutable e_live : bool;  (* still in the table: its holder skips the key *)
 }
 
 type t = {
@@ -67,20 +66,8 @@ let next_tick t =
   t.tick <- t.tick + 1;
   t.tick
 
-let planned e = e.e_planned
-
-let remove t key e =
-  Hashtbl.remove t.tbl key;
-  e.e_live <- false
-
-(* A caller that holds the entry it was last served for [key] skips
-   hashing the key while that entry is still cached. *)
-let find ?held t db key =
-  match
-    match held with
-    | Some e when e.e_live -> Some e
-    | Some _ | None -> Hashtbl.find_opt t.tbl key
-  with
+let find t db key =
+  match Hashtbl.find_opt t.tbl key with
   | None ->
     t.misses <- t.misses + 1;
     Obs.Metrics.incr "plan_cache.misses";
@@ -89,10 +76,10 @@ let find ?held t db key =
     e.e_used <- next_tick t;
     t.hits <- t.hits + 1;
     Obs.Metrics.incr "plan_cache.hits";
-    Some e
-  | Some e ->
+    Some e.e_planned
+  | Some _ ->
     (* Stale: an emptiness answer it was compiled under has changed. *)
-    remove t key e;
+    Hashtbl.remove t.tbl key;
     t.invalidations <- t.invalidations + 1;
     Obs.Metrics.incr "plan_cache.invalidations";
     None
@@ -108,18 +95,14 @@ let evict_lru t =
   in
   match victim with
   | None -> ()
-  | Some (key, e) ->
-    remove t key e;
+  | Some (key, _) ->
+    Hashtbl.remove t.tbl key;
     t.evictions <- t.evictions + 1;
     Obs.Metrics.incr "plan_cache.evictions"
 
 let add t key planned =
   if (not (Hashtbl.mem t.tbl key)) && Hashtbl.length t.tbl >= t.cap then
     evict_lru t;
-  let e = { e_planned = planned; e_used = next_tick t; e_live = true } in
-  Hashtbl.replace t.tbl key e;
-  e
+  Hashtbl.replace t.tbl key { e_planned = planned; e_used = next_tick t }
 
-let clear t =
-  Hashtbl.iter (fun _ e -> e.e_live <- false) t.tbl;
-  Hashtbl.reset t.tbl
+let clear t = Hashtbl.reset t.tbl

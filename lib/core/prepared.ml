@@ -86,12 +86,16 @@ let exec_report_with ?name ?(params = []) ?within ~since
   let run db =
     let plan = t.p_plan db (bindings_of t params) in
     let coll =
-      Collection.create ~batch_size:t.p_opts.Exec_opts.batch_size
-        ~use_index:t.p_opts.Exec_opts.use_index db
-        t.p_opts.Exec_opts.strategy plan
+      clock.time Observe.Collection (fun () ->
+          Obs.Trace.with_span "collection" (fun () ->
+              let coll =
+                Collection.create ~batch_size:t.p_opts.Exec_opts.batch_size
+                  ~use_index:t.p_opts.Exec_opts.use_index db
+                  t.p_opts.Exec_opts.strategy plan
+              in
+              Collection.run coll;
+              coll))
     in
-    clock.time Observe.Collection (fun () ->
-        Obs.Trace.with_span "collection" (fun () -> Collection.run coll));
     let outcome =
       clock.time Observe.Combination (fun () ->
           Obs.Trace.with_span "combination" (fun () ->

@@ -122,24 +122,21 @@ let digest query =
    serves the store (autocommit) and any transaction's snapshot.  It
    grounds the lifted query's cached plan with the literals plus the
    caller's bindings; when they make an assumed range empty, the ground
-   query is planned uncached (a reground).  [fetch], the cached plan
-   alone, holds the entry it was last served, so the next fetch skips
-   the key lookup while that entry stays cached. *)
+   query is planned uncached (a reground).  [fetch] is the cached plan
+   alone. *)
 let prepare_with ~opts t query =
   let lifted, shape, literals = Normalize.shape query in
   let digest = Calculus.digest_query shape in
   let key = digest ^ "#" ^ Exec_opts.fingerprint opts in
-  let held = ref None in
   let fetch db =
-    let e =
-      match Plan_cache.find ?held:!held t.s_cache db key with
-      | Some e -> e
-      | None ->
-        Plan_cache.add t.s_cache key
-          (Standard_form.recording (fun () -> plan_only ~opts db lifted))
-    in
-    held := Some e;
-    Plan_cache.planned e
+    match Plan_cache.find t.s_cache db key with
+    | Some planned -> planned
+    | None ->
+      let planned =
+        Standard_form.recording (fun () -> plan_only ~opts db lifted)
+      in
+      Plan_cache.add t.s_cache key planned;
+      planned
   in
   let plan db user =
     let b = Calculus.Var_map.union (fun _ lit _ -> Some lit) literals user in

@@ -16,12 +16,14 @@ type open_span = {
   mutable o_children : span list;  (* reversed *)
 }
 
-(* Innermost open span first; tracing is on iff the stack is non-empty
-   or [collecting] is set (the root is pushed by [collect] itself). *)
-let stack : open_span list ref = ref []
-let collecting = ref false
+(* The open spans of this domain, innermost first: tracing is on iff
+   the stack is non-empty ([collect] pushes the root and keeps it there
+   until it returns).  Domain-local, like the metrics registry, so two
+   domains tracing at once each build their own tree. *)
+let stack_key : open_span list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
-let enabled () = !collecting
+let enabled () = match !(Domain.DLS.get stack_key) with [] -> false | _ -> true
 
 let now_ms () = Unix.gettimeofday () *. 1000.0
 
@@ -45,8 +47,10 @@ let close_span o =
   }
 
 let with_span ?attrs name f =
-  if not !collecting then f ()
-  else begin
+  let stack = Domain.DLS.get stack_key in
+  match !stack with
+  | [] -> f ()
+  | _ ->
     let o = open_span ?attrs name in
     stack := o :: !stack;
     let finish () =
@@ -64,26 +68,19 @@ let with_span ?attrs name f =
         ()
     in
     Fun.protect ~finally:finish f
-  end
 
 let add_attr key value =
-  match !stack with
+  match !(Domain.DLS.get stack_key) with
   | [] -> ()
   | top :: _ ->
     top.o_attrs <- (key, value) :: List.remove_assoc key top.o_attrs
 
 let collect ?attrs name f =
-  if !collecting then invalid_arg "Trace.collect: already collecting";
-  collecting := true;
+  if enabled () then invalid_arg "Trace.collect: already collecting";
+  let stack = Domain.DLS.get stack_key in
   let root = open_span ?attrs name in
   stack := [ root ];
-  let result =
-    Fun.protect
-      ~finally:(fun () ->
-        collecting := false;
-        stack := [])
-      f
-  in
+  let result = Fun.protect ~finally:(fun () -> stack := []) f in
   (result, close_span root)
 
 let rec find span name =

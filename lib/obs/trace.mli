@@ -7,11 +7,12 @@
     registry around the span), so a trace answers both "where did the
     time go" and "where did the scans/probes/tuples go".
 
-    Tracing is off by default and costs one flag test per
+    Tracing is off by default and costs one domain-local lookup per
     {!with_span} when off; the instrumentation sites stay in place
     permanently.  {!collect} turns it on for the duration of one
-    callback and returns the finished tree.  The tracer is global and
-    single-threaded, like the metrics registry. *)
+    callback and returns the finished tree.  The tracer is
+    domain-local, like the metrics registry: each domain collects only
+    its own spans, and domains may collect at the same time. *)
 
 type span = {
   sp_name : string;
@@ -43,7 +44,7 @@ val collect :
   ?attrs:(string * Json.t) list -> string -> (unit -> 'a) -> 'a * span
 (** [collect name f] enables tracing, runs [f] under a root span called
     [name], disables tracing, and returns [f]'s result with the tree.
-    Nested calls raise [Invalid_argument]. *)
+    Nested calls on one domain raise [Invalid_argument]. *)
 
 val find : span -> string -> span option
 (** First descendant (preorder, the span itself included) with the given

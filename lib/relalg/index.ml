@@ -38,9 +38,8 @@ let add t tuple ord =
   t.entry_count <- t.entry_count + 1;
   Obs.Metrics.incr "index.entries"
 
-(* Probes against a built index are read-only: the indirect-join builds
-   of a parallel collection round probe one index from several pool
-   workers at once. *)
+(* Probes against a built index are read-only: only [add] writes to it,
+   while its build runs. *)
 let iter_matching t op probe f =
   Obs.Metrics.incr "index.probes";
   Value_key.iter_matching ~source:t.source t.tbl op probe f

@@ -211,8 +211,8 @@ type t = {
   mutable card : int;  (* element count; the trie keeps none *)
   mutable version : int;
       (* bumped on every content change (insert/delete/clear): with the
-         state's identity, what a cached plan's emptiness answers and
-         Batch's encode cache are validated against *)
+         state's identity, what a cached plan's emptiness answers are
+         validated against *)
   mutable backing : backing option;
   mutable frozen : bool;
       (* committed state of a durable database: snapshot readers may be

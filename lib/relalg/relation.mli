@@ -77,7 +77,7 @@ val version : t -> int
 (** Content version: bumped on every effective insertion, deletion and
     clear.  A state at an unchanged version holds unchanged contents,
     so memos keyed by (state, version) stay valid — a cached plan's
-    emptiness answers, Batch's encode cache. *)
+    emptiness answers. *)
 
 val id : t -> int
 (** A number of this state's own, fresh for every state made

@@ -207,13 +207,13 @@ let test_one_ordinal_per_element () =
       let pool = Collection.batch_pool coll in
       let columns =
         List.concat_map
-          (fun conj ->
+          (fun i ->
             List.concat_map
               (function
                 | Collection.C_single (v, c) -> [ (v, c) ]
                 | Collection.C_pair (v1, v2, c) -> [ (v1, c); (v2, c) ])
-              (Collection.components coll conj))
-          plan.Plan.conjs
+              (Collection.components coll i))
+          (List.init (List.length plan.Plan.conjs) Fun.id)
         @ List.map
             (fun v -> (v, Collection.base_list coll v))
             (Plan.variable_order plan)

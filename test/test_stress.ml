@@ -197,6 +197,61 @@ let test_concurrent_reports_exact () =
       Alcotest.(check int) "reports with wrong scans/probes" 0
         (Atomic.get wrong))
 
+(* The span tracer is domain-local: two domains collecting at once,
+   around executions that overlap, each get a tree of their own spans
+   only, and neither [collect] raises. *)
+let test_concurrent_traces () =
+  let db = Workload.Suppliers.generate (Workload.Suppliers.scaled 1) in
+  let q = Workload.Suppliers.london_ships_some_red db in
+  let opts = Exec_opts.make ~jobs:1 () in
+  let rounds = 20 in
+  let arrived = Atomic.make 0 in
+  (* Wait until [n] arrivals, or a second: a domain whose collect raised
+     never arrives, and the other must not hang for it. *)
+  let rendezvous n =
+    Atomic.incr arrived;
+    let deadline = Unix.gettimeofday () +. 1.0 in
+    while Atomic.get arrived < n && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done
+  in
+  let trace label () =
+    let session = Session.create db in
+    match
+      Obs.Trace.collect label (fun () ->
+          rendezvous 2;
+          for k = 1 to rounds do
+            Obs.Trace.with_span (Fmt.str "%s %d" label k) (fun () ->
+                ignore (Session.exec ~opts session q : Relation.t))
+          done;
+          rendezvous 4)
+    with
+    | (), root -> Ok root
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let rec count name (s : Obs.Trace.span) =
+    List.fold_left
+      (fun n c -> n + count name c)
+      (if String.equal s.Obs.Trace.sp_name name then 1 else 0)
+      s.Obs.Trace.sp_children
+  in
+  [| "a"; "b" |]
+  |> Array.map (fun label -> (label, Domain.spawn (trace label)))
+  |> Array.iter (fun (label, d) ->
+         match Domain.join d with
+         | Error e -> Alcotest.failf "domain %s: collect raised %s" label e
+         | Ok root ->
+           Alcotest.(check string) "own root" label root.Obs.Trace.sp_name;
+           Alcotest.(check (list string))
+             (label ^ ": only its own rounds, in order")
+             (List.init rounds (fun k -> Fmt.str "%s %d" label (k + 1)))
+             (List.map
+                (fun (c : Obs.Trace.span) -> c.Obs.Trace.sp_name)
+                root.Obs.Trace.sp_children);
+           Alcotest.(check int)
+             (label ^ ": one collection span per own execution")
+             rounds (count "collection" root))
+
 let suite =
   [
     ( "obs-stress",
@@ -209,5 +264,7 @@ let suite =
           `Quick test_sessions_shared_database;
         Alcotest.test_case "2 domains, one store: every report's counts exact"
           `Quick test_concurrent_reports_exact;
+        Alcotest.test_case "2 domains tracing at once: each its own spans"
+          `Quick test_concurrent_traces;
       ] );
   ]
