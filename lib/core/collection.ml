@@ -569,14 +569,22 @@ let index_exists idx op probe =
   | Built i -> Index.exists_matching i op probe
   | Declared (i, _) -> Secondary_index.exists_matching i op probe
 
+(* A mutual atom's index filters decide which probe elements the pair
+   keeps, so a filtered one is part of the key. *)
 let pair_key shape probe_atoms probe_derived index_atoms index_derived mutual =
+  let derived_ids d = String.concat ";" (List.map Plan.derived_id d) in
+  let mutual_id (m, atoms, derived) =
+    match atoms, derived with
+    | [], [] -> Plan.atom_id m.ps_atom
+    | _ ->
+      Fmt.str "%s:index[%s|%s]" (Plan.atom_id m.ps_atom) (Plan.atoms_id atoms)
+        (derived_ids derived)
+  in
   Fmt.str "pair:%s:probe[%s|%s]:index[%s|%s]:mutual[%s]"
     (Plan.atom_id shape.ps_atom)
-    (Plan.atoms_id probe_atoms)
-    (String.concat ";" (List.map Plan.derived_id probe_derived))
-    (Plan.atoms_id index_atoms)
-    (String.concat ";" (List.map Plan.derived_id index_derived))
-    (String.concat ";" (List.map (fun m -> Plan.atom_id m.ps_atom) mutual))
+    (Plan.atoms_id probe_atoms) (derived_ids probe_derived)
+    (Plan.atoms_id index_atoms) (derived_ids index_derived)
+    (String.concat ";" (List.map mutual_id mutual))
 
 (* [mutual] lists the OTHER dyadic join terms of the same conjunction
    that probe from the same variable — paper Section 4.2: "this
@@ -604,8 +612,7 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
   in
   let vspecs, vkeys = derived_specs t probe_derived in
   let key =
-    pair_key shape probe_atoms probe_derived index_atoms index_derived
-      (List.map (fun (m, _, _) -> m) mutual)
+    pair_key shape probe_atoms probe_derived index_atoms index_derived mutual
   in
   let start t =
     let idx =

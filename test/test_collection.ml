@@ -194,6 +194,29 @@ let test_mutual_restriction () =
   Alcotest.(check bool) "answer correct" true
     (Relation.equal_set (Naive_eval.run db q) report.Exec_result.result)
 
+(* A mutual restriction's own index filters belong to the indirect
+   join's identity: the two conjunctions below both join e with p under
+   a mutual (e.enr = t.tenr), once through Monday's timetable index and
+   once through Tuesday's, so they need two indirect joins, not one
+   shared one. *)
+let test_mutual_filters_keyed () =
+  let db = Workload.University.generate (Workload.University.scaled 1) in
+  let q =
+    Pascalr_lang.Elaborate.query_of_string db
+      "[<e.enr> OF EACH e IN employees: SOME p IN papers SOME t IN \
+       timetable ((e.enr = p.penr) AND (e.enr = t.tenr) AND ((t.tday = \
+       monday) OR (t.tday = tuesday)))]"
+  in
+  let report = exec_q_report ~opts:(Exec_opts.make ~strategy:Strategy.s12 ()) db q in
+  let ij_e_p =
+    List.filter
+      (fun (key, _) -> Helpers.contains key "pair:(e.enr = p.penr)")
+      report.Exec_result.intermediates
+  in
+  Alcotest.(check int) "one ij_e_p per mutual filter" 2 (List.length ij_e_p);
+  Helpers.check_same_result "answer" (Naive_eval.run db q)
+    report.Exec_result.result
+
 (* Compiled build predicates against the interpreted evaluation: every
    comparison over int, string, enum and bool attributes, the constant
    on either side or a second attribute opposite, alone and under AND,
@@ -323,6 +346,8 @@ let suite =
           test_base_list_restriction;
         Alcotest.test_case "mutual restriction of indirect joins" `Quick
           test_mutual_restriction;
+        Alcotest.test_case "mutual index filters key the indirect join" `Quick
+          test_mutual_filters_keyed;
         QCheck_alcotest.to_alcotest test_compiled_predicates;
         Alcotest.test_case "uncompiled predicates stay interpreted" `Quick
           test_uncompiled_predicates;
