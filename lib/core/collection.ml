@@ -484,12 +484,28 @@ let index_key v attr atoms derived =
   Fmt.str "index:%s.%s:%s:[%s]" v attr (Plan.atoms_id atoms)
     (String.concat ";" (List.map Plan.derived_id derived))
 
+(* A declared index standing in for a per-query one (Section 3.2's
+   permanent indexes): a declared single-component index stands in only
+   for an unfiltered index over an unrestricted range, and only when
+   indexes are in use.  It enters the cache as its spec is derived, so
+   that spec never builds.  [t.db] is the transaction view, so the
+   stand-in is the index state pinned with the relation — or the
+   private copy its writes maintain. *)
+let stand_in t (range : range) attr atoms derived key =
+  if t.use_index && range.restriction = None && atoms = [] && derived = [] then
+    match Database.secondary_on t.db range.range_rel attr with
+    | idx :: _ ->
+      Hashtbl.replace t.cache key
+        (E_index (Declared (idx, Database.find_relation t.db range.range_rel)))
+    | [] -> ()
+
 let index_spec t v attr atoms derived : spec list =
   let range = range_of_exn t v in
   let rel = Database.find_relation t.db range.range_rel in
   let schema = Relation.schema rel in
   let vspecs, vkeys = derived_specs t derived in
   let key = index_key v attr atoms derived in
+  stand_in t range attr atoms derived key;
   let start t =
     let idx = Index.create rel ~on:[ attr ] in
     let keep = element_pred t range schema v atoms derived
@@ -682,24 +698,6 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
    Without it, each atom and each derived predicate materializes its own
    unrestricted structure. *)
 
-(* A declared index standing in for a per-query one (Section 3.2's
-   permanent indexes): a declared single-component index on the indexed
-   side of a join term stands in only for an unfiltered index over an
-   unrestricted range, and only when indexes are in use.  It enters the
-   cache as the join term is derived.  [t.db] is the transaction view,
-   so the stand-in is the index state pinned with the relation — or the
-   private copy its writes maintain. *)
-let stand_in t shape =
-  let range = range_of_exn t shape.ps_index in
-  if t.use_index && range.restriction = None then
-    match Database.secondary_on t.db range.range_rel shape.ps_index_attr with
-    | idx :: _ ->
-      Hashtbl.replace t.cache
-        (index_key shape.ps_index shape.ps_index_attr [] [])
-        (E_index
-           (Declared (idx, Database.find_relation t.db range.range_rel)))
-    | [] -> ()
-
 let single_comp v specs = CS_single { key = (last specs).sp_key; v; specs }
 
 let pair_comp shape specs =
@@ -714,7 +712,6 @@ let conj_comp_specs t order (conj : Plan.conj) : comp_spec list =
   in
   let dyadics = List.filter is_dyadic atoms in
   let shapes = List.map (pair_shape order) dyadics in
-  List.iter (stand_in t) shapes;
   if t.strategy.Strategy.monadic_restrict then
     let pair_specs =
       List.map

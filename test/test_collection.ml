@@ -217,6 +217,29 @@ let test_mutual_filters_keyed () =
   Helpers.check_same_result "answer" (Naive_eval.run db q)
     report.Exec_result.result
 
+(* A declared index stands in only for the unfiltered index a join
+   probes: under strategy 2 the papers side below is filtered by its
+   monadic atom, so the join builds a filtered index and the declared
+   papers.penr index is neither probed nor listed among the
+   intermediates. *)
+let test_stand_in_only_where_probed () =
+  let db = Workload.University.generate (Workload.University.scaled 1) in
+  ignore (Database.declare_index db "papers" ~on:[ "penr" ] : Secondary_index.t);
+  let q =
+    Pascalr_lang.Elaborate.query_of_string db
+      "[<e.enr> OF EACH e IN employees: SOME p IN papers ((e.enr = p.penr) \
+       AND (p.pyear = 1977))]"
+  in
+  let lists_stand_in strategy =
+    let opts = Exec_opts.make ~strategy ~use_index:true () in
+    List.mem_assoc "index:p.penr::[]"
+      (exec_q_report ~opts db q).Exec_result.intermediates
+  in
+  Alcotest.(check bool) "s12: no unfiltered index listed" false
+    (lists_stand_in Strategy.s12);
+  Alcotest.(check bool) "s1: the stand-in is listed" true
+    (lists_stand_in Strategy.s1)
+
 (* Compiled build predicates against the interpreted evaluation: every
    comparison over int, string, enum and bool attributes, the constant
    on either side or a second attribute opposite, alone and under AND,
@@ -348,6 +371,8 @@ let suite =
           test_mutual_restriction;
         Alcotest.test_case "mutual index filters key the indirect join" `Quick
           test_mutual_filters_keyed;
+        Alcotest.test_case "a stand-in only where a join probes it" `Quick
+          test_stand_in_only_where_probed;
         QCheck_alcotest.to_alcotest test_compiled_predicates;
         Alcotest.test_case "uncompiled predicates stay interpreted" `Quick
           test_uncompiled_predicates;
