@@ -998,6 +998,87 @@ let bench_index () =
     (scales [ 1; 2; 64; 512 ])
 
 (* ------------------------------------------------------------------ *)
+(* B-COLLECT: strategy 1 reads each relation once and does all of its
+   collection work in that pass, so the paper counts the collection
+   phase in scans.  Per grouped scan of london-some-red, the build's
+   traced span against a bare uninstrumented walk of the same relation
+   in the same process: the ratio is what the builds' per-tuple work
+   costs on top of the walk they ride on.  Recorded, not gated.  A
+   span snapshots the metrics registry when it opens and closes, at a
+   cost that grows with the instruments earlier experiments left
+   there, so the registry is emptied first. *)
+
+let bench_collect () =
+  section "B-COLLECT" "collection builds vs the bare walk of their relation";
+  let passes = 41 in
+  Fmt.pr
+    "(london-some-red, index on shipments.hqty, jobs 1; medians of %d \
+     passes, each a traced read then one walk per scanned relation)@."
+    passes;
+  Fmt.pr "%-6s | %-10s | %8s | %9s %9s %7s@." "scale" "relation" "tuples"
+    "build_ms" "walk_ms" "ratio";
+  Obs.Metrics.reset ();
+  List.iter
+    (fun s ->
+      let db = Workload.Suppliers.generate (Workload.Suppliers.scaled s) in
+      ignore
+        (Database.declare_index db "shipments" ~on:[ "hqty" ] : Secondary_index.t);
+      let opts = Exec_opts.make ~jobs:1 ~use_index:true () in
+      let p =
+        Session.prepare ~opts (Session.create db)
+          (Workload.Suppliers.london_ships_some_red db)
+      in
+      for _ = 1 to 5 do
+        ignore (Prepared.exec p : Relation.t)
+      done;
+      (* relation -> (build times, walk times), in first-scan order *)
+      let samples = ref [] in
+      let push rel build walk =
+        match List.assoc_opt rel !samples with
+        | Some (b, w) ->
+          b := build :: !b;
+          w := walk :: !w
+        | None -> samples := !samples @ [ (rel, (ref [ build ], ref [ walk ])) ]
+      in
+      let walk rel =
+        let r = Database.find_relation db rel and n = ref 0 in
+        snd (time (fun () -> Relation.iter (fun _ -> incr n) r))
+      in
+      for _ = 1 to passes do
+        let (), root =
+          Obs.Trace.collect "read" (fun () ->
+              ignore (Prepared.exec p : Relation.t))
+        in
+        let rec scans (sp : Obs.Trace.span) =
+          let name = sp.Obs.Trace.sp_name in
+          if String.starts_with ~prefix:"scan " name then
+            [ (String.sub name 5 (String.length name - 5), sp.sp_elapsed_ms) ]
+          else List.concat_map scans sp.sp_children
+        in
+        List.iter (fun (rel, ms) -> push rel ms (walk rel)) (scans root)
+      done;
+      let median l = fst (summarize !l) in
+      List.iter
+        (fun (rel, (builds, walks)) ->
+          let build_ms = median builds and walk_ms = median walks in
+          let ratio = build_ms /. Float.max walk_ms 0.001 in
+          let tuples = Relation.cardinality (Database.find_relation db rel) in
+          record ~experiment:"B-COLLECT" ~query:"london-some-red"
+            ~strategy:("scan " ^ rel) ~scale:s ~wall_ms:build_ms ~scans:1
+            ~probes:0 ~max_ntuple:0
+            ~extra:
+              [
+                ("walk_ms", Obs.Json.Float walk_ms);
+                ("ratio", Obs.Json.Float ratio);
+                ("tuples", Obs.Json.Int tuples);
+              ]
+            ();
+          Fmt.pr "%-6d | %-10s | %8d | %9.3f %9.3f %6.1fx@." s rel tuples
+            build_ms walk_ms ratio)
+        !samples)
+    [ 8; 64 ]
+
+(* ------------------------------------------------------------------ *)
 (* B-TRAFFIC: the workload driver under concurrent clients — the same
    seeded university mix driven closed-loop (back-to-back, measures
    capacity) and open-loop (Poisson arrivals at a fixed offered rate;
@@ -1194,6 +1275,7 @@ let experiments =
     ("B-IDX", bench_omitted_index_scans);
     ("B-CNF", bench_cnf);
     ("B-INDEX", bench_index);
+    ("B-COLLECT", bench_collect);
     ("B-WRITE", bench_write);
     (* The two multi-domain experiments run last: the serial experiments
        must not share their process phase with extra domains, which tax

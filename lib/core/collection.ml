@@ -155,7 +155,8 @@ let pair_schema t v1 v2 =
    A build tests every element its scan delivers, so its tests are
    compiled once, when the build starts: attribute names resolve to
    positions, and each atom over the build's variable and constants
-   becomes a closure over them.  Applying a compiled test allocates
+   becomes a closure over them, fixed to the constant's kind
+   ({!Value.component_test}).  Applying a compiled test allocates
    nothing.  Anything else — a quantifier, OR, NOT, a foreign variable,
    an unbound [$param], an unknown attribute — is interpreted by
    {!Naive_eval.holds}, with its errors raised per tuple. *)
@@ -183,9 +184,9 @@ let compile_formula schema v f =
     | F_atom { lhs; op; rhs } -> (
       match operand lhs, operand rhs with
       | Some (Either.Left i), Some (Either.Right c) ->
-        Some (fun (t : Tuple.t) -> Value.apply op t.(i) c)
+        Some (Value.component_test op i c)
       | Some (Either.Right c), Some (Either.Left i) ->
-        Some (fun (t : Tuple.t) -> Value.apply op c t.(i))
+        Some (Value.component_test (Value.flip_comparison op) i c)
       | Some (Either.Left i), Some (Either.Left j) ->
         Some (fun (t : Tuple.t) -> Value.apply op t.(i) t.(j))
       | Some (Either.Right c), Some (Either.Right d) ->
@@ -216,10 +217,9 @@ let monadic_pred db schema v atoms =
   formula_pred db schema v
     (List.fold_right (fun a f -> F_and (F_atom a, f)) atoms F_true)
 
-(* Reads one attribute off an element: the position resolves once. *)
-let getter schema name =
-  let i = Schema.index_of schema name in
-  fun (tuple : Tuple.t) -> tuple.(i)
+(* Bumps a counter by a build's total, once: a bump per element would
+   cost more than the work it counts. *)
+let count name n = if n > 0 then Obs.Metrics.incr ~by:n name
 
 (* ------------------------------------------------------------------ *)
 (* Cache plumbing *)
@@ -317,29 +317,25 @@ let storage_for quant op =
 
 let vlist_key (p : Plan.pushed) = "vlist:" ^ Plan.pushed_id p
 
-(* Predicate of an already-built derived structure: decides, for one
-   value of the outer variable's component, whether the pushed
-   quantifier holds. *)
-let pushed_predicate_of_entry (p : Plan.pushed) (vl, m_ok) =
-  match p.Plan.p_quant with
-  | Normalize.Q_some ->
-    fun v -> Value_list.quant_holds ~quant:Value_list.Q_some p.Plan.p_op v vl
-  | Normalize.Q_all ->
-    fun v ->
-      m_ok && Value_list.quant_holds ~quant:Value_list.Q_all p.Plan.p_op v vl
-
 (* The derived predicates [pushed] over elements of [schema], read from
-   their already-built value lists. *)
+   their already-built value lists: each is one closure that reads its
+   component and answers ({!Value_list.tester}).  A universal whose
+   monadic terms failed on some range element holds for none. *)
 let derived_pred t schema (pushed : Plan.pushed list) =
   all
     (List.map
        (fun (p : Plan.pushed) ->
-         match find_vlist t (vlist_key p) with
-         | Some e ->
-           let holds = pushed_predicate_of_entry p e
-           and outer = getter schema p.Plan.p_outer_attr in
-           fun tuple -> holds (outer tuple)
-         | None -> invalid_arg "Collection: derived value list not built")
+         match find_vlist t (vlist_key p), p.Plan.p_quant with
+         | None, _ -> invalid_arg "Collection: derived value list not built"
+         | Some (_, false), Normalize.Q_all -> fun _ -> false
+         | Some (vl, _), quant ->
+           Value_list.tester
+             ~quant:
+               (match quant with
+               | Normalize.Q_some -> Value_list.Q_some
+               | Normalize.Q_all -> Value_list.Q_all)
+             p.Plan.p_op vl
+             ~pos:(Schema.index_of schema p.Plan.p_outer_attr))
        pushed)
 
 (* The tests a build's qualifying element of [v]'s range passes: the
@@ -383,24 +379,40 @@ let rec vlist_specs t (p : Plan.pushed) : spec list =
     in
     let m_ok = ref true in
     let in_range = restriction_pred t.db schema range.restriction
-    and inner = getter schema p.Plan.p_inner_attr
-    and qualifies =
-      both
-        (monadic_pred t.db schema p.Plan.p_var p.Plan.p_monadic)
-        (derived_pred t schema p.Plan.p_nested)
-    in
+    and monadic = monadic_pred t.db schema p.Plan.p_var p.Plan.p_monadic
+    and pos = Schema.index_of schema p.Plan.p_inner_attr in
+    let add = Value_list.adder vl ~pos in
     let per_tuple =
-      match p.Plan.p_quant with
-      | Normalize.Q_some ->
+      match p.Plan.p_quant, p.Plan.p_nested with
+      | ( Normalize.Q_some,
+          [ ({ Plan.p_quant = Normalize.Q_some; p_op = Value.Eq; _ } as n) ] )
+        when in_range == always && monadic == always -> (
+        (* The chain of existentials: an element enters when its
+           component is a member of the nested list, decided in the
+           closure that adds it. *)
+        match find_vlist t (vlist_key n) with
+        | Some (nested, _) ->
+          Value_list.adder
+            ~if_member:(nested, Schema.index_of schema n.Plan.p_outer_attr)
+            vl ~pos
+        | None -> invalid_arg "Collection: derived value list not built")
+      | Normalize.Q_some, _ ->
         (* Only qualifying elements enter the list. *)
-        fun tuple ->
-          if in_range tuple && qualifies tuple then Value_list.add vl (inner tuple)
-      | Normalize.Q_all ->
+        let keep =
+          all [ in_range; monadic; derived_pred t schema p.Plan.p_nested ]
+        in
+        if keep == always then add
+        else fun tuple -> if keep tuple then add tuple
+      | Normalize.Q_all, _ ->
         (* Every range element enters the list; monadic/nested terms
            must hold for all of them. *)
-        fun tuple ->
+        let qualifies = both monadic (derived_pred t schema p.Plan.p_nested) in
+        if qualifies == always && in_range == always then add
+        else if qualifies == always then fun tuple ->
+          (if in_range tuple then add tuple)
+        else fun tuple ->
           if in_range tuple then begin
-            Value_list.add vl (inner tuple);
+            add tuple;
             if not (qualifies tuple) then m_ok := false
           end
     in
@@ -426,7 +438,8 @@ let rec vlist_specs t (p : Plan.pushed) : spec list =
 let single_list t v rel keep =
   let out = Batch.acc_create ~name:("sl_" ^ v) (single_schema t v) in
   let ord = Batch.ordinals t.batch_pool rel in
-  ( (fun tuple -> if keep tuple then Batch.acc_push_cell out 0 (ord tuple)),
+  ( (if keep == always then fun tuple -> Batch.acc_push_cell out 0 (ord tuple)
+     else fun tuple -> if keep tuple then Batch.acc_push_cell out 0 (ord tuple)),
     fun () -> E_rel (Batch.acc_finish out) )
 
 (* Base single list of a variable: its (restricted) range expression
@@ -511,7 +524,10 @@ let index_spec t v attr atoms derived : spec list =
     let keep = element_pred t range schema v atoms derived
     and ord = Batch.ordinals t.batch_pool rel in
     let per_tuple tuple = if keep tuple then Index.add idx tuple (ord tuple) in
-    (per_tuple, fun () -> E_index (Built idx))
+    ( per_tuple,
+      fun () ->
+        count "index.entries" (Index.entry_count idx);
+        E_index (Built idx) )
   in
   vspecs
   @ [
@@ -572,18 +588,52 @@ let pair_shape order (a : atom) =
       }
   | _ -> invalid_arg "Collection.pair_shape: not a dyadic join term"
 
+(* A build's probes of its index sides, counted here and reported once
+   when the build finishes: a registry bump costs more than a probe of
+   a small index. *)
+type probes = {
+  mutable index : int;  (* index.probes: every probe *)
+  mutable secondary : int;  (* secondary.probes: of a declared index *)
+  mutable ranges : int;  (* secondary.range_scans: its order-comparison walks *)
+}
+
+let report_probes p =
+  count "index.probes" p.index;
+  count "secondary.probes" p.secondary;
+  count "secondary.range_scans" p.ranges
+
 (* Probing either kind of index side for the ordinals of the matching
    elements, set up once per build. *)
-let index_iter pool = function
-  | Built i -> Index.iter_matching i
-  | Declared (i, rel) ->
-    let ord = Batch.ordinals pool rel in
-    fun op probe f -> Secondary_index.iter_matching i op probe (fun t -> f (ord t))
-
-let index_exists idx op probe =
+let index_iter pool probes idx op =
   match idx with
-  | Built i -> Index.exists_matching i op probe
-  | Declared (i, _) -> Secondary_index.exists_matching i op probe
+  | Built i ->
+    fun probe f ->
+      probes.index <- probes.index + 1;
+      Index.iter_matching i op probe f
+  | Declared (i, rel) ->
+    let ord = Batch.ordinals pool rel
+    and range =
+      match op with
+      | Value.Lt | Value.Le | Value.Gt | Value.Ge -> 1
+      | Value.Eq | Value.Ne -> 0
+    in
+    fun probe f ->
+      probes.index <- probes.index + 1;
+      probes.secondary <- probes.secondary + 1;
+      probes.ranges <- probes.ranges + range;
+      Secondary_index.iter_matching_uncounted i op probe (fun t -> f (ord t))
+
+let index_exists probes idx op =
+  match idx with
+  | Built i ->
+    fun probe ->
+      probes.index <- probes.index + 1;
+      Index.exists_matching i op probe
+  | Declared (i, _) ->
+    fun probe ->
+      probes.index <- probes.index + 1;
+      probes.secondary <- probes.secondary + 1;
+      Secondary_index.exists_matching i op probe
 
 (* A mutual atom's index filters decide which probe elements the pair
    keeps, so a filtered one is part of the key. *)
@@ -636,13 +686,15 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
       | Some i -> i
       | None -> invalid_arg "Collection: index not built before probe"
     in
+    let probes = { index = 0; secondary = 0; ranges = 0 } in
     let mutual_checks =
       List.map
         (fun (m, m_key, _) ->
           match find_index t m_key with
           | Some mi ->
-            let probe_value = getter schema m.ps_probe_attr in
-            fun tuple -> index_exists mi m.ps_probe_op (probe_value tuple)
+            let exists = index_exists probes mi m.ps_probe_op
+            and i = Schema.index_of schema m.ps_probe_attr in
+            fun (tuple : Tuple.t) -> exists tuple.(i)
           | None -> invalid_arg "Collection: mutual index not built")
         mutual_with_keys
     in
@@ -655,9 +707,9 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
       both
         (element_pred t range schema v probe_atoms probe_derived)
         (all mutual_checks)
-    and probe_value = getter schema shape.ps_probe_attr
+    and probe_pos = Schema.index_of schema shape.ps_probe_attr
     and ord = Batch.ordinals t.batch_pool rel
-    and matching = index_iter t.batch_pool idx in
+    and matching = index_iter t.batch_pool probes idx shape.ps_probe_op in
     (* One row per (probe element, matching index element): distinct
        probe elements and disjoint index buckets make every row
        distinct, so the structure needs no dedup.  [probe] is the
@@ -668,13 +720,16 @@ let pair_spec t shape ~probe_atoms ~probe_derived ~index_atoms ~index_derived
       Batch.acc_push_cell out 0 !probe;
       Batch.acc_push_cell out 1 i
     in
-    let per_tuple tuple =
+    let per_tuple (tuple : Tuple.t) =
       if keep tuple then begin
         probe := ord tuple;
-        matching shape.ps_probe_op (probe_value tuple) pair
+        matching tuple.(probe_pos) pair
       end
     in
-    (per_tuple, fun () -> E_rel (Batch.acc_finish out))
+    ( per_tuple,
+      fun () ->
+        report_probes probes;
+        E_rel (Batch.acc_finish out) )
   in
   vspecs @ idx_specs
   @ List.concat_map (fun (_, _, specs) -> specs) mutual_with_keys
@@ -930,10 +985,13 @@ let execute_grouped t specs =
         let started = List.map (fun sp -> (sp, sp.sp_start t)) best in
         let actions = Array.of_list (List.map (fun (_, (f, _)) -> f) started) in
         Relation.scan
-          (fun tuple ->
-            for i = 0 to Array.length actions - 1 do
-              actions.(i) tuple
-            done)
+          (match actions with
+          | [| only |] -> only
+          | _ ->
+            fun tuple ->
+              for i = 0 to Array.length actions - 1 do
+                actions.(i) tuple
+              done)
           rel;
         List.iter
           (fun (sp, (_, finish)) ->

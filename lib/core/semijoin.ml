@@ -186,13 +186,12 @@ let initial_relation db (range : range) monadic v =
    built by one counted scan of [inner], the filter by one of [outer]. *)
 let filter_by ~name ~storage ~quant op ~outer_attr ~inner_attr outer inner =
   let vl = Value_list.of_column ~storage inner inner_attr in
-  let pos = Schema.index_of (Relation.schema outer) outer_attr in
+  let holds =
+    Value_list.tester ~quant op vl
+      ~pos:(Schema.index_of (Relation.schema outer) outer_attr)
+  in
   let out = Relation.create ~name (Relation.schema outer) in
-  Relation.scan
-    (fun t ->
-      if Value_list.quant_holds ~quant op (Tuple.get t pos) vl then
-        Relation.insert out t)
-    outer;
+  Relation.scan (fun t -> if holds t then Relation.insert out t) outer;
   out
 
 (* Reduce [outer] to the elements x with SOME y IN inner (x.oa = y.ia):

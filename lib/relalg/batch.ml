@@ -41,8 +41,10 @@ type columns = {
 }
 
 (* One relation's share of the tuple table: its ordinals by key, open
-   addressing over the key hash (a slot holds ordinal + 1; 0 is
-   free). *)
+   addressing over the key hash.  A slot packs the key's 31 hash bits
+   above its ordinal + 1 in the low 31 bits (0 is free), so growing the
+   table moves integers without hashing a key again, and a probe passes
+   over a slot whose hash bits differ without comparing keys. *)
 type owned = {
   pos : int array;  (* the relation's key positions *)
   mutable slots : int array;
@@ -81,31 +83,48 @@ let grown a n fill =
 
 (* --- The tuple table -------------------------------------------------- *)
 
+(* A slot's two halves, 31 bits each: 62 bits fit an OCaml int.  The
+   low half caps one table at 2^31 - 2 ordinals, two billion tuples. *)
+let ord_bits = 31
+let ord_mask = (1 lsl ord_bits) - 1
+
+(* The table's own key hash, 31 bits: an integer component mixes in as
+   itself, without a call into the runtime's hash, any other through
+   {!Value.hash}; the high bits of one multiplication spread the sum
+   over all 31. *)
 let key_hash pos (t : Tuple.t) =
   let h = ref 17 in
   for i = 0 to Array.length pos - 1 do
-    h := (!h * 31) + Value.hash t.(pos.(i))
+    h :=
+      (!h * 31)
+      + (match t.(pos.(i)) with Value.VInt n -> n | v -> Value.hash v)
   done;
-  !h land max_int
+  (!h * 0x2545F4914F6CDD1D) lsr (Sys.int_size - ord_bits)
 
 let rec same_key pos (a : Tuple.t) (b : Tuple.t) i =
   i >= Array.length pos
   || (Value.equal a.(pos.(i)) b.(pos.(i)) && same_key pos a b (i + 1))
 
-(* The slot holding [t]'s key, or the free slot ending its probe run. *)
-let rec slot pool o (t : Tuple.t) i =
+(* The slot holding [t]'s key, hashed to [h], or the free slot ending
+   its probe run. *)
+let rec slot pool o h (t : Tuple.t) i =
   let s = o.slots.(i) in
-  if s = 0 || pool.tuples.(s - 1) == t || same_key o.pos pool.tuples.(s - 1) t 0
+  if
+    s = 0
+    || s lsr ord_bits = h
+       &&
+       let u = pool.tuples.((s land ord_mask) - 1) in
+       u == t || same_key o.pos u t 0
   then i
-  else slot pool o t ((i + 1) land (Array.length o.slots - 1))
+  else slot pool o h t ((i + 1) land (Array.length o.slots - 1))
 
-let rehash pool o =
+let rehash o =
   let slots = Array.make (2 * Array.length o.slots) 0 in
   let mask = Array.length slots - 1 in
   Array.iter
     (fun s ->
       if s > 0 then begin
-        let i = ref (key_hash o.pos pool.tuples.(s - 1) land mask) in
+        let i = ref ((s lsr ord_bits) land mask) in
         while slots.(!i) <> 0 do
           i := (!i + 1) land mask
         done;
@@ -115,18 +134,20 @@ let rehash pool o =
   o.slots <- slots
 
 let ordinal pool o t =
-  let i = slot pool o t (key_hash o.pos t land (Array.length o.slots - 1)) in
+  let h = key_hash o.pos t in
+  let i = slot pool o h t (h land (Array.length o.slots - 1)) in
   let s = o.slots.(i) in
-  if s > 0 then s - 1
+  if s > 0 then (s land ord_mask) - 1
   else begin
     let ord = pool.nt in
+    if ord + 1 > ord_mask then invalid_arg "Batch.ordinals: tuple table full";
     if ord = Array.length pool.tuples then
       pool.tuples <- grown pool.tuples ord [||];
     pool.tuples.(ord) <- t;
     pool.nt <- ord + 1;
-    o.slots.(i) <- ord + 1;
+    o.slots.(i) <- (h lsl ord_bits) lor (ord + 1);
     o.used <- o.used + 1;
-    if 2 * o.used > Array.length o.slots then rehash pool o;
+    if 2 * o.used > Array.length o.slots then rehash o;
     ord
   end
 

@@ -8,7 +8,11 @@
    term is created") — probed by the indirect-join builds, and
    discarded with the query.  Its references are the elements' ordinals
    in the execution's tuple table ({!Batch.ordinals}).  Persistent
-   indexes are {!Secondary_index}. *)
+   indexes are {!Secondary_index}.
+
+   Nothing here bumps a metric: the build that fills an index counts
+   its entries once, from {!entry_count}, and a build that probes one
+   counts its probes locally and reports them when it finishes. *)
 
 type t = {
   source : string;
@@ -35,17 +39,14 @@ let create rel ~on =
 
 let add t tuple ord =
   Value_key.add_multi t.tbl (Tuple.values_at t.positions tuple) ord;
-  t.entry_count <- t.entry_count + 1;
-  Obs.Metrics.incr "index.entries"
+  t.entry_count <- t.entry_count + 1
 
 (* Probes against a built index are read-only: only [add] writes to it,
    while its build runs. *)
 let iter_matching t op probe f =
-  Obs.Metrics.incr "index.probes";
   Value_key.iter_matching ~source:t.source t.tbl op probe f
 
 let exists_matching t op probe =
-  Obs.Metrics.incr "index.probes";
   Value_key.exists_matching ~source:t.source t.tbl op probe
 
 (* Materialize the index as a relation <components..., ref>, the form

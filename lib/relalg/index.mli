@@ -2,7 +2,9 @@
     3.2, Figure 2): the collection phase's per-query structure, filled
     by the scan that builds it, optionally partial.  A reference here is
     the element's ordinal in the execution's tuple table
-    ({!Batch.ordinals}). *)
+    ({!Batch.ordinals}).  Uncounted: the build that fills an index
+    reports [index.entries] once from {!entry_count}, and a build that
+    probes one reports its [index.probes] once. *)
 
 type t
 
@@ -19,8 +21,7 @@ val entry_count : t -> int
 val iter_matching : t -> Value.comparison -> Value.t -> (int -> unit) -> unit
 (** [iter_matching t op probe f] applies [f] to the reference of every
     element whose indexed value [v] satisfies [v op probe].  [Eq] finds
-    its bucket by lookup rather than a walk.  Read-only; counted once
-    per call.
+    its bucket by lookup rather than a walk.  Read-only.
     @raise Errors.Type_error for comparison probes on multi-component
     indexes. *)
 

@@ -139,23 +139,32 @@ let span t op v =
 
 (* Enumerate tuples matching [indexed-value op v].  Equality looks up
    its bucket; an order comparison walks its span of the ordered map
-   and counts as one range probe regardless of span size. *)
-let iter_matching t op v f =
-  count_probe ();
+   and counts as one range probe regardless of span size.  The
+   uncounted form is for an indirect-join build, which probes once per
+   element and counts its probes itself. *)
+let iter_matching_uncounted t op v f =
   match op with
   | Value.Eq -> Bucket.iter f (bucket t [ v ])
   | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
-    Obs.Metrics.incr "secondary.range_scans";
     Seq.iter (fun (_, b) -> Bucket.iter f b) (span t op v)
   | Value.Ne ->
     Key_map.iter
       (fun k b -> if Value.apply Value.Ne (single_key t k) v then Bucket.iter f b)
       t.tbl
 
-(* Existence version of [iter_matching]: buckets are never
-   empty, so an order comparison needs only the map's extreme key. *)
-let exists_matching t op v =
+let iter_matching t op v f =
   count_probe ();
+  (match op with
+  | Value.Lt | Value.Le | Value.Gt | Value.Ge ->
+    Obs.Metrics.incr "secondary.range_scans"
+  | Value.Eq | Value.Ne -> ());
+  iter_matching_uncounted t op v f
+
+(* Existence version of [iter_matching]: buckets are never
+   empty, so an order comparison needs only the map's extreme key.
+   Uncounted, as its one caller, an indirect-join build, counts its
+   probes itself. *)
+let exists_matching t op v =
   let holds = function
     | Some (k, _) -> Value.apply op (single_key t k) v
     | None -> false

@@ -48,9 +48,16 @@ val iter_matching : t -> Value.comparison -> Value.t -> (Tuple.t -> unit) -> uni
     @raise Errors.Type_error on an order probe of a multi-component
     index. *)
 
+val iter_matching_uncounted :
+  t -> Value.comparison -> Value.t -> (Tuple.t -> unit) -> unit
+(** {!iter_matching} without its counter bumps ([index.probes],
+    [secondary.probes], [secondary.range_scans]), for a build that
+    probes once per element it scans and reports its probes once. *)
+
 val exists_matching : t -> Value.comparison -> Value.t -> bool
 (** Existence version of {!iter_matching}: an order comparison
-    consults only the map's extreme key. *)
+    consults only the map's extreme key.  Uncounted, like
+    {!iter_matching_uncounted}. *)
 
 val matching_fraction :
   cap:float -> t -> Value.comparison -> Value.t -> float

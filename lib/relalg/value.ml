@@ -101,6 +101,30 @@ let apply op a b =
   | Gt -> c > 0
   | Ge -> c >= 0
 
+(* [component_test op i c] is [fun a -> apply op a.(i) c], fixed once
+   for a test that runs on every element a scan delivers.  Against an
+   integer it compares unboxed ints; against an enumeration label it
+   compares ordinals once the component carries the constant's own enum
+   info (the one its declaration made, which every checked element
+   shares).  Every other component goes through [apply], errors
+   included. *)
+let component_test op i c =
+  let other (a : t array) = apply op a.(i) c in
+  match c, op with
+  | VInt k, Eq -> fun a -> (match a.(i) with VInt n -> n = k | _ -> other a)
+  | VInt k, Ne -> fun a -> (match a.(i) with VInt n -> n <> k | _ -> other a)
+  | VInt k, Lt -> fun a -> (match a.(i) with VInt n -> n < k | _ -> other a)
+  | VInt k, Le -> fun a -> (match a.(i) with VInt n -> n <= k | _ -> other a)
+  | VInt k, Gt -> fun a -> (match a.(i) with VInt n -> n > k | _ -> other a)
+  | VInt k, Ge -> fun a -> (match a.(i) with VInt n -> n >= k | _ -> other a)
+  | VEnum (info, k), Eq ->
+    fun a ->
+      (match a.(i) with VEnum (info', n) when info' == info -> n = k | _ -> other a)
+  | VEnum (info, k), Ne ->
+    fun a ->
+      (match a.(i) with VEnum (info', n) when info' == info -> n <> k | _ -> other a)
+  | VEnum _, (Lt | Le | Gt | Ge) | (VStr _ | VBool _ | VRef _), _ -> other
+
 let rec pp ppf = function
   | VInt n -> Fmt.int ppf n
   | VStr s -> Fmt.pf ppf "'%s'" s

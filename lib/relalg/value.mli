@@ -47,6 +47,13 @@ val equal : t -> t -> bool
 val apply : comparison -> t -> t -> bool
 (** Semantics of a join term's comparison operator. *)
 
+val component_test : comparison -> int -> t -> t array -> bool
+(** [component_test op i c] is [fun a -> apply op a.(i) c], specialised
+    once to [c]'s kind for a test applied to many tuples: an integer
+    constant compares unboxed, an enumeration label compares ordinals
+    when the component carries the constant's enum info.  Answers and
+    errors are [apply]'s. *)
+
 val hash : t -> int
 (** Structural hash compatible with {!equal}. *)
 

@@ -46,8 +46,9 @@ type set =
 type t = {
   storage : storage;
   mutable set : set;
-  mutable distinct : int;  (* Full: distinct values in [set] *)
-  mutable stale : bool;    (* Full: a value came in since [vmin]/[vmax] were derived *)
+  mutable distinct : int;  (* Full: distinct values in [set], once derived *)
+  mutable stale : bool;    (* Full: a value came in since [distinct], [vmin]
+                              and [vmax] were derived *)
   mutable vmin : Value.t option;
   mutable vmax : Value.t option;
   mutable first : Value.t option;  (* reduced storage only *)
@@ -157,6 +158,12 @@ let add_hashed t h v =
     t.stale <- true
   end
 
+(* No test of the bit first: a bitset's count is derived when asked,
+   so an add is a store, whichever way the data falls. *)
+let add_bit t bits i =
+  set_bit bits i;
+  t.stale <- true
+
 let add t v =
   match t.set with
   | Bits (dom, bits) ->
@@ -164,16 +171,13 @@ let add t v =
     if i < 0 then begin
       (* Outside the declared domain (an intermediate's unchecked
          insert): the hash set takes over. *)
-      let h = Vtable.create (max 64 (2 * t.distinct)) in
+      let h = Vtable.create 64 in
       fold_bits (fun i () -> Vtable.replace h (value_at dom i) ()) bits ();
       t.set <- Hashed h;
+      t.distinct <- Vtable.length h;
       add_hashed t h v
     end
-    else if not (bit bits i) then begin
-      set_bit bits i;
-      t.distinct <- t.distinct + 1;
-      t.stale <- true
-    end
+    else add_bit t bits i
   | Hashed h -> add_hashed t h v
   | Reduced -> (
     update_bounds t v;
@@ -181,30 +185,30 @@ let add t v =
     | None -> t.first <- Some v
     | Some f -> if not (Value.equal f v) then t.distinct2 <- true)
 
-let of_column ?storage rel name =
-  let schema = Relation.schema rel in
-  let pos = Schema.index_of schema name in
-  let t =
-    create ?storage ~domain:(Schema.type_at schema pos)
-      ~rows:(Relation.cardinality rel) ()
-  in
-  Relation.scan (fun tuple -> add t (Tuple.get tuple pos)) rel;
-  t
-
 (* ------------------------------------------------------------------ *)
 (* Questions *)
 
-(* A Full list's min and max, derived once after the adds that changed
-   it. *)
+(* A Full list's size, min and max, derived once after the adds that
+   changed it.  The bitset walk allocates nothing per bit. *)
 let derive t =
   (match t.set with
   | Bits (dom, bits) ->
-    let lo, hi =
-      fold_bits (fun i (lo, _) -> ((if lo < 0 then i else lo), i)) bits (-1, -1)
-    in
+    let lo = ref (-1) and hi = ref (-1) and n = ref 0 in
+    for b = 0 to Bytes.length bits - 1 do
+      let byte = Char.code (Bytes.get bits b) in
+      if byte <> 0 then
+        for j = 0 to 7 do
+          if byte land (1 lsl j) <> 0 then begin
+            if !lo < 0 then lo := (b lsl 3) + j;
+            hi := (b lsl 3) + j;
+            incr n
+          end
+        done
+    done;
     let at i = if i < 0 then None else Some (value_at dom i) in
-    t.vmin <- at lo;
-    t.vmax <- at hi
+    t.distinct <- !n;
+    t.vmin <- at !lo;
+    t.vmax <- at !hi
   | Hashed h ->
     t.vmin <- None;
     t.vmax <- None;
@@ -220,9 +224,14 @@ let max_value t =
   if t.stale then derive t;
   t.vmax
 
+(* A Full list's distinct values. *)
+let count t =
+  if t.stale then derive t;
+  t.distinct
+
 let is_empty t =
   match t.set with
-  | Bits _ | Hashed _ -> t.distinct = 0
+  | Bits _ | Hashed _ -> count t = 0
   | Reduced -> Option.is_none t.first
 
 let mem t v =
@@ -237,14 +246,14 @@ let mem t v =
 
 let distinct_count t =
   match t.set with
-  | Bits _ | Hashed _ -> Some t.distinct
+  | Bits _ | Hashed _ -> Some (count t)
   | Reduced -> None
 
 (* Number of component values physically retained — the paper's storage
    claim for the Bounds and At_most_one policies. *)
 let stored_size t =
   match t.storage with
-  | Full -> t.distinct
+  | Full -> count t
   | Bounds -> (match t.vmin, t.vmax with
     | None, None -> 0
     | Some a, Some b -> if Value.equal a b then 1 else 2
@@ -261,7 +270,7 @@ let to_sorted_list t =
 (* Saw two distinct values, and the one value of a list that did not:
    a Full list knows both from its set. *)
 let distinct2 t =
-  match t.set with Bits _ | Hashed _ -> t.distinct >= 2 | Reduced -> t.distinct2
+  match t.set with Bits _ | Hashed _ -> count t >= 2 | Reduced -> t.distinct2
 
 let first t =
   match t.set with
@@ -324,3 +333,144 @@ let quant_holds ~quant op v t =
     | Q_some, Value.Ne ->
       (* v <> SOME w: true as soon as two distinct values exist. *)
       distinct2 t || not (Value.equal v (first t))
+
+(* [mem t tuple.(pos)] for a Full list: a value of a bitset's domain is
+   one range check and one bit. *)
+let member t ~pos =
+  let slow (tuple : Tuple.t) = mem t tuple.(pos) in
+  match t.set with
+  | Bits (Ints { lo; hi }, bits) -> (
+    fun tuple ->
+      match tuple.(pos) with
+      | Value.VInt n -> lo <= n && n <= hi && bit bits (n - lo)
+      | _ -> slow tuple)
+  | Bits (Enum info, bits) -> (
+    let n_labels = Array.length info.Value.labels in
+    fun tuple ->
+      match tuple.(pos) with
+      | Value.VEnum (info', i) when info' == info ->
+        i >= 0 && i < n_labels && bit bits i
+      | _ -> slow tuple)
+  | Bits (Bools, bits) -> (
+    fun tuple ->
+      match tuple.(pos) with
+      | Value.VBool b -> bit bits (Bool.to_int b)
+      | _ -> slow tuple)
+  | Hashed h -> fun tuple -> Vtable.mem h tuple.(pos)
+  | Reduced -> slow
+
+(* [quant_holds ~quant op tuple.(pos) t], fixed once for a list whose
+   build has finished: emptiness, the storage policy's case and the
+   bound or value compared against are decided here, so a tuple pays
+   one test — a range check and a bit for a bitset's [=], one int
+   comparison against a bound.  A case [quant_holds] refuses raises on
+   every tuple, as there. *)
+let tester ~quant op t ~pos : Tuple.t -> bool =
+  let against v op = Value.component_test op pos v in
+  let refuse what = fun _ -> Errors.type_error "%s" what in
+  if is_empty t then (match quant with Q_some -> fun _ -> false | Q_all -> fun _ -> true)
+  else
+    match quant, op with
+    | Q_some, (Value.Lt | Value.Le) | Q_all, (Value.Gt | Value.Ge) ->
+      against (Option.get (max_value t)) op
+    | Q_some, (Value.Gt | Value.Ge) | Q_all, (Value.Lt | Value.Le) ->
+      against (Option.get (min_value t)) op
+    | Q_some, Value.Eq -> (
+      match t.storage with
+      | Full -> member t ~pos
+      | At_most_one ->
+        if t.distinct2 then
+          refuse "SOME-= on an at-most-one value list with 2+ values"
+        else against (Option.get t.first) Value.Eq
+      | Bounds ->
+        if Value.equal (Option.get t.vmin) (Option.get t.vmax) then
+          against (Option.get t.vmin) Value.Eq
+        else refuse "SOME-= on a bounds-only value list")
+    | Q_all, Value.Ne -> (
+      match t.storage with
+      | Full ->
+        let m = member t ~pos in
+        fun tuple -> not (m tuple)
+      | At_most_one ->
+        if t.distinct2 then
+          refuse "ALL-<> on an at-most-one value list with 2+ values"
+        else against (Option.get t.first) Value.Ne
+      | Bounds ->
+        if Value.equal (Option.get t.vmin) (Option.get t.vmax) then
+          against (Option.get t.vmin) Value.Ne
+        else refuse "ALL-<> on a bounds-only value list")
+    | Q_all, Value.Eq ->
+      if distinct2 t then fun _ -> false else against (first t) Value.Eq
+    | Q_some, Value.Ne ->
+      if distinct2 t then fun _ -> true else against (first t) Value.Ne
+
+(* [add t tuple.(pos)], fixed once per build: a value of a bitset's
+   domain sets its bit directly, and any other value goes to [add] —
+   which may move the list to the hash set, after which the
+   [t.set == set] test sends every value through [add].
+
+   With [~if_member:(l, p)] a tuple adds only when its component [p] is
+   a member of the Full list [l] — the list of an existential whose
+   range elements must themselves have a match in a nested existential
+   (the chain of strategy 4).  When both lists are subrange bitsets
+   and both components fall in their subranges, the member bit is
+   or-ed into the add without a branch on it: which tuples qualify is
+   data, and a mispredicted branch per tuple costs more than the
+   test. *)
+let adder ?if_member t ~pos =
+  let slow (tuple : Tuple.t) = add t tuple.(pos) in
+  let add =
+    match t.set with
+    | Bits (Ints { lo; hi }, bits) as set -> (
+      fun tuple ->
+        match tuple.(pos) with
+        | Value.VInt n when lo <= n && n <= hi && t.set == set ->
+          add_bit t bits (n - lo)
+        | _ -> slow tuple)
+    | Bits (Enum info, bits) as set -> (
+      let n_labels = Array.length info.Value.labels in
+      fun tuple ->
+        match tuple.(pos) with
+        | Value.VEnum (info', i)
+          when info' == info && i >= 0 && i < n_labels && t.set == set ->
+          add_bit t bits i
+        | _ -> slow tuple)
+    | Bits (Bools, bits) as set -> (
+      fun tuple ->
+        match tuple.(pos) with
+        | Value.VBool b when t.set == set -> add_bit t bits (Bool.to_int b)
+        | _ -> slow tuple)
+    | Hashed h -> fun tuple -> add_hashed t h tuple.(pos)
+    | Reduced -> slow
+  in
+  match if_member with
+  | None -> add
+  | Some (l, p) -> (
+    let is_member = member l ~pos:p in
+    let guarded tuple = if is_member tuple then add tuple in
+    match l.set, t.set with
+    | Bits (Ints { lo = llo; hi = lhi }, lbits), (Bits (Ints { lo; hi }, bits) as set)
+      -> (
+      fun tuple ->
+        match tuple.(p), tuple.(pos) with
+        | Value.VInt k, Value.VInt n
+          when llo <= k && k <= lhi && lo <= n && n <= hi && t.set == set ->
+          let k = k - llo and i = n - lo in
+          let b = i lsr 3 in
+          let kept = (Char.code (Bytes.get lbits (k lsr 3)) lsr (k land 7)) land 1 in
+          Bytes.set bits b
+            (Char.unsafe_chr
+               (Char.code (Bytes.get bits b) lor (kept lsl (i land 7))));
+          t.stale <- true
+        | _ -> guarded tuple)
+    | _ -> guarded)
+
+let of_column ?storage rel name =
+  let schema = Relation.schema rel in
+  let pos = Schema.index_of schema name in
+  let t =
+    create ?storage ~domain:(Schema.type_at schema pos)
+      ~rows:(Relation.cardinality rel) ()
+  in
+  Relation.scan (adder t ~pos) rel;
+  t

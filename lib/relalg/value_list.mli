@@ -55,3 +55,21 @@ val quant_holds : quant:quantifier -> Value.comparison -> Value.t -> t -> bool
     SOME over empty is false; ALL over empty is true.  Reduced storage
     policies decide exactly the paper's operator/quantifier cases and
     raise {!Errors.Type_error} outside them. *)
+
+val tester :
+  quant:quantifier -> Value.comparison -> t -> pos:int -> Tuple.t -> bool
+(** [tester ~quant op t ~pos] is
+    [fun tuple -> quant_holds ~quant op tuple.(pos) t] for a list that
+    gets no more adds: emptiness, the storage policy's case and the
+    bound compared against are decided once, so a tuple pays one test
+    (a range check and a bit for a bitset's [=]).  Answers and errors
+    are {!quant_holds}'s. *)
+
+val adder : ?if_member:t * int -> t -> pos:int -> Tuple.t -> unit
+(** [adder t ~pos] is [fun tuple -> add t tuple.(pos)], fixed once for
+    a build that adds one component of the tuples it scans: a value of
+    a bitset's domain sets its bit directly, any other value goes
+    through {!add}, hash-set move included.  [~if_member:(l, p)] adds
+    only the tuples whose component [p] is a {!mem}ber of the Full list
+    [l], which gets no more adds:
+    [fun tuple -> if mem l tuple.(p) then add t tuple.(pos)]. *)

@@ -254,6 +254,89 @@ let test_one_ordinal_per_element () =
               (Hashtbl.fold (fun _ o acc -> o :: acc) by_key []))))
     [ ("s1", Strategy.s1); ("palermo", Strategy.palermo) ]
 
+(* The tuple table through its growth: a relation keyed by one column
+   and one keyed by two, with enough elements to double the table
+   several times, asked in an interleaved order by scans, then by
+   secondary-index probes, then by copies of the tuples.  One
+   (relation, key) always gets one ordinal, two keys never share one,
+   and [tuple_at] reads back the element. *)
+let test_tuple_table_growth =
+  QCheck.Test.make ~name:"tuple table: one ordinal per key through growth"
+    ~count:40
+    QCheck.(make Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let pick n = Random.State.int st n in
+      let group = Schema.attr "g" (Vtype.int_range 0 9) in
+      let db = Database.create () in
+      let one =
+        Database.declare_relation db ~name:"one"
+          (Schema.make [ Schema.attr "k" Vtype.int_full; group ] ~key:[ "k" ])
+      and two =
+        Database.declare_relation db ~name:"two"
+          (Schema.make
+             [ Schema.attr "a" Vtype.int_full; Schema.attr "b" Vtype.string_any; group ]
+             ~key:[ "a"; "b" ])
+      in
+      (* Keys spread by a stride, so that they differ in high bits too. *)
+      let stride = 1 + pick 100_000 in
+      for i = 0 to pick 3000 do
+        Relation.insert one
+          (Tuple.of_list [ Value.int ((i * stride) - 5000); Value.int (pick 10) ])
+      done;
+      for i = 0 to pick 3000 do
+        Relation.insert two
+          (Tuple.of_list
+             [
+               Value.int (i / 3 * stride);
+               Value.str (string_of_int (i mod 3));
+               Value.int (pick 10);
+             ])
+      done;
+      let rels =
+        List.map
+          (fun name ->
+            let idx = Database.declare_index db name ~on:[ "g" ] in
+            (Database.find_relation db name, idx))
+          [ "one"; "two" ]
+      in
+      let pool = Batch.create_pool () in
+      let ordinal = List.map (fun (r, _) -> (Relation.name r, Batch.ordinals pool r)) rels in
+      let by_key = Hashtbl.create 64 and by_ordinal = Hashtbl.create 64 in
+      let ask r (t : Tuple.t) =
+        let name = Relation.name r in
+        let key = (name, Tuple.key_of (Relation.schema r) t) in
+        let o = List.assoc name ordinal t in
+        let fail what = QCheck.Test.fail_reportf "%s %a: %s, seed %d" name Tuple.pp t what seed in
+        (match Hashtbl.find_opt by_key key, Hashtbl.find_opt by_ordinal o with
+        | Some o', _ -> o = o' || fail "a second ordinal"
+        | None, Some _ -> fail "another key's ordinal"
+        | None, None ->
+          Hashtbl.add by_key key o;
+          Hashtbl.add by_ordinal o key;
+          true)
+        && (Tuple.equal (Batch.tuple_at pool o) t || fail "tuple_at reads back another")
+      in
+      let scanned =
+        List.concat_map (fun (r, _) -> List.map (fun t -> (r, t)) (Relation.to_list r)) rels
+      in
+      let shuffled =
+        List.map snd
+          (List.sort compare (List.map (fun rt -> (Random.State.bits st, rt)) scanned))
+      in
+      List.for_all (fun (r, t) -> ask r t) shuffled
+      && List.for_all
+           (fun (r, idx) ->
+             let ok = ref true in
+             for g = 0 to 9 do
+               Secondary_index.iter_matching idx Value.Eq (Value.int g) (fun t ->
+                   ok := !ok && ask r t)
+             done;
+             !ok)
+           rels
+      && List.for_all (fun (r, t) -> ask r (Array.copy t)) (List.rev scanned)
+      && Hashtbl.length by_key = List.length scanned)
+
 (* --------------------------------------------------------------- *)
 (* Counters and options plumbing *)
 
@@ -296,6 +379,7 @@ let suite =
           test_fingerprint_distinguishes_batch_size;
         Alcotest.test_case "one ordinal per element, per relation" `Quick
           test_one_ordinal_per_element;
+        QCheck_alcotest.to_alcotest test_tuple_table_growth;
         QCheck_alcotest.to_alcotest test_batch_differential;
       ] );
   ]

@@ -259,13 +259,19 @@ let pred_schema =
 
 let color_info = { Value.enum_name = "color"; labels = color_labels }
 
+(* The same enumeration declared again: equal by name, another record. *)
+let color_copy = { color_info with Value.enum_name = "color" }
+
 (* A random value of attribute [a]'s domain, from a small range so
-   equal values come up often. *)
+   equal values come up often; an enum value carries either info. *)
 let random_value st a =
   match a with
   | 0 | 4 -> Value.int (Random.State.int st 5 - 2)
   | 1 -> Value.str [| ""; "a"; "ab"; "b" |].(Random.State.int st 4)
-  | 2 -> Value.enum_ordinal color_info (Random.State.int st 3)
+  | 2 ->
+    Value.enum_ordinal
+      (if Random.State.bool st then color_info else color_copy)
+      (Random.State.int st 3)
   | _ -> Value.bool (Random.State.bool st)
 
 let random_atom st : Calculus.atom =
@@ -328,6 +334,38 @@ let test_uncompiled_predicates () =
       ("unknown attribute", atom (O_attr ("x", "zz")) one);
     ]
 
+(* The index counters a build reports once, when it finishes, total
+   what bumping them per entry and per probe totalled: the figures are
+   those of that counting, over the university database with and
+   without permanent indexes — built indexes, declared stand-ins,
+   mutual restriction, order-comparison range walks. *)
+let test_index_counter_totals () =
+  let names =
+    [ "index.entries"; "index.probes"; "secondary.probes"; "secondary.range_scans" ]
+  in
+  List.iter
+    (fun (label, query, strategy, declared, expected) ->
+      let db = Workload.University.generate Workload.University.default_params in
+      if declared then
+        List.iter
+          (fun (rel, attr) ->
+            ignore (Database.declare_index db rel ~on:[ attr ] : Secondary_index.t))
+          [ ("timetable", "tcnr"); ("timetable", "tenr"); ("papers", "penr") ];
+      let opts = Exec_opts.make ~strategy ~jobs:1 ~use_index:true () in
+      let counts () = List.map Obs.Metrics.counter_value names in
+      let before = counts () in
+      ignore (Session.exec ~opts (Session.create db) (query db) : Relation.t);
+      Alcotest.(check (list int)) label expected
+        (List.map2 (fun a b -> b - a) before (counts ())))
+    Workload.Queries.
+      [
+        ("running, s1", running_query, Strategy.s1, false, [ 220; 105; 0; 0 ]);
+        ("running, s12, declared", running_query, Strategy.s12, true, [ 0; 43; 43; 0 ]);
+        ("universal, s12, declared", universal_query, Strategy.s12, true, [ 13; 120; 40; 0 ]);
+        ("universal, s1234", universal_query, Strategy.s1234, false, [ 80; 40; 0; 0 ]);
+        ("min/max SOME, s1, declared", minmax_some_query, Strategy.s1, true, [ 0; 40; 40; 40 ]);
+      ]
+
 (* Reads allocate per structure built and per output row, not per
    tuple scanned: london-some-red at Suppliers.scaled 8 allocates
    14.2k minor words per execution (OCaml 5.1.1; 27.8k while the
@@ -355,6 +393,40 @@ let test_read_allocation () =
     (Fmt.str "%.0f minor words per read, bound 28300" per_read)
     true (per_read <= 28_300.)
 
+(* Words a read allocates straight in the major heap — arrays past the
+   minor heap's size limit, the tuple table's slots among them — as
+   [major_words - promoted_words], between two forced minor
+   collections (the runtime folds its counts in at a collection).  At
+   Suppliers.scaled 8 no array of london-some-red is that large and
+   the figure is 0 within the counts' noise, so the read is the one at
+   scale 64: 3.0-3.2k words per execution (OCaml 5.1.1, alike while
+   the table's slots held bare ordinals and growing re-hashed every
+   key), so twice that is the bound. *)
+let test_read_direct_major () =
+  let db = Workload.Suppliers.generate (Workload.Suppliers.scaled 64) in
+  let opts = Exec_opts.make ~jobs:1 ~batch_size:2048 ~use_index:true () in
+  let p =
+    Session.prepare ~opts (Session.create db)
+      (Workload.Suppliers.london_ships_some_red db)
+  in
+  for _ = 1 to 3 do
+    ignore (Prepared.exec p : Relation.t)
+  done;
+  let reps = 40 in
+  let direct () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let d0 = direct () in
+  for _ = 1 to reps do
+    ignore (Prepared.exec p : Relation.t)
+  done;
+  let per_read = (direct () -. d0) /. float_of_int reps in
+  Alcotest.(check bool)
+    (Fmt.str "%.0f direct-major words per read, bound 6400" per_read)
+    true (per_read <= 6_400.)
+
 let suite =
   [
     ( "collection",
@@ -378,5 +450,9 @@ let suite =
           test_uncompiled_predicates;
         Alcotest.test_case "read allocation per structure, not per tuple" `Quick
           test_read_allocation;
+        Alcotest.test_case "read direct-major allocation" `Quick
+          test_read_direct_major;
+        Alcotest.test_case "index counters total per entry and probe" `Quick
+          test_index_counter_totals;
       ] );
   ]

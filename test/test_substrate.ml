@@ -378,6 +378,125 @@ let test_value_list_bitset_differential =
                   [ Value_list.Q_some; Value_list.Q_all ])
            probes)
 
+(* The closures a build fixes once answer what the general functions
+   answer, errors included: [tester] against [quant_holds] for every
+   storage, quantifier and operator; [adder] against [add], and
+   [adder ~if_member] against [mem] then [add], by the lists they fill.
+   Domains: int subranges (negative [lo], some too wide for a bitset),
+   enumerations, booleans, strings and the unbounded integer.  Lists
+   get no adds at times; int adds past a subrange move a bitset to the
+   hash set mid-build; enum values carry a copy of the declared info
+   at times; probes reach below, inside and above the domain, and one
+   is of another kind. *)
+let test_value_list_fixed_closures =
+  QCheck.Test.make ~name:"value list: fixed closures = quant_holds/add"
+    ~count:400
+    QCheck.(make Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let pick n = Random.State.int st n in
+      (* A domain, the values a build adds, and the probes. *)
+      let gen_domain rows =
+        match pick 6 with
+        | 0 | 1 ->
+          let lo = pick 100 - 60 in
+          let width =
+            match pick 3 with
+            | 0 -> 1 + pick 8
+            | 1 -> 1 + pick 200
+            | _ -> (63 * rows) + 1
+          in
+          let hi = lo + width - 1 and outside = pick 3 = 0 in
+          ( Vtype.int_range lo hi,
+            (fun () ->
+              if outside && pick 10 = 0 then Value.int (hi + 1 + pick 5)
+              else Value.int (lo + pick (min width 300))),
+            Value.str "x"
+            :: List.init (min width 300 + 8) (fun i -> Value.int (lo - 4 + i)) )
+        | 2 ->
+          let info =
+            { Value.enum_name = "e"; labels = Array.init (1 + pick 9) string_of_int }
+          in
+          let copy = { info with Value.enum_name = "e" } in
+          let n = Array.length info.labels in
+          ( Vtype.TEnum info,
+            (fun () -> Value.VEnum ((if pick 4 = 0 then copy else info), pick n)),
+            Value.int 0
+            :: List.concat_map
+                 (fun i -> [ Value.VEnum (info, i); Value.VEnum (copy, i) ])
+                 (List.init n Fun.id) )
+        | 3 ->
+          ( Vtype.boolean,
+            (fun () -> Value.bool (pick 2 = 0)),
+            [ Value.bool false; Value.bool true; Value.int 1 ] )
+        | 4 ->
+          let words = [| ""; "a"; "ab"; "b"; "ba" |] in
+          ( Vtype.string_any,
+            (fun () -> Value.str words.(pick 5)),
+            Value.int 1 :: Value.str "zz" :: List.map Value.str (Array.to_list words) )
+        | _ ->
+          ( Vtype.int_full,
+            (fun () -> Value.int (pick 40 - 20)),
+            Value.str "x" :: List.init 48 (fun i -> Value.int (i - 24)) )
+      in
+      let outcome f = try Ok (f ()) with Errors.Type_error _ -> Error () in
+      let check what ok = ok || QCheck.Test.fail_reportf "%s, seed %d" what seed in
+      let rows = pick 5 in
+      let domain, values, probes = gen_domain rows in
+      let storage =
+        [| Value_list.Full; Value_list.Bounds; Value_list.At_most_one |].(pick 3)
+      in
+      let make () = Value_list.create ~storage ~domain ~rows () in
+      (* The member list of [~if_member]: Full, over its own domain. *)
+      let key_domain, keys, _ = gen_domain (pick 5) in
+      let members = Value_list.create ~domain:key_domain ~rows:(pick 5) () in
+      for _ = 1 to pick 12 do
+        Value_list.add members (keys ())
+      done;
+      let by_add = make () and by_adder = make () in
+      let member_ref = make () and by_member = make () in
+      let adder = Value_list.adder by_adder ~pos:1
+      and member_adder =
+        Value_list.adder ~if_member:(members, 0) by_member ~pos:1
+      in
+      for _ = 1 to (if pick 4 = 0 then 0 else 1 + pick 40) do
+        let v = values () and k = keys () in
+        Value_list.add by_add v;
+        adder [| Value.int 0; v |];
+        if Value_list.mem members k then Value_list.add member_ref v;
+        member_adder [| k; v |]
+      done;
+      let same_list what a b =
+        let same name eq f = check (what ^ ": " ^ name) (eq (f a) (f b)) in
+        same "is_bitset" Bool.equal Value_list.is_bitset
+        && same "distinct_count" ( = ) Value_list.distinct_count
+        && same "stored_size" ( = ) Value_list.stored_size
+        && same "is_empty" Bool.equal Value_list.is_empty
+        && same "min_value" (Option.equal Value.equal) Value_list.min_value
+        && same "max_value" (Option.equal Value.equal) Value_list.max_value
+        && same "to_sorted_list"
+             (Result.equal ~ok:(List.equal Value.equal) ~error:( = ))
+             (fun vl -> outcome (fun () -> Value_list.to_sorted_list vl))
+      in
+      same_list "adder" by_add by_adder
+      && same_list "adder ~if_member" member_ref by_member
+      && List.for_all
+           (fun quant ->
+             List.for_all
+               (fun op ->
+                 let fixed = Value_list.tester ~quant op by_add ~pos:0 in
+                 List.for_all
+                   (fun v ->
+                     check
+                       (Fmt.str "tester %s %a"
+                          (Value.comparison_to_string op) Value.pp v)
+                       (outcome (fun () -> fixed [| v |])
+                       = outcome (fun () ->
+                             Value_list.quant_holds ~quant op v by_add)))
+                   probes)
+               Value.all_comparisons)
+           [ Value_list.Q_some; Value_list.Q_all ])
+
 (* A bitset build allocates its bitset and nothing per add: building a
    Full list over 1..1280 from 7680 tuples costs the same words whatever
    the number of tuples added and of distinct values among them. *)
@@ -483,6 +602,7 @@ let suite =
           test_value_list_at_most_one;
         Alcotest.test_case "value list empty" `Quick test_value_list_empty;
         QCheck_alcotest.to_alcotest test_value_list_bitset_differential;
+        QCheck_alcotest.to_alcotest test_value_list_fixed_closures;
         Alcotest.test_case "value list bitset allocation" `Quick
           test_value_list_bitset_allocation;
         Alcotest.test_case "buffer pool LRU eviction order" `Quick
